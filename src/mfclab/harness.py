@@ -4,24 +4,27 @@ One run wires measurement noise -> output observer -> ultra-local-model
 estimator -> tracking controller -> plant and records every per-step
 quantity.  Runs are deterministic given the configuration and seed.
 
-Causality of the wiring differs by plant:
+A single step loop serves both plants; a small per-run plant object
+supplies what differs between them:
 
 * cart-pendulum: only the current measurement exists at decision time, so
   the second-order law is evaluated one step in arrears (the (k-1, k)
-  error pair plays the role of the (k, k+1) pair) and the newest
-  reconstructable F value lags two samples;
+  error pair plays the role of the (k, k+1) pair) on the observer
+  estimates, and the newest reconstructable F value lags two samples;
 * synthetic plant: its step-k state is the output pair (y[k], y[k+1]), so
-  the law is evaluated at its natural anchor and controller identities
-  hold exactly per step.
+  the law is evaluated at its natural anchor on truth and controller
+  identities hold exactly per step.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
+import typing
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import List, Optional, Union
 
 import numpy as np
@@ -95,6 +98,11 @@ class ExperimentConfig:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.horizon < 0.0:
             raise ValueError(f"horizon must be non-negative, got {self.horizon}")
+        for name in ("horizon", "sample_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.horizon * self.sample_rate):
+            raise ValueError("horizon * sample_rate (the record count) overflows")
         if self.ulm.order_nu != 2 or self.controller.order_nu != 2:
             raise ValueError("the closed-loop harness implements the second-order law")
         obs_gain = self.observer.gain
@@ -232,12 +240,8 @@ def run_closed_loop(
     builder = _LogBuilder()
     diverged = False
     if config.n_records > 0:
-        if isinstance(config.plant, PendulumParams):
-            diverged = _run_pendulum(
-                config, oracle_f, f_hat_bias, substeps, builder
-            )
-        else:
-            diverged = _run_synthetic(config, oracle_f, f_hat_bias, builder)
+        plant = _PLANTS[type(config.plant)](config, substeps)
+        diverged = _run_loop(config, plant, oracle_f, f_hat_bias, builder)
     meta["wall_time_s"] = time.perf_counter() - start
     return builder.build(diverged, meta)
 
@@ -249,161 +253,155 @@ def _noise_stream(config: ExperimentConfig) -> Optional[BumpNoiseStream]:
     return BumpNoiseStream(config.noise.width, seed)
 
 
-def _run_pendulum(
-    config: ExperimentConfig,
-    oracle_f: bool,
-    f_hat_bias: float,
-    substeps: int,
-    builder: _LogBuilder,
-) -> bool:
-    params = config.plant
+class _PendulumPlant:
+    """Cart-pendulum truth advanced by RK4.  Only the current measurement
+    exists at decision time, so the law runs one step in arrears on the
+    observer estimates."""
+
+    lag = 1
+    reads_estimates = True
+
+    def __init__(self, config: ExperimentConfig, substeps: int):
+        self.params = config.plant
+        self.dt = config.dt
+        self.substeps = substeps
+        self.state = config.initial_truth
+        self.y = [self.state.theta]
+        self.initial_estimate = config.initial_estimates.theta
+
+    def reference(self, count: int) -> np.ndarray:
+        return _desired_theta_samples(
+            self.params, self.state, count, self.dt, self.substeps
+        )
+
+    @staticmethod
+    def reconstruct(y, j: int, effect: float) -> np.ndarray:
+        return reconstruct_f(y[j - 1 : j + 2], effect, 2)
+
+    def f_true(self, k: int, effects: List[float]) -> float:
+        # the newest value reconstructable from truth; none before step 2
+        if k < 2:
+            return 0.0
+        return float(self.reconstruct(self.y, k - 1, effects[k - 1])[0])
+
+    def advance(self, k: int, g: float, u: float) -> None:
+        self.state = rk4_advance(self.state, u, self.dt, self.params, self.substeps)
+        self.y.append(self.state.theta)
+
+
+class _SyntheticPlant:
+    """Exact discrete plant whose step-k state is the output pair
+    (y[k], y[k+1]); the law runs at its natural anchor on truth, so the
+    controller identities hold exactly per step."""
+
+    lag = 0
+    reads_estimates = False
+
+    def __init__(self, config: ExperimentConfig, substeps: int):
+        self.params = config.plant
+        self.dt = config.dt
+        self.y = [self.params.y0, self.params.y1]
+        self.initial_estimate = self.params.y0
+
+    def reference(self, count: int) -> np.ndarray:
+        return self.params.desired_samples(count, self.dt)
+
+    @staticmethod
+    def reconstruct(y, j: int, effect: float) -> np.ndarray:
+        return np.array([(y[j + 1] - 2.0 * y[j] + y[j - 1]) - effect])
+
+    def f_true(self, k: int, effects: List[float]) -> float:
+        return self.params.f_signal(k, self.dt)
+
+    def advance(self, k: int, g: float, u: float) -> None:
+        y_next = float(
+            synthetic_ulm_plant_step(
+                self.y[k], self.y[k + 1], self.params.f_signal(k, self.dt), g, u
+            )[0]
+        )
+        if not math.isfinite(y_next):
+            raise DivergenceError("synthetic plant produced a non-finite output")
+        self.y.append(y_next)
+
+
+_PLANTS = {PendulumParams: _PendulumPlant, SyntheticUlmParams: _SyntheticPlant}
+
+
+def _run_loop(config, plant, oracle_f, f_hat_bias, builder) -> bool:
+    """Step the closed loop; True when it diverged.
+
+    At step k the law anchors at j = k - lag: it uses the errors at
+    (j, j+1) and y_d[j..j+2], and shapes y[j+2].  F is reconstructed from
+    the signal window [j-1, j+1] with the input effect of step k-1, the
+    input that shaped y[j+1].  The advance after step k yields y[j+2];
+    when it fails the log keeps its first k + lag rows.
+    """
     ctl = config.controller
+    gain = ctl.gain
     mu = ctl.mu
     dt = config.dt
     n = config.n_records
-    # one desired sample past the horizon: the in-arrears law at step k
-    # consumes y_d[k+1]
-    y_d = _desired_theta_samples(params, config.initial_truth, n + 1, dt, substeps)
+    lag = plant.lag
     noise = _noise_stream(config)
-
-    truth = config.initial_truth
-    obs_state: Optional[OutputObserverState] = None
     ulm_state = UlmObserverState.initial(1, config.ulm.observer_order)
     recon: List[np.ndarray] = []
-    y_true_hist = np.empty(n)
-    y_hat_hist = np.empty(n)
-    e_hat_hist = np.empty(n)
-    u_hist: List[float] = []
-    effect_hist: List[float] = []
-    f_true_latest = 0.0
+    effects: List[float] = []
+    y_true = plant.y
+    y_hat: List[float] = []
+    signal = y_hat if plant.reads_estimates else y_true
+    k = 0
+    try:
+        y_d = plant.reference(n + 2 - lag)
+        for k in range(n):
+            y_k = y_true[k]
+            eta = noise.sample() if noise is not None else 0.0
+            y_m = y_k + eta
+            if k == 0:
+                obs_state = OutputObserverState.initial(plant.initial_estimate, y_m)
+            else:
+                obs_state = fts_observer_step(obs_state, y_m, config.observer)
+            y_hat_k = float(obs_state.estimate[0])
+            y_hat.append(y_hat_k)
 
-    for k in range(n):
-        if k > 0:
-            try:
-                truth = rk4_advance(truth, u_hist[k - 1], dt, params, substeps)
-            except DivergenceError:
-                return True
-        y_k = truth.theta
-        y_true_hist[k] = y_k
-        eta = noise.sample() if noise is not None else 0.0
-        y_m = y_k + eta
-        if k == 0:
-            obs_state = OutputObserverState.initial(
-                config.initial_estimates.theta, y_m
+            j = k - lag
+            if j >= 1:
+                recon.append(plant.reconstruct(signal, j, effects[k - 1]))
+            f_true_k = plant.f_true(k, effects)
+            f_pred, ulm_state = ulm_predict(ulm_state, recon, config.ulm)
+            f_hat_k = f_true_k if oracle_f else float(f_pred[0])
+            f_hat_k += f_hat_bias
+
+            if j >= 0:
+                e_j = signal[j] - y_d[j]
+                e_j1 = signal[j + 1] - y_d[j + 1]
+                e_1 = e_j1 - e_j
+                s_k = e_1 + mu * e_j
+                rhs = control_rhs_second_order(
+                    e_j, e_j1, y_d[j], y_d[j + 1], y_d[j + 2], f_hat_k, ctl
+                )
+                c_of_s = holder_gain(s_k, gain)
+                feedback_total = -(1.0 - c_of_s) * s_k - mu * e_1 - f_hat_k
+                g_k = _scalar_influence(ctl.influence_policy, feedback_total)
+                u_k = float(solve_input(g_k, rhs)[0])
+                if not math.isfinite(u_k):
+                    raise DivergenceError("control input is not finite")
+            else:
+                s_k = 0.0
+                g_k = _scalar_influence(ctl.influence_policy, 0.0)
+                u_k = 0.0
+            effects.append(g_k * u_k)
+
+            builder.append(
+                k * dt, y_d[k], y_k, y_m, y_hat_k, y_k - y_d[k],
+                obs_state.last_error[0], f_true_k, f_hat_k, f_hat_k - f_true_k,
+                s_k, u_k, g_k,
             )
-        else:
-            obs_state = fts_observer_step(obs_state, y_m, config.observer)
-        y_hat_k = float(obs_state.estimate[0])
-        e_o_k = float(obs_state.last_error[0])
-        y_hat_hist[k] = y_hat_k
-        e_hat_hist[k] = y_hat_k - y_d[k]
-        e_k = y_k - y_d[k]
-
-        if k >= 2:
-            # the in-arrears law at anchor j shapes y[j+2] with the force
-            # applied over [t[j+1], t[j+2]), so that is the input effect
-            # paired with the window anchored at j = k-2
-            window_hat = y_hat_hist[k - 2 : k + 1]
-            recon.append(reconstruct_f(window_hat, effect_hist[k - 1], 2))
-            window_true = y_true_hist[k - 2 : k + 1]
-            f_true_latest = float(
-                reconstruct_f(window_true, effect_hist[k - 1], 2)[0]
-            )
-        f_pred, ulm_state = ulm_predict(ulm_state, recon, config.ulm)
-        f_hat_k = f_true_latest if oracle_f else float(f_pred[0])
-        f_hat_k += f_hat_bias
-
-        if k >= 1:
-            e_prev = e_hat_hist[k - 1]
-            e_curr = e_hat_hist[k]
-            e_1 = e_curr - e_prev
-            s_k = e_1 + mu * e_prev
-            rhs = control_rhs_second_order(
-                e_prev, e_curr, y_d[k - 1], y_d[k], y_d[k + 1], f_hat_k, ctl
-            )
-            c_of_s = holder_gain(s_k, ctl.gain)
-            feedback_total = -(1.0 - c_of_s) * s_k - mu * e_1 - f_hat_k
-            g_k = _scalar_influence(ctl.influence_policy, feedback_total)
-            u_k = float(solve_input(g_k, rhs)[0])
-            if not math.isfinite(u_k):
-                return True
-        else:
-            s_k = 0.0
-            g_k = _scalar_influence(ctl.influence_policy, 0.0)
-            u_k = 0.0
-        u_hist.append(u_k)
-        effect_hist.append(g_k * u_k)
-
-        builder.append(
-            k * dt, y_d[k], y_k, y_m, y_hat_k, e_k, e_o_k,
-            f_true_latest, f_hat_k, f_hat_k - f_true_latest, s_k, u_k, g_k,
-        )
-    return False
-
-
-def _run_synthetic(
-    config: ExperimentConfig,
-    oracle_f: bool,
-    f_hat_bias: float,
-    builder: _LogBuilder,
-) -> bool:
-    params = config.plant
-    ctl = config.controller
-    mu = ctl.mu
-    dt = config.dt
-    n = config.n_records
-    # the anchored law at step k consumes y_d[k+2]
-    y_d = params.desired_samples(n + 2, dt)
-    noise = _noise_stream(config)
-
-    y = [params.y0, params.y1]
-    obs_state: Optional[OutputObserverState] = None
-    ulm_state = UlmObserverState.initial(1, config.ulm.observer_order)
-    recon: List[np.ndarray] = []
-    effect_hist: List[float] = []
-
-    for k in range(n):
-        y_k = y[k]
-        eta = noise.sample() if noise is not None else 0.0
-        y_m = y_k + eta
-        if k == 0:
-            obs_state = OutputObserverState.initial(y[0], y_m)
-        else:
-            obs_state = fts_observer_step(obs_state, y_m, config.observer)
-        y_hat_k = float(obs_state.estimate[0])
-        e_o_k = float(obs_state.last_error[0])
-
-        e_k = y[k] - y_d[k]
-        e_kp1 = y[k + 1] - y_d[k + 1]
-        f_true_k = params.f_signal(k, dt)
-
-        if k >= 1:
-            recon.append(
-                np.array([(y[k + 1] - 2.0 * y[k] + y[k - 1]) - effect_hist[k - 1]])
-            )
-        f_pred, ulm_state = ulm_predict(ulm_state, recon, config.ulm)
-        f_hat_k = f_true_k if oracle_f else float(f_pred[0])
-        f_hat_k += f_hat_bias
-
-        e_1 = e_kp1 - e_k
-        s_k = e_1 + mu * e_k
-        rhs = control_rhs_second_order(
-            e_k, e_kp1, y_d[k], y_d[k + 1], y_d[k + 2], f_hat_k, ctl
-        )
-        c_of_s = holder_gain(s_k, ctl.gain)
-        feedback_total = -(1.0 - c_of_s) * s_k - mu * e_1 - f_hat_k
-        g_k = _scalar_influence(ctl.influence_policy, feedback_total)
-        u_k = float(solve_input(g_k, rhs)[0])
-        y_kp2 = float(synthetic_ulm_plant_step(y[k], y[k + 1], f_true_k, g_k, u_k)[0])
-        if not (math.isfinite(u_k) and math.isfinite(y_kp2)):
-            return True
-        y.append(y_kp2)
-        effect_hist.append(g_k * u_k)
-
-        builder.append(
-            k * dt, y_d[k], y_k, y_m, y_hat_k, e_k, e_o_k,
-            f_true_k, f_hat_k, f_hat_k - f_true_k, s_k, u_k, g_k,
-        )
+            if k < n - lag:
+                plant.advance(k, g_k, u_k)
+    except DivergenceError:
+        # no row survives a failed reference; a failed input keeps k rows
+        del builder.rows[k + lag :]
+        return True
     return False
 
 
@@ -420,15 +418,7 @@ class RunMetrics:
     rms_u: float
 
     def as_dict(self) -> dict:
-        return {
-            "max_abs_e": self.max_abs_e,
-            "rms_e": self.rms_e,
-            "max_abs_e_o": self.max_abs_e_o,
-            "max_abs_e_f": self.max_abs_e_f,
-            "first_step_e_o_below": self.first_step_e_o_below,
-            "first_step_e_f_below": self.first_step_e_f_below,
-            "rms_u": self.rms_u,
-        }
+        return asdict(self)
 
 
 def _first_below(values: np.ndarray, tol: float) -> Optional[int]:
@@ -496,233 +486,143 @@ def read_log_csv(path) -> RunLog:
 
 # ---------------------------------------------------------------------------
 # configuration (de)serialization
+#
+# The JSON format is the dataclass tree: one object per dataclass, its keys
+# the field names in field order.  Everything else is written down here.
+
+# members of the two unions carry a "kind" tag, written first
+_KINDS = {
+    PendulumParams: "pendulum",
+    SyntheticUlmParams: "synthetic_ulm",
+    AdaptiveInfluence: "adaptive",
+    FixedInfluence: "fixed",
+}
+# the observer object holds the keys of its single gain field
+_FLATTENED = {OutputObserverConfig: "gain"}
+# keys a file may omit: the field default applies, or null without one
+_OPTIONAL = {
+    ExperimentConfig: {"noise", "allow_unseparated_gains"},
+    SyntheticUlmParams: {f.name for f in fields(SyntheticUlmParams)} - {"f_mode"},
+    UlmConfig: {"observer_order"},
+    NoiseModel: {"seed"},
+}
+_JSON_TYPES = {
+    type(None): "null", bool: "a boolean", int: "an integer", float: "a number",
+    str: "a string", list: "a list", dict: "an object",
+}
 
 
-def _check_keys(d: dict, allowed, context: str) -> None:
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown key(s) {unknown} in {context}")
-
-
-def _require(d: dict, key: str, context: str):
-    if key not in d:
-        raise ValueError(f"missing key {key!r} in {context}")
-    return d[key]
-
-
-def _weight_to_json(weight):
-    return weight if isinstance(weight, float) else np.asarray(weight).tolist()
+def _encode(value):
+    if value is None or isinstance(value, (int, float, str)):
+        return value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    cls = type(value)
+    if cls in _FLATTENED:
+        return _encode(getattr(value, _FLATTENED[cls]))
+    d = {"kind": _KINDS[cls]} if cls in _KINDS else {}
+    for name in _field_types(cls):
+        d[name] = _encode(getattr(value, name))
+    return d
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    plant = config.plant
-    if isinstance(plant, PendulumParams):
-        plant_d = {
-            "kind": "pendulum",
-            "cart_mass": plant.cart_mass,
-            "pend_mass": plant.pend_mass,
-            "half_length": plant.half_length,
-            "inertia": plant.inertia,
-            "gravity": plant.gravity,
-            "cart_friction": plant.cart_friction,
-            "pend_friction": plant.pend_friction,
-        }
-    else:
-        plant_d = {
-            "kind": "synthetic_ulm",
-            "f_mode": plant.f_mode,
-            "f_value": plant.f_value,
-            "f_period": plant.f_period,
-            "y0": plant.y0,
-            "y1": plant.y1,
-            "desired_mode": plant.desired_mode,
-            "desired_amplitude": plant.desired_amplitude,
-            "desired_period": plant.desired_period,
-        }
-    policy = config.controller.influence_policy
-    if isinstance(policy, AdaptiveInfluence):
-        policy_d = {"kind": "adaptive", "base": policy.base}
-    else:
-        policy_d = {"kind": "fixed", "value": _weight_to_json(policy.value)}
-    return {
-        "plant": plant_d,
-        "horizon": config.horizon,
-        "sample_rate": config.sample_rate,
-        "observer": {
-            "weight": _weight_to_json(config.observer.gain.weight),
-            "margin": config.observer.gain.margin,
-            "exponent": config.observer.gain.exponent,
-        },
-        "ulm": {
-            "order_nu": config.ulm.order_nu,
-            "margin": config.ulm.margin,
-            "exponent": config.ulm.exponent,
-            "observer_order": config.ulm.observer_order,
-        },
-        "controller": {
-            "margin": config.controller.margin,
-            "exponent": config.controller.exponent,
-            "coefficients": list(config.controller.coefficients),
-            "influence_policy": policy_d,
-        },
-        "noise": (
-            None
-            if config.noise is None
-            else {"width": config.noise.width, "seed": config.noise.seed}
-        ),
-        "initial_truth": _state_to_dict(config.initial_truth),
-        "initial_estimates": _state_to_dict(config.initial_estimates),
-        "seed": config.seed,
-        "allow_unseparated_gains": config.allow_unseparated_gains,
-    }
+    return _encode(config)
 
 
-def _state_to_dict(state: PendulumState) -> dict:
-    return {
-        "x": state.x,
-        "theta": state.theta,
-        "x_dot": state.x_dot,
-        "theta_dot": state.theta_dot,
-    }
+@functools.lru_cache(maxsize=None)
+def _field_types(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: (f, hints[f.name]) for f in fields(cls)}
 
 
-def _state_from_dict(d: dict, context: str) -> PendulumState:
-    _check_keys(d, ("x", "theta", "x_dot", "theta_dot"), context)
-    return PendulumState(
-        x=float(_require(d, "x", context)),
-        theta=float(_require(d, "theta", context)),
-        x_dot=float(_require(d, "x_dot", context)),
-        theta_dot=float(_require(d, "theta_dot", context)),
-    )
+def _type_error(path: str, expected: str, raw) -> ValueError:
+    got = _JSON_TYPES.get(type(raw), type(raw).__name__)
+    return ValueError(f"{path or 'config'} must be {expected}, got {got}")
 
 
-def _plant_from_dict(d: dict) -> Union[PendulumParams, SyntheticUlmParams]:
-    kind = _require(d, "kind", "plant")
-    if kind == "pendulum":
-        _check_keys(
-            d,
-            ("kind", "cart_mass", "pend_mass", "half_length", "inertia",
-             "gravity", "cart_friction", "pend_friction"),
-            "plant",
+def _decode(tp, raw, path: str):
+    """``raw`` checked against the annotation ``tp`` and converted to it."""
+    if tp in (float, int, str, bool):
+        if type(raw) is not tp and not (tp is float and type(raw) is int):
+            raise _type_error(path, _JSON_TYPES[tp], raw)
+        if tp is not float:
+            return raw
+        try:
+            return float(raw)
+        except OverflowError:
+            raise ValueError(f"{path} is too large for a float") from None
+    if is_dataclass(tp):
+        return _decode_object(tp, raw, path)
+    if tp is np.ndarray:
+        # the dataclass turns the nested list into its array
+        element = Union[float, np.ndarray]
+        return [_decode(element, v, f"{path}[{i}]") for i, v in enumerate(raw)]
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(raw, list):
+            raise _type_error(path, "a list", raw)
+        return tuple(_decode(args[0], v, f"{path}[{i}]") for i, v in enumerate(raw))
+    # a Union
+    if raw is None and type(None) in args:
+        return None
+    members = [a for a in args if a is not type(None)]
+    if len(members) == 1:
+        return _decode(members[0], raw, path)
+    if all(m in _KINDS for m in members):
+        return _decode_tagged(members, raw, path)
+    # a weight: a number, or a nested list of numbers
+    return _decode(np.ndarray if isinstance(raw, list) else float, raw, path)
+
+
+def _decode_tagged(members, raw, path: str):
+    if not isinstance(raw, dict):
+        raise _type_error(path, "an object", raw)
+    if "kind" not in raw:
+        raise ValueError(f"missing key '{path}.kind'")
+    kind = _decode(str, raw["kind"], f"{path}.kind")
+    by_kind = {_KINDS[m]: m for m in members}
+    if kind not in by_kind:
+        raise ValueError(
+            f"unknown {path} kind {kind!r}, expected one of {sorted(by_kind)}"
         )
-        return PendulumParams(
-            cart_mass=float(_require(d, "cart_mass", "plant")),
-            pend_mass=float(_require(d, "pend_mass", "plant")),
-            half_length=float(_require(d, "half_length", "plant")),
-            inertia=float(_require(d, "inertia", "plant")),
-            gravity=float(_require(d, "gravity", "plant")),
-            cart_friction=float(_require(d, "cart_friction", "plant")),
-            pend_friction=float(_require(d, "pend_friction", "plant")),
-        )
-    if kind == "synthetic_ulm":
-        _check_keys(
-            d,
-            ("kind", "f_mode", "f_value", "f_period", "y0", "y1",
-             "desired_mode", "desired_amplitude", "desired_period"),
-            "plant",
-        )
-        return SyntheticUlmParams(
-            f_mode=str(_require(d, "f_mode", "plant")),
-            f_value=float(d.get("f_value", 0.0)),
-            f_period=float(d.get("f_period", 1.0)),
-            y0=float(d.get("y0", 0.0)),
-            y1=float(d.get("y1", 0.0)),
-            desired_mode=str(d.get("desired_mode", "zero")),
-            desired_amplitude=float(d.get("desired_amplitude", 0.0)),
-            desired_period=float(d.get("desired_period", 1.0)),
-        )
-    raise ValueError(f"unknown plant kind {kind!r}")
+    rest = {key: value for key, value in raw.items() if key != "kind"}
+    return _decode_object(by_kind[kind], rest, path)
 
 
-def _weight_from_json(raw, context: str):
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    if isinstance(raw, list):
-        return np.asarray(raw, dtype=float)
-    raise ValueError(f"{context} must be a number or a nested list")
+def _decode_object(cls, raw, path: str):
+    if not isinstance(raw, dict):
+        raise _type_error(path, "an object", raw)
+    types = _field_types(cls)
+    if cls in _FLATTENED:
+        name = _FLATTENED[cls]
+        return cls(**{name: _decode(types[name][1], raw, path)})
+    unknown = sorted(set(raw) - set(types))
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown} in {path or 'config'}")
+    kwargs = {}
+    for name, (f, tp) in types.items():
+        key = f"{path}.{name}" if path else name
+        if name in raw:
+            kwargs[name] = _decode(tp, raw[name], key)
+        elif name not in _OPTIONAL.get(cls, ()):
+            raise ValueError(f"missing key {key!r}")
+        elif f.default is MISSING:
+            kwargs[name] = None
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        if not path:
+            raise
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    _check_keys(
-        d,
-        ("plant", "horizon", "sample_rate", "observer", "ulm", "controller",
-         "noise", "initial_truth", "initial_estimates", "seed",
-         "allow_unseparated_gains"),
-        "config",
-    )
-    obs_d = _require(d, "observer", "config")
-    _check_keys(obs_d, ("weight", "margin", "exponent"), "observer")
-    observer = OutputObserverConfig(
-        gain=HolderGainParams(
-            weight=_weight_from_json(_require(obs_d, "weight", "observer"),
-                                     "observer.weight"),
-            margin=float(_require(obs_d, "margin", "observer")),
-            exponent=float(_require(obs_d, "exponent", "observer")),
-        )
-    )
-    ulm_d = _require(d, "ulm", "config")
-    _check_keys(ulm_d, ("order_nu", "margin", "exponent", "observer_order"), "ulm")
-    ulm = UlmConfig(
-        order_nu=int(_require(ulm_d, "order_nu", "ulm")),
-        margin=float(_require(ulm_d, "margin", "ulm")),
-        exponent=float(_require(ulm_d, "exponent", "ulm")),
-        observer_order=str(ulm_d.get("observer_order", "first")),
-    )
-    ctl_d = _require(d, "controller", "config")
-    _check_keys(
-        ctl_d, ("margin", "exponent", "coefficients", "influence_policy"),
-        "controller",
-    )
-    pol_d = _require(ctl_d, "influence_policy", "controller")
-    kind = _require(pol_d, "kind", "influence_policy")
-    if kind == "adaptive":
-        _check_keys(pol_d, ("kind", "base"), "influence_policy")
-        policy: Union[AdaptiveInfluence, FixedInfluence] = AdaptiveInfluence(
-            base=float(_require(pol_d, "base", "influence_policy"))
-        )
-    elif kind == "fixed":
-        _check_keys(pol_d, ("kind", "value"), "influence_policy")
-        policy = FixedInfluence(
-            value=_weight_from_json(_require(pol_d, "value", "influence_policy"),
-                                    "influence_policy.value")
-        )
-    else:
-        raise ValueError(f"unknown influence policy kind {kind!r}")
-    controller = ControllerConfig(
-        margin=float(_require(ctl_d, "margin", "controller")),
-        exponent=float(_require(ctl_d, "exponent", "controller")),
-        coefficients=tuple(
-            float(c) for c in _require(ctl_d, "coefficients", "controller")
-        ),
-        influence_policy=policy,
-    )
-    noise_d = d.get("noise")
-    if noise_d is None:
-        noise = None
-    else:
-        _check_keys(noise_d, ("width", "seed"), "noise")
-        raw_seed = noise_d.get("seed")
-        noise = NoiseModel(
-            width=float(_require(noise_d, "width", "noise")),
-            seed=None if raw_seed is None else int(raw_seed),
-        )
-    return ExperimentConfig(
-        plant=_plant_from_dict(_require(d, "plant", "config")),
-        horizon=float(_require(d, "horizon", "config")),
-        sample_rate=float(_require(d, "sample_rate", "config")),
-        observer=observer,
-        ulm=ulm,
-        controller=controller,
-        noise=noise,
-        initial_truth=_state_from_dict(
-            _require(d, "initial_truth", "config"), "initial_truth"
-        ),
-        initial_estimates=_state_from_dict(
-            _require(d, "initial_estimates", "config"), "initial_estimates"
-        ),
-        seed=int(_require(d, "seed", "config")),
-        allow_unseparated_gains=bool(d.get("allow_unseparated_gains", False)),
-    )
+    """Decode a config object, checking every value against its field's
+    annotation; any malformed value raises a ``ValueError`` naming its key."""
+    return _decode_object(ExperimentConfig, d, "")
 
 
 def write_config(config: ExperimentConfig, path) -> None:
@@ -737,6 +637,4 @@ def read_config(path) -> ExperimentConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: top-level JSON value must be an object")
     return config_from_dict(raw)

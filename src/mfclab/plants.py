@@ -108,13 +108,6 @@ def friction_forces(x_dot: float, theta_dot: float, params: PendulumParams):
 
 def pendulum_accel(state: PendulumState, force: float, params: PendulumParams):
     """Accelerations (x_ddot, theta_ddot) under a horizontal cart force."""
-    m_l = params.pend_mass * params.half_length
-    det = (
-        (params.cart_mass + params.pend_mass)
-        * (params.inertia + m_l * params.half_length)
-        - (m_l * math.cos(state.theta)) ** 2
-    )
-    assert det > 0.0, "mass matrix became singular"
     return kernels.pendulum_accel(*state.as_tuple(), force, *params.as_tuple())
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import math
 
 import pytest
 
@@ -7,12 +9,45 @@ from mfclab import (
     ControllerConfig,
     FixedInfluence,
     config_from_dict,
+    config_to_dict,
     demo_config,
     read_log_csv,
     write_config,
 )
 from mfclab.cli import main
 from mfclab.harness import CSV_HEADER
+
+
+def _demo_with(value, *path):
+    """The demo config as JSON text with the value at ``path`` replaced."""
+    d = config_to_dict(demo_config())
+    parent = d
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return json.dumps(d)
+
+
+# case id -> (config file text, the key its error message must name)
+BAD_CONFIGS = {
+    "missing-keys": ('{"horizon": 1.0}', "plant"),
+    "horizon-null": (_demo_with(None, "horizon"), "horizon"),
+    "plant-number": (_demo_with(5, "plant"), "plant"),
+    "observer-null": (_demo_with(None, "observer"), "observer"),
+    "coefficients-number": (
+        _demo_with(5, "controller", "coefficients"),
+        "coefficients",
+    ),
+    "horizon-infinite": (_demo_with(math.inf, "horizon"), "horizon"),
+    "sample-rate-infinite": (_demo_with(math.inf, "sample_rate"), "sample_rate"),
+    "seed-fractional": (_demo_with(1.5, "seed"), "seed"),
+    "seed-bool": (_demo_with(True, "seed"), "seed"),
+    "horizon-string": (_demo_with("1", "horizon"), "horizon"),
+    "allow-unseparated-string": (
+        _demo_with("no", "allow_unseparated_gains"),
+        "allow_unseparated_gains",
+    ),
+}
 
 
 @pytest.fixture
@@ -32,6 +67,13 @@ class TestDemoPaper:
         out = tmp_path / "demo.json"
         assert main(["demo-paper", "--out", str(out)]) == 0
         assert config_from_dict(json.loads(out.read_text())) == demo_config()
+
+    def test_output_bytes_pinned(self, capsys):
+        assert main(["demo-paper"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == (
+            "7730bb3bc75ec11881005c0393aec583af5c0139de6b36131ecf33184f3583e3"
+        )
 
 
 class TestRun:
@@ -62,11 +104,16 @@ class TestRun:
         assert main(["run", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_bad_config_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("case", list(BAD_CONFIGS))
+    def test_bad_config_is_config_error(self, tmp_path, capsys, case):
+        text, key = BAD_CONFIGS[case]
         path = tmp_path / "bad.json"
-        path.write_text('{"horizon": 1.0}', encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         assert main(["run", str(path)]) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+        assert key in err
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         cfg = dataclasses.replace(
@@ -86,6 +133,18 @@ class TestRun:
         assert "diverged" in capsys.readouterr().err
         # the truncated log is still written
         assert out.exists()
+
+    def test_reference_divergence_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        write_config(
+            dataclasses.replace(demo_config(), sample_rate=1e-300, horizon=1.0), path
+        )
+        out = tmp_path / "log.csv"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "0 steps" in captured.out
+        assert captured.err == "run diverged: log truncated at the last finite step\n"
+        assert out.read_text(encoding="utf-8") == CSV_HEADER + "\n"
 
 
 class TestMetricsCommand:

@@ -1,7 +1,11 @@
+import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfclab import (
     AdaptiveInfluence,
@@ -54,6 +58,30 @@ def synthetic_config(horizon=10.0, seed=0, f_mode="sine", noise=None):
     )
 
 
+def _key_paths(d, prefix=()):
+    for key, value in d.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+# (config dict, key path) for every key, top-level or nested, of two bases
+CODEC_TARGETS = [
+    (base, path)
+    for base in (
+        config_to_dict(demo_config()),
+        config_to_dict(synthetic_config(noise=NoiseModel(width=0.01, seed=5))),
+    )
+    for path in _key_paths(base)
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
 class TestExperimentConfig:
     def test_demo_matches_published_constants(self):
         cfg = demo_config()
@@ -99,6 +127,20 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             dataclasses.replace(demo_config(), sample_rate=0.0)
 
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ({"horizon": math.inf}, "horizon must be finite"),
+            ({"horizon": math.nan}, "horizon must be finite"),
+            ({"sample_rate": math.inf}, "sample_rate must be finite"),
+            ({"horizon": 1e308}, "overflows"),
+        ],
+        ids=["horizon-inf", "horizon-nan", "rate-inf", "record-count-overflow"],
+    )
+    def test_non_finite_horizon_and_rate_rejected(self, changes, match):
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(demo_config(), **changes)
+
 
 class TestConfigRoundTrip:
     def test_demo_round_trip(self, tmp_path):
@@ -140,6 +182,21 @@ class TestConfigRoundTrip:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ValueError, match="JSON"):
             read_config(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(target=st.sampled_from(CODEC_TARGETS), value=JSON_VALUES)
+    def test_any_json_value_decodes_or_raises_value_error(self, target, value):
+        base, path = target
+        d = copy.deepcopy(base)
+        parent = d
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        try:
+            config = config_from_dict(d)
+        except ValueError:
+            return
+        assert isinstance(config, ExperimentConfig)
 
 
 class TestRunClosedLoop:
@@ -185,21 +242,45 @@ class TestRunClosedLoop:
         assert log.y_hat[0] == pytest.approx(0.102)
         assert abs(log.e_o[20]) < abs(log.e_o[0])
 
-    def test_divergence_truncates_and_flags(self):
-        cfg = dataclasses.replace(
-            demo_config(),
-            horizon=1.0,
-            noise=None,
-            controller=ControllerConfig(
-                margin=1.0,
-                exponent=11.0 / 9.0,
-                coefficients=(0.35,),
-                influence_policy=FixedInfluence(1e-300),
+    @pytest.mark.parametrize(
+        "config, rows",
+        [
+            pytest.param(
+                dataclasses.replace(
+                    demo_config(),
+                    horizon=1.0,
+                    noise=None,
+                    controller=ControllerConfig(
+                        margin=1.0,
+                        exponent=11.0 / 9.0,
+                        coefficients=(0.35,),
+                        influence_policy=FixedInfluence(1e-300),
+                    ),
+                ),
+                2,
+                id="pendulum-tiny-influence",
             ),
-        )
-        log = run_closed_loop(cfg)
+            pytest.param(
+                dataclasses.replace(
+                    synthetic_config(horizon=1.0),
+                    plant=SyntheticUlmParams(f_mode="constant", f_value=1e300),
+                ),
+                1,
+                id="synthetic-huge-forcing",
+            ),
+            pytest.param(
+                dataclasses.replace(
+                    synthetic_config(horizon=1.0), plant=SyntheticUlmParams(y1=1e308)
+                ),
+                0,
+                id="synthetic-huge-output",
+            ),
+        ],
+    )
+    def test_divergence_truncates_and_flags(self, config, rows):
+        log = run_closed_loop(config)
         assert log.diverged
-        assert 0 < log.n < 51
+        assert log.n == rows
 
     def test_synthetic_noiseless_observer_is_exact(self):
         log = run_closed_loop(synthetic_config(horizon=5.0))
