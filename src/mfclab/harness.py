@@ -24,22 +24,16 @@ import math
 import time
 import typing
 import warnings
+from array import array
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from ._backend import BACKEND
-from .controller import (
-    AdaptiveInfluence,
-    ControllerConfig,
-    FixedInfluence,
-    influence_gain,
-    control_rhs_second_order,
-    solve_input,
-)
-from .core import HolderGainParams, holder_gain
-from .observers import OutputObserverConfig, OutputObserverState, fts_observer_step
+from .controller import AdaptiveInfluence, ControllerConfig, FixedInfluence
+from .core import HolderGainParams
+from .observers import OutputObserverConfig
 from .plants import (
     BumpNoiseStream,
     DivergenceError,
@@ -48,10 +42,9 @@ from .plants import (
     PendulumState,
     SyntheticUlmParams,
     _desired_theta_samples,
-    rk4_advance,
-    synthetic_ulm_plant_step,
+    _rk4_advance_raw,
 )
-from .ulm import UlmConfig, UlmObserverState, reconstruct_f, ulm_predict
+from .ulm import SECOND_ORDER, UlmConfig
 
 __all__ = [
     "CSV_HEADER",
@@ -75,6 +68,7 @@ _COLUMNS = (
     "t", "y_d", "y_true", "y_meas", "y_hat", "e", "e_o",
     "f_true", "f_hat", "e_f", "s", "u", "g",
 )
+_CSV_ROW = ",".join(["%.17g"] * len(_COLUMNS)) + "\n"
 
 
 @dataclass(frozen=True)
@@ -103,8 +97,15 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not math.isfinite(self.horizon * self.sample_rate):
             raise ValueError("horizon * sample_rate (the record count) overflows")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.ulm.order_nu != 2 or self.controller.order_nu != 2:
             raise ValueError("the closed-loop harness implements the second-order law")
+        _siso_value(self.observer.gain.weight, "observer.weight")
+        policy = self.controller.influence_policy
+        key = "controller.influence_policy.value"
+        if isinstance(policy, FixedInfluence) and _siso_value(policy.value, key) == 0.0:
+            raise ValueError(f"{key} must be nonzero")
         obs_gain = self.observer.gain
         separated = (
             self.controller.margin < obs_gain.margin
@@ -186,33 +187,58 @@ class RunLog:
         return len(self.t)
 
 
-class _LogBuilder:
-    def __init__(self):
-        self.rows: List[List[float]] = []
+def _log_from_rows(rows: array, diverged: bool, meta: dict) -> RunLog:
+    """The log whose rows are ``rows``, row-major, one value per column."""
+    data = np.frombuffer(rows, dtype=float).reshape(-1, len(_COLUMNS))
+    cols = {name: data[:, i].copy() for i, name in enumerate(_COLUMNS)}
+    return RunLog(diverged=diverged, meta=meta, **cols)
 
-    def append(self, *values: float):
-        if len(values) != len(_COLUMNS):
-            raise AssertionError("log row width mismatch")
-        self.rows.append([float(v) for v in values])
 
-    def build(self, diverged: bool, meta: dict) -> RunLog:
-        data = (
-            np.asarray(self.rows, dtype=float)
-            if self.rows
-            else np.empty((0, len(_COLUMNS)))
+def _siso_value(value, key: str) -> float:
+    """A weight or influence as a float; the harness runs SISO loops, so it
+    must be a scalar or 1x1."""
+    shape = np.shape(value)
+    if shape not in ((), (1, 1)):
+        raise ValueError(
+            f"{key} must be a scalar or 1x1 in the SISO loop, got shape {shape}"
         )
-        cols = {name: data[:, i].copy() for i, name in enumerate(_COLUMNS)}
-        return RunLog(diverged=diverged, meta=meta, **cols)
+    return float(np.reshape(value, -1)[0])
 
 
-def _scalar_influence(policy, feedback_total: float) -> float:
-    gain = influence_gain(policy, feedback_total)
-    if np.isscalar(gain):
-        return float(gain)
-    arr = np.asarray(gain, dtype=float)
-    if arr.shape != (1, 1):
-        raise ValueError("SISO loop needs a scalar (or 1x1) influence gain")
-    return float(arr[0, 0])
+def _float_gain(weight, margin: float, exponent: float):
+    """``holder_gain`` of a scalar error for the gain triple of a
+    ``HolderGainParams``, as a function on floats.
+
+    It rounds as ``quadratic_form`` does: w*(e*e) for a scalar weight,
+    (e*w)*e for a 1x1 one, and a form that is not positive (zero or NaN)
+    gives exactly -1.  Taking the triple rather than the params object
+    lets the loop read the unit-weight gains of the ULM and controller
+    configs without building one.
+    """
+    matrix = not isinstance(weight, float)
+    w = _siso_value(weight, "weight")
+    a = 1.0 - 1.0 / exponent
+    exp, log = math.exp, math.log
+
+    def gain(e: float) -> float:
+        x = (e * w) * e if matrix else w * (e * e)
+        if not x > 0.0:
+            return -1.0
+        z = exp(a * log(x))
+        return (z - margin) / (z + margin)
+
+    return gain
+
+
+def _float_influence(policy):
+    """``influence_gain`` of a scalar feedback total, as a function on floats."""
+    if isinstance(policy, FixedInfluence):
+        value = _siso_value(policy.value, "value")
+        return lambda feedback_total: value
+    base = policy.base
+    return lambda feedback_total: base * (
+        1.0 + math.tanh(math.sqrt(feedback_total * feedback_total))
+    )
 
 
 def run_closed_loop(
@@ -237,13 +263,13 @@ def run_closed_loop(
         "f_hat_bias": f_hat_bias,
         "backend": BACKEND,
     }
-    builder = _LogBuilder()
+    rows = array("d")
     diverged = False
     if config.n_records > 0:
         plant = _PLANTS[type(config.plant)](config, substeps)
-        diverged = _run_loop(config, plant, oracle_f, f_hat_bias, builder)
+        diverged = _run_loop(config, plant, oracle_f, f_hat_bias, rows)
     meta["wall_time_s"] = time.perf_counter() - start
-    return builder.build(diverged, meta)
+    return _log_from_rows(rows, diverged, meta)
 
 
 def _noise_stream(config: ExperimentConfig) -> Optional[BumpNoiseStream]:
@@ -262,31 +288,37 @@ class _PendulumPlant:
     reads_estimates = True
 
     def __init__(self, config: ExperimentConfig, substeps: int):
+        if substeps < 1:
+            raise ValueError(f"substeps must be >= 1, got {substeps}")
         self.params = config.plant
+        self.raw_params = config.plant.as_tuple()
         self.dt = config.dt
         self.substeps = substeps
-        self.state = config.initial_truth
-        self.y = [self.state.theta]
+        self.initial = config.initial_truth
+        self.state = config.initial_truth.as_tuple()
+        self.y = [config.initial_truth.theta]
         self.initial_estimate = config.initial_estimates.theta
 
     def reference(self, count: int) -> np.ndarray:
         return _desired_theta_samples(
-            self.params, self.state, count, self.dt, self.substeps
+            self.params, self.initial, count, self.dt, self.substeps
         )
 
     @staticmethod
-    def reconstruct(y, j: int, effect: float) -> np.ndarray:
-        return reconstruct_f(y[j - 1 : j + 2], effect, 2)
+    def reconstruct(y, j: int, effect: float) -> float:
+        return ((y[j + 1] - y[j]) - (y[j] - y[j - 1])) - effect
 
-    def f_true(self, k: int, effects: List[float]) -> float:
+    def f_true(self, k: int, effect: float) -> float:
         # the newest value reconstructable from truth; none before step 2
         if k < 2:
             return 0.0
-        return float(self.reconstruct(self.y, k - 1, effects[k - 1])[0])
+        return self.reconstruct(self.y, k - 1, effect)
 
     def advance(self, k: int, g: float, u: float) -> None:
-        self.state = rk4_advance(self.state, u, self.dt, self.params, self.substeps)
-        self.y.append(self.state.theta)
+        self.state = _rk4_advance_raw(
+            self.state, u, self.dt, self.substeps, self.raw_params
+        )
+        self.y.append(self.state[1])
 
 
 class _SyntheticPlant:
@@ -307,100 +339,122 @@ class _SyntheticPlant:
         return self.params.desired_samples(count, self.dt)
 
     @staticmethod
-    def reconstruct(y, j: int, effect: float) -> np.ndarray:
-        return np.array([(y[j + 1] - 2.0 * y[j] + y[j - 1]) - effect])
+    def reconstruct(y, j: int, effect: float) -> float:
+        return (y[j + 1] - 2.0 * y[j] + y[j - 1]) - effect
 
-    def f_true(self, k: int, effects: List[float]) -> float:
+    def f_true(self, k: int, effect: float) -> float:
         return self.params.f_signal(k, self.dt)
 
     def advance(self, k: int, g: float, u: float) -> None:
-        y_next = float(
-            synthetic_ulm_plant_step(
-                self.y[k], self.y[k + 1], self.params.f_signal(k, self.dt), g, u
-            )[0]
-        )
+        y = self.y
+        y_next = 2.0 * y[k + 1] - y[k] + self.params.f_signal(k, self.dt) + g * u
         if not math.isfinite(y_next):
             raise DivergenceError("synthetic plant produced a non-finite output")
-        self.y.append(y_next)
+        y.append(y_next)
 
 
 _PLANTS = {PendulumParams: _PendulumPlant, SyntheticUlmParams: _SyntheticPlant}
 
 
-def _run_loop(config, plant, oracle_f, f_hat_bias, builder) -> bool:
-    """Step the closed loop; True when it diverged.
+def _run_loop(config, plant, oracle_f, f_hat_bias, rows: array) -> bool:
+    """Step the closed loop on floats, appending each step's row to
+    ``rows``; True when it diverged.
 
     At step k the law anchors at j = k - lag: it uses the errors at
     (j, j+1) and y_d[j..j+2], and shapes y[j+2].  F is reconstructed from
     the signal window [j-1, j+1] with the input effect of step k-1, the
     input that shaped y[j+1].  The advance after step k yields y[j+2];
     when it fails the log keeps its first k + lag rows.
+
+    The arithmetic is that of ``fts_observer_step``, ``ulm_predict``,
+    ``control_rhs_second_order``, ``influence_gain``, ``solve_input`` and
+    the plant steps, in their order of evaluation, so the log is the one
+    those functions give value for value.
     """
     ctl = config.controller
-    gain = ctl.gain
     mu = ctl.mu
+    obs = config.observer.gain
+    observer_gain = _float_gain(obs.weight, obs.margin, obs.exponent)
+    # the ULM and controller gains have unit weight (their ``gain`` property)
+    ulm_gain = _float_gain(1.0, config.ulm.margin, config.ulm.exponent)
+    ctl_gain = _float_gain(1.0, ctl.margin, ctl.exponent)
+    influence = _float_influence(ctl.influence_policy)
+    second_order = config.ulm.observer_order == SECOND_ORDER
     dt = config.dt
     n = config.n_records
     lag = plant.lag
     noise = _noise_stream(config)
-    ulm_state = UlmObserverState.initial(1, config.ulm.observer_order)
-    recon: List[np.ndarray] = []
-    effects: List[float] = []
     y_true = plant.y
-    y_hat: List[float] = []
+    y_hat = []
     signal = y_hat if plant.reads_estimates else y_true
+    reconstruct = plant.reconstruct
+    # the F estimator: its estimate, the last value it absorbed (None
+    # before the first) and, second order only, its estimate of F's first
+    # difference
+    f_hat = 0.0
+    f_prev = None
+    delta_hat = 0.0
+    e_o = 0.0  # observer estimate minus measurement
+    effect = 0.0  # G u of the previous step
     k = 0
     try:
-        y_d = plant.reference(n + 2 - lag)
+        y_d = plant.reference(n + 2 - lag).tolist()
         for k in range(n):
             y_k = y_true[k]
-            eta = noise.sample() if noise is not None else 0.0
-            y_m = y_k + eta
+            y_m = y_k + (noise.sample() if noise is not None else 0.0)
             if k == 0:
-                obs_state = OutputObserverState.initial(plant.initial_estimate, y_m)
+                y_hat_k = plant.initial_estimate
             else:
-                obs_state = fts_observer_step(obs_state, y_m, config.observer)
-            y_hat_k = float(obs_state.estimate[0])
+                y_hat_k = y_m + observer_gain(e_o) * e_o
+            e_o = y_hat_k - y_m
             y_hat.append(y_hat_k)
 
             j = k - lag
             if j >= 1:
-                recon.append(plant.reconstruct(signal, j, effects[k - 1]))
-            f_true_k = plant.f_true(k, effects)
-            f_pred, ulm_state = ulm_predict(ulm_state, recon, config.ulm)
-            f_hat_k = f_true_k if oracle_f else float(f_pred[0])
-            f_hat_k += f_hat_bias
+                f_new = reconstruct(signal, j, effect)
+                if not second_order:
+                    err = f_hat - f_new
+                    f_hat = ulm_gain(err) * err + f_new
+                elif f_prev is not None:
+                    delta = f_new - f_prev
+                    err = delta_hat - delta
+                    delta_hat = ulm_gain(err) * err + delta
+                    err = f_hat - f_new
+                    f_hat = ulm_gain(err) * err + f_new + delta_hat
+                f_prev = f_new
+            f_true_k = plant.f_true(k, effect)
+            # the bias is added even when it is 0.0: that turns -0.0 into 0.0
+            f_hat_k = (f_true_k if oracle_f else f_hat) + f_hat_bias
 
             if j >= 0:
                 e_j = signal[j] - y_d[j]
                 e_j1 = signal[j + 1] - y_d[j + 1]
                 e_1 = e_j1 - e_j
                 s_k = e_1 + mu * e_j
-                rhs = control_rhs_second_order(
-                    e_j, e_j1, y_d[j], y_d[j + 1], y_d[j + 2], f_hat_k, ctl
+                c = ctl_gain(s_k)
+                rhs = (
+                    y_d[j + 2] - 2.0 * y_d[j + 1] + y_d[j] - (1.0 - c) * e_1
+                    + c * mu * e_j - mu * e_j1 - f_hat_k
                 )
-                c_of_s = holder_gain(s_k, gain)
-                feedback_total = -(1.0 - c_of_s) * s_k - mu * e_1 - f_hat_k
-                g_k = _scalar_influence(ctl.influence_policy, feedback_total)
-                u_k = float(solve_input(g_k, rhs)[0])
+                g_k = influence(-(1.0 - c) * s_k - mu * e_1 - f_hat_k)
+                u_k = rhs / g_k
                 if not math.isfinite(u_k):
                     raise DivergenceError("control input is not finite")
             else:
                 s_k = 0.0
-                g_k = _scalar_influence(ctl.influence_policy, 0.0)
+                g_k = influence(0.0)
                 u_k = 0.0
-            effects.append(g_k * u_k)
+            effect = g_k * u_k
 
-            builder.append(
-                k * dt, y_d[k], y_k, y_m, y_hat_k, y_k - y_d[k],
-                obs_state.last_error[0], f_true_k, f_hat_k, f_hat_k - f_true_k,
-                s_k, u_k, g_k,
-            )
+            rows.extend((
+                k * dt, y_d[k], y_k, y_m, y_hat_k, y_k - y_d[k], e_o,
+                f_true_k, f_hat_k, f_hat_k - f_true_k, s_k, u_k, g_k,
+            ))
             if k < n - lag:
                 plant.advance(k, g_k, u_k)
     except DivergenceError:
         # no row survives a failed reference; a failed input keeps k rows
-        del builder.rows[k + lag :]
+        del rows[(k + lag) * len(_COLUMNS) :]
         return True
     return False
 
@@ -462,26 +516,31 @@ def write_log_csv(log: RunLog, path) -> None:
         fh.write(CSV_HEADER + "\n")
         columns = [getattr(log, name) for name in _COLUMNS]
         for row in zip(*columns):
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+            fh.write(_CSV_ROW % row)
 
 
 def read_log_csv(path) -> RunLog:
-    """Read a log CSV produced by ``write_log_csv``."""
+    """Read a log CSV produced by ``write_log_csv``; blank lines are skipped."""
+    width = len(_COLUMNS)
+    rows = array("d")
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
-        rows = [line.strip() for line in fh if line.strip()]
-    data = (
-        np.asarray([[float(v) for v in row.split(",")] for row in rows])
-        if rows
-        else np.empty((0, len(_COLUMNS)))
-    )
-    if data.size and data.shape[1] != len(_COLUMNS):
-        raise ValueError(f"expected {len(_COLUMNS)} columns, got {data.shape[1]}")
-    cols = {name: data[:, i].copy() if data.size else np.empty(0)
-            for i, name in enumerate(_COLUMNS)}
-    return RunLog(diverged=False, meta={"source": str(path)}, **cols)
+        for lineno, line in enumerate(fh, start=2):
+            values = line.split(",")
+            if len(values) != width:
+                if line.isspace():
+                    continue
+                raise ValueError(
+                    f"{path}, line {lineno}: expected {width} columns, "
+                    f"got {len(values)}"
+                )
+            try:
+                rows.extend(map(float, values))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    return _log_from_rows(rows, False, {"source": str(path)})
 
 
 # ---------------------------------------------------------------------------

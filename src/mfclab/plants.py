@@ -145,13 +145,23 @@ def rk4_advance(
         raise ValueError(f"dt must be positive, got {dt}")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
+    raw = _rk4_advance_raw(
+        state.as_tuple(), force, dt, substeps, params.as_tuple()
+    )
+    return PendulumState(*raw)
+
+
+def _rk4_advance_raw(raw_state, force, dt, substeps, raw_params):
+    """``rk4_advance`` on plain tuples: (x, theta, x_dot, theta_dot) in and
+    out, the constants as ``PendulumParams.as_tuple()``, arguments not
+    validated."""
     try:
-        raw = kernels.rk4_advance(
-            *state.as_tuple(), force, dt, substeps, *params.as_tuple()
-        )
+        raw = kernels.rk4_advance(*raw_state, force, dt, substeps, *raw_params)
     except (ValueError, OverflowError) as exc:
         raise DivergenceError("rk4_advance produced a non-finite state") from exc
-    return _check_finite(raw, "rk4_advance")
+    if not all(map(math.isfinite, raw)):
+        raise DivergenceError("rk4_advance produced a non-finite state")
+    return raw
 
 
 def _desired_theta_samples(
@@ -213,6 +223,8 @@ class NoiseModel:
     def __post_init__(self):
         if not self.width > 0.0:
             raise ValueError(f"width must be positive, got {self.width}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 class BumpNoiseStream:

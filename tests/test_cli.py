@@ -47,6 +47,42 @@ BAD_CONFIGS = {
         _demo_with("no", "allow_unseparated_gains"),
         "allow_unseparated_gains",
     ),
+    "seed-negative": (_demo_with(-1, "seed"), "seed"),
+    "noise-seed-negative": (
+        _demo_with({"width": 0.018, "seed": -1}, "noise"),
+        "noise: seed",
+    ),
+    "observer-weight-2x2": (
+        _demo_with([[2.1, 0.0], [0.0, 2.1]], "observer", "weight"),
+        "observer.weight",
+    ),
+    "fixed-influence-2x2": (
+        _demo_with(
+            {"kind": "fixed", "value": [[1.0, 0.0], [0.0, 1.0]]},
+            "controller",
+            "influence_policy",
+        ),
+        "controller.influence_policy.value",
+    ),
+    "fixed-influence-zero-1x1": (
+        _demo_with({"kind": "fixed", "value": [[0.0]]}, "controller", "influence_policy"),
+        "controller.influence_policy.value",
+    ),
+}
+
+
+_ROW = ",".join(["0.5"] * 13)
+_ROW_12 = ",".join(["0.5"] * 12)
+
+# case id -> (log file text, what its error message must contain)
+MALFORMED_LOGS = {
+    "row-with-12-fields": (f"{CSV_HEADER}\n{_ROW}\n{_ROW_12}\n", "line 3"),
+    "ragged": (f"{CSV_HEADER}\n{_ROW}\n{_ROW},0.5\n{_ROW_12}\n", "line 3"),
+    "non-numeric-field": (
+        f"{CSV_HEADER}\n{_ROW}\n{_ROW.replace('0.5', 'abc', 1)}\n",
+        "abc",
+    ),
+    "header-only": (f"{CSV_HEADER}\n", "empty"),
 }
 
 
@@ -162,3 +198,25 @@ class TestMetricsCommand:
         main(["run", str(short_config), "--out", str(out)])
         assert main(["metrics", str(out), "--cutoff", "5.0"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", list(MALFORMED_LOGS))
+    def test_malformed_log_is_error(self, tmp_path, capsys, case):
+        text, needle = MALFORMED_LOGS[case]
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["metrics", str(path), "--cutoff", "0.0"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+        assert needle in err
+
+    def test_trailing_blank_line_reads(self, short_config, tmp_path, capsys):
+        out = tmp_path / "log.csv"
+        main(["run", str(short_config), "--out", str(out)])
+        capsys.readouterr()
+        assert main(["metrics", str(out), "--cutoff", "0.5"]) == 0
+        expected = capsys.readouterr().out
+        with open(out, "a", encoding="utf-8") as fh:
+            fh.write("\n")
+        assert main(["metrics", str(out), "--cutoff", "0.5"]) == 0
+        assert capsys.readouterr().out == expected

@@ -1,0 +1,100 @@
+"""Golden digests: the SHA-256 of the CSV bytes of six fixed runs.
+
+The values were measured once and pin the log bytes across refactors of
+the loop; a change that moves any of them changes behaviour.  Never
+regenerate a value to make a change pass.
+"""
+
+import dataclasses
+import hashlib
+
+import numpy as np
+import pytest
+
+from mfclab import (
+    FixedInfluence,
+    HolderGainParams,
+    OutputObserverConfig,
+    SyntheticUlmParams,
+    demo_config,
+    run_closed_loop,
+    write_log_csv,
+)
+
+DEMO = demo_config()
+
+
+def _synthetic_sine(horizon, seed):
+    return dataclasses.replace(
+        DEMO,
+        plant=SyntheticUlmParams(
+            f_mode="sine",
+            f_value=0.5,
+            f_period=2.0,
+            desired_mode="sine",
+            desired_amplitude=1.0,
+            desired_period=5.0,
+        ),
+        ulm=dataclasses.replace(DEMO.ulm, observer_order="second"),
+        horizon=horizon,
+        seed=seed,
+    )
+
+
+def _fixed(value):
+    return dataclasses.replace(DEMO.controller, influence_policy=FixedInfluence(value))
+
+
+# id -> (config, run_closed_loop keywords, rows, diverged, SHA-256 of the CSV)
+GOLDEN = {
+    "demo-seed0": (
+        demo_config(0), {}, 3501, False,
+        "3274696dd70e609949b029016448b4c282d20038f0a0f3948b4251e80812eb32",
+    ),
+    "synthetic-sine-second-order-noisy": (
+        _synthetic_sine(20.0, 3), {}, 1001, False,
+        "dde7d3e001f439de6b107e27608731323e4542528ec94a99f2f98b7ee0fcf4ad",
+    ),
+    "demo-20hz-matrix-weight-and-influence": (
+        dataclasses.replace(
+            demo_config(1),
+            sample_rate=20.0,
+            horizon=10.0,
+            observer=OutputObserverConfig(
+                gain=HolderGainParams(weight=np.array([[2.1]]), margin=2.0, exponent=1.4)
+            ),
+            controller=_fixed(np.array([[1.5]])),
+        ),
+        {}, 201, False,
+        "460f86d967523363f63b6f4fe90359ee688f3e4eb6731c0466b1c6bcdd8ce788",
+    ),
+    "synthetic-sine-oracle-biased": (
+        _synthetic_sine(10.0, 3), {"oracle_f": True, "f_hat_bias": 0.05}, 501, False,
+        "bf9e96c386f7f689e685b3d1b4233a7de010bc8e0418171eeee55e1449ca4785",
+    ),
+    "synthetic-constant-first-order-clean": (
+        dataclasses.replace(
+            DEMO,
+            plant=SyntheticUlmParams(f_mode="constant", f_value=0.3, y0=0.2, y1=0.1),
+            noise=None,
+            horizon=10.0,
+        ),
+        {}, 501, False,
+        "6aee4091daa8d6f41957332015de1a1d871cff22e45ab4ca27c77e4a2b7d57e3",
+    ),
+    "demo-diverging-input": (
+        dataclasses.replace(DEMO, horizon=1.0, noise=None, controller=_fixed(1e-300)),
+        {}, 2, True,
+        "d7abb41a2b10ce71a2286fc8e6720510af3ce84a82b13537196590b3653ee7fc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_log_bytes_pinned(name, tmp_path):
+    config, kwargs, rows, diverged, expected = GOLDEN[name]
+    log = run_closed_loop(config, **kwargs)
+    assert (log.n, log.diverged) == (rows, diverged)
+    path = tmp_path / "log.csv"
+    write_log_csv(log, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected

@@ -31,7 +31,7 @@ from mfclab import (
     write_config,
     write_log_csv,
 )
-from mfclab.harness import CSV_HEADER
+from mfclab.harness import CSV_HEADER, _float_gain
 
 
 def synthetic_config(horizon=10.0, seed=0, f_mode="sine", noise=None):
@@ -326,6 +326,43 @@ class TestRunClosedLoop:
         )
         assert worst_meas <= 2.0 * amplitude
         assert worst_truth <= 2.0 * amplitude
+
+
+def _same_float(a, b):
+    """Equal bit for bit up to the NaN payload: NaN matches NaN, and zeros
+    match only with the same sign."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308]
+)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+class TestFloatGain:
+    """The loop's float gain against ``holder_gain`` on a 1-vector."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        e=st.floats(allow_subnormal=True) | EDGE_FLOATS,
+        weight=POSITIVE,
+        matrix=st.booleans(),
+        margin=POSITIVE,
+        exponent=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+    )
+    def test_matches_holder_gain_bit_for_bit(self, e, weight, matrix, margin, exponent):
+        params = HolderGainParams(
+            weight=np.array([[weight]]) if matrix else weight,
+            margin=margin,
+            exponent=exponent,
+        )
+        with np.errstate(all="ignore"):
+            expected = holder_gain(np.array([e]), params)
+        got = _float_gain(params.weight, params.margin, params.exponent)(e)
+        assert _same_float(got, expected)
 
 
 class TestMetrics:
