@@ -1,20 +1,6 @@
-import os
+from setuptools import Extension, setup
 
-from setuptools import setup
-
-# The compiled kernels are an optional speedup: when Cython (or a C
-# compiler) is unavailable the package falls back to the pure-Python
+# The compiled kernels are an optional speedup: without a C compiler the
+# install still succeeds and the package falls back to the pure-Python
 # kernels at import time.
-ext_modules = []
-if os.environ.get("MFCLAB_PURE_PYTHON") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            ["src/mfclab/_kernels.pyx"],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("mfclab._kernels", ["src/mfclab/_kernels.c"], optional=True)])

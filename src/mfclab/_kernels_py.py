@@ -1,9 +1,9 @@
 """Pure-Python cart-pendulum kernels.
 
 Fallback twin of the compiled extension ``_kernels``; both expose the same
-functions with identical argument order and (up to rounding) identical
-arithmetic.  Everything here is plain scalar float math so the module has
-no dependencies.
+functions with identical argument order and the same arithmetic in the same
+order, so both return the same bits.  Everything here is plain scalar float
+math so the module has no dependencies.
 """
 
 from math import cos, sin, tanh

@@ -206,6 +206,8 @@ def generate_desired_trajectory(
         raise ValueError(f"horizon must be positive, got {horizon}")
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if substeps < 1:
+        raise ValueError(f"substeps must be >= 1, got {substeps}")
     count = int(math.floor(horizon / dt + 1e-9)) + 1
     thetas = _desired_theta_samples(params, initial, count, dt, substeps)
     t = np.arange(count) * dt

@@ -1,0 +1,34 @@
+import importlib.util
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
+
+import pytest
+
+KERNELS_C = Path(__file__).resolve().parents[1] / "src" / "mfclab" / "_kernels.c"
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels(tmp_path_factory):
+    """The tracked ``_kernels.c`` built by gcc into a temporary directory and
+    loaded as ``mfclab._kernels``.  Any compiler warning fails the build;
+    the tests that use it skip only when gcc is not found."""
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        pytest.skip("gcc not found")
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    target = tmp_path_factory.mktemp("kernels") / f"_kernels{suffix}"
+    proc = subprocess.run(
+        [gcc, "-O2", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror",
+         f"-I{sysconfig.get_paths()['include']}", str(KERNELS_C), "-lm",
+         "-o", str(target)],
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode != 0:
+        pytest.fail(f"gcc could not build {KERNELS_C.name}:\n{proc.stderr}")
+    spec = importlib.util.spec_from_file_location("mfclab._kernels", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -6,24 +7,38 @@ import numpy as np
 import pytest
 
 import mfclab
-from mfclab import _kernels_py
-
-try:
-    from mfclab import _kernels as _compiled
-except ImportError:
-    _compiled = None
+from mfclab import (
+    PendulumParams,
+    PendulumState,
+    _kernels_py,
+    demo_config,
+    generate_desired_trajectory,
+    plants,
+    rk4_advance,
+    run_closed_loop,
+    write_log_csv,
+)
 
 PARAMS = (1.5, 0.5, 1.4, 0.84, 9.8, 0.028, 0.0032)
-
-needs_compiled = pytest.mark.skipif(
-    _compiled is None, reason="compiled extension not built"
-)
 
 
 def random_states(n=50, seed=0):
     rng = np.random.default_rng(seed)
     for _ in range(n):
         yield tuple(rng.uniform(-3.0, 3.0, size=4)), float(rng.uniform(-5.0, 5.0))
+
+
+def assert_same_bits(a, b):
+    """Equal bit for bit up to the NaN payload: NaN matches NaN, and zeros
+    match only with the same sign."""
+    assert [float(v).hex() for v in a] == [float(v).hex() for v in b]
+
+
+@pytest.fixture(params=["python", "compiled"])
+def kernels(request):
+    if request.param == "python":
+        return _kernels_py
+    return request.getfixturevalue("compiled_kernels")
 
 
 def test_backend_name_is_valid():
@@ -42,40 +57,67 @@ def test_env_override_forces_python_backend():
     assert out.stdout.strip() == "python"
 
 
-@needs_compiled
-def test_accel_agrees_across_backends():
+def test_accel_agrees_across_backends(compiled_kernels):
     for state, force in random_states():
-        a = _compiled.pendulum_accel(*state, force, *PARAMS)
-        b = _kernels_py.pendulum_accel(*state, force, *PARAMS)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+        assert_same_bits(
+            compiled_kernels.pendulum_accel(*state, force, *PARAMS),
+            _kernels_py.pendulum_accel(*state, force, *PARAMS),
+        )
 
 
-@needs_compiled
-def test_rk4_step_agrees_across_backends():
+def test_rk4_step_agrees_across_backends(compiled_kernels):
     for state, force in random_states(seed=1):
-        a = _compiled.rk4_step(*state, force, 0.02, *PARAMS)
-        b = _kernels_py.rk4_step(*state, force, 0.02, *PARAMS)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+        assert_same_bits(
+            compiled_kernels.rk4_step(*state, force, 0.02, *PARAMS),
+            _kernels_py.rk4_step(*state, force, 0.02, *PARAMS),
+        )
 
 
-@needs_compiled
-def test_rk4_advance_agrees_across_backends():
+def test_rk4_advance_agrees_across_backends(compiled_kernels):
     for state, force in random_states(n=10, seed=2):
-        a = _compiled.rk4_advance(*state, force, 0.5, 250, *PARAMS)
-        b = _kernels_py.rk4_advance(*state, force, 0.5, 250, *PARAMS)
-        np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+        assert_same_bits(
+            compiled_kernels.rk4_advance(*state, force, 0.5, 250, *PARAMS),
+            _kernels_py.rk4_advance(*state, force, 0.5, 250, *PARAMS),
+        )
 
 
-@needs_compiled
-def test_trajgen_agrees_across_backends():
+def test_trajgen_agrees_across_backends(compiled_kernels):
     for state, _ in random_states(n=10, seed=3):
-        a = _compiled.trajgen_advance(*state, 0.5, 250, *PARAMS)
-        b = _kernels_py.trajgen_advance(*state, 0.5, 250, *PARAMS)
-        np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+        assert_same_bits(
+            compiled_kernels.trajgen_advance(*state, 0.5, 250, *PARAMS),
+            _kernels_py.trajgen_advance(*state, 0.5, 250, *PARAMS),
+        )
 
 
-@needs_compiled
-def test_reference_force_agrees():
-    assert _compiled.reference_force(0.45, -0.3, 0.05, 0.028, 0.0032) == (
-        _kernels_py.reference_force(0.45, -0.3, 0.05, 0.028, 0.0032)
+def test_reference_force_agrees(compiled_kernels):
+    assert_same_bits(
+        [compiled_kernels.reference_force(0.45, -0.3, 0.05, 0.028, 0.0032)],
+        [_kernels_py.reference_force(0.45, -0.3, 0.05, 0.028, 0.0032)],
     )
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("rate", [5.0, 20.0, 50.0, 100.0])
+def test_logs_byte_equal_across_backends(rate, seed, compiled_kernels, monkeypatch, tmp_path):
+    config = dataclasses.replace(demo_config(seed), sample_rate=rate, horizon=20.0)
+    logs = []
+    for module in (_kernels_py, compiled_kernels):
+        monkeypatch.setattr(plants, "kernels", module)
+        path = tmp_path / f"{module.BACKEND_NAME}.csv"
+        write_log_csv(run_closed_loop(config), path)
+        logs.append(path.read_bytes())
+    assert logs[0] == logs[1]
+
+
+def test_substeps_checked_alike(kernels, monkeypatch):
+    monkeypatch.setattr(plants, "kernels", kernels)
+    params, state = PendulumParams(), PendulumState(theta=0.1)
+    with pytest.raises(ValueError, match="substeps must be >= 1"):
+        generate_desired_trajectory(params, state, 1.0, 0.02, substeps=0)
+    with pytest.raises(ZeroDivisionError):
+        kernels.trajgen_advance(*state.as_tuple(), 0.02, 0, *PARAMS)
+    # substeps is an index, as ``range`` takes it: a float is a TypeError
+    with pytest.raises(TypeError):
+        generate_desired_trajectory(params, state, 1.0, 0.02, substeps=10.0)
+    with pytest.raises(TypeError):
+        rk4_advance(state, 0.4, 0.02, params, substeps=10.0)

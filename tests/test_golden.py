@@ -17,6 +17,7 @@ from mfclab import (
     OutputObserverConfig,
     SyntheticUlmParams,
     demo_config,
+    plants,
     run_closed_loop,
     write_log_csv,
 )
@@ -98,3 +99,9 @@ def test_log_bytes_pinned(name, tmp_path):
     path = tmp_path / "log.csv"
     write_log_csv(log, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_log_bytes_pinned_on_compiled_kernels(name, compiled_kernels, monkeypatch, tmp_path):
+    monkeypatch.setattr(plants, "kernels", compiled_kernels)
+    test_log_bytes_pinned(name, tmp_path)
