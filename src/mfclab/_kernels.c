@@ -1,6 +1,6 @@
 /* Compiled cart-pendulum kernels: the hot inner loops of the simulator.
  *
- * Twin of ``_kernels_py``: the same five functions with the same argument
+ * Twin of ``_kernels_py``: the same three functions with the same argument
  * order, and the arithmetic written expression for expression in the same
  * order, so both backends return the same bits.  That holds when the
  * compiler does not contract a*b + c into a fused multiply-add (gcc's
@@ -35,6 +35,7 @@ accel(double theta, double x_dot, double theta_dot, double force,
     *thdd = (a11 * b2 - a12 * b1) / det;
 }
 
+/* Weak state feedback used to generate the reference swing. */
 static inline double
 ref_force(double x, double x_dot, double theta_dot, const Params *p)
 {
@@ -156,18 +157,6 @@ pendulum_accel(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t narg
 }
 
 static PyObject *
-rk4_step(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    double v[6];
-    Params p;
-    if (check_nargs("rk4_step", nargs, 13) < 0 || get_doubles(args, 6, v) < 0
-        || get_params(args + 6, &p) < 0)
-        return NULL;
-    rk4(v, v[4], 0, v[5], &p);
-    return pack(v, 4);
-}
-
-static PyObject *
 rk4_advance(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     double v[6];
@@ -180,16 +169,6 @@ rk4_advance(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     for (long i = 0; i < n; i++)
         rk4(v, v[4], 0, h, &p);
     return pack(v, 4);
-}
-
-static PyObject *
-reference_force(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    double v[5];
-    if (check_nargs("reference_force", nargs, 5) < 0 || get_doubles(args, 5, v) < 0)
-        return NULL;
-    Params p = {.cx = v[3], .cth = v[4]};
-    return PyFloat_FromDouble(ref_force(v[0], v[1], v[2], &p));
 }
 
 static PyObject *
@@ -211,9 +190,7 @@ trajgen_advance(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nar
 
 static PyMethodDef methods[] = {
     ENTRY(pendulum_accel, "Accelerations (xdd, thdd) of the cart-pendulum under ``force``."),
-    ENTRY(rk4_step, "One classical RK4 step with the force held constant."),
     ENTRY(rk4_advance, "Advance by ``dt`` using ``substeps`` RK4 steps, zero-order-hold force."),
-    ENTRY(reference_force, "Weak state feedback used to generate the reference swing."),
     ENTRY(trajgen_advance, "Advance the reference-generating closed loop by ``dt``; the force "
                            "is re-evaluated from the state at every RK4 stage."),
     {NULL, NULL, 0, NULL},

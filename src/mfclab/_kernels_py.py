@@ -1,9 +1,9 @@
 """Pure-Python cart-pendulum kernels.
 
 Fallback twin of the compiled extension ``_kernels``; both expose the same
-functions with identical argument order and the same arithmetic in the same
-order, so both return the same bits.  Everything here is plain scalar float
-math so the module has no dependencies.
+three functions with identical argument order and the same arithmetic in
+the same order, so both return the same bits.  Everything here is plain
+scalar float math so the module has no dependencies.
 """
 
 from math import cos, sin, tanh
@@ -27,38 +27,53 @@ def pendulum_accel(x, theta, x_dot, theta_dot, force,
     return xdd, thdd
 
 
-def rk4_step(x, theta, x_dot, theta_dot, force, dt,
-             mc, mp, lp, ip, grav, cx, cth):
-    """One classical RK4 step with the force held constant."""
-    k1x = x_dot
-    k1t = theta_dot
-    k1xd, k1td = pendulum_accel(x, theta, x_dot, theta_dot, force,
-                                mc, mp, lp, ip, grav, cx, cth)
+def _reference_force(x, x_dot, theta_dot, cx, cth):
+    """Weak state feedback used to generate the reference swing."""
+    return -cx * x_dot - 0.5 * cth * theta_dot - 0.1 * cx * x
 
-    h2 = 0.5 * dt
-    k2x = x_dot + h2 * k1xd
-    k2t = theta_dot + h2 * k1td
-    k2xd, k2td = pendulum_accel(x + h2 * k1x, theta + h2 * k1t,
-                                x_dot + h2 * k1xd, theta_dot + h2 * k1td,
-                                force, mc, mp, lp, ip, grav, cx, cth)
 
-    k3x = x_dot + h2 * k2xd
-    k3t = theta_dot + h2 * k2td
-    k3xd, k3td = pendulum_accel(x + h2 * k2x, theta + h2 * k2t,
-                                x_dot + h2 * k2xd, theta_dot + h2 * k2td,
-                                force, mc, mp, lp, ip, grav, cx, cth)
+def _rk4(x, theta, x_dot, theta_dot, force, feedback, h,
+         mc, mp, lp, ip, grav, cx, cth):
+    """One classical RK4 step of length ``h``.  With ``feedback`` set the
+    force is ``_reference_force`` of each stage's state.
 
-    k4x = x_dot + dt * k3xd
-    k4t = theta_dot + dt * k3td
-    k4xd, k4td = pendulum_accel(x + dt * k3x, theta + dt * k3t,
-                                x_dot + dt * k3xd, theta_dot + dt * k3td,
-                                force, mc, mp, lp, ip, grav, cx, cth)
-
-    h6 = dt / 6.0
-    return (x + h6 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-            theta + h6 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t),
-            x_dot + h6 * (k1xd + 2.0 * k2xd + 2.0 * k3xd + k4xd),
-            theta_dot + h6 * (k1td + 2.0 * k2td + 2.0 * k3td + k4td))
+    Stage i evaluates the derivative at (xi, ti, xdi, tdi): its position
+    rates are the stage velocities, its velocity rates (ai, bi).
+    """
+    h2 = 0.5 * h
+    if feedback:
+        force = _reference_force(x, x_dot, theta_dot, cx, cth)
+    a1, b1 = pendulum_accel(x, theta, x_dot, theta_dot, force,
+                            mc, mp, lp, ip, grav, cx, cth)
+    x2 = x + h2 * x_dot
+    t2 = theta + h2 * theta_dot
+    xd2 = x_dot + h2 * a1
+    td2 = theta_dot + h2 * b1
+    if feedback:
+        force = _reference_force(x2, xd2, td2, cx, cth)
+    a2, b2 = pendulum_accel(x2, t2, xd2, td2, force,
+                            mc, mp, lp, ip, grav, cx, cth)
+    x3 = x + h2 * xd2
+    t3 = theta + h2 * td2
+    xd3 = x_dot + h2 * a2
+    td3 = theta_dot + h2 * b2
+    if feedback:
+        force = _reference_force(x3, xd3, td3, cx, cth)
+    a3, b3 = pendulum_accel(x3, t3, xd3, td3, force,
+                            mc, mp, lp, ip, grav, cx, cth)
+    x4 = x + h * xd3
+    t4 = theta + h * td3
+    xd4 = x_dot + h * a3
+    td4 = theta_dot + h * b3
+    if feedback:
+        force = _reference_force(x4, xd4, td4, cx, cth)
+    a4, b4 = pendulum_accel(x4, t4, xd4, td4, force,
+                            mc, mp, lp, ip, grav, cx, cth)
+    h6 = h / 6.0
+    return (x + h6 * (x_dot + 2.0 * xd2 + 2.0 * xd3 + xd4),
+            theta + h6 * (theta_dot + 2.0 * td2 + 2.0 * td3 + td4),
+            x_dot + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+            theta_dot + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
 
 
 def rk4_advance(x, theta, x_dot, theta_dot, force, dt, substeps,
@@ -66,23 +81,10 @@ def rk4_advance(x, theta, x_dot, theta_dot, force, dt, substeps,
     """Advance by ``dt`` using ``substeps`` RK4 steps, zero-order-hold force."""
     h = dt / substeps
     for _ in range(substeps):
-        x, theta, x_dot, theta_dot = rk4_step(
-            x, theta, x_dot, theta_dot, force, h,
+        x, theta, x_dot, theta_dot = _rk4(
+            x, theta, x_dot, theta_dot, force, False, h,
             mc, mp, lp, ip, grav, cx, cth)
     return x, theta, x_dot, theta_dot
-
-
-def reference_force(x, x_dot, theta_dot, cx, cth):
-    """Weak state feedback used to generate the reference swing."""
-    return -cx * x_dot - 0.5 * cth * theta_dot - 0.1 * cx * x
-
-
-def _feedback_deriv(x, theta, x_dot, theta_dot,
-                    mc, mp, lp, ip, grav, cx, cth):
-    force = reference_force(x, x_dot, theta_dot, cx, cth)
-    xdd, thdd = pendulum_accel(x, theta, x_dot, theta_dot, force,
-                               mc, mp, lp, ip, grav, cx, cth)
-    return x_dot, theta_dot, xdd, thdd
 
 
 def trajgen_advance(x, theta, x_dot, theta_dot, dt, substeps,
@@ -93,25 +95,8 @@ def trajgen_advance(x, theta, x_dot, theta_dot, dt, substeps,
     every RK4 stage (continuous feedback, no hold).
     """
     h = dt / substeps
-    h2 = 0.5 * h
-    h6 = h / 6.0
     for _ in range(substeps):
-        k1x, k1t, k1xd, k1td = _feedback_deriv(
-            x, theta, x_dot, theta_dot, mc, mp, lp, ip, grav, cx, cth)
-        k2x, k2t, k2xd, k2td = _feedback_deriv(
-            x + h2 * k1x, theta + h2 * k1t,
-            x_dot + h2 * k1xd, theta_dot + h2 * k1td,
+        x, theta, x_dot, theta_dot = _rk4(
+            x, theta, x_dot, theta_dot, 0.0, True, h,
             mc, mp, lp, ip, grav, cx, cth)
-        k3x, k3t, k3xd, k3td = _feedback_deriv(
-            x + h2 * k2x, theta + h2 * k2t,
-            x_dot + h2 * k2xd, theta_dot + h2 * k2td,
-            mc, mp, lp, ip, grav, cx, cth)
-        k4x, k4t, k4xd, k4td = _feedback_deriv(
-            x + h * k3x, theta + h * k3t,
-            x_dot + h * k3xd, theta_dot + h * k3td,
-            mc, mp, lp, ip, grav, cx, cth)
-        x = x + h6 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        theta = theta + h6 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-        x_dot = x_dot + h6 * (k1xd + 2.0 * k2xd + 2.0 * k3xd + k4xd)
-        theta_dot = theta_dot + h6 * (k1td + 2.0 * k2td + 2.0 * k3td + k4td)
     return x, theta, x_dot, theta_dot

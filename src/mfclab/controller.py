@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Tuple, Union
 
 import numpy as np
@@ -47,6 +48,8 @@ class FixedInfluence:
             v = np.asarray(self.value, dtype=float)
             if v.ndim != 2:
                 raise ValueError(f"influence matrix must be 2-D, got shape {v.shape}")
+            if not np.isfinite(v).all():
+                raise ValueError("influence matrix must be finite")
             object.__setattr__(self, "value", v)
 
     def __eq__(self, other):
@@ -99,7 +102,7 @@ class ControllerConfig:
                 )
         self.gain  # validates margin/exponent
 
-    @property
+    @cached_property
     def gain(self) -> HolderGainParams:
         return HolderGainParams(weight=1.0, margin=self.margin, exponent=self.exponent)
 

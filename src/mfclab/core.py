@@ -64,6 +64,8 @@ class HolderGainParams:
             w = np.asarray(self.weight, dtype=float)
             if w.ndim != 2 or w.shape[0] != w.shape[1]:
                 raise ValueError(f"weight matrix must be square, got shape {w.shape}")
+            if not np.isfinite(w).all():
+                raise ValueError("weight matrix must be finite")
             if not np.allclose(w, w.T, rtol=1e-12, atol=0.0):
                 raise ValueError("weight matrix must be symmetric")
             if np.linalg.eigvalsh(w).min() <= 0.0:

@@ -42,7 +42,7 @@ from .plants import (
     PendulumState,
     SyntheticUlmParams,
     _desired_theta_samples,
-    _rk4_advance_raw,
+    _kernel,
 )
 from .ulm import SECOND_ORDER, UlmConfig
 
@@ -69,6 +69,9 @@ _COLUMNS = (
     "f_true", "f_hat", "e_f", "s", "u", "g",
 )
 _CSV_ROW = ",".join(["%.17g"] * len(_COLUMNS)) + "\n"
+
+# RK4 substeps of the cart-pendulum truth and reference per control period
+_SUBSTEPS = 10
 
 
 @dataclass(frozen=True)
@@ -205,19 +208,18 @@ def _siso_value(value, key: str) -> float:
     return float(np.reshape(value, -1)[0])
 
 
-def _float_gain(weight, margin: float, exponent: float):
-    """``holder_gain`` of a scalar error for the gain triple of a
-    ``HolderGainParams``, as a function on floats.
+def _float_gain(params: HolderGainParams):
+    """``holder_gain`` of a scalar error for ``params``, as a function on
+    floats.
 
     It rounds as ``quadratic_form`` does: w*(e*e) for a scalar weight,
     (e*w)*e for a 1x1 one, and a form that is not positive (zero or NaN)
-    gives exactly -1.  Taking the triple rather than the params object
-    lets the loop read the unit-weight gains of the ULM and controller
-    configs without building one.
+    gives exactly -1.
     """
-    matrix = not isinstance(weight, float)
-    w = _siso_value(weight, "weight")
-    a = 1.0 - 1.0 / exponent
+    matrix = not isinstance(params.weight, float)
+    w = _siso_value(params.weight, "weight")
+    margin = params.margin
+    a = 1.0 - 1.0 / params.exponent
     exp, log = math.exp, math.log
 
     def gain(e: float) -> float:
@@ -246,7 +248,6 @@ def run_closed_loop(
     *,
     oracle_f: bool = False,
     f_hat_bias: float = 0.0,
-    substeps: int = 10,
 ) -> RunLog:
     """Run the experiment described by ``config`` and return its log.
 
@@ -266,7 +267,7 @@ def run_closed_loop(
     rows = array("d")
     diverged = False
     if config.n_records > 0:
-        plant = _PLANTS[type(config.plant)](config, substeps)
+        plant = _PLANTS[type(config.plant)](config)
         diverged = _run_loop(config, plant, oracle_f, f_hat_bias, rows)
     meta["wall_time_s"] = time.perf_counter() - start
     return _log_from_rows(rows, diverged, meta)
@@ -287,13 +288,10 @@ class _PendulumPlant:
     lag = 1
     reads_estimates = True
 
-    def __init__(self, config: ExperimentConfig, substeps: int):
-        if substeps < 1:
-            raise ValueError(f"substeps must be >= 1, got {substeps}")
+    def __init__(self, config: ExperimentConfig):
         self.params = config.plant
         self.raw_params = config.plant.as_tuple()
         self.dt = config.dt
-        self.substeps = substeps
         self.initial = config.initial_truth
         self.state = config.initial_truth.as_tuple()
         self.y = [config.initial_truth.theta]
@@ -301,7 +299,7 @@ class _PendulumPlant:
 
     def reference(self, count: int) -> np.ndarray:
         return _desired_theta_samples(
-            self.params, self.initial, count, self.dt, self.substeps
+            self.params, self.initial, count, self.dt, _SUBSTEPS
         )
 
     @staticmethod
@@ -315,8 +313,8 @@ class _PendulumPlant:
         return self.reconstruct(self.y, k - 1, effect)
 
     def advance(self, k: int, g: float, u: float) -> None:
-        self.state = _rk4_advance_raw(
-            self.state, u, self.dt, self.substeps, self.raw_params
+        self.state = _kernel(
+            "rk4_advance", *self.state, u, self.dt, _SUBSTEPS, *self.raw_params
         )
         self.y.append(self.state[1])
 
@@ -329,7 +327,7 @@ class _SyntheticPlant:
     lag = 0
     reads_estimates = False
 
-    def __init__(self, config: ExperimentConfig, substeps: int):
+    def __init__(self, config: ExperimentConfig):
         self.params = config.plant
         self.dt = config.dt
         self.y = [self.params.y0, self.params.y1]
@@ -373,11 +371,9 @@ def _run_loop(config, plant, oracle_f, f_hat_bias, rows: array) -> bool:
     """
     ctl = config.controller
     mu = ctl.mu
-    obs = config.observer.gain
-    observer_gain = _float_gain(obs.weight, obs.margin, obs.exponent)
-    # the ULM and controller gains have unit weight (their ``gain`` property)
-    ulm_gain = _float_gain(1.0, config.ulm.margin, config.ulm.exponent)
-    ctl_gain = _float_gain(1.0, ctl.margin, ctl.exponent)
+    observer_gain = _float_gain(config.observer.gain)
+    ulm_gain = _float_gain(config.ulm.gain)
+    ctl_gain = _float_gain(ctl.gain)
     influence = _float_influence(ctl.influence_policy)
     second_order = config.ulm.observer_order == SECOND_ORDER
     dt = config.dt
@@ -610,9 +606,12 @@ def _decode(tp, raw, path: str):
         if tp is not float:
             return raw
         try:
-            return float(raw)
+            value = float(raw)
         except OverflowError:
             raise ValueError(f"{path} is too large for a float") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path} must be finite, got {value}")
+        return value
     if is_dataclass(tp):
         return _decode_object(tp, raw, path)
     if tp is np.ndarray:
@@ -645,7 +644,7 @@ def _decode_tagged(members, raw, path: str):
     by_kind = {_KINDS[m]: m for m in members}
     if kind not in by_kind:
         raise ValueError(
-            f"unknown {path} kind {kind!r}, expected one of {sorted(by_kind)}"
+            f"unknown {path}.kind {kind!r}, expected one of {sorted(by_kind)}"
         )
     rest = {key: value for key, value in raw.items() if key != "kind"}
     return _decode_object(by_kind[kind], rest, path)

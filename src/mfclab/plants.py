@@ -111,25 +111,26 @@ def pendulum_accel(state: PendulumState, force: float, params: PendulumParams):
     return kernels.pendulum_accel(*state.as_tuple(), force, *params.as_tuple())
 
 
-def _check_finite(raw_state, context: str) -> PendulumState:
-    if not all(math.isfinite(v) for v in raw_state):
-        raise DivergenceError(f"{context} produced a non-finite state")
-    return PendulumState(*raw_state)
+def _kernel(name: str, *args):
+    """The raw state that ``kernels.<name>(*args)`` returns; the kernel is
+    looked up at each call, so a substituted ``kernels`` takes effect.  A
+    kernel failure (the pure-Python kernels raise on trig of an infinite
+    angle where the C kernels return NaN) or a non-finite state is a
+    ``DivergenceError``."""
+    try:
+        raw = getattr(kernels, name)(*args)
+    except (ValueError, OverflowError) as exc:
+        raise DivergenceError(f"{name} produced a non-finite state") from exc
+    if not all(map(math.isfinite, raw)):
+        raise DivergenceError(f"{name} produced a non-finite state")
+    return raw
 
 
 def rk4_step(
     state: PendulumState, force: float, dt: float, params: PendulumParams
 ) -> PendulumState:
     """One fixed-step RK4 update with the force held constant over dt."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    try:
-        raw = kernels.rk4_step(*state.as_tuple(), force, dt, *params.as_tuple())
-    except (ValueError, OverflowError) as exc:
-        # the pure-Python kernel raises on trig of an infinite angle where
-        # the C kernel would return NaN
-        raise DivergenceError("rk4_step produced a non-finite state") from exc
-    return _check_finite(raw, "rk4_step")
+    return rk4_advance(state, force, dt, params, substeps=1)
 
 
 def rk4_advance(
@@ -145,23 +146,10 @@ def rk4_advance(
         raise ValueError(f"dt must be positive, got {dt}")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    raw = _rk4_advance_raw(
-        state.as_tuple(), force, dt, substeps, params.as_tuple()
+    raw = _kernel(
+        "rk4_advance", *state.as_tuple(), force, dt, substeps, *params.as_tuple()
     )
     return PendulumState(*raw)
-
-
-def _rk4_advance_raw(raw_state, force, dt, substeps, raw_params):
-    """``rk4_advance`` on plain tuples: (x, theta, x_dot, theta_dot) in and
-    out, the constants as ``PendulumParams.as_tuple()``, arguments not
-    validated."""
-    try:
-        raw = kernels.rk4_advance(*raw_state, force, dt, substeps, *raw_params)
-    except (ValueError, OverflowError) as exc:
-        raise DivergenceError("rk4_advance produced a non-finite state") from exc
-    if not all(map(math.isfinite, raw)):
-        raise DivergenceError("rk4_advance produced a non-finite state")
-    return raw
 
 
 def _desired_theta_samples(
@@ -176,14 +164,10 @@ def _desired_theta_samples(
     if count == 0:
         return thetas
     raw = initial.as_tuple()
+    raw_params = params.as_tuple()
     thetas[0] = raw[1]
     for k in range(1, count):
-        try:
-            raw = kernels.trajgen_advance(*raw, dt, substeps, *params.as_tuple())
-        except (ValueError, OverflowError) as exc:
-            raise DivergenceError("trajectory generation diverged") from exc
-        if not all(math.isfinite(v) for v in raw):
-            raise DivergenceError("trajectory generation diverged")
+        raw = _kernel("trajgen_advance", *raw, dt, substeps, *raw_params)
         thetas[k] = raw[1]
     return thetas
 

@@ -11,6 +11,7 @@ the first/second difference perturbation they are robust to.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,7 +57,7 @@ class UlmConfig:
         # delegate margin/exponent validation
         self.gain
 
-    @property
+    @cached_property
     def gain(self) -> HolderGainParams:
         return HolderGainParams(weight=1.0, margin=self.margin, exponent=self.exponent)
 

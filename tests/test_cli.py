@@ -68,6 +68,26 @@ BAD_CONFIGS = {
         _demo_with({"kind": "fixed", "value": [[0.0]]}, "controller", "influence_policy"),
         "controller.influence_policy.value",
     ),
+    "fixed-influence-nan-1x1": (
+        _demo_with(
+            {"kind": "fixed", "value": [[math.nan]]}, "controller", "influence_policy"
+        ),
+        "controller.influence_policy.value",
+    ),
+    "adaptive-base-infinite": (
+        _demo_with(math.inf, "controller", "influence_policy", "base"),
+        "controller.influence_policy.base",
+    ),
+    "observer-weight-nan-1x1": (
+        _demo_with([[math.nan]], "observer", "weight"),
+        "observer.weight",
+    ),
+    "cart-mass-infinite": (
+        _demo_with(math.inf, "plant", "cart_mass"),
+        "plant.cart_mass",
+    ),
+    "plant-kind-unknown": (_demo_with("rocket", "plant", "kind"), "plant.kind"),
+    "horizon-too-large-for-float": (_demo_with(10**400, "horizon"), "horizon"),
 }
 
 

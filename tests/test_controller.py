@@ -201,6 +201,11 @@ class TestInfluenceGain:
         values = [influence_gain(AdaptiveInfluence(1.5), e) for e in (0.0, 0.5, 2.0)]
         assert values[0] < values[1] < values[2]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_fixed_non_finite_matrix_rejected(self, value):
+        with pytest.raises(ValueError, match="influence matrix must be finite"):
+            FixedInfluence(np.array([[value]]))
+
     def test_fixed_matrix_returned(self):
         g = np.array([[1.0, 0.0], [0.0, 2.0]])
         np.testing.assert_array_equal(influence_gain(FixedInfluence(g), np.ones(2)), g)

@@ -101,6 +101,11 @@ class TestHolderGain:
         with pytest.raises(ValueError):
             HolderGainParams(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_matrix_rejected(self, value):
+        with pytest.raises(ValueError, match="weight matrix must be finite"):
+            HolderGainParams(weight=np.array([[value]]), margin=1.0, exponent=1.5)
+
 
 class TestForwardDifference:
     def test_first_order(self):

@@ -1,10 +1,12 @@
 import copy
 import dataclasses
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mfclab import (
@@ -31,6 +33,7 @@ from mfclab import (
     write_config,
     write_log_csv,
 )
+from mfclab.cli import main
 from mfclab.harness import CSV_HEADER, _float_gain
 
 
@@ -65,15 +68,33 @@ def _key_paths(d, prefix=()):
             yield from _key_paths(value, prefix + (key,))
 
 
-# (config dict, key path) for every key, top-level or nested, of two bases
-CODEC_TARGETS = [
-    (base, path)
-    for base in (
-        config_to_dict(demo_config()),
-        config_to_dict(synthetic_config(noise=NoiseModel(width=0.01, seed=5))),
-    )
-    for path in _key_paths(base)
-]
+def _targets(*configs):
+    """(config dict, key path) for every key, top-level or nested."""
+    return [
+        (base, path)
+        for base in map(config_to_dict, configs)
+        for path in _key_paths(base)
+    ]
+
+
+def _with_value(base, path, value):
+    """A copy of the config dict ``base`` with ``value`` at ``path``."""
+    d = copy.deepcopy(base)
+    parent = d
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return d
+
+
+CODEC_TARGETS = _targets(
+    demo_config(), synthetic_config(noise=NoiseModel(width=0.01, seed=5))
+)
+# 1 s runs of both plants, so that a fuzzed config that decodes runs quickly
+RUN_TARGETS = _targets(
+    dataclasses.replace(demo_config(), horizon=1.0),
+    synthetic_config(horizon=1.0, noise=NoiseModel(width=0.01, seed=5)),
+)
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3)
@@ -120,6 +141,15 @@ class TestExperimentConfig:
                 demo_config(),
                 ulm=UlmConfig(order_nu=3, margin=1.5, exponent=9.0 / 7.0),
             )
+
+    def test_gains_built_once_and_kept_by_copies(self):
+        cfg = demo_config()
+        for owner in (cfg.ulm, cfg.controller):
+            assert owner.gain is owner.gain
+            for dup in (pickle.loads(pickle.dumps(owner)), copy.deepcopy(owner)):
+                assert (dup, hash(dup), dup.gain) == (owner, hash(owner), owner.gain)
+        moved = dataclasses.replace(cfg.ulm, margin=1.2)
+        assert moved.gain.margin == 1.2
 
     def test_horizon_and_rate_validation(self):
         with pytest.raises(ValueError):
@@ -186,17 +216,36 @@ class TestConfigRoundTrip:
     @settings(max_examples=300, deadline=None)
     @given(target=st.sampled_from(CODEC_TARGETS), value=JSON_VALUES)
     def test_any_json_value_decodes_or_raises_value_error(self, target, value):
-        base, path = target
-        d = copy.deepcopy(base)
-        parent = d
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
         try:
-            config = config_from_dict(d)
+            config = config_from_dict(_with_value(*target, value))
         except ValueError:
             return
         assert isinstance(config, ExperimentConfig)
+
+    # small numbers as well, so that about one fuzzed config in ten decodes
+    @settings(max_examples=200, deadline=None)
+    @given(target=st.sampled_from(RUN_TARGETS), value=st.floats(-3.0, 3.0) | JSON_VALUES)
+    def test_any_json_value_runs_through_main(self, target, value, tmp_path_factory):
+        d = _with_value(*target, value)
+        try:
+            config = config_from_dict(d)
+        except ValueError:
+            exits = (1,)
+        else:
+            assume(config.horizon * config.sample_rate <= 100)
+            exits = (0, 1, 2)
+        path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        assert main(["run", str(path)]) in exits
+
+    def test_omitted_noise_decodes_to_none_and_runs(self):
+        d = config_to_dict(dataclasses.replace(demo_config(), horizon=1.0))
+        del d["noise"]
+        config = config_from_dict(d)
+        assert config.noise is None
+        log = run_closed_loop(config)
+        assert (log.n, log.diverged) == (51, False)
+        np.testing.assert_array_equal(log.y_meas, log.y_true)
 
 
 class TestRunClosedLoop:
@@ -297,6 +346,11 @@ class TestRunClosedLoop:
                 ideal, abs=1e-10 * max(1.0, abs(log.s[k]))
             )
 
+    def test_synthetic_zero_forcing(self):
+        log = run_closed_loop(synthetic_config(horizon=2.0, f_mode="zero"))
+        assert (log.n, log.diverged) == (101, False)
+        np.testing.assert_array_equal(log.f_true, np.zeros(log.n))
+
     def test_synthetic_estimator_tracks_constant_forcing(self):
         cfg = dataclasses.replace(
             synthetic_config(horizon=30.0, f_mode="constant"),
@@ -361,7 +415,7 @@ class TestFloatGain:
         )
         with np.errstate(all="ignore"):
             expected = holder_gain(np.array([e]), params)
-        got = _float_gain(params.weight, params.margin, params.exponent)(e)
+        got = _float_gain(params)(e)
         assert _same_float(got, expected)
 
 
