@@ -6,13 +6,14 @@ Subcommands:
 * ``demo-paper [--out config.json]`` -- emit the built-in benchmark config
 * ``metrics <log.csv> [--cutoff S]``
 
-Exit codes: 0 success, 1 configuration/usage error, 2 divergence.
+Exit codes: 0 success, 1 configuration or usage error, 2 divergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -31,8 +32,19 @@ EXIT_CONFIG_ERROR = 1
 EXIT_DIVERGENCE = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ``ValueError`` instead of printing the
+    usage and exiting 2, the divergence code; subparsers inherit it."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser, built on the first call and shared by later ones: it
+    keeps no state between parses."""
+    parser = _Parser(
         prog="mfclab",
         description="Model-free control experiments: run, inspect, summarize.",
     )
@@ -105,8 +117,8 @@ def _cmd_metrics(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "demo-paper":

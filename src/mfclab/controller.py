@@ -69,8 +69,8 @@ class AdaptiveInfluence:
     base: float
 
     def __post_init__(self):
-        if not self.base > 0.0:
-            raise ValueError(f"base must be positive, got {self.base}")
+        if not (self.base > 0.0 and math.isfinite(self.base)):
+            raise ValueError(f"base must be positive and finite, got {self.base}")
 
 
 InfluencePolicy = Union[FixedInfluence, AdaptiveInfluence]

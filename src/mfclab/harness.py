@@ -43,6 +43,7 @@ from .plants import (
     SyntheticUlmParams,
     _desired_theta_samples,
     _kernel,
+    _require_finite,
 )
 from .ulm import SECOND_ORDER, UlmConfig
 
@@ -95,9 +96,7 @@ class ExperimentConfig:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.horizon < 0.0:
             raise ValueError(f"horizon must be non-negative, got {self.horizon}")
-        for name in ("horizon", "sample_rate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _require_finite(self, "horizon", "sample_rate")
         if not math.isfinite(self.horizon * self.sample_rate):
             raise ValueError("horizon * sample_rate (the record count) overflows")
         if self.seed < 0:

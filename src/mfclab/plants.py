@@ -9,7 +9,7 @@ kernel backend (compiled extension when built, pure Python otherwise).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -37,6 +37,12 @@ class DivergenceError(RuntimeError):
     """A simulated trajectory produced a non-finite state."""
 
 
+def _require_finite(obj, *names: str) -> None:
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(obj, name)}")
+
+
 @dataclass(frozen=True)
 class PendulumParams:
     """Cart-pendulum constants; friction saturates at +-cart_friction /
@@ -51,6 +57,7 @@ class PendulumParams:
     pend_friction: float = 0.0032
 
     def __post_init__(self):
+        _require_finite(self, *(f.name for f in fields(self)))
         for name in ("cart_mass", "pend_mass", "half_length", "inertia", "gravity"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -90,9 +97,7 @@ class PendulumState:
     theta_dot: float = 0.0
 
     def __post_init__(self):
-        for name in ("x", "theta", "x_dot", "theta_dot"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _require_finite(self, "x", "theta", "x_dot", "theta_dot")
 
     def as_tuple(self):
         return (self.x, self.theta, self.x_dot, self.theta_dot)
@@ -207,10 +212,18 @@ class NoiseModel:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if not self.width > 0.0:
-            raise ValueError(f"width must be positive, got {self.width}")
+        if not (self.width > 0.0 and math.isfinite(self.width)):
+            raise ValueError(f"width must be positive and finite, got {self.width}")
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+
+
+def _doubles(rng: np.random.Generator):
+    """The doubles of ``rng.random()``, drawn 1,024 at a time.  It holds
+    the generator, not the stream, so a stream is freed without the
+    cyclic collector."""
+    while True:
+        yield from rng.random(1024).tolist()
 
 
 class BumpNoiseStream:
@@ -220,18 +233,27 @@ class BumpNoiseStream:
     open interval (-width/2, width/2) and zero outside, sampled by
     rejection against a uniform envelope; every sample is strictly inside
     the support.
+
+    ``sample`` reads the generator in blocks of 1,024 doubles and takes
+    ``u = -1 + 2 d`` and ``h = d`` from them, which are the bits of
+    ``uniform(-1, 1)`` and ``uniform(0, 1)``: the scalar samples are those
+    of two scalar ``uniform`` draws per attempt.  A ``sample_batch`` after
+    a ``sample`` on one stream starts past the drawn block, so it sees
+    other draws than on a fresh stream.
     """
 
     def __init__(self, width: float, seed: int):
-        if not width > 0.0:
-            raise ValueError(f"width must be positive, got {width}")
+        if not (width > 0.0 and math.isfinite(width)):
+            raise ValueError(f"width must be positive and finite, got {width}")
         self.width = width
         self._rng = np.random.Generator(np.random.PCG64(seed))
+        self._next_double = _doubles(self._rng).__next__
 
     def sample(self) -> float:
+        draw = self._next_double
         while True:
-            u = self._rng.uniform(-1.0, 1.0)
-            h = self._rng.uniform(0.0, 1.0)
+            u = -1.0 + 2.0 * draw()
+            h = draw()
             u2 = u * u
             if u2 >= 1.0:
                 continue
@@ -274,6 +296,9 @@ class SyntheticUlmParams:
     desired_period: float = 1.0
 
     def __post_init__(self):
+        _require_finite(
+            self, "f_value", "f_period", "y0", "y1", "desired_amplitude", "desired_period"
+        )
         if self.f_mode not in ("zero", "constant", "sine"):
             raise ValueError(f"unknown f_mode {self.f_mode!r}")
         if self.desired_mode not in ("zero", "sine"):

@@ -113,6 +113,43 @@ def short_config(tmp_path):
     return path
 
 
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["run"],
+            ["frobnicate"],
+            ["metrics", "x.csv", "--cutoff", "abc"],
+            ["run", "{config}", "--seed", "x"],
+        ],
+        ids=["no-command", "run-no-config", "unknown-command", "bad-cutoff", "bad-seed"],
+    )
+    def test_usage_error_is_config_error(self, short_config, capsys, argv):
+        argv = [a.format(config=short_config) for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: mfclab")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: mfclab" in capsys.readouterr().out
+
+    def test_usage_error_leaves_no_state(self, short_config, tmp_path):
+        before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+        assert main(["run", str(short_config), "--out", str(before)]) == 0
+        assert main(
+            ["run", str(short_config), "--no-noise", "--oracle-f", "--seed", "x"]
+        ) == 1
+        assert main(["run", str(short_config), "--out", str(after)]) == 0
+        assert after.read_bytes() == before.read_bytes()
+
+
 class TestDemoPaper:
     def test_emits_parseable_config(self, capsys):
         assert main(["demo-paper"]) == 0

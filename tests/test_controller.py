@@ -202,6 +202,11 @@ class TestInfluenceGain:
         assert values[0] < values[1] < values[2]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_adaptive_non_finite_base_rejected(self, value):
+        with pytest.raises(ValueError, match="^base must be positive and finite"):
+            AdaptiveInfluence(base=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_fixed_non_finite_matrix_rejected(self, value):
         with pytest.raises(ValueError, match="influence matrix must be finite"):
             FixedInfluence(np.array([[value]]))

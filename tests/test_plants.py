@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from mfclab import (
     NoiseModel,
     PendulumParams,
     PendulumState,
+    SyntheticUlmParams,
     friction_forces,
     generate_desired_trajectory,
     pendulum_accel,
@@ -18,6 +22,24 @@ from mfclab import (
 )
 
 PARAMS = PendulumParams()
+
+
+def _float_fields(cls):
+    return [(cls, f.name) for f in dataclasses.fields(cls) if f.type == "float"]
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    _float_fields(PendulumParams)
+    + _float_fields(PendulumState)
+    + _float_fields(NoiseModel)
+    + _float_fields(SyntheticUlmParams),
+    ids=lambda v: v.__name__ if isinstance(v, type) else v,
+)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_field_rejected(cls, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be .*finite"):
+        cls(**{name: value})
 
 
 def mechanical_energy(state: PendulumState, params: PendulumParams) -> float:
@@ -210,6 +232,53 @@ class TestBumpNoise:
     def test_scalar_samples_respect_support(self):
         stream = BumpNoiseStream(width=0.018, seed=2)
         assert all(abs(stream.sample()) < 0.009 for _ in range(2000))
+
+    @staticmethod
+    def _uniform_pattern(width, seed, n):
+        """Scalar samples from two scalar ``uniform`` draws per attempt."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        out = []
+        while len(out) < n:
+            u = rng.uniform(-1.0, 1.0)
+            h = rng.uniform(0.0, 1.0)
+            u2 = u * u
+            if u2 < 1.0 and h < math.exp(1.0 - 1.0 / (1.0 - u2)):
+                out.append(0.5 * width * u)
+        return out
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_scalar_samples_match_uniform_draws(self, seed):
+        # 3,000 samples take ~13,000 doubles, across a dozen 1,024 blocks
+        stream = BumpNoiseStream(width=0.018, seed=seed)
+        got = [stream.sample().hex() for _ in range(3000)]
+        assert got == [x.hex() for x in self._uniform_pattern(0.018, seed, 3000)]
+
+    def test_batch_on_fresh_stream_matches_uniform_arrays(self):
+        n = 2000
+        rng = np.random.Generator(np.random.PCG64(11))
+        expected = np.empty(0)
+        while expected.size < n:
+            m = max(1024, int(1.8 * (n - expected.size)))
+            u = rng.uniform(-1.0, 1.0, size=m)
+            h = rng.uniform(0.0, 1.0, size=m)
+            with np.errstate(divide="ignore"):
+                accept = (u * u < 1.0) & (h < np.exp(1.0 - 1.0 / (1.0 - u * u)))
+            expected = np.concatenate([expected, 0.5 * 0.018 * u[accept]])
+        got = BumpNoiseStream(width=0.018, seed=11).sample_batch(n)
+        assert got.tobytes() == expected[:n].tobytes()
+
+    def test_sampled_stream_freed_without_cyclic_gc(self):
+        stream = BumpNoiseStream(width=0.018, seed=0)
+        stream.sample()
+        ref = weakref.ref(stream)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del stream
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
