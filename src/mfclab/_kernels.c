@@ -4,7 +4,16 @@
  * order, and the arithmetic written expression for expression in the same
  * order, so both backends return the same bits.  That holds when the
  * compiler does not contract a*b + c into a fused multiply-add (gcc's
- * default on x86-64; pass -ffp-contract=off on targets with FMA).
+ * default on x86-64; setup.py passes -ffp-contract=off for targets with
+ * FMA).
+ *
+ * As in the Python twin, the products that do not depend on the state are
+ * formed once per call: ``get_params`` derives a11 = mc + mp, mp * lp,
+ * a22, mp * grav * lp, 0.5 * cth and 0.1 * cx, and ``advance`` h2 and h6.
+ * Each is the left operand of a left-associative chain in the accelerations
+ * (mp * lp * td * td * si is (((mp * lp) * td) * td) * si), so hoisting it
+ * changes no rounding; -mp * lp * co is ((-mp) * lp) * co, and IEEE
+ * multiplication is sign-symmetric, so (-mp) * lp == -(mp * lp).
  *
  * Build in place with ``python setup.py build_ext --inplace``.
  */
@@ -13,9 +22,11 @@
 #include <Python.h>
 #include <math.h>
 
-/* The seven pendulum constants, in ``PendulumParams.as_tuple()`` order. */
+/* What the kernels read of the seven pendulum constants (mc, mp, lp, ip,
+ * grav, cx, cth in ``PendulumParams.as_tuple()`` order), derived once per
+ * call by ``get_params``. */
 typedef struct {
-    double mc, mp, lp, ip, grav, cx, cth;
+    double a11, ml, a22, mgl, cx, cth, rth, rx;
 } Params;
 
 static inline void
@@ -24,22 +35,19 @@ accel(double theta, double x_dot, double theta_dot, double force,
 {
     double co = cos(theta);
     double si = sin(theta);
-    double a11 = p->mc + p->mp;
-    double a12 = -p->mp * p->lp * co;
-    double a22 = p->ip + p->mp * p->lp * p->lp;
-    double b1 = force - (p->mp * p->lp * theta_dot * theta_dot * si
-                         + p->cx * tanh(x_dot));
-    double b2 = p->mp * p->grav * p->lp * si - p->cth * tanh(theta_dot);
-    double det = a11 * a22 - a12 * a12;
-    *xdd = (a22 * b1 - a12 * b2) / det;
-    *thdd = (a11 * b2 - a12 * b1) / det;
+    double a12 = -p->ml * co;
+    double b1 = force - (p->ml * theta_dot * theta_dot * si + p->cx * tanh(x_dot));
+    double b2 = p->mgl * si - p->cth * tanh(theta_dot);
+    double det = p->a11 * p->a22 - a12 * a12;
+    *xdd = (p->a22 * b1 - a12 * b2) / det;
+    *thdd = (p->a11 * b2 - a12 * b1) / det;
 }
 
 /* Weak state feedback used to generate the reference swing. */
 static inline double
 ref_force(double x, double x_dot, double theta_dot, const Params *p)
 {
-    return -p->cx * x_dot - 0.5 * p->cth * theta_dot - 0.1 * p->cx * x;
+    return -p->cx * x_dot - p->rth * theta_dot - p->rx * x;
 }
 
 /* Time derivative of the state s = (x, theta, x_dot, theta_dot); the
@@ -54,27 +62,30 @@ deriv(const double *s, double force, int feedback, const Params *p, double *k)
     accel(s[1], s[2], s[3], force, p, &k[2], &k[3]);
 }
 
-/* One classical RK4 step of length h, in place. */
-static inline void
-rk4(double *s, double force, int feedback, double h, const Params *p)
+/* ``n`` classical RK4 steps of length h = dt / n, in place. */
+static void
+advance(double *s, double force, int feedback, double dt, long n, const Params *p)
 {
     double k1[4], k2[4], k3[4], k4[4], t[4];
+    double h = dt / (double)n;
     double h2 = 0.5 * h;
     double h6 = h / 6.0;
     int i;
 
-    deriv(s, force, feedback, p, k1);
-    for (i = 0; i < 4; i++)
-        t[i] = s[i] + h2 * k1[i];
-    deriv(t, force, feedback, p, k2);
-    for (i = 0; i < 4; i++)
-        t[i] = s[i] + h2 * k2[i];
-    deriv(t, force, feedback, p, k3);
-    for (i = 0; i < 4; i++)
-        t[i] = s[i] + h * k3[i];
-    deriv(t, force, feedback, p, k4);
-    for (i = 0; i < 4; i++)
-        s[i] = s[i] + h6 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+    for (long step = 0; step < n; step++) {
+        deriv(s, force, feedback, p, k1);
+        for (i = 0; i < 4; i++)
+            t[i] = s[i] + h2 * k1[i];
+        deriv(t, force, feedback, p, k2);
+        for (i = 0; i < 4; i++)
+            t[i] = s[i] + h2 * k2[i];
+        deriv(t, force, feedback, p, k3);
+        for (i = 0; i < 4; i++)
+            t[i] = s[i] + h * k3[i];
+        deriv(t, force, feedback, p, k4);
+        for (i = 0; i < 4; i++)
+            s[i] = s[i] + h6 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+    }
 }
 
 /* ---- argument conversion and results ---------------------------------- */
@@ -106,7 +117,10 @@ get_params(PyObject *const *args, Params *p)
     double c[7];
     if (get_doubles(args, 7, c) < 0)
         return -1;
-    *p = (Params){c[0], c[1], c[2], c[3], c[4], c[5], c[6]};
+    double mc = c[0], mp = c[1], lp = c[2], ip = c[3], grav = c[4], cx = c[5], cth = c[6];
+    double ml = mp * lp;
+    *p = (Params){.a11 = mc + mp, .ml = ml, .a22 = ip + ml * lp, .mgl = mp * grav * lp,
+                  .cx = cx, .cth = cth, .rth = 0.5 * cth, .rx = 0.1 * cx};
     return 0;
 }
 
@@ -165,9 +179,7 @@ rk4_advance(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     if (check_nargs("rk4_advance", nargs, 14) < 0 || get_doubles(args, 6, v) < 0
         || get_substeps(args[6], &n) < 0 || get_params(args + 7, &p) < 0)
         return NULL;
-    double h = v[5] / (double)n;
-    for (long i = 0; i < n; i++)
-        rk4(v, v[4], 0, h, &p);
+    advance(v, v[4], 0, v[5], n, &p);
     return pack(v, 4);
 }
 
@@ -180,9 +192,7 @@ trajgen_advance(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nar
     if (check_nargs("trajgen_advance", nargs, 13) < 0 || get_doubles(args, 5, v) < 0
         || get_substeps(args[5], &n) < 0 || get_params(args + 6, &p) < 0)
         return NULL;
-    double h = v[4] / (double)n;
-    for (long i = 0; i < n; i++)
-        rk4(v, 0.0, 1, h, &p);
+    advance(v, 0.0, 1, v[4], n, &p);
     return pack(v, 4);
 }
 

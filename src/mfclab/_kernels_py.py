@@ -4,6 +4,17 @@ Fallback twin of the compiled extension ``_kernels``; both expose the same
 three functions with identical argument order and the same arithmetic in
 the same order, so both return the same bits.  Everything here is plain
 scalar float math so the module has no dependencies.
+
+Both advances run one substep loop, ``_advance``, with the four RK4 stages
+and the accelerations of ``pendulum_accel`` written inline.  The products
+that do not depend on the state are computed once per call: ``h2``,
+``h6``, ``a11 = mc + mp``, ``mp * lp``, ``a22``, ``mp * grav * lp``,
+``0.5 * cth`` and ``0.1 * cx``, with the exact negations ``-(mp * lp)``
+and ``-cx``.  Each is the left operand of a left-associative chain in
+``pendulum_accel`` (``mp * lp * td * td * si`` is
+``(((mp * lp) * td) * td) * si``), so hoisting it changes no rounding;
+``-mp * lp * co`` is ``((-mp) * lp) * co``, and since IEEE multiplication
+is sign-symmetric ``(-mp) * lp == -(mp * lp)``.
 """
 
 from math import cos, sin, tanh
@@ -27,64 +38,94 @@ def pendulum_accel(x, theta, x_dot, theta_dot, force,
     return xdd, thdd
 
 
-def _reference_force(x, x_dot, theta_dot, cx, cth):
-    """Weak state feedback used to generate the reference swing."""
-    return -cx * x_dot - 0.5 * cth * theta_dot - 0.1 * cx * x
+def _advance(x, th, xd, td, force, feedback, dt, substeps,
+             mc, mp, lp, ip, grav, cx, cth):
+    """``substeps`` classical RK4 steps of length ``dt / substeps``.
 
-
-def _rk4(x, theta, x_dot, theta_dot, force, feedback, h,
-         mc, mp, lp, ip, grav, cx, cth):
-    """One classical RK4 step of length ``h``.  With ``feedback`` set the
-    force is ``_reference_force`` of each stage's state.
-
-    Stage i evaluates the derivative at (xi, ti, xdi, tdi): its position
-    rates are the stage velocities, its velocity rates (ai, bi).
+    With ``feedback`` set the force is the reference feedback
+    ``-cx * x_dot - 0.5 * cth * theta_dot - 0.1 * cx * x`` of each stage's
+    state, otherwise ``force`` is held.  Stage i evaluates the derivative
+    at (xi, ti, xdi, tdi): its position rates are the stage velocities,
+    its velocity rates (xddi, tddi).  A stage's cart position only enters
+    the feedback force, so it is formed only there.
     """
+    h = dt / substeps
     h2 = 0.5 * h
-    if feedback:
-        force = _reference_force(x, x_dot, theta_dot, cx, cth)
-    a1, b1 = pendulum_accel(x, theta, x_dot, theta_dot, force,
-                            mc, mp, lp, ip, grav, cx, cth)
-    x2 = x + h2 * x_dot
-    t2 = theta + h2 * theta_dot
-    xd2 = x_dot + h2 * a1
-    td2 = theta_dot + h2 * b1
-    if feedback:
-        force = _reference_force(x2, xd2, td2, cx, cth)
-    a2, b2 = pendulum_accel(x2, t2, xd2, td2, force,
-                            mc, mp, lp, ip, grav, cx, cth)
-    x3 = x + h2 * xd2
-    t3 = theta + h2 * td2
-    xd3 = x_dot + h2 * a2
-    td3 = theta_dot + h2 * b2
-    if feedback:
-        force = _reference_force(x3, xd3, td3, cx, cth)
-    a3, b3 = pendulum_accel(x3, t3, xd3, td3, force,
-                            mc, mp, lp, ip, grav, cx, cth)
-    x4 = x + h * xd3
-    t4 = theta + h * td3
-    xd4 = x_dot + h * a3
-    td4 = theta_dot + h * b3
-    if feedback:
-        force = _reference_force(x4, xd4, td4, cx, cth)
-    a4, b4 = pendulum_accel(x4, t4, xd4, td4, force,
-                            mc, mp, lp, ip, grav, cx, cth)
     h6 = h / 6.0
-    return (x + h6 * (x_dot + 2.0 * xd2 + 2.0 * xd3 + xd4),
-            theta + h6 * (theta_dot + 2.0 * td2 + 2.0 * td3 + td4),
-            x_dot + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-            theta_dot + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
+    a11 = mc + mp
+    ml = mp * lp
+    nml = -ml
+    a22 = ip + ml * lp
+    mgl = mp * grav * lp
+    ncx = -cx
+    rth = 0.5 * cth
+    rx = 0.1 * cx
+    for _ in range(substeps):
+        if feedback:
+            force = ncx * xd - rth * td - rx * x
+        co = cos(th)
+        si = sin(th)
+        a12 = nml * co
+        r1 = force - (ml * td * td * si + cx * tanh(xd))
+        r2 = mgl * si - cth * tanh(td)
+        det = a11 * a22 - a12 * a12
+        xdd1 = (a22 * r1 - a12 * r2) / det
+        tdd1 = (a11 * r2 - a12 * r1) / det
+
+        t2 = th + h2 * td
+        xd2 = xd + h2 * xdd1
+        td2 = td + h2 * tdd1
+        if feedback:
+            force = ncx * xd2 - rth * td2 - rx * (x + h2 * xd)
+        co = cos(t2)
+        si = sin(t2)
+        a12 = nml * co
+        r1 = force - (ml * td2 * td2 * si + cx * tanh(xd2))
+        r2 = mgl * si - cth * tanh(td2)
+        det = a11 * a22 - a12 * a12
+        xdd2 = (a22 * r1 - a12 * r2) / det
+        tdd2 = (a11 * r2 - a12 * r1) / det
+
+        t3 = th + h2 * td2
+        xd3 = xd + h2 * xdd2
+        td3 = td + h2 * tdd2
+        if feedback:
+            force = ncx * xd3 - rth * td3 - rx * (x + h2 * xd2)
+        co = cos(t3)
+        si = sin(t3)
+        a12 = nml * co
+        r1 = force - (ml * td3 * td3 * si + cx * tanh(xd3))
+        r2 = mgl * si - cth * tanh(td3)
+        det = a11 * a22 - a12 * a12
+        xdd3 = (a22 * r1 - a12 * r2) / det
+        tdd3 = (a11 * r2 - a12 * r1) / det
+
+        t4 = th + h * td3
+        xd4 = xd + h * xdd3
+        td4 = td + h * tdd3
+        if feedback:
+            force = ncx * xd4 - rth * td4 - rx * (x + h * xd3)
+        co = cos(t4)
+        si = sin(t4)
+        a12 = nml * co
+        r1 = force - (ml * td4 * td4 * si + cx * tanh(xd4))
+        r2 = mgl * si - cth * tanh(td4)
+        det = a11 * a22 - a12 * a12
+        xdd4 = (a22 * r1 - a12 * r2) / det
+        tdd4 = (a11 * r2 - a12 * r1) / det
+
+        x = x + h6 * (xd + 2.0 * xd2 + 2.0 * xd3 + xd4)
+        th = th + h6 * (td + 2.0 * td2 + 2.0 * td3 + td4)
+        xd = xd + h6 * (xdd1 + 2.0 * xdd2 + 2.0 * xdd3 + xdd4)
+        td = td + h6 * (tdd1 + 2.0 * tdd2 + 2.0 * tdd3 + tdd4)
+    return x, th, xd, td
 
 
 def rk4_advance(x, theta, x_dot, theta_dot, force, dt, substeps,
                 mc, mp, lp, ip, grav, cx, cth):
     """Advance by ``dt`` using ``substeps`` RK4 steps, zero-order-hold force."""
-    h = dt / substeps
-    for _ in range(substeps):
-        x, theta, x_dot, theta_dot = _rk4(
-            x, theta, x_dot, theta_dot, force, False, h,
-            mc, mp, lp, ip, grav, cx, cth)
-    return x, theta, x_dot, theta_dot
+    return _advance(x, theta, x_dot, theta_dot, force, False, dt, substeps,
+                    mc, mp, lp, ip, grav, cx, cth)
 
 
 def trajgen_advance(x, theta, x_dot, theta_dot, dt, substeps,
@@ -94,9 +135,5 @@ def trajgen_advance(x, theta, x_dot, theta_dot, dt, substeps,
     Unlike ``rk4_advance`` the force is re-evaluated from the state at
     every RK4 stage (continuous feedback, no hold).
     """
-    h = dt / substeps
-    for _ in range(substeps):
-        x, theta, x_dot, theta_dot = _rk4(
-            x, theta, x_dot, theta_dot, 0.0, True, h,
-            mc, mp, lp, ip, grav, cx, cth)
-    return x, theta, x_dot, theta_dot
+    return _advance(x, theta, x_dot, theta_dot, 0.0, True, dt, substeps,
+                    mc, mp, lp, ip, grav, cx, cth)

@@ -16,7 +16,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import HolderGainParams, forward_difference, holder_gain
+from .core import HolderGainParams, forward_difference, holder_gain, is_finite
 
 __all__ = [
     "FixedInfluence",
@@ -40,12 +40,18 @@ class FixedInfluence:
 
     def __post_init__(self):
         if np.isscalar(self.value):
-            v = float(self.value)
+            try:
+                v = float(self.value)
+            except OverflowError:
+                v = math.inf
             if v == 0.0 or not math.isfinite(v):
-                raise ValueError(f"influence scalar must be nonzero, got {v}")
+                raise ValueError(f"influence scalar must be nonzero and finite, got {v}")
             object.__setattr__(self, "value", v)
         else:
-            v = np.asarray(self.value, dtype=float)
+            try:
+                v = np.asarray(self.value, dtype=float)
+            except OverflowError:
+                raise ValueError("influence matrix must be finite") from None
             if v.ndim != 2:
                 raise ValueError(f"influence matrix must be 2-D, got shape {v.shape}")
             if not np.isfinite(v).all():
@@ -69,7 +75,7 @@ class AdaptiveInfluence:
     base: float
 
     def __post_init__(self):
-        if not (self.base > 0.0 and math.isfinite(self.base)):
+        if not (self.base > 0.0 and is_finite(self.base)):
             raise ValueError(f"base must be positive and finite, got {self.base}")
 
 

@@ -30,6 +30,15 @@ __all__ = [
 ]
 
 
+def is_finite(value) -> bool:
+    """``math.isfinite`` that reads an int too large for a float as not
+    finite, where ``math.isfinite`` raises ``OverflowError``."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def fractional_power(x: float, a: float) -> float:
     """x**a computed as exp(a*ln(x)) with an explicit branch at x == 0.
 
@@ -56,12 +65,16 @@ class HolderGainParams:
 
     def __post_init__(self):
         if isinstance(self.weight, numbers.Real):
-            w = float(self.weight)
-            if not math.isfinite(w) or w <= 0.0:
-                raise ValueError(f"scalar weight must be positive, got {w}")
-            object.__setattr__(self, "weight", w)
+            if not (is_finite(self.weight) and self.weight > 0.0):
+                raise ValueError(
+                    f"scalar weight must be positive and finite, got {self.weight}"
+                )
+            object.__setattr__(self, "weight", float(self.weight))
         else:
-            w = np.asarray(self.weight, dtype=float)
+            try:
+                w = np.asarray(self.weight, dtype=float)
+            except OverflowError:
+                raise ValueError("weight matrix must be finite") from None
             if w.ndim != 2 or w.shape[0] != w.shape[1]:
                 raise ValueError(f"weight matrix must be square, got shape {w.shape}")
             if not np.isfinite(w).all():
@@ -73,7 +86,7 @@ class HolderGainParams:
             w = w.copy()
             w.flags.writeable = False
             object.__setattr__(self, "weight", w)
-        if not (self.margin > 0.0 and math.isfinite(self.margin)):
+        if not (self.margin > 0.0 and is_finite(self.margin)):
             raise ValueError(f"margin must be positive, got {self.margin}")
         if not 1.0 < self.exponent < 2.0:
             raise ValueError(f"exponent must lie in (1, 2), got {self.exponent}")
@@ -155,7 +168,7 @@ class LyapunovRecursionSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not (self.c0 >= 0.0 and math.isfinite(self.c0)):
+        if not (self.c0 >= 0.0 and is_finite(self.c0)):
             raise ValueError(f"c0 must be finite and non-negative, got {self.c0}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be positive, got {self.max_steps}")
@@ -212,7 +225,7 @@ def gamma_ratio_bound(chi: float, mu: float, exponent: float):
     """
     if not 0.0 < chi < 1.0:
         raise ValueError(f"chi must lie in (0, 1), got {chi}")
-    if not (mu > 0.0 and math.isfinite(mu)):
+    if not (mu > 0.0 and is_finite(mu)):
         raise ValueError(f"mu must be positive, got {mu}")
     if not 1.0 < exponent < 2.0:
         raise ValueError(f"exponent must lie in (1, 2), got {exponent}")

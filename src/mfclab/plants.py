@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ._backend import BACKEND, kernels
+from .core import is_finite
 
 __all__ = [
     "BACKEND",
@@ -39,7 +40,7 @@ class DivergenceError(RuntimeError):
 
 def _require_finite(obj, *names: str) -> None:
     for name in names:
-        if not math.isfinite(getattr(obj, name)):
+        if not is_finite(getattr(obj, name)):
             raise ValueError(f"{name} must be finite, got {getattr(obj, name)}")
 
 
@@ -212,7 +213,7 @@ class NoiseModel:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if not (self.width > 0.0 and math.isfinite(self.width)):
+        if not (self.width > 0.0 and is_finite(self.width)):
             raise ValueError(f"width must be positive and finite, got {self.width}")
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
@@ -243,7 +244,7 @@ class BumpNoiseStream:
     """
 
     def __init__(self, width: float, seed: int):
-        if not (width > 0.0 and math.isfinite(width)):
+        if not (width > 0.0 and is_finite(width)):
             raise ValueError(f"width must be positive and finite, got {width}")
         self.width = width
         self._rng = np.random.Generator(np.random.PCG64(seed))

@@ -12,7 +12,8 @@ KERNELS_C = Path(__file__).resolve().parents[1] / "src" / "mfclab" / "_kernels.c
 @pytest.fixture(scope="session")
 def compiled_kernels(tmp_path_factory):
     """The tracked ``_kernels.c`` built by gcc into a temporary directory and
-    loaded as ``mfclab._kernels``.  Any compiler warning fails the build;
+    loaded as ``mfclab._kernels``, with the no-FMA flag that ``setup.py``
+    passes.  Any compiler warning fails the build;
     the tests that use it skip only when gcc is not found."""
     gcc = shutil.which("gcc")
     if gcc is None:
@@ -20,7 +21,7 @@ def compiled_kernels(tmp_path_factory):
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
     target = tmp_path_factory.mktemp("kernels") / f"_kernels{suffix}"
     proc = subprocess.run(
-        [gcc, "-O2", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror",
+        [gcc, "-O2", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off",
          f"-I{sysconfig.get_paths()['include']}", str(KERNELS_C), "-lm",
          "-o", str(target)],
         capture_output=True,

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -34,6 +35,33 @@ def assert_same_bits(a, b):
     assert [float(v).hex() for v in a] == [float(v).hex() for v in b]
 
 
+EDGE_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -1e-310)
+
+
+def edge_cases(n, seed):
+    """(state, force, dt, params) drawn around the demo constants, each value
+    replaced by an IEEE edge value with probability 0.15."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        values = np.concatenate([
+            rng.uniform(-3.0, 3.0, size=4),
+            rng.uniform(-5.0, 5.0, size=1),
+            rng.uniform(0.001, 0.5, size=1),
+            np.array(PARAMS) * rng.uniform(0.5, 2.0, size=7),
+        ]).tolist()
+        for i in np.flatnonzero(rng.random(len(values)) < 0.15):
+            values[i] = EDGE_VALUES[rng.integers(len(EDGE_VALUES))]
+        yield values[:4], values[4], values[5], values[6:]
+
+
+def outcome(fn, *args):
+    """The hex bits ``fn`` returns, or the name of the exception it raises."""
+    try:
+        return [float(v).hex() for v in fn(*args)]
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__
+
+
 @pytest.fixture(params=["python", "compiled"])
 def kernels(request):
     if request.param == "python":
@@ -63,6 +91,11 @@ def test_accel_agrees_across_backends(compiled_kernels):
             compiled_kernels.pendulum_accel(*state, force, *PARAMS),
             _kernels_py.pendulum_accel(*state, force, *PARAMS),
         )
+    # random constants: with the demo ones mp * (lp * lp) == (mp * lp) * lp
+    for state, force, _, params in edge_cases(n=400, seed=4):
+        want = outcome(_kernels_py.pendulum_accel, *state, force, *params)
+        if isinstance(want, list):  # where ``math`` raises, C gives NaN
+            assert outcome(compiled_kernels.pendulum_accel, *state, force, *params) == want
 
 
 def test_twins_define_the_same_entry_points(compiled_kernels):
@@ -89,10 +122,48 @@ def test_rk4_advance_agrees_across_backends(compiled_kernels, dt, substeps, n, s
 
 
 def test_trajgen_agrees_across_backends(compiled_kernels):
-    for state, _ in random_states(n=10, seed=3):
-        assert_same_bits(
-            compiled_kernels.trajgen_advance(*state, 0.5, 250, *PARAMS),
-            _kernels_py.trajgen_advance(*state, 0.5, 250, *PARAMS),
+    # (0.02, 10) is the closed loop's reference advance at 50 Hz
+    for dt, substeps in ((0.5, 250), (0.02, 10)):
+        for state, _ in random_states(n=10, seed=3):
+            assert_same_bits(
+                compiled_kernels.trajgen_advance(*state, dt, substeps, *PARAMS),
+                _kernels_py.trajgen_advance(*state, dt, substeps, *PARAMS),
+            )
+
+
+def stagewise_advance(accel, state, force, feedback, dt, substeps, params):
+    """Classical RK4 written stage by stage on a twin's own ``accel``; with
+    ``feedback`` set each stage's force is the reference feedback of its
+    state.  The fused advances of both twins must reproduce it bit for bit."""
+    cx, cth = params[5], params[6]
+
+    def deriv(s):
+        f = -cx * s[2] - 0.5 * cth * s[3] - 0.1 * cx * s[0] if feedback else force
+        return (s[2], s[3], *accel(*s, f, *params))
+
+    h = dt / substeps
+    s = tuple(state)
+    for _ in range(substeps):
+        k1 = deriv(s)
+        k2 = deriv([v + 0.5 * h * k for v, k in zip(s, k1)])
+        k3 = deriv([v + 0.5 * h * k for v, k in zip(s, k2)])
+        k4 = deriv([v + h * k for v, k in zip(s, k3)])
+        s = tuple(
+            v + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+            for v, a, b, c, d in zip(s, k1, k2, k3, k4)
+        )
+    return s
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 10])
+def test_advances_match_stagewise_reference(kernels, substeps):
+    accel = kernels.pendulum_accel
+    for state, force, dt, params in edge_cases(n=400, seed=substeps):
+        assert outcome(kernels.rk4_advance, *state, force, dt, substeps, *params) == outcome(
+            stagewise_advance, accel, state, force, False, dt, substeps, params
+        )
+        assert outcome(kernels.trajgen_advance, *state, dt, substeps, *params) == outcome(
+            stagewise_advance, accel, state, 0.0, True, dt, substeps, params
         )
 
 

@@ -18,6 +18,14 @@ from mfclab import (
     synthetic_ulm_plant_step,
 )
 
+NON_FINITE = [
+    np.nan,
+    np.inf,
+    -np.inf,
+    pytest.param(10**400, id="int-1e400"),
+    pytest.param(-(10**400), id="int--1e400"),
+]
+
 PAPER_CTL = ControllerConfig(
     margin=1.0,
     exponent=11.0 / 9.0,
@@ -201,15 +209,17 @@ class TestInfluenceGain:
         values = [influence_gain(AdaptiveInfluence(1.5), e) for e in (0.0, 0.5, 2.0)]
         assert values[0] < values[1] < values[2]
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("value", NON_FINITE)
     def test_adaptive_non_finite_base_rejected(self, value):
         with pytest.raises(ValueError, match="^base must be positive and finite"):
             AdaptiveInfluence(base=value)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("value", NON_FINITE)
     def test_fixed_non_finite_matrix_rejected(self, value):
         with pytest.raises(ValueError, match="influence matrix must be finite"):
             FixedInfluence(np.array([[value]]))
+        with pytest.raises(ValueError, match="influence scalar must be nonzero and finite"):
+            FixedInfluence(value)
 
     def test_fixed_matrix_returned(self):
         g = np.array([[1.0, 0.0], [0.0, 2.0]])

@@ -95,13 +95,25 @@ class TestHolderGain:
             dict(weight=1.0, margin=1.0, exponent=2.0),
             dict(weight=np.array([[1.0, 0.5], [0.4, 1.0]]), margin=1.0, exponent=1.5),
             dict(weight=np.array([[1.0, 2.0], [2.0, 1.0]]), margin=1.0, exponent=1.5),
+            dict(weight=10**400, margin=1.0, exponent=1.5),
+            dict(weight=-(10**400), margin=1.0, exponent=1.5),
+            dict(weight=1.0, margin=10**400, exponent=1.5),
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             HolderGainParams(**kwargs)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            math.nan,
+            math.inf,
+            -math.inf,
+            pytest.param(10**400, id="int-1e400"),
+            pytest.param(-(10**400), id="int--1e400"),
+        ],
+    )
     def test_non_finite_weight_matrix_rejected(self, value):
         with pytest.raises(ValueError, match="weight matrix must be finite"):
             HolderGainParams(weight=np.array([[value]]), margin=1.0, exponent=1.5)

@@ -164,8 +164,15 @@ class TestExperimentConfig:
             ({"horizon": math.nan}, "horizon must be finite"),
             ({"sample_rate": math.inf}, "sample_rate must be finite"),
             ({"horizon": 1e308}, "overflows"),
+            ({"horizon": 10**400}, "horizon must be finite"),
         ],
-        ids=["horizon-inf", "horizon-nan", "rate-inf", "record-count-overflow"],
+        ids=[
+            "horizon-inf",
+            "horizon-nan",
+            "rate-inf",
+            "record-count-overflow",
+            "horizon-int-1e400",
+        ],
     )
     def test_non_finite_horizon_and_rate_rejected(self, changes, match):
         with pytest.raises(ValueError, match=match):

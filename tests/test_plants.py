@@ -36,7 +36,16 @@ def _float_fields(cls):
     + _float_fields(SyntheticUlmParams),
     ids=lambda v: v.__name__ if isinstance(v, type) else v,
 )
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "value",
+    [
+        math.inf,
+        -math.inf,
+        math.nan,
+        pytest.param(10**400, id="int-1e400"),
+        pytest.param(-(10**400), id="int--1e400"),
+    ],
+)
 def test_non_finite_field_rejected(cls, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be .*finite"):
         cls(**{name: value})
