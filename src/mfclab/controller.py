@@ -16,7 +16,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import HolderGainParams, forward_difference, holder_gain, is_finite
+from .core import HolderGainParams, forward_difference, holder_gain, is_finite, shown
 
 __all__ = [
     "FixedInfluence",
@@ -40,6 +40,10 @@ class FixedInfluence:
 
     def __post_init__(self):
         if np.isscalar(self.value):
+            if isinstance(self.value, (str, bytes)):  # which ``float`` parses
+                raise ValueError(
+                    f"influence scalar must be nonzero and finite, got {self.value!r}"
+                )
             try:
                 v = float(self.value)
             except OverflowError:
@@ -76,7 +80,7 @@ class AdaptiveInfluence:
 
     def __post_init__(self):
         if not (self.base > 0.0 and is_finite(self.base)):
-            raise ValueError(f"base must be positive and finite, got {self.base}")
+            raise ValueError(f"base must be positive and finite, got {shown(self.base)}")
 
 
 InfluencePolicy = Union[FixedInfluence, AdaptiveInfluence]

@@ -39,6 +39,15 @@ def is_finite(value) -> bool:
         return False
 
 
+def shown(value) -> str:
+    """``str(value)`` for an error message, or a description of an int
+    past Python's 4,300-digit limit on ``str``, which raises there."""
+    try:
+        return str(value)
+    except ValueError:
+        return "an int too large for a float"
+
+
 def fractional_power(x: float, a: float) -> float:
     """x**a computed as exp(a*ln(x)) with an explicit branch at x == 0.
 
@@ -67,7 +76,8 @@ class HolderGainParams:
         if isinstance(self.weight, numbers.Real):
             if not (is_finite(self.weight) and self.weight > 0.0):
                 raise ValueError(
-                    f"scalar weight must be positive and finite, got {self.weight}"
+                    "scalar weight must be positive and finite, "
+                    f"got {shown(self.weight)}"
                 )
             object.__setattr__(self, "weight", float(self.weight))
         else:
@@ -87,9 +97,9 @@ class HolderGainParams:
             w.flags.writeable = False
             object.__setattr__(self, "weight", w)
         if not (self.margin > 0.0 and is_finite(self.margin)):
-            raise ValueError(f"margin must be positive, got {self.margin}")
+            raise ValueError(f"margin must be positive, got {shown(self.margin)}")
         if not 1.0 < self.exponent < 2.0:
-            raise ValueError(f"exponent must lie in (1, 2), got {self.exponent}")
+            raise ValueError(f"exponent must lie in (1, 2), got {shown(self.exponent)}")
 
     def __eq__(self, other):
         if not isinstance(other, HolderGainParams):
@@ -140,7 +150,7 @@ def forward_difference(series, order: int):
     the input by ``order`` samples.
     """
     if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
+        raise ValueError(f"order must be non-negative, got {shown(order)}")
     arr = np.asarray(series, dtype=float)
     if arr.shape[0] <= order:
         raise ValueError(
@@ -167,11 +177,11 @@ class LyapunovRecursionSpec:
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+            raise ValueError(f"alpha must lie in (0, 1), got {shown(self.alpha)}")
         if not (self.c0 >= 0.0 and is_finite(self.c0)):
-            raise ValueError(f"c0 must be finite and non-negative, got {self.c0}")
+            raise ValueError(f"c0 must be finite and non-negative, got {shown(self.c0)}")
         if self.max_steps < 1:
-            raise ValueError(f"max_steps must be positive, got {self.max_steps}")
+            raise ValueError(f"max_steps must be positive, got {shown(self.max_steps)}")
         if isinstance(self.ratio_sequence, numbers.Real):
             if float(self.ratio_sequence) <= 0.0:
                 raise ValueError("ratio must be positive")
@@ -224,11 +234,11 @@ def gamma_ratio_bound(chi: float, mu: float, exponent: float):
     Both outputs lie in (0, 1) for arguments in the stated open ranges.
     """
     if not 0.0 < chi < 1.0:
-        raise ValueError(f"chi must lie in (0, 1), got {chi}")
+        raise ValueError(f"chi must lie in (0, 1), got {shown(chi)}")
     if not (mu > 0.0 and is_finite(mu)):
-        raise ValueError(f"mu must be positive, got {mu}")
+        raise ValueError(f"mu must be positive, got {shown(mu)}")
     if not 1.0 < exponent < 2.0:
-        raise ValueError(f"exponent must lie in (1, 2), got {exponent}")
+        raise ValueError(f"exponent must lie in (1, 2), got {shown(exponent)}")
     t = fractional_power(chi, 1.0 - 1.0 / exponent)
     delta = mu * (1.0 - t) / (t + mu)
     epsilon = 2.0 * delta - delta * delta

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._backend import BACKEND
 from .controller import AdaptiveInfluence, ControllerConfig, FixedInfluence
-from .core import HolderGainParams
+from .core import HolderGainParams, shown
 from .observers import OutputObserverConfig
 from .plants import (
     BumpNoiseStream,
@@ -93,14 +93,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.sample_rate > 0.0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+            raise ValueError(
+                f"sample_rate must be positive, got {shown(self.sample_rate)}"
+            )
         if self.horizon < 0.0:
-            raise ValueError(f"horizon must be non-negative, got {self.horizon}")
+            raise ValueError(f"horizon must be non-negative, got {shown(self.horizon)}")
         _require_finite(self, "horizon", "sample_rate")
         if not math.isfinite(self.horizon * self.sample_rate):
             raise ValueError("horizon * sample_rate (the record count) overflows")
         if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+            raise ValueError(f"seed must be non-negative, got {shown(self.seed)}")
         if self.ulm.order_nu != 2 or self.controller.order_nu != 2:
             raise ValueError("the closed-loop harness implements the second-order law")
         _siso_value(self.observer.gain.weight, "observer.weight")

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import HolderGainParams, holder_gain
+from .core import HolderGainParams, holder_gain, shown
 
 __all__ = [
     "OutputObserverConfig",
@@ -81,7 +81,7 @@ def fts_observer_step(
 def asymptotic_observer_step(error, beta: float) -> np.ndarray:
     """Linear baseline error update: ``(1 - beta) / (1 + beta) * error``."""
     if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+        raise ValueError(f"beta must be positive, got {shown(beta)}")
     return ((1.0 - beta) / (1.0 + beta)) * np.atleast_1d(
         np.asarray(error, dtype=float)
     )
@@ -96,7 +96,7 @@ def steps_to_tolerance(
     ``norm(err) <= tol``, or None when the cap is exceeded.
     """
     if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+        raise ValueError(f"tol must be positive, got {shown(tol)}")
     err = np.atleast_1d(np.asarray(initial_error, dtype=float))
     for k in range(cap + 1):
         if float(np.linalg.norm(err)) <= tol:

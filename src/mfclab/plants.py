@@ -8,6 +8,7 @@ kernel backend (compiled extension when built, pure Python otherwise).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ._backend import BACKEND, kernels
-from .core import is_finite
+from .core import is_finite, shown
 
 __all__ = [
     "BACKEND",
@@ -41,7 +42,7 @@ class DivergenceError(RuntimeError):
 def _require_finite(obj, *names: str) -> None:
     for name in names:
         if not is_finite(getattr(obj, name)):
-            raise ValueError(f"{name} must be finite, got {getattr(obj, name)}")
+            raise ValueError(f"{name} must be finite, got {shown(getattr(obj, name))}")
 
 
 @dataclass(frozen=True)
@@ -149,9 +150,9 @@ def rk4_advance(
     """Advance one control period with zero-order-hold force, integrating
     with ``substeps`` internal RK4 steps."""
     if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+        raise ValueError(f"dt must be positive, got {shown(dt)}")
     if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
+        raise ValueError(f"substeps must be >= 1, got {shown(substeps)}")
     raw = _kernel(
         "rk4_advance", *state.as_tuple(), force, dt, substeps, *params.as_tuple()
     )
@@ -165,16 +166,43 @@ def _desired_theta_samples(
     dt: float,
     substeps: int = 10,
 ) -> np.ndarray:
-    """First ``count`` angle samples of the reference-generating loop."""
+    """First ``count`` angle samples of the reference-generating loop, as a
+    read-only array.
+
+    The samples are a function of the arguments alone, so each process
+    keeps the last 16 references: runs that share the plant, initial
+    truth, rate and horizon compute theirs once.  The memo keys on the
+    ``repr`` of the raw values, not on ``==``, which holds between ``-0.0``
+    and ``0.0`` (the first sample, logged as ``-0`` or ``0``) and between
+    an int and a float.  A failed reference raises and is not kept.  The
+    backend is no part of the key, since both twins give the same bits.
+    """
+    return _theta_samples(
+        _ByBits((params.as_tuple(), initial.as_tuple(), count, dt, substeps))
+    )
+
+
+class _ByBits(tuple):
+    """A tuple that equals another only when their ``repr``s match, so that
+    ``-0.0`` and ``0.0``, or ``1`` and ``1.0``, are different keys."""
+
+    def __hash__(self):
+        return hash(repr(self))
+
+    def __eq__(self, other):
+        return repr(self) == repr(other)
+
+
+@functools.lru_cache(maxsize=16)
+def _theta_samples(args: _ByBits) -> np.ndarray:
+    raw_params, raw, count, dt, substeps = args
     thetas = np.empty(count)
-    if count == 0:
-        return thetas
-    raw = initial.as_tuple()
-    raw_params = params.as_tuple()
-    thetas[0] = raw[1]
-    for k in range(1, count):
-        raw = _kernel("trajgen_advance", *raw, dt, substeps, *raw_params)
-        thetas[k] = raw[1]
+    if count:
+        thetas[0] = raw[1]
+        for k in range(1, count):
+            raw = _kernel("trajgen_advance", *raw, dt, substeps, *raw_params)
+            thetas[k] = raw[1]
+    thetas.flags.writeable = False
     return thetas
 
 
@@ -193,11 +221,11 @@ def generate_desired_trajectory(
     rows is floor(horizon/dt) + 1.
     """
     if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+        raise ValueError(f"horizon must be positive, got {shown(horizon)}")
     if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+        raise ValueError(f"dt must be positive, got {shown(dt)}")
     if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
+        raise ValueError(f"substeps must be >= 1, got {shown(substeps)}")
     count = int(math.floor(horizon / dt + 1e-9)) + 1
     thetas = _desired_theta_samples(params, initial, count, dt, substeps)
     t = np.arange(count) * dt
@@ -214,9 +242,11 @@ class NoiseModel:
 
     def __post_init__(self):
         if not (self.width > 0.0 and is_finite(self.width)):
-            raise ValueError(f"width must be positive and finite, got {self.width}")
+            raise ValueError(
+                f"width must be positive and finite, got {shown(self.width)}"
+            )
         if self.seed is not None and self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+            raise ValueError(f"seed must be non-negative, got {shown(self.seed)}")
 
 
 def _doubles(rng: np.random.Generator):
@@ -238,14 +268,12 @@ class BumpNoiseStream:
     ``sample`` reads the generator in blocks of 1,024 doubles and takes
     ``u = -1 + 2 d`` and ``h = d`` from them, which are the bits of
     ``uniform(-1, 1)`` and ``uniform(0, 1)``: the scalar samples are those
-    of two scalar ``uniform`` draws per attempt.  A ``sample_batch`` after
-    a ``sample`` on one stream starts past the drawn block, so it sees
-    other draws than on a fresh stream.
+    of two scalar ``uniform`` draws per attempt.
     """
 
     def __init__(self, width: float, seed: int):
         if not (width > 0.0 and is_finite(width)):
-            raise ValueError(f"width must be positive and finite, got {width}")
+            raise ValueError(f"width must be positive and finite, got {shown(width)}")
         self.width = width
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self._next_double = _doubles(self._rng).__next__
@@ -262,19 +290,8 @@ class BumpNoiseStream:
                 return 0.5 * self.width * u
 
     def sample_batch(self, n: int) -> np.ndarray:
-        """n samples via vectorized rejection (its own draw pattern; use a
-        dedicated stream when mixing with ``sample``)."""
-        out = np.empty(0)
-        while out.size < n:
-            m = max(1024, int(1.8 * (n - out.size)))
-            u = self._rng.uniform(-1.0, 1.0, size=m)
-            h = self._rng.uniform(0.0, 1.0, size=m)
-            u2 = u * u
-            ok = u2 < 1.0
-            accept = np.zeros(m, dtype=bool)
-            accept[ok] = h[ok] < np.exp(1.0 - 1.0 / (1.0 - u2[ok]))
-            out = np.concatenate([out, 0.5 * self.width * u[accept]])
-        return out[:n]
+        """The next n samples of ``sample``, as an array."""
+        return np.fromiter((self.sample() for _ in range(n)), float, n)
 
 
 @dataclass(frozen=True)

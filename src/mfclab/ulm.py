@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import HolderGainParams, forward_difference, holder_gain
+from .core import HolderGainParams, forward_difference, holder_gain, shown
 
 __all__ = [
     "FIRST_ORDER",
@@ -48,7 +48,7 @@ class UlmConfig:
 
     def __post_init__(self):
         if self.order_nu < 1:
-            raise ValueError(f"order_nu must be >= 1, got {self.order_nu}")
+            raise ValueError(f"order_nu must be >= 1, got {shown(self.order_nu)}")
         if self.observer_order not in (FIRST_ORDER, SECOND_ORDER):
             raise ValueError(
                 f"observer_order must be '{FIRST_ORDER}' or '{SECOND_ORDER}', "

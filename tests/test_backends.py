@@ -174,6 +174,7 @@ def test_logs_byte_equal_across_backends(rate, seed, compiled_kernels, monkeypat
     logs = []
     for module in (_kernels_py, compiled_kernels):
         monkeypatch.setattr(plants, "kernels", module)
+        plants._theta_samples.cache_clear()  # each twin computes its reference
         path = tmp_path / f"{module.BACKEND_NAME}.csv"
         write_log_csv(run_closed_loop(config), path)
         logs.append(path.read_bytes())

@@ -24,6 +24,8 @@ NON_FINITE = [
     -np.inf,
     pytest.param(10**400, id="int-1e400"),
     pytest.param(-(10**400), id="int--1e400"),
+    pytest.param(10**5000, id="int-1e5000"),
+    pytest.param(-(10**5000), id="int--1e5000"),
 ]
 
 PAPER_CTL = ControllerConfig(
@@ -218,6 +220,12 @@ class TestInfluenceGain:
     def test_fixed_non_finite_matrix_rejected(self, value):
         with pytest.raises(ValueError, match="influence matrix must be finite"):
             FixedInfluence(np.array([[value]]))
+        with pytest.raises(ValueError, match="influence scalar must be nonzero and finite"):
+            FixedInfluence(value)
+
+    @pytest.mark.parametrize("value", ["1.5", b"1.5", np.str_("1.5")], ids=repr)
+    def test_fixed_string_scalar_rejected(self, value):
+        # ``float`` parses a string, so only its type tells it apart
         with pytest.raises(ValueError, match="influence scalar must be nonzero and finite"):
             FixedInfluence(value)
 

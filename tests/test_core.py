@@ -98,10 +98,20 @@ class TestHolderGain:
             dict(weight=10**400, margin=1.0, exponent=1.5),
             dict(weight=-(10**400), margin=1.0, exponent=1.5),
             dict(weight=1.0, margin=10**400, exponent=1.5),
+            dict(weight=10**5000, margin=1.0, exponent=1.5),
+            dict(weight=1.0, margin=10**5000, exponent=1.5),
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
+            HolderGainParams(**kwargs)
+
+    @pytest.mark.parametrize("name", ["weight", "margin", "exponent"])
+    @pytest.mark.parametrize("value", [10**5000, -(10**5000)], ids=["+", "-"])
+    def test_int_past_str_limit_named(self, name, value):
+        # str() of such an int raises; the message must still name the field
+        kwargs = {"weight": 1.0, "margin": 1.0, "exponent": 1.5, name: value}
+        with pytest.raises(ValueError, match=f"{name} must .*, got an int too large"):
             HolderGainParams(**kwargs)
 
     @pytest.mark.parametrize(
@@ -112,6 +122,8 @@ class TestHolderGain:
             -math.inf,
             pytest.param(10**400, id="int-1e400"),
             pytest.param(-(10**400), id="int--1e400"),
+            pytest.param(10**5000, id="int-1e5000"),
+            pytest.param(-(10**5000), id="int--1e5000"),
         ],
     )
     def test_non_finite_weight_matrix_rejected(self, value):

@@ -27,6 +27,7 @@ from mfclab import (
     config_to_dict,
     demo_config,
     holder_gain,
+    plants,
     read_config,
     read_log_csv,
     run_closed_loop,
@@ -165,6 +166,9 @@ class TestExperimentConfig:
             ({"sample_rate": math.inf}, "sample_rate must be finite"),
             ({"horizon": 1e308}, "overflows"),
             ({"horizon": 10**400}, "horizon must be finite"),
+            ({"horizon": 10**5000}, "horizon must be finite"),
+            ({"horizon": -(10**5000)}, "horizon must be non-negative"),
+            ({"seed": -(10**5000)}, "seed must be non-negative"),
         ],
         ids=[
             "horizon-inf",
@@ -172,6 +176,9 @@ class TestExperimentConfig:
             "rate-inf",
             "record-count-overflow",
             "horizon-int-1e400",
+            "horizon-int-1e5000",
+            "horizon-int--1e5000",
+            "seed-int--1e5000",
         ],
     )
     def test_non_finite_horizon_and_rate_rejected(self, changes, match):
@@ -387,6 +394,76 @@ class TestRunClosedLoop:
         )
         assert worst_meas <= 2.0 * amplitude
         assert worst_truth <= 2.0 * amplitude
+
+
+def _csv_bytes(log, tmp_path):
+    path = tmp_path / "log.csv"
+    write_log_csv(log, path)
+    return path.read_bytes()
+
+
+class TestReferenceMemo:
+    """Runs that share a pendulum reference compute it once, and the memo
+    never changes a log byte."""
+
+    BASE = dataclasses.replace(demo_config(seed=0), horizon=2.0)
+
+    @pytest.mark.parametrize(
+        "changes, kwargs",
+        [
+            ({"seed": 1}, {}),
+            ({"noise": None}, {}),
+            ({}, {"oracle_f": True}),
+            ({}, {"f_hat_bias": 0.05}),
+        ],
+        ids=["seed", "noise-off", "oracle", "bias"],
+    )
+    def test_shared_reference_computed_once(self, changes, kwargs, monkeypatch, tmp_path):
+        calls = []
+        kernel = plants._kernel
+
+        def counting(name, *args):
+            calls.append(name)
+            return kernel(name, *args)
+
+        monkeypatch.setattr(plants, "_kernel", counting)
+        config = dataclasses.replace(self.BASE, **changes)
+        plants._theta_samples.cache_clear()
+        cold = _csv_bytes(run_closed_loop(config, **kwargs), tmp_path)
+        # the reference runs one sample past the last logged row
+        assert calls.count("trajgen_advance") == self.BASE.n_records
+        plants._theta_samples.cache_clear()
+        run_closed_loop(self.BASE)
+        calls.clear()
+        warm = _csv_bytes(run_closed_loop(config, **kwargs), tmp_path)
+        assert calls.count("trajgen_advance") == 0
+        assert warm == cold
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (
+                {"initial_truth": PendulumState(theta=-0.0)},
+                {"initial_truth": PendulumState(theta=0.0)},
+            ),
+            (
+                {"plant": PendulumParams(cart_mass=2, gravity=10)},
+                {"plant": PendulumParams(cart_mass=2.0, gravity=10.0)},
+            ),
+        ],
+        ids=["signed-zero", "int-float"],
+    )
+    @pytest.mark.parametrize("order", ["a-first", "b-first"])
+    def test_equal_but_unlike_configs_keep_their_bytes(self, a, b, order, tmp_path):
+        configs = [dataclasses.replace(self.BASE, **changes) for changes in (a, b)]
+        if order == "b-first":
+            configs.reverse()
+        cold = []
+        for config in configs:
+            plants._theta_samples.cache_clear()
+            cold.append(_csv_bytes(run_closed_loop(config), tmp_path))
+        plants._theta_samples.cache_clear()
+        assert [_csv_bytes(run_closed_loop(c), tmp_path) for c in configs] == cold
 
 
 def _same_float(a, b):

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import types
 import weakref
 
 import numpy as np
@@ -16,6 +17,7 @@ from mfclab import (
     friction_forces,
     generate_desired_trajectory,
     pendulum_accel,
+    plants,
     rk4_advance,
     rk4_step,
     synthetic_ulm_plant_step,
@@ -44,6 +46,8 @@ def _float_fields(cls):
         math.nan,
         pytest.param(10**400, id="int-1e400"),
         pytest.param(-(10**400), id="int--1e400"),
+        pytest.param(10**5000, id="int-1e5000"),
+        pytest.param(-(10**5000), id="int--1e5000"),
     ],
 )
 def test_non_finite_field_rejected(cls, name, value):
@@ -218,6 +222,49 @@ class TestDesiredTrajectory:
             generate_desired_trajectory(PARAMS, PendulumState(), 1.0, -0.1)
 
 
+class TestReferenceMemo:
+    """``plants._desired_theta_samples`` keeps each reference per process."""
+
+    def test_cached_samples_read_only_and_trajectory_writable(self):
+        plants._theta_samples.cache_clear()
+        state = PendulumState(theta=0.3)
+        thetas = plants._desired_theta_samples(PARAMS, state, 51, 0.02)
+        assert not thetas.flags.writeable
+        with pytest.raises(ValueError):
+            thetas[0] = 1.0
+        assert plants._desired_theta_samples(PARAMS, state, 51, 0.02) is thetas
+        trajectory = generate_desired_trajectory(PARAMS, state, 1.0, 0.02)
+        assert trajectory.flags.writeable
+        trajectory[0, 1] = 1.0
+        assert thetas[0] == 0.3
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (PendulumState(theta=-0.0), PendulumState(theta=0.0)),
+            (PendulumState(x=1, theta=0.1), PendulumState(x=1.0, theta=0.1)),
+        ],
+        ids=["signed-zero", "int-float"],
+    )
+    def test_equal_but_unlike_arguments_kept_apart(self, a, b):
+        plants._theta_samples.cache_clear()
+        first = plants._desired_theta_samples(PARAMS, a, 11, 0.02)
+        second = plants._desired_theta_samples(PARAMS, b, 11, 0.02)
+        assert first is not second
+        assert plants._theta_samples.cache_info().misses == 2
+
+    def test_failed_reference_not_kept(self, monkeypatch):
+        plants._theta_samples.cache_clear()
+        state = PendulumState(theta=0.3)
+        failing = types.SimpleNamespace(trajgen_advance=lambda *a: (math.nan,) * 4)
+        with monkeypatch.context() as m:
+            m.setattr(plants, "kernels", failing)
+            with pytest.raises(DivergenceError):
+                plants._desired_theta_samples(PARAMS, state, 11, 0.02)
+        assert np.isfinite(plants._desired_theta_samples(PARAMS, state, 11, 0.02)).all()
+        assert plants._theta_samples.cache_info().currsize == 1
+
+
 class TestBumpNoise:
     def test_support_bound(self):
         stream = BumpNoiseStream(width=0.018, seed=42)
@@ -262,19 +309,12 @@ class TestBumpNoise:
         got = [stream.sample().hex() for _ in range(3000)]
         assert got == [x.hex() for x in self._uniform_pattern(0.018, seed, 3000)]
 
-    def test_batch_on_fresh_stream_matches_uniform_arrays(self):
-        n = 2000
-        rng = np.random.Generator(np.random.PCG64(11))
-        expected = np.empty(0)
-        while expected.size < n:
-            m = max(1024, int(1.8 * (n - expected.size)))
-            u = rng.uniform(-1.0, 1.0, size=m)
-            h = rng.uniform(0.0, 1.0, size=m)
-            with np.errstate(divide="ignore"):
-                accept = (u * u < 1.0) & (h < np.exp(1.0 - 1.0 / (1.0 - u * u)))
-            expected = np.concatenate([expected, 0.5 * 0.018 * u[accept]])
-        got = BumpNoiseStream(width=0.018, seed=11).sample_batch(n)
-        assert got.tobytes() == expected[:n].tobytes()
+    def test_batch_equals_scalar_samples_on_twin_stream(self):
+        a = BumpNoiseStream(width=0.018, seed=11)
+        b = BumpNoiseStream(width=0.018, seed=11)
+        got = [a.sample_batch(2000), a.sample_batch(0), [a.sample()], a.sample_batch(5)]
+        want = [b.sample() for _ in range(2006)]
+        assert [float(x).hex() for x in np.concatenate(got)] == [x.hex() for x in want]
 
     def test_sampled_stream_freed_without_cyclic_gc(self):
         stream = BumpNoiseStream(width=0.018, seed=0)
