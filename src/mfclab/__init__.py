@@ -27,6 +27,7 @@ from .core import (
     lyapunov_recursion,
 )
 from .harness import (
+    CSV_HEADER,
     ExperimentConfig,
     RunLog,
     RunMetrics,
@@ -41,7 +42,6 @@ from .harness import (
     write_log_csv,
 )
 from .observers import (
-    OutputObserverConfig,
     OutputObserverState,
     asymptotic_observer_step,
     fts_observer_step,

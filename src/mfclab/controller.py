@@ -16,7 +16,15 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import HolderGainParams, forward_difference, holder_gain, is_finite, shown
+from .core import (
+    HolderGainParams,
+    forward_difference,
+    holder_gain,
+    is_positive,
+    require_finite,
+    same_fields,
+    scalar_or_matrix,
+)
 
 __all__ = [
     "FixedInfluence",
@@ -39,37 +47,11 @@ class FixedInfluence:
     value: Union[float, np.ndarray]
 
     def __post_init__(self):
-        if np.isscalar(self.value):
-            if isinstance(self.value, (str, bytes)):  # which ``float`` parses
-                raise ValueError(
-                    f"influence scalar must be nonzero and finite, got {self.value!r}"
-                )
-            try:
-                v = float(self.value)
-            except OverflowError:
-                v = math.inf
-            if v == 0.0 or not math.isfinite(v):
-                raise ValueError(f"influence scalar must be nonzero and finite, got {v}")
-            object.__setattr__(self, "value", v)
-        else:
-            try:
-                v = np.asarray(self.value, dtype=float)
-            except OverflowError:
-                raise ValueError("influence matrix must be finite") from None
-            if v.ndim != 2:
-                raise ValueError(f"influence matrix must be 2-D, got shape {v.shape}")
-            if not np.isfinite(v).all():
-                raise ValueError("influence matrix must be finite")
-            object.__setattr__(self, "value", v)
+        rule = "influence scalar must be nonzero and finite"
+        g = scalar_or_matrix(self.value, rule, "influence matrix", bool, False)
+        object.__setattr__(self, "value", g)
 
-    def __eq__(self, other):
-        if not isinstance(other, FixedInfluence):
-            return NotImplemented
-        if isinstance(self.value, float) != isinstance(other.value, float):
-            return False
-        if isinstance(self.value, float):
-            return self.value == other.value
-        return np.array_equal(self.value, other.value)
+    __eq__ = same_fields
 
 
 @dataclass(frozen=True)
@@ -79,8 +61,7 @@ class AdaptiveInfluence:
     base: float
 
     def __post_init__(self):
-        if not (self.base > 0.0 and is_finite(self.base)):
-            raise ValueError(f"base must be positive and finite, got {shown(self.base)}")
+        require_finite(self, "base", ok=is_positive, rule="be positive and finite")
 
 
 InfluencePolicy = Union[FixedInfluence, AdaptiveInfluence]
@@ -101,7 +82,9 @@ class ControllerConfig:
     influence_policy: InfluencePolicy
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
+        object.__setattr__(self, "coefficients", tuple(self.coefficients))
+        require_finite(self, "coefficients")
+        coeffs = tuple(map(float, self.coefficients))
         object.__setattr__(self, "coefficients", coeffs)
         bounds = (1.0,) + coeffs
         for hi, lo in zip(bounds, coeffs):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -30,22 +30,91 @@ __all__ = [
 ]
 
 
+def is_number(value) -> bool:
+    """True for a real number: a bool, int or float, or a numpy scalar or
+    0-d array of bool, int or float dtype.  A string is none, although
+    ``float`` parses it."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.ndim == 0 and value.dtype.kind in "biuf"
+    return isinstance(value, numbers.Real)
+
+
 def is_finite(value) -> bool:
-    """``math.isfinite`` that reads an int too large for a float as not
-    finite, where ``math.isfinite`` raises ``OverflowError``."""
+    """True for a finite number (see ``is_number``); an int too large for
+    a float is not finite, where ``math.isfinite`` raises."""
     try:
-        return math.isfinite(value)
+        return is_number(value) and math.isfinite(value)
     except OverflowError:
         return False
 
 
+def is_positive(value) -> bool:
+    """True for a positive finite number."""
+    return is_finite(value) and value > 0.0
+
+
 def shown(value) -> str:
-    """``str(value)`` for an error message, or a description of an int
-    past Python's 4,300-digit limit on ``str``, which raises there."""
+    """``value`` for an error message: a string in quotes, and a
+    description of an int past Python's 4,300-digit limit on ``str``,
+    which raises there."""
+    if isinstance(value, (str, bytes)):
+        return repr(value)
     try:
         return str(value)
     except ValueError:
         return "an int too large for a float"
+
+
+def require_finite(obj, *names: str, ok=None, rule: str = "be finite") -> None:
+    """Raise a ``ValueError`` naming the first of the fields ``names`` of
+    ``obj`` (a tuple field element by element) that is no finite number.
+
+    No number, or one that fails ``ok``, reads "<name> must <rule>, got
+    <value>"; a number that passes ``ok`` but is not finite reads "<name>
+    must be finite".  So a sign rule reports ``-10**400`` by its sign.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if not (is_number(v) and (ok is None or ok(v))):
+                raise ValueError(f"{name} must {rule}, got {shown(v)}")
+            if not is_finite(v):
+                raise ValueError(f"{name} must be finite, got {shown(v)}")
+
+
+def scalar_or_matrix(value, scalar_rule: str, matrix: str, ok, square: bool):
+    """``value`` as a float, or as a read-only copy of a 2-D float array.
+
+    A 0-d value must be a finite number that passes ``ok``, else it fails
+    with "<scalar_rule>, got <value>".  A matrix, named ``matrix`` in its
+    errors, must be 2-D (square if ``square``) and hold finite numbers: a
+    string array is rejected, although ``float`` parses its elements.
+    """
+    m = np.asarray(value)
+    if m.ndim == 0:
+        if not (is_finite(value) and ok(value)):
+            raise ValueError(f"{scalar_rule}, got {shown(value)}")
+        return float(value)
+    kind = m.dtype.kind
+    if not (kind in "biuf" or (kind == "O" and all(map(is_finite, m.flat)))):
+        raise ValueError(f"{matrix} must be finite")
+    if m.ndim != 2 or (square and m.shape[0] != m.shape[1]):
+        shape = "square" if square else "2-D"
+        raise ValueError(f"{matrix} must be {shape}, got shape {m.shape}")
+    m = m.astype(float)  # a copy: the caller's array cannot change it
+    if not np.isfinite(m).all():
+        raise ValueError(f"{matrix} must be finite")
+    m.flags.writeable = False
+    return m
+
+
+def same_fields(self, other):
+    """``__eq__`` of a dataclass of number fields, where a matrix equals
+    only an array of its shape and values, never a scalar."""
+    if type(other) is not type(self):
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(np.array_equal(a, b) for a, b in pairs)
 
 
 def fractional_power(x: float, a: float) -> float:
@@ -73,45 +142,20 @@ class HolderGainParams:
     exponent: float
 
     def __post_init__(self):
-        if isinstance(self.weight, numbers.Real):
-            if not (is_finite(self.weight) and self.weight > 0.0):
-                raise ValueError(
-                    "scalar weight must be positive and finite, "
-                    f"got {shown(self.weight)}"
-                )
-            object.__setattr__(self, "weight", float(self.weight))
-        else:
-            try:
-                w = np.asarray(self.weight, dtype=float)
-            except OverflowError:
-                raise ValueError("weight matrix must be finite") from None
-            if w.ndim != 2 or w.shape[0] != w.shape[1]:
-                raise ValueError(f"weight matrix must be square, got shape {w.shape}")
-            if not np.isfinite(w).all():
-                raise ValueError("weight matrix must be finite")
+        rule = "scalar weight must be positive and finite"
+        w = scalar_or_matrix(self.weight, rule, "weight matrix", is_positive, True)
+        if isinstance(w, np.ndarray):
             if not np.allclose(w, w.T, rtol=1e-12, atol=0.0):
                 raise ValueError("weight matrix must be symmetric")
             if np.linalg.eigvalsh(w).min() <= 0.0:
                 raise ValueError("weight matrix must be positive definite")
-            w = w.copy()
-            w.flags.writeable = False
-            object.__setattr__(self, "weight", w)
-        if not (self.margin > 0.0 and is_finite(self.margin)):
-            raise ValueError(f"margin must be positive, got {shown(self.margin)}")
-        if not 1.0 < self.exponent < 2.0:
-            raise ValueError(f"exponent must lie in (1, 2), got {shown(self.exponent)}")
-
-    def __eq__(self, other):
-        if not isinstance(other, HolderGainParams):
-            return NotImplemented
-        if isinstance(self.weight, float) != isinstance(other.weight, float):
-            return False
-        same_w = (
-            self.weight == other.weight
-            if isinstance(self.weight, float)
-            else np.array_equal(self.weight, other.weight)
+        object.__setattr__(self, "weight", w)
+        require_finite(self, "margin", ok=is_positive, rule="be positive")
+        require_finite(
+            self, "exponent", ok=lambda p: 1.0 < p < 2.0, rule="lie in (1, 2)"
         )
-        return same_w and self.margin == other.margin and self.exponent == other.exponent
+
+    __eq__ = same_fields
 
     def quadratic_form(self, err: np.ndarray) -> float:
         """x' W x for the configured weight; never negative."""
@@ -176,10 +220,8 @@ class LyapunovRecursionSpec:
     max_steps: int = 10_000
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {shown(self.alpha)}")
-        if not (self.c0 >= 0.0 and is_finite(self.c0)):
-            raise ValueError(f"c0 must be finite and non-negative, got {shown(self.c0)}")
+        require_finite(self, "alpha", ok=lambda a: 0.0 < a < 1.0, rule="lie in (0, 1)")
+        require_finite(self, "c0", ok=lambda c: c >= 0.0, rule="be non-negative")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be positive, got {shown(self.max_steps)}")
         if isinstance(self.ratio_sequence, numbers.Real):
@@ -235,7 +277,7 @@ def gamma_ratio_bound(chi: float, mu: float, exponent: float):
     """
     if not 0.0 < chi < 1.0:
         raise ValueError(f"chi must lie in (0, 1), got {shown(chi)}")
-    if not (mu > 0.0 and is_finite(mu)):
+    if not is_positive(mu):
         raise ValueError(f"mu must be positive, got {shown(mu)}")
     if not 1.0 < exponent < 2.0:
         raise ValueError(f"exponent must lie in (1, 2), got {shown(exponent)}")

@@ -32,8 +32,7 @@ import numpy as np
 
 from ._backend import BACKEND
 from .controller import AdaptiveInfluence, ControllerConfig, FixedInfluence
-from .core import HolderGainParams, shown
-from .observers import OutputObserverConfig
+from .core import HolderGainParams, require_finite, shown
 from .plants import (
     BumpNoiseStream,
     DivergenceError,
@@ -43,7 +42,6 @@ from .plants import (
     SyntheticUlmParams,
     _desired_theta_samples,
     _kernel,
-    _require_finite,
 )
 from .ulm import SECOND_ORDER, UlmConfig
 
@@ -82,7 +80,7 @@ class ExperimentConfig:
     plant: Union[PendulumParams, SyntheticUlmParams]
     horizon: float
     sample_rate: float
-    observer: OutputObserverConfig
+    observer: HolderGainParams
     ulm: UlmConfig
     controller: ControllerConfig
     noise: Optional[NoiseModel]
@@ -92,28 +90,23 @@ class ExperimentConfig:
     allow_unseparated_gains: bool = False
 
     def __post_init__(self):
-        if not self.sample_rate > 0.0:
-            raise ValueError(
-                f"sample_rate must be positive, got {shown(self.sample_rate)}"
-            )
-        if self.horizon < 0.0:
-            raise ValueError(f"horizon must be non-negative, got {shown(self.horizon)}")
-        _require_finite(self, "horizon", "sample_rate")
+        require_finite(self, "sample_rate", ok=lambda r: r > 0.0, rule="be positive")
+        # NaN passes the sign rule, to be reported as not finite
+        require_finite(self, "horizon", ok=lambda h: not h < 0, rule="be non-negative")
         if not math.isfinite(self.horizon * self.sample_rate):
             raise ValueError("horizon * sample_rate (the record count) overflows")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {shown(self.seed)}")
         if self.ulm.order_nu != 2 or self.controller.order_nu != 2:
             raise ValueError("the closed-loop harness implements the second-order law")
-        _siso_value(self.observer.gain.weight, "observer.weight")
+        _siso_value(self.observer.weight, "observer.weight")
         policy = self.controller.influence_policy
         key = "controller.influence_policy.value"
         if isinstance(policy, FixedInfluence) and _siso_value(policy.value, key) == 0.0:
             raise ValueError(f"{key} must be nonzero")
-        obs_gain = self.observer.gain
         separated = (
-            self.controller.margin < obs_gain.margin
-            and self.controller.exponent < obs_gain.exponent
+            self.controller.margin < self.observer.margin
+            and self.controller.exponent < self.observer.exponent
         )
         if not separated:
             msg = (
@@ -143,9 +136,7 @@ def demo_config(seed: int = 0) -> ExperimentConfig:
         plant=PendulumParams(),
         horizon=70.0,
         sample_rate=50.0,
-        observer=OutputObserverConfig(
-            gain=HolderGainParams(weight=2.1, margin=2.0, exponent=7.0 / 5.0)
-        ),
+        observer=HolderGainParams(weight=2.1, margin=2.0, exponent=7.0 / 5.0),
         ulm=UlmConfig(order_nu=2, margin=1.5, exponent=9.0 / 7.0),
         controller=ControllerConfig(
             margin=1.0,
@@ -372,7 +363,7 @@ def _run_loop(config, plant, oracle_f, f_hat_bias, rows: array) -> bool:
     """
     ctl = config.controller
     mu = ctl.mu
-    observer_gain = _float_gain(config.observer.gain)
+    observer_gain = _float_gain(config.observer)
     ulm_gain = _float_gain(config.ulm.gain)
     ctl_gain = _float_gain(ctl.gain)
     influence = _float_influence(ctl.influence_policy)
@@ -517,9 +508,11 @@ def write_log_csv(log: RunLog, path) -> None:
 
 
 def read_log_csv(path) -> RunLog:
-    """Read a log CSV produced by ``write_log_csv``; blank lines are skipped."""
+    """Read a log CSV produced by ``write_log_csv``; blank lines are skipped.
+    Every value must be finite, as in every log a run writes."""
     width = len(_COLUMNS)
     rows = array("d")
+    blank = []  # per skipped blank line, the count of values read before it
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
@@ -528,6 +521,7 @@ def read_log_csv(path) -> RunLog:
             values = line.split(",")
             if len(values) != width:
                 if line.isspace():
+                    blank.append(len(rows))
                     continue
                 raise ValueError(
                     f"{path}, line {lineno}: expected {width} columns, "
@@ -537,6 +531,12 @@ def read_log_csv(path) -> RunLog:
                 rows.extend(map(float, values))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    finite = np.isfinite(np.frombuffer(rows, dtype=float))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        lineno = i // width + 2 + sum(n <= i for n in blank)
+        name = CSV_HEADER.split(",")[i % width]
+        raise ValueError(f"{path}, line {lineno}: {name} must be finite, got {rows[i]}")
     return _log_from_rows(rows, False, {"source": str(path)})
 
 
@@ -553,8 +553,6 @@ _KINDS = {
     AdaptiveInfluence: "adaptive",
     FixedInfluence: "fixed",
 }
-# the observer object holds the keys of its single gain field
-_FLATTENED = {OutputObserverConfig: "gain"}
 # keys a file may omit: the field default applies, or null without one
 _OPTIONAL = {
     ExperimentConfig: {"noise", "allow_unseparated_gains"},
@@ -576,8 +574,6 @@ def _encode(value):
     if isinstance(value, tuple):
         return [_encode(v) for v in value]
     cls = type(value)
-    if cls in _FLATTENED:
-        return _encode(getattr(value, _FLATTENED[cls]))
     d = {"kind": _KINDS[cls]} if cls in _KINDS else {}
     for name in _field_types(cls):
         d[name] = _encode(getattr(value, name))
@@ -655,9 +651,6 @@ def _decode_object(cls, raw, path: str):
     if not isinstance(raw, dict):
         raise _type_error(path, "an object", raw)
     types = _field_types(cls)
-    if cls in _FLATTENED:
-        name = _FLATTENED[cls]
-        return cls(**{name: _decode(types[name][1], raw, path)})
     unknown = sorted(set(raw) - set(types))
     if unknown:
         raise ValueError(f"unknown key(s) {unknown} in {path or 'config'}")

@@ -18,19 +18,11 @@ import numpy as np
 from .core import HolderGainParams, holder_gain, shown
 
 __all__ = [
-    "OutputObserverConfig",
     "OutputObserverState",
     "fts_observer_step",
     "asymptotic_observer_step",
     "steps_to_tolerance",
 ]
-
-
-@dataclass(frozen=True)
-class OutputObserverConfig:
-    """Gain triple of the output observer (weight, margin, exponent)."""
-
-    gain: HolderGainParams
 
 
 @dataclass(frozen=True)
@@ -59,7 +51,7 @@ class OutputObserverState:
 
 
 def fts_observer_step(
-    state: OutputObserverState, new_measurement, config: OutputObserverConfig
+    state: OutputObserverState, new_measurement, gain: HolderGainParams
 ) -> OutputObserverState:
     """Advance the observer with the next measurement.
 
@@ -74,7 +66,7 @@ def fts_observer_step(
         raise ValueError(
             f"measurement shape {m.shape} does not match state shape {err.shape}"
         )
-    estimate = m + holder_gain(err, config.gain) * err
+    estimate = m + holder_gain(err, gain) * err
     return OutputObserverState(estimate=estimate, last_error=estimate - m)
 
 
@@ -88,7 +80,7 @@ def asymptotic_observer_step(error, beta: float) -> np.ndarray:
 
 
 def steps_to_tolerance(
-    initial_error, config: OutputObserverConfig, tol: float, cap: int
+    initial_error, gain: HolderGainParams, tol: float, cap: int
 ) -> Optional[int]:
     """First step index at which the noiseless error map is within ``tol``.
 
@@ -101,5 +93,5 @@ def steps_to_tolerance(
     for k in range(cap + 1):
         if float(np.linalg.norm(err)) <= tol:
             return k
-        err = holder_gain(err, config.gain) * err
+        err = holder_gain(err, gain) * err
     return None

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ._backend import BACKEND, kernels
-from .core import is_finite, shown
+from .core import is_positive, require_finite, shown
 
 __all__ = [
     "BACKEND",
@@ -39,12 +39,6 @@ class DivergenceError(RuntimeError):
     """A simulated trajectory produced a non-finite state."""
 
 
-def _require_finite(obj, *names: str) -> None:
-    for name in names:
-        if not is_finite(getattr(obj, name)):
-            raise ValueError(f"{name} must be finite, got {shown(getattr(obj, name))}")
-
-
 @dataclass(frozen=True)
 class PendulumParams:
     """Cart-pendulum constants; friction saturates at +-cart_friction /
@@ -59,15 +53,11 @@ class PendulumParams:
     pend_friction: float = 0.0032
 
     def __post_init__(self):
-        _require_finite(self, *(f.name for f in fields(self)))
-        for name in ("cart_mass", "pend_mass", "half_length", "inertia", "gravity"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("cart_friction", "pend_friction"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(
-                    f"{name} must be non-negative, got {getattr(self, name)}"
-                )
+        require_finite(self, *(f.name for f in fields(self)))
+        positive = ("cart_mass", "pend_mass", "half_length", "inertia", "gravity")
+        require_finite(self, *positive, ok=lambda v: v > 0.0, rule="be positive")
+        friction = ("cart_friction", "pend_friction")
+        require_finite(self, *friction, ok=lambda v: v >= 0.0, rule="be non-negative")
         # worst-case determinant of the mass matrix (cos(theta) = +-1)
         m_l = self.pend_mass * self.half_length
         det_min = (self.cart_mass + self.pend_mass) * (
@@ -99,7 +89,7 @@ class PendulumState:
     theta_dot: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, "x", "theta", "x_dot", "theta_dot")
+        require_finite(self, "x", "theta", "x_dot", "theta_dot")
 
     def as_tuple(self):
         return (self.x, self.theta, self.x_dot, self.theta_dot)
@@ -241,10 +231,7 @@ class NoiseModel:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if not (self.width > 0.0 and is_finite(self.width)):
-            raise ValueError(
-                f"width must be positive and finite, got {shown(self.width)}"
-            )
+        require_finite(self, "width", ok=is_positive, rule="be positive and finite")
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {shown(self.seed)}")
 
@@ -272,7 +259,7 @@ class BumpNoiseStream:
     """
 
     def __init__(self, width: float, seed: int):
-        if not (width > 0.0 and is_finite(width)):
+        if not is_positive(width):
             raise ValueError(f"width must be positive and finite, got {shown(width)}")
         self.width = width
         self._rng = np.random.Generator(np.random.PCG64(seed))
@@ -314,7 +301,7 @@ class SyntheticUlmParams:
     desired_period: float = 1.0
 
     def __post_init__(self):
-        _require_finite(
+        require_finite(
             self, "f_value", "f_period", "y0", "y1", "desired_amplitude", "desired_period"
         )
         if self.f_mode not in ("zero", "constant", "sine"):

@@ -64,7 +64,7 @@ class UlmConfig:
 
 @dataclass(frozen=True)
 class UlmObserverState:
-    """Observer state; the delta fields are used by the second order only.
+    """Observer state; ``delta_f_hat`` is used by the second order only.
 
     ``consumed`` counts how many reconstructed values have been absorbed,
     which lets ``ulm_predict`` be called with a growing history.
@@ -73,7 +73,6 @@ class UlmObserverState:
     f_hat: np.ndarray
     f_prev: Optional[np.ndarray] = None
     delta_f_hat: Optional[np.ndarray] = None
-    delta_f_prev: Optional[np.ndarray] = None
     consumed: int = 0
 
     @classmethod
@@ -141,7 +140,6 @@ def second_order_step(
         f_hat=new_f_hat,
         f_prev=f_known,
         delta_f_hat=new_delta_hat,
-        delta_f_prev=delta_prev,
         consumed=state.consumed + 1,
     )
 

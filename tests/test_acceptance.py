@@ -21,7 +21,6 @@ from mfclab import (
     FixedInfluence,
     HolderGainParams,
     LyapunovRecursionSpec,
-    OutputObserverConfig,
     OutputObserverState,
     PendulumParams,
     PendulumState,
@@ -42,9 +41,7 @@ from mfclab import (
     second_order_step,
 )
 
-OBS_GAINS = OutputObserverConfig(
-    gain=HolderGainParams(weight=2.1, margin=2.0, exponent=7.0 / 5.0)
-)
+OBS_GAINS = HolderGainParams(weight=2.1, margin=2.0, exponent=7.0 / 5.0)
 ULM_GAINS = UlmConfig(order_nu=2, margin=1.5, exponent=9.0 / 7.0)
 CTL_GAINS = ControllerConfig(
     margin=1.0,

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from mfclab import (
+    CSV_HEADER,
     ControllerConfig,
     FixedInfluence,
     config_from_dict,
@@ -15,7 +16,6 @@ from mfclab import (
     write_config,
 )
 from mfclab.cli import main
-from mfclab.harness import CSV_HEADER
 
 
 def _demo_with(value, *path):
@@ -93,6 +93,7 @@ BAD_CONFIGS = {
 
 _ROW = ",".join(["0.5"] * 13)
 _ROW_12 = ",".join(["0.5"] * 12)
+_ROW_F_HAT_MINUS_INF = ",".join(["0.5"] * 8 + ["-Infinity"] + ["0.5"] * 4)
 
 # case id -> (log file text, what its error message must contain)
 MALFORMED_LOGS = {
@@ -103,6 +104,15 @@ MALFORMED_LOGS = {
         "abc",
     ),
     "header-only": (f"{CSV_HEADER}\n", "empty"),
+    "nan": (
+        f"{CSV_HEADER}\n{_ROW}\n{_ROW.replace('0.5', 'nan', 1)}\n",
+        "line 3: t must be finite, got nan",
+    ),
+    "inf": (f"{CSV_HEADER}\n{_ROW_12},inf\n", "line 2: G must be finite, got inf"),
+    "minus-infinity-after-blank-lines": (
+        f"{CSV_HEADER}\n\n{_ROW}\n\n{_ROW_F_HAT_MINUS_INF}\n",
+        "line 5: F_hat must be finite, got -inf",
+    ),
 }
 
 

@@ -26,6 +26,7 @@ NON_FINITE = [
     pytest.param(-(10**400), id="int--1e400"),
     pytest.param(10**5000, id="int-1e5000"),
     pytest.param(-(10**5000), id="int--1e5000"),
+    pytest.param("1.5", id="str"),
 ]
 
 PAPER_CTL = ControllerConfig(
@@ -198,6 +199,9 @@ class TestControlLaws:
             ControllerConfig(
                 1.0, 11.0 / 9.0, (0.5, 0.25), FixedInfluence(1.0)
             ).mu
+        for coefficients in (("0.35",), (10**5000,)):
+            with pytest.raises(ValueError, match="^coefficients must be finite"):
+                ControllerConfig(1.0, 11.0 / 9.0, coefficients, FixedInfluence(1.0))
 
 
 class TestInfluenceGain:

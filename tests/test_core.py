@@ -100,6 +100,10 @@ class TestHolderGain:
             dict(weight=1.0, margin=10**400, exponent=1.5),
             dict(weight=10**5000, margin=1.0, exponent=1.5),
             dict(weight=1.0, margin=10**5000, exponent=1.5),
+            dict(weight="2.0", margin=1.0, exponent=1.5),
+            dict(weight=np.array([["2.0"]]), margin=1.0, exponent=1.5),
+            dict(weight=1.0, margin="1.0", exponent=1.5),
+            dict(weight=1.0, margin=1.0, exponent="1.5"),
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
@@ -124,6 +128,8 @@ class TestHolderGain:
             pytest.param(-(10**400), id="int--1e400"),
             pytest.param(10**5000, id="int-1e5000"),
             pytest.param(-(10**5000), id="int--1e5000"),
+            pytest.param("2.0", id="str"),
+            pytest.param(None, id="None"),
         ],
     )
     def test_non_finite_weight_matrix_rejected(self, value):

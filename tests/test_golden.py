@@ -14,7 +14,6 @@ import pytest
 from mfclab import (
     FixedInfluence,
     HolderGainParams,
-    OutputObserverConfig,
     SyntheticUlmParams,
     demo_config,
     plants,
@@ -61,9 +60,7 @@ GOLDEN = {
             demo_config(1),
             sample_rate=20.0,
             horizon=10.0,
-            observer=OutputObserverConfig(
-                gain=HolderGainParams(weight=np.array([[2.1]]), margin=2.0, exponent=1.4)
-            ),
+            observer=HolderGainParams(weight=np.array([[2.1]]), margin=2.0, exponent=1.4),
             controller=_fixed(np.array([[1.5]])),
         ),
         {}, 201, False,

@@ -3,20 +3,23 @@ import dataclasses
 import json
 import math
 import pickle
+import types
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import mfclab
 from mfclab import (
+    CSV_HEADER,
     AdaptiveInfluence,
     ControllerConfig,
     ExperimentConfig,
     FixedInfluence,
     HolderGainParams,
     NoiseModel,
-    OutputObserverConfig,
     PendulumParams,
     PendulumState,
     RunLog,
@@ -35,7 +38,7 @@ from mfclab import (
     write_log_csv,
 )
 from mfclab.cli import main
-from mfclab.harness import CSV_HEADER, _float_gain
+from mfclab.harness import _float_gain
 
 
 def synthetic_config(horizon=10.0, seed=0, f_mode="sine", noise=None):
@@ -45,9 +48,7 @@ def synthetic_config(horizon=10.0, seed=0, f_mode="sine", noise=None):
         ),
         horizon=horizon,
         sample_rate=50.0,
-        observer=OutputObserverConfig(
-            gain=HolderGainParams(weight=2.1, margin=2.0, exponent=1.4)
-        ),
+        observer=HolderGainParams(weight=2.1, margin=2.0, exponent=1.4),
         ulm=UlmConfig(order_nu=2, margin=1.5, exponent=9.0 / 7.0),
         controller=ControllerConfig(
             margin=1.0,
@@ -104,14 +105,65 @@ JSON_VALUES = st.recursive(
 )
 
 
+def _dataclasses_reachable(tp, found):
+    """``found`` plus the dataclasses reachable from the annotation ``tp``
+    through field annotations, in the order met."""
+    if dataclasses.is_dataclass(tp):
+        if tp not in found:
+            found.append(tp)
+            for hint in typing.get_type_hints(tp).values():
+                _dataclasses_reachable(hint, found)
+    else:
+        for arg in typing.get_args(tp):
+            _dataclasses_reachable(arg, found)
+    return found
+
+
+def _instances(value, found):
+    """``found`` plus the first instance of each dataclass in the tree of
+    ``value``, by class."""
+    if dataclasses.is_dataclass(value):
+        found.setdefault(type(value), value)
+        for f in dataclasses.fields(value):
+            _instances(getattr(value, f.name), found)
+    return found
+
+
+# a valid instance of every dataclass of a config, to vary one field of
+SAMPLES = _instances(
+    synthetic_config(noise=NoiseModel(width=0.01)), _instances(demo_config(), {})
+)
+# (class, field) for every field annotated float, or a tuple of floats,
+# in the dataclasses reachable from ExperimentConfig
+FLOAT_FIELDS = [
+    (cls, name)
+    for cls in _dataclasses_reachable(ExperimentConfig, [])
+    for name, hint in typing.get_type_hints(cls).items()
+    if hint in (float, typing.Tuple[float, ...])
+]
+
+
+def test_package_exports_the_modules_public_names():
+    modules = (
+        mfclab.controller, mfclab.core, mfclab.harness,
+        mfclab.observers, mfclab.plants, mfclab.ulm,
+    )
+    public = {
+        name
+        for name, value in vars(mfclab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set().union(*(m.__all__ for m in modules))
+
+
 class TestExperimentConfig:
     def test_demo_matches_published_constants(self):
         cfg = demo_config()
         assert cfg.horizon == 70.0
         assert cfg.sample_rate == 50.0
-        assert cfg.observer.gain.weight == 2.1
-        assert cfg.observer.gain.margin == 2.0
-        assert cfg.observer.gain.exponent == pytest.approx(1.4)
+        assert cfg.observer.weight == 2.1
+        assert cfg.observer.margin == 2.0
+        assert cfg.observer.exponent == pytest.approx(1.4)
         assert cfg.ulm.margin == 1.5
         assert cfg.ulm.exponent == pytest.approx(9.0 / 7.0)
         assert cfg.controller.margin == 1.0
@@ -184,6 +236,54 @@ class TestExperimentConfig:
     def test_non_finite_horizon_and_rate_rejected(self, changes, match):
         with pytest.raises(ValueError, match=match):
             dataclasses.replace(demo_config(), **changes)
+
+    @pytest.mark.parametrize(
+        "cls, name", FLOAT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS]
+    )
+    @pytest.mark.parametrize(
+        "value",
+        ["1.5", 10**400, 10**5000, math.nan],
+        ids=["str", "int-1e400", "int-1e5000", "nan"],
+    )
+    def test_float_field_rejects_what_is_no_finite_number(self, cls, name, value):
+        if typing.get_type_hints(cls)[name] is not float:
+            value = (value,)
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            dataclasses.replace(SAMPLES[cls], **{name: value})
+
+    def test_float_fields_found(self):
+        names = {f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS}
+        assert names >= {
+            "ExperimentConfig.horizon",
+            "HolderGainParams.margin",
+            "ControllerConfig.coefficients",
+            "AdaptiveInfluence.base",
+            "PendulumState.theta_dot",
+            "SyntheticUlmParams.f_value",
+        }
+
+    def test_caller_arrays_cannot_change_a_config(self, tmp_path):
+        def config(weight, influence):
+            demo = demo_config()
+            controller = dataclasses.replace(
+                demo.controller, influence_policy=FixedInfluence(influence)
+            )
+            return dataclasses.replace(
+                demo,
+                horizon=2.0,
+                observer=HolderGainParams(weight=weight, margin=2.0, exponent=1.4),
+                controller=controller,
+            )
+
+        weight, influence = np.array([[2.1]]), np.array([[1.5]])
+        built = config(weight, influence)
+        twin = config(weight.copy(), influence.copy())
+        weight[0, 0] = influence[0, 0] = 0.0
+        assert built.observer == twin.observer
+        assert built.controller.influence_policy == twin.controller.influence_policy
+        assert built == twin
+        built_bytes = _csv_bytes(run_closed_loop(built), tmp_path)
+        assert built_bytes == _csv_bytes(run_closed_loop(twin), tmp_path)
 
 
 class TestConfigRoundTrip:

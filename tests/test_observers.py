@@ -3,7 +3,6 @@ import pytest
 
 from mfclab import (
     HolderGainParams,
-    OutputObserverConfig,
     OutputObserverState,
     asymptotic_observer_step,
     fts_observer_step,
@@ -11,17 +10,15 @@ from mfclab import (
     steps_to_tolerance,
 )
 
-PAPER_GAINS = OutputObserverConfig(
-    gain=HolderGainParams(weight=2.1, margin=2.0, exponent=7.0 / 5.0)
-)
+PAPER_GAINS = HolderGainParams(weight=2.1, margin=2.0, exponent=7.0 / 5.0)
 
 
-def iterate_error_map(e0: float, config: OutputObserverConfig, steps: int):
+def iterate_error_map(e0: float, gain: HolderGainParams, steps: int):
     """Noiseless error evolution err <- gain(err) * err."""
     errs = [np.atleast_1d(np.asarray(e0, dtype=float))]
     for _ in range(steps):
         e = errs[-1]
-        errs.append(holder_gain(e, config.gain) * e)
+        errs.append(holder_gain(e, gain) * e)
     return errs
 
 
@@ -51,11 +48,10 @@ class TestFtsObserverStep:
         assert all(a == -b for a, b in zip(signs, signs[1:]))
 
     def test_weighted_square_contraction_factor(self):
-        config = PAPER_GAINS
-        w = config.gain.weight
-        errs = iterate_error_map(3.7, config, 40)
+        w = PAPER_GAINS.weight
+        errs = iterate_error_map(3.7, PAPER_GAINS, 40)
         for e, e_next in zip(errs, errs[1:]):
-            b = holder_gain(e, config.gain)
+            b = holder_gain(e, PAPER_GAINS)
             v, v_next = w * float(e @ e), w * float(e_next @ e_next)
             assert v_next == pytest.approx(b * b * v, rel=1e-12)
             assert v_next < v
@@ -66,7 +62,7 @@ class TestFtsObserverStep:
         margin, p = 2.0, 7.0 / 5.0
         cap = 4.0 * margin / 2.0 ** (1.0 - 1.0 / p)
         for e0 in (1e-6, 1e-3, 0.242, 1.0, 10.0, 1e3):
-            b = holder_gain(e0, PAPER_GAINS.gain)
+            b = holder_gain(e0, PAPER_GAINS)
             gamma = margin / 2.0 ** (1.0 - 1.0 / p) * (1.0 + b) ** 2
             assert 0.0 < gamma < cap
 
