@@ -24,6 +24,7 @@ from .core import (
     require_finite,
     same_fields,
     scalar_or_matrix,
+    shown,
 )
 
 __all__ = [
@@ -82,7 +83,13 @@ class ControllerConfig:
     influence_policy: InfluencePolicy
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
+        try:
+            coeffs = tuple(self.coefficients)
+        except TypeError:
+            raise ValueError(
+                f"coefficients must be a sequence, got {shown(self.coefficients)}"
+            ) from None
+        object.__setattr__(self, "coefficients", coeffs)
         require_finite(self, "coefficients")
         coeffs = tuple(map(float, self.coefficients))
         object.__setattr__(self, "coefficients", coeffs)

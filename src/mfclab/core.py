@@ -67,19 +67,40 @@ def shown(value) -> str:
 
 def require_finite(obj, *names: str, ok=None, rule: str = "be finite") -> None:
     """Raise a ``ValueError`` naming the first of the fields ``names`` of
-    ``obj`` (a tuple field element by element) that is no finite number.
+    ``obj`` (a tuple field element by element) that is no finite number;
+    see ``check_finite``."""
+    for name in names:
+        value = getattr(obj, name)
+        for v in value if isinstance(value, tuple) else (value,):
+            check_finite(name, v, ok, rule)
+
+
+def check_finite(name: str, value, ok=None, rule: str = "be finite") -> None:
+    """Raise a ``ValueError`` naming ``name`` when ``value`` is no finite
+    number.
 
     No number, or one that fails ``ok``, reads "<name> must <rule>, got
     <value>"; a number that passes ``ok`` but is not finite reads "<name>
     must be finite".  So a sign rule reports ``-10**400`` by its sign.
     """
+    if not (is_number(value) and (ok is None or ok(value))):
+        raise ValueError(f"{name} must {rule}, got {shown(value)}")
+    if not is_finite(value):
+        raise ValueError(f"{name} must be finite, got {shown(value)}")
+
+
+def require_int(obj, *names: str, ok, rule: str) -> None:
+    """Raise a ``ValueError`` naming the first of the fields ``names`` of
+    ``obj`` that is no integer, which reads "<name> must be an integer, got
+    <value>", or that fails ``ok``, which reads "<name> must <rule>, got
+    <value>".  An int or a numpy integer is an integer; a bool is none, nor
+    is a float with an integral value."""
     for name in names:
         value = getattr(obj, name)
-        for v in value if isinstance(value, tuple) else (value,):
-            if not (is_number(v) and (ok is None or ok(v))):
-                raise ValueError(f"{name} must {rule}, got {shown(v)}")
-            if not is_finite(v):
-                raise ValueError(f"{name} must be finite, got {shown(v)}")
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {shown(value)}")
+        if not ok(value):
+            raise ValueError(f"{name} must {rule}, got {shown(value)}")
 
 
 def scalar_or_matrix(value, scalar_rule: str, matrix: str, ok, square: bool):

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._backend import BACKEND
 from .controller import AdaptiveInfluence, ControllerConfig, FixedInfluence
-from .core import HolderGainParams, require_finite, shown
+from .core import HolderGainParams, check_finite, require_finite, require_int
 from .plants import (
     BumpNoiseStream,
     DivergenceError,
@@ -67,7 +67,10 @@ _COLUMNS = (
     "t", "y_d", "y_true", "y_meas", "y_hat", "e", "e_o",
     "f_true", "f_hat", "e_f", "s", "u", "g",
 )
-_CSV_ROW = ",".join(["%.17g"] * len(_COLUMNS)) + "\n"
+_CSV_ROW = b",".join([b"%.17g"] * len(_COLUMNS)) + b"\n"
+# rows per ``%`` in ``write_log_csv``: ~64 KB of text, where the whole log
+# at once would hold megabytes
+_BLOCK_ROWS = 256
 
 # RK4 substeps of the cart-pendulum truth and reference per control period
 _SUBSTEPS = 10
@@ -95,8 +98,7 @@ class ExperimentConfig:
         require_finite(self, "horizon", ok=lambda h: not h < 0, rule="be non-negative")
         if not math.isfinite(self.horizon * self.sample_rate):
             raise ValueError("horizon * sample_rate (the record count) overflows")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {shown(self.seed)}")
+        require_int(self, "seed", ok=lambda s: s >= 0, rule="be non-negative")
         if self.ulm.order_nu != 2 or self.controller.order_nu != 2:
             raise ValueError("the closed-loop harness implements the second-order law")
         _siso_value(self.observer.weight, "observer.weight")
@@ -182,8 +184,9 @@ class RunLog:
         return len(self.t)
 
 
-def _log_from_rows(rows: array, diverged: bool, meta: dict) -> RunLog:
-    """The log whose rows are ``rows``, row-major, one value per column."""
+def _log_from_rows(rows, diverged: bool, meta: dict) -> RunLog:
+    """The log whose rows are ``rows``, a buffer of doubles, row-major, one
+    value per column."""
     data = np.frombuffer(rows, dtype=float).reshape(-1, len(_COLUMNS))
     cols = {name: data[:, i].copy() for i, name in enumerate(_COLUMNS)}
     return RunLog(diverged=diverged, meta=meta, **cols)
@@ -246,8 +249,9 @@ def run_closed_loop(
     ``oracle_f`` feeds the controller the true forcing signal instead of
     the estimator output (for the pendulum: the newest truth-reconstructed
     value); ``f_hat_bias`` adds a constant offset to whichever estimate is
-    used, which is the robustness-injection hook.
+    used, which is the robustness-injection hook; it must be finite.
     """
+    check_finite("f_hat_bias", f_hat_bias)
     start = time.perf_counter()
     meta = {
         "config": config_to_dict(config),
@@ -304,7 +308,7 @@ class _PendulumPlant:
             return 0.0
         return self.reconstruct(self.y, k - 1, effect)
 
-    def advance(self, k: int, g: float, u: float) -> None:
+    def advance(self, k: int, g: float, u: float, f: float) -> None:
         self.state = _kernel(
             "rk4_advance", *self.state, u, self.dt, _SUBSTEPS, *self.raw_params
         )
@@ -335,9 +339,10 @@ class _SyntheticPlant:
     def f_true(self, k: int, effect: float) -> float:
         return self.params.f_signal(k, self.dt)
 
-    def advance(self, k: int, g: float, u: float) -> None:
+    def advance(self, k: int, g: float, u: float, f: float) -> None:
+        # f is f_true(k), evaluated once per step
         y = self.y
-        y_next = 2.0 * y[k + 1] - y[k] + self.params.f_signal(k, self.dt) + g * u
+        y_next = 2.0 * y[k + 1] - y[k] + f + g * u
         if not math.isfinite(y_next):
             raise DivergenceError("synthetic plant produced a non-finite output")
         y.append(y_next)
@@ -439,7 +444,7 @@ def _run_loop(config, plant, oracle_f, f_hat_bias, rows: array) -> bool:
                 f_true_k, f_hat_k, f_hat_k - f_true_k, s_k, u_k, g_k,
             ))
             if k < n - lag:
-                plant.advance(k, g_k, u_k)
+                plant.advance(k, g_k, u_k, f_true_k)
     except DivergenceError:
         # no row survives a failed reference; a failed input keeps k rows
         del rows[(k + lag) * len(_COLUMNS) :]
@@ -499,45 +504,78 @@ def compute_metrics(
 
 
 def write_log_csv(log: RunLog, path) -> None:
-    """Write the log as CSV: fixed header, 17 significant digits, LF."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        columns = [getattr(log, name) for name in _COLUMNS]
-        for row in zip(*columns):
-            fh.write(_CSV_ROW % row)
+    """Write the log as CSV: fixed header, 17 significant digits, LF.
+
+    Rows are formatted ``_BLOCK_ROWS`` at a time, with one ``%`` per block,
+    which bounds the memory the text takes."""
+    columns = [getattr(log, name) for name in _COLUMNS]
+    with open(path, "wb") as fh:
+        fh.write(CSV_HEADER.encode() + b"\n")
+        for start in range(0, log.n, _BLOCK_ROWS):
+            block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
+            fh.write((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_log_csv(path) -> RunLog:
     """Read a log CSV produced by ``write_log_csv``; blank lines are skipped.
-    Every value must be finite, as in every log a run writes."""
-    width = len(_COLUMNS)
-    rows = array("d")
-    blank = []  # per skipped blank line, the count of values read before it
+    Every value must be finite, as in every log a run writes.
+
+    numpy's parser reads the body in one call.  A body it does not turn
+    into finite rows of the log's width, an empty one included, is read
+    again line by line, which gives every error message."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            values = line.split(",")
-            if len(values) != width:
-                if line.isspace():
-                    blank.append(len(rows))
-                    continue
-                raise ValueError(
-                    f"{path}, line {lineno}: expected {width} columns, "
-                    f"got {len(values)}"
-                )
-            try:
-                rows.extend(map(float, values))
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+        rows = _parse_body(fh)
+        if rows is None:
+            # back to the start of the body, which the parser consumed
+            fh.seek(0)
+            fh.readline()
+            rows = _read_lines(fh, path)
+    return _log_from_rows(rows, False, {"source": str(path)})
+
+
+def _parse_body(fh) -> Optional[np.ndarray]:
+    """The rest of ``fh`` as finite rows of the log's width, or None."""
+    # an empty body warns "input contained no data"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if data.shape[1] != len(_COLUMNS) or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _read_lines(fh, path) -> array:
+    """The rest of ``fh`` as row-major values, line by line."""
+    width = len(_COLUMNS)
+    rows = array("d")
+    blank = []  # per skipped blank line, the count of values read before it
+    for lineno, line in enumerate(fh, start=2):
+        values = line.split(",")
+        if len(values) != width:
+            if line.isspace():
+                blank.append(len(rows))
+                continue
+            raise ValueError(
+                f"{path}, line {lineno}: expected {width} columns, "
+                f"got {len(values)}"
+            )
+        try:
+            rows.extend(map(float, values))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
     finite = np.isfinite(np.frombuffer(rows, dtype=float))
     if not finite.all():
         i = int(np.argmin(finite))
         lineno = i // width + 2 + sum(n <= i for n in blank)
         name = CSV_HEADER.split(",")[i % width]
         raise ValueError(f"{path}, line {lineno}: {name} must be finite, got {rows[i]}")
-    return _log_from_rows(rows, False, {"source": str(path)})
+    return rows
 
 
 # ---------------------------------------------------------------------------

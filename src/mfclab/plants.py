@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ._backend import BACKEND, kernels
-from .core import is_positive, require_finite, shown
+from .core import is_positive, require_finite, require_int, shown
 
 __all__ = [
     "BACKEND",
@@ -232,8 +232,8 @@ class NoiseModel:
 
     def __post_init__(self):
         require_finite(self, "width", ok=is_positive, rule="be positive and finite")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {shown(self.seed)}")
+        if self.seed is not None:
+            require_int(self, "seed", ok=lambda s: s >= 0, rule="be non-negative")
 
 
 def _doubles(rng: np.random.Generator):

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import HolderGainParams, forward_difference, holder_gain, shown
+from .core import HolderGainParams, forward_difference, holder_gain, require_int
 
 __all__ = [
     "FIRST_ORDER",
@@ -47,8 +47,7 @@ class UlmConfig:
     observer_order: str = FIRST_ORDER
 
     def __post_init__(self):
-        if self.order_nu < 1:
-            raise ValueError(f"order_nu must be >= 1, got {shown(self.order_nu)}")
+        require_int(self, "order_nu", ok=lambda n: n >= 1, rule="be >= 1")
         if self.observer_order not in (FIRST_ORDER, SECOND_ORDER):
             raise ValueError(
                 f"observer_order must be '{FIRST_ORDER}' or '{SECOND_ORDER}', "

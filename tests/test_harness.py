@@ -141,6 +141,13 @@ FLOAT_FIELDS = [
     for name, hint in typing.get_type_hints(cls).items()
     if hint in (float, typing.Tuple[float, ...])
 ]
+# (class, field) for every field annotated int, or an optional int
+INT_FIELDS = [
+    (cls, name)
+    for cls in _dataclasses_reachable(ExperimentConfig, [])
+    for name, hint in typing.get_type_hints(cls).items()
+    if hint in (int, typing.Optional[int])
+]
 
 
 def test_package_exports_the_modules_public_names():
@@ -250,6 +257,33 @@ class TestExperimentConfig:
             value = (value,)
         with pytest.raises(ValueError, match=f"^{name} must "):
             dataclasses.replace(SAMPLES[cls], **{name: value})
+
+    @pytest.mark.parametrize(
+        "cls, name", INT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in INT_FIELDS]
+    )
+    @pytest.mark.parametrize(
+        "value", ["1", 2.0, True, math.nan], ids=["str", "float", "bool", "nan"]
+    )
+    def test_int_field_rejects_what_is_no_integer(self, cls, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            dataclasses.replace(SAMPLES[cls], **{name: value})
+
+    def test_int_fields_found(self):
+        names = {f"{cls.__name__}.{name}" for cls, name in INT_FIELDS}
+        assert names == {"ExperimentConfig.seed", "NoiseModel.seed", "UlmConfig.order_nu"}
+
+    @pytest.mark.parametrize("value", [5, 0.35, None], ids=["int", "float", "none"])
+    def test_coefficients_reject_what_is_no_sequence(self, value):
+        with pytest.raises(ValueError, match="^coefficients must be a sequence, got "):
+            dataclasses.replace(SAMPLES[ControllerConfig], coefficients=value)
+
+    @pytest.mark.parametrize(
+        "bias", [math.nan, math.inf, 10**400], ids=["nan", "inf", "int-1e400"]
+    )
+    def test_non_finite_f_hat_bias_rejected(self, bias):
+        config = dataclasses.replace(demo_config(), horizon=1.0)
+        with pytest.raises(ValueError, match="^f_hat_bias must be finite, got "):
+            run_closed_loop(config, f_hat_bias=bias)
 
     def test_float_fields_found(self):
         names = {f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS}
