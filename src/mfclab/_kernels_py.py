@@ -1,9 +1,10 @@
-"""Pure-Python cart-pendulum kernels.
+"""Pure-Python kernels: the cart-pendulum dynamics and the codec of the CSV
+log's body.
 
 Fallback twin of the compiled extension ``_kernels``; both expose the same
-three functions with identical argument order and the same arithmetic in
-the same order, so both return the same bits.  Everything here is plain
-scalar float math so the module has no dependencies.
+five functions with identical argument order.  The cart-pendulum kernels
+are plain scalar float math, written with the same arithmetic in the same
+order as the C twin, so both return the same bits.
 
 Both advances run one substep loop, ``_advance``, with the four RK4 stages
 and the accelerations of ``pendulum_accel`` written inline.  The products
@@ -15,9 +16,19 @@ and ``-cx``.  Each is the left operand of a left-associative chain in
 ``(((mp * lp) * td) * td) * si``), so hoisting it changes no rounding;
 ``-mp * lp * co`` is ``((-mp) * lp) * co``, and since IEEE multiplication
 is sign-symmetric ``(-mp) * lp == -(mp * lp)``.
+
+The codec: ``format_rows`` formats a block with one bytes ``%`` of
+``%.17g`` fields, and ``parse_rows`` parses the rest of a file with one
+call of numpy's ``loadtxt``.  The C twin writes the same bytes.  Where both
+parse a body they give the same bits; each may return None for a body the
+other parses, and the caller then reads it line by line.
 """
 
+import operator
+import warnings
 from math import cos, sin, tanh
+
+import numpy as np
 
 BACKEND_NAME = "python"
 
@@ -137,3 +148,33 @@ def trajgen_advance(x, theta, x_dot, theta_dot, dt, substeps,
     """
     return _advance(x, theta, x_dot, theta_dot, 0.0, True, dt, substeps,
                     mc, mp, lp, ip, grav, cx, cth)
+
+
+def format_rows(block, ncols):
+    """The rows of ``ncols`` values of a C-contiguous float64 ``block`` as CSV
+    bytes: ``%.17g`` values, ',' between them, '\\n' after each row."""
+    ncols = operator.index(ncols)
+    view = memoryview(block)
+    if not view.c_contiguous or view.format != "d":
+        raise TypeError("format_rows() takes a C-contiguous buffer of doubles")
+    values = view.cast("B").cast("d")
+    if ncols < 1 or len(values) % ncols:
+        raise ValueError(f"format_rows() got {len(values)} values, not rows of {ncols}")
+    row = b",".join([b"%.17g"] * ncols) + b"\n"
+    return (row * (len(values) // ncols)) % tuple(values)
+
+
+def parse_rows(fh, ncols):
+    """The rest of the text file ``fh`` as ``ncols``-value rows: the finite
+    row-major doubles as an array, or None for a body that ``loadtxt`` does
+    not parse into such rows, an empty one included."""
+    # an empty body warns "input contained no data"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if data.shape[1] != ncols or not np.isfinite(data).all():
+        return None
+    return data

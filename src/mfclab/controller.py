@@ -18,13 +18,13 @@ import numpy as np
 
 from .core import (
     HolderGainParams,
+    as_tuple,
     forward_difference,
     holder_gain,
     is_positive,
     require_finite,
     same_fields,
     scalar_or_matrix,
-    shown,
 )
 
 __all__ = [
@@ -83,13 +83,7 @@ class ControllerConfig:
     influence_policy: InfluencePolicy
 
     def __post_init__(self):
-        try:
-            coeffs = tuple(self.coefficients)
-        except TypeError:
-            raise ValueError(
-                f"coefficients must be a sequence, got {shown(self.coefficients)}"
-            ) from None
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "coefficients", as_tuple("coefficients", self.coefficients))
         require_finite(self, "coefficients")
         coeffs = tuple(map(float, self.coefficients))
         object.__setattr__(self, "coefficients", coeffs)

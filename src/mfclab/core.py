@@ -34,6 +34,8 @@ def is_number(value) -> bool:
     """True for a real number: a bool, int or float, or a numpy scalar or
     0-d array of bool, int or float dtype.  A string is none, although
     ``float`` parses it."""
+    if type(value) in (float, int, bool):  # the common case, before the ABC check
+        return True
     if isinstance(value, (np.ndarray, np.generic)):
         return value.ndim == 0 and value.dtype.kind in "biuf"
     return isinstance(value, numbers.Real)
@@ -91,16 +93,33 @@ def check_finite(name: str, value, ok=None, rule: str = "be finite") -> None:
 
 def require_int(obj, *names: str, ok, rule: str) -> None:
     """Raise a ``ValueError`` naming the first of the fields ``names`` of
-    ``obj`` that is no integer, which reads "<name> must be an integer, got
-    <value>", or that fails ``ok``, which reads "<name> must <rule>, got
-    <value>".  An int or a numpy integer is an integer; a bool is none, nor
-    is a float with an integral value."""
+    ``obj`` that is no integer or fails ``ok``; see ``check_int``."""
     for name in names:
-        value = getattr(obj, name)
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {shown(value)}")
-        if not ok(value):
-            raise ValueError(f"{name} must {rule}, got {shown(value)}")
+        check_int(name, getattr(obj, name), ok, rule)
+
+
+def check_int(name: str, value, ok, rule: str) -> None:
+    """Raise a ``ValueError`` naming ``name`` when ``value`` is no integer,
+    which reads "<name> must be an integer, got <value>", or fails ``ok``,
+    which reads "<name> must <rule>, got <value>".  An int or a numpy
+    integer is an integer; a bool is none, nor is a float with an integral
+    value."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {shown(value)}")
+    if not ok(value):
+        raise ValueError(f"{name} must {rule}, got {shown(value)}")
+
+
+def as_tuple(name: str, value) -> tuple:
+    """``value``, an iterable, as a tuple, or a ``ValueError`` that reads
+    "<name> must be a sequence, got <value>".  A string is none: its items
+    are characters, not numbers."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a sequence, got {shown(value)}")
 
 
 def scalar_or_matrix(value, scalar_rule: str, matrix: str, ok, square: bool):
@@ -214,8 +233,7 @@ def forward_difference(series, order: int):
     ``y[k] -> y[k+1] - y[k]`` elementwise, so the output is shorter than
     the input by ``order`` samples.
     """
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {shown(order)}")
+    check_int("order", order, ok=lambda n: n >= 0, rule="be non-negative")
     arr = np.asarray(series, dtype=float)
     if arr.shape[0] <= order:
         raise ValueError(
@@ -231,8 +249,9 @@ class LyapunovRecursionSpec:
     """Inputs of the finite-time recursion c_{k+1} = c_k - a_k * c_k**alpha.
 
     ``ratio_sequence`` is either a constant (every a_k equal) or an indexed
-    sequence; conventionally a_0 == 1.  ``c0`` may be zero, in which case
-    the recursion starts (and stays) at the fixed point.
+    sequence, of positive finite numbers; conventionally a_0 == 1.  ``c0``
+    may be zero, in which case the recursion starts (and stays) at the
+    fixed point.
     """
 
     alpha: float
@@ -243,19 +262,18 @@ class LyapunovRecursionSpec:
     def __post_init__(self):
         require_finite(self, "alpha", ok=lambda a: 0.0 < a < 1.0, rule="lie in (0, 1)")
         require_finite(self, "c0", ok=lambda c: c >= 0.0, rule="be non-negative")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be positive, got {shown(self.max_steps)}")
-        if isinstance(self.ratio_sequence, numbers.Real):
-            if float(self.ratio_sequence) <= 0.0:
-                raise ValueError("ratio must be positive")
-        else:
-            seq = tuple(float(a) for a in self.ratio_sequence)
-            if any(a <= 0.0 for a in seq):
-                raise ValueError("every ratio a_k must be positive")
-            object.__setattr__(self, "ratio_sequence", seq)
+        require_int(self, "max_steps", ok=lambda n: n >= 1, rule="be positive")
+        ratios = self.ratio_sequence
+        if not is_number(ratios):
+            ratios = as_tuple("ratio_sequence", ratios)
+            object.__setattr__(self, "ratio_sequence", ratios)
+        # NaN passes the sign rule, to be reported as not finite
+        require_finite(self, "ratio_sequence", ok=lambda a: not a <= 0.0, rule="be positive")
+        if isinstance(ratios, tuple):
+            object.__setattr__(self, "ratio_sequence", tuple(map(float, ratios)))
 
     def ratio(self, k: int) -> float:
-        if isinstance(self.ratio_sequence, numbers.Real):
+        if not isinstance(self.ratio_sequence, tuple):
             return float(self.ratio_sequence)
         if k >= len(self.ratio_sequence):
             raise ValueError(

@@ -30,6 +30,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import plants
 from ._backend import BACKEND
 from .controller import AdaptiveInfluence, ControllerConfig, FixedInfluence
 from .core import HolderGainParams, check_finite, require_finite, require_int
@@ -67,9 +68,8 @@ _COLUMNS = (
     "t", "y_d", "y_true", "y_meas", "y_hat", "e", "e_o",
     "f_true", "f_hat", "e_f", "s", "u", "g",
 )
-_CSV_ROW = b",".join([b"%.17g"] * len(_COLUMNS)) + b"\n"
-# rows per ``%`` in ``write_log_csv``: ~64 KB of text, where the whole log
-# at once would hold megabytes
+# rows per ``format_rows`` call in ``write_log_csv``: ~64 KB of text, where
+# the whole log at once would hold megabytes
 _BLOCK_ROWS = 256
 
 # RK4 substeps of the cart-pendulum truth and reference per control period
@@ -487,6 +487,8 @@ def compute_metrics(
     """
     if log.n == 0:
         raise ValueError("log is empty")
+    if math.isnan(transient_cutoff):
+        raise ValueError(f"cutoff must be a number of seconds, got {transient_cutoff}")
     if transient_cutoff > log.t[-1]:
         raise ValueError(
             f"cutoff {transient_cutoff} s lies beyond the horizon {log.t[-1]} s"
@@ -506,48 +508,35 @@ def compute_metrics(
 def write_log_csv(log: RunLog, path) -> None:
     """Write the log as CSV: fixed header, 17 significant digits, LF.
 
-    Rows are formatted ``_BLOCK_ROWS`` at a time, with one ``%`` per block,
-    which bounds the memory the text takes."""
+    The kernel backend's ``format_rows`` formats the rows ``_BLOCK_ROWS``
+    at a time, which bounds the memory the text takes."""
     columns = [getattr(log, name) for name in _COLUMNS]
     with open(path, "wb") as fh:
         fh.write(CSV_HEADER.encode() + b"\n")
         for start in range(0, log.n, _BLOCK_ROWS):
             block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
-            fh.write((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
+            block = block.astype(float, copy=False)
+            fh.write(plants.kernels.format_rows(block, len(_COLUMNS)))
 
 
 def read_log_csv(path) -> RunLog:
     """Read a log CSV produced by ``write_log_csv``; blank lines are skipped.
     Every value must be finite, as in every log a run writes.
 
-    numpy's parser reads the body in one call.  A body it does not turn
-    into finite rows of the log's width, an empty one included, is read
-    again line by line, which gives every error message."""
+    The kernel backend's ``parse_rows`` reads the body in one call.  A body
+    it does not turn into finite rows of the log's width, an empty one
+    included, is read again line by line, which gives every error message."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
-        rows = _parse_body(fh)
+        rows = plants.kernels.parse_rows(fh, len(_COLUMNS))
         if rows is None:
             # back to the start of the body, which the parser consumed
             fh.seek(0)
             fh.readline()
             rows = _read_lines(fh, path)
     return _log_from_rows(rows, False, {"source": str(path)})
-
-
-def _parse_body(fh) -> Optional[np.ndarray]:
-    """The rest of ``fh`` as finite rows of the log's width, or None."""
-    # an empty body warns "input contained no data"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            return None
-    if data.shape[1] != len(_COLUMNS) or not np.isfinite(data).all():
-        return None
-    return data
 
 
 def _read_lines(fh, path) -> array:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from mfclab import _kernels_py
+
 KERNELS_C = Path(__file__).resolve().parents[1] / "src" / "mfclab" / "_kernels.c"
 
 
@@ -33,3 +35,11 @@ def compiled_kernels(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(params=["python", "compiled"])
+def kernels(request):
+    """Each kernel twin in turn: ``mfclab._kernels_py``, then the compiled one."""
+    if request.param == "python":
+        return _kernels_py
+    return request.getfixturevalue("compiled_kernels")

@@ -12,11 +12,13 @@ from mfclab import (
     PendulumParams,
     PendulumState,
     _kernels_py,
+    cli,
     demo_config,
     generate_desired_trajectory,
     plants,
     rk4_advance,
     run_closed_loop,
+    write_config,
     write_log_csv,
 )
 
@@ -62,13 +64,6 @@ def outcome(fn, *args):
         return type(exc).__name__
 
 
-@pytest.fixture(params=["python", "compiled"])
-def kernels(request):
-    if request.param == "python":
-        return _kernels_py
-    return request.getfixturevalue("compiled_kernels")
-
-
 def test_backend_name_is_valid():
     assert mfclab.BACKEND in ("compiled", "python")
 
@@ -107,7 +102,9 @@ def test_twins_define_the_same_entry_points(compiled_kernels):
             and not name.startswith("_")
             and getattr(value, "__module__", None) == module.__name__
         }
-        assert public == {"pendulum_accel", "rk4_advance", "trajgen_advance"}
+        assert public == {
+            "pendulum_accel", "rk4_advance", "trajgen_advance", "format_rows", "parse_rows",
+        }
 
 
 @pytest.mark.parametrize(
@@ -179,6 +176,28 @@ def test_logs_byte_equal_across_backends(rate, seed, compiled_kernels, monkeypat
         write_log_csv(run_closed_loop(config), path)
         logs.append(path.read_bytes())
     assert logs[0] == logs[1]
+
+
+def test_cli_round_trips_alike_across_backends(compiled_kernels, monkeypatch, tmp_path, capsys):
+    """``run --out`` then ``metrics`` over the sweep grid: the same log bytes
+    and the same printed metrics from either twin's kernels and codec."""
+    outputs = []
+    for module in (_kernels_py, compiled_kernels):
+        monkeypatch.setattr(plants, "kernels", module)
+        plants._theta_samples.cache_clear()  # each twin computes its reference
+        runs = []
+        for rate in (5.0, 10.0, 20.0, 50.0):
+            config = tmp_path / f"{rate:g}hz.json"
+            grid_point = dataclasses.replace(demo_config(), horizon=10.0, sample_rate=rate)
+            write_config(grid_point, config)
+            for flags in ([], ["--no-noise"]):
+                log = tmp_path / "log.csv"
+                assert cli.main(["run", str(config), "--out", str(log), *flags]) == 0
+                capsys.readouterr()
+                assert cli.main(["metrics", str(log), "--cutoff", "2.5"]) == 0
+                runs.append((rate, flags, log.read_bytes(), capsys.readouterr().out))
+        outputs.append(runs)
+    assert outputs[0] == outputs[1]
 
 
 def test_substeps_checked_alike(kernels, monkeypatch):

@@ -266,6 +266,26 @@ class TestMetricsCommand:
         assert main(["metrics", str(out), "--cutoff", "5.0"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cutoff", ["nan", "-nan", "NaN"])
+    def test_nan_cutoff_is_error(self, short_config, tmp_path, capsys, cutoff):
+        out = tmp_path / "log.csv"
+        main(["run", str(short_config), "--out", str(out)])
+        capsys.readouterr()
+        assert main(["metrics", str(out), f"--cutoff={cutoff}"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: cutoff must be a number of seconds, got nan\n"
+
+    @pytest.mark.parametrize("cutoff, code", [("inf", 1), ("-inf", 0), ("0.25", 0)])
+    def test_infinite_and_finite_cutoffs_as_before(self, short_config, tmp_path, capsys,
+                                                   cutoff, code):
+        out = tmp_path / "log.csv"
+        main(["run", str(short_config), "--out", str(out)])
+        capsys.readouterr()
+        assert main(["metrics", str(out), f"--cutoff={cutoff}"]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else f"error: cutoff {cutoff} s lies beyond the "
+                       f"horizon {read_log_csv(out).t[-1]} s\n")
+
     @pytest.mark.parametrize("case", list(MALFORMED_LOGS))
     def test_malformed_log_is_error(self, tmp_path, capsys, case):
         text, needle = MALFORMED_LOGS[case]

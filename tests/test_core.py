@@ -165,11 +165,38 @@ class TestForwardDifference:
             stepwise = forward_difference(stepwise, 1)
         np.testing.assert_array_equal(forward_difference(data, order), stepwise)
 
+    @pytest.mark.parametrize("order", ["1", 1.5, True, None])
+    def test_order_that_is_no_integer_rejected(self, order):
+        with pytest.raises(ValueError, match="^order must be an integer, got "):
+            forward_difference([1.0, 2.0, 3.0], order)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="^order must be non-negative, got -1$"):
+            forward_difference([1.0, 2.0, 3.0], -1)
+
     def test_too_short_series_rejected(self):
         with pytest.raises(ValueError, match="too short"):
             forward_difference([1.0, 2.0], 2)
         with pytest.raises(ValueError):
             forward_difference([1.0], 1)
+
+
+# (LyapunovRecursionSpec keyword arguments, the error they raise)
+FIELD_ERRORS = [
+    (dict(max_steps="5"), "max_steps must be an integer, got '5'"),
+    (dict(max_steps=2.5), "max_steps must be an integer, got 2.5"),
+    (dict(max_steps=True), "max_steps must be an integer, got True"),
+    (dict(max_steps=0), "max_steps must be positive, got 0"),
+    (dict(ratio_sequence="1"), "ratio_sequence must be a sequence, got '1'"),
+    (dict(ratio_sequence=None), "ratio_sequence must be a sequence, got None"),
+    (dict(ratio_sequence=math.nan), "ratio_sequence must be finite, got nan"),
+    (dict(ratio_sequence=math.inf), "ratio_sequence must be finite, got inf"),
+    (dict(ratio_sequence=[1.0, math.inf]), "ratio_sequence must be finite, got inf"),
+    (dict(ratio_sequence=(1.0, math.nan)), "ratio_sequence must be finite, got nan"),
+    (dict(ratio_sequence=(1.0, "0.5")), "ratio_sequence must be positive, got '0.5'"),
+    (dict(ratio_sequence=-1.0), "ratio_sequence must be positive, got -1.0"),
+    (dict(ratio_sequence=(1.0, 0.0)), "ratio_sequence must be positive, got 0.0"),
+]
 
 
 class TestLyapunovRecursion:
@@ -234,6 +261,21 @@ class TestLyapunovRecursion:
     def test_invalid_spec_rejected(self, kwargs):
         with pytest.raises(ValueError):
             LyapunovRecursionSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message", FIELD_ERRORS, ids=[repr(kwargs) for kwargs, _ in FIELD_ERRORS]
+    )
+    def test_invalid_field_named(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            LyapunovRecursionSpec(alpha=0.5, c0=1.0, **kwargs)
+        assert str(info.value) == message
+
+    def test_ratios_stored_as_floats(self):
+        spec = LyapunovRecursionSpec(alpha=0.5, c0=1.0, ratio_sequence=[1, np.float32(0.5)])
+        assert spec.ratio_sequence == (1.0, 0.5)
+        assert all(type(a) is float for a in spec.ratio_sequence)
+        spec = LyapunovRecursionSpec(alpha=0.5, c0=1.0, ratio_sequence=np.array(0.5))
+        assert spec.ratio(7) == 0.5
 
     @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
     @pytest.mark.parametrize("c0", [0.5, 2.0, 50.0])

@@ -272,7 +272,9 @@ class TestExperimentConfig:
         names = {f"{cls.__name__}.{name}" for cls, name in INT_FIELDS}
         assert names == {"ExperimentConfig.seed", "NoiseModel.seed", "UlmConfig.order_nu"}
 
-    @pytest.mark.parametrize("value", [5, 0.35, None], ids=["int", "float", "none"])
+    @pytest.mark.parametrize(
+        "value", [5, 0.35, None, "0.35", b"0.35"], ids=["int", "float", "none", "str", "bytes"]
+    )
     def test_coefficients_reject_what_is_no_sequence(self, value):
         with pytest.raises(ValueError, match="^coefficients must be a sequence, got "):
             dataclasses.replace(SAMPLES[ControllerConfig], coefficients=value)
