@@ -14,16 +14,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
+import re
 import sys
 
 from .harness import (
+    _config_json,
     compute_metrics,
-    config_to_dict,
     demo_config,
     read_config,
     read_log_csv,
     run_closed_loop,
+    write_config,
     write_log_csv,
 )
 
@@ -34,7 +35,15 @@ EXIT_DIVERGENCE = 2
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a ``ValueError`` instead of printing the
-    usage and exiting 2, the divergence code; subparsers inherit it."""
+    usage and exiting 2, the divergence code, and reads every negative
+    number that ``float`` accepts (``-1e3``, ``-inf``, ``-nan``) as a value,
+    where argparse takes only ``-1`` and ``-1.5``; subparsers inherit both."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\.?\d|inf|nan)", re.IGNORECASE
+        )
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
@@ -99,12 +108,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    payload = json.dumps(config_to_dict(demo_config()), indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+        write_config(demo_config(), args.out)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(_config_json(demo_config()))
     return EXIT_OK
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "FixedInfluence",
     "AdaptiveInfluence",
     "ControllerConfig",
-    "TrackingState",
     "sliding_variable",
     "schur_check",
     "control_rhs_general",
@@ -147,44 +146,23 @@ def schur_check(coefficients: Sequence[float]) -> bool:
     return bool(np.max(np.abs(roots)) < 1.0)
 
 
-@dataclass(frozen=True)
-class TrackingState:
-    """Last nu tracking errors (oldest first) and the sliding value."""
-
-    error_history: Tuple[np.ndarray, ...]
-    s: np.ndarray
-
-    @classmethod
-    def from_history(cls, error_history, coefficients) -> "TrackingState":
-        hist = _stack_history(error_history)
-        s = sliding_variable(hist, coefficients)
-        return cls(error_history=tuple(hist), s=s)
-
-
-def _reaching_coefficient(s: np.ndarray, config: ControllerConfig) -> float:
-    """2*margin / (quadratic(s)^(1-1/q) + margin), i.e. 1 - gain(s)."""
-    return 1.0 - holder_gain(s, config.gain)
-
-
 def control_rhs_general(
-    tracking: TrackingState, desired_diff_nu, f_hat, config: ControllerConfig
+    error_history, desired_diff_nu, f_hat, config: ControllerConfig
 ) -> np.ndarray:
-    """Right-hand side G u of the order-nu tracking law.
+    """Right-hand side G u of the order-nu tracking law on the last nu
+    tracking errors (oldest first).
 
-    Feedforward of the order-nu desired difference, the reaching term on
-    the sliding value, cancellation of the predicted F, and the weighted
-    error differences of orders nu-1 down to 1.
+    Feedforward of the order-nu desired difference, the reaching term
+    ``(1 - gain(s)) s`` on the sliding value of ``config.coefficients``,
+    cancellation of the predicted F, and the weighted error differences of
+    orders nu-1 down to 1.
     """
     nu = config.order_nu
-    hist = _stack_history(tracking.error_history)
-    if hist.shape[0] != nu:
-        raise ValueError(
-            f"history of {hist.shape[0]} errors does not match order {nu}"
-        )
-    s = np.atleast_1d(np.asarray(tracking.s, dtype=float))
+    hist = _stack_history(error_history)
+    s = sliding_variable(hist, config.coefficients)
     rhs = (
         np.atleast_1d(np.asarray(desired_diff_nu, dtype=float))
-        - _reaching_coefficient(s, config) * s
+        - (1.0 - holder_gain(s, config.gain)) * s
         - np.atleast_1d(np.asarray(f_hat, dtype=float))
     )
     for i, c in enumerate(config.coefficients, start=1):

@@ -31,16 +31,17 @@ from typing import Optional, Union
 import numpy as np
 
 from . import plants
-from ._backend import BACKEND
 from .controller import AdaptiveInfluence, ControllerConfig, FixedInfluence
 from .core import HolderGainParams, check_finite, require_finite, require_int
 from .plants import (
+    BACKEND,
     BumpNoiseStream,
     DivergenceError,
     NoiseModel,
     PendulumParams,
     PendulumState,
     SyntheticUlmParams,
+    _SUBSTEPS,
     _desired_theta_samples,
     _kernel,
 )
@@ -71,9 +72,6 @@ _COLUMNS = (
 # rows per ``format_rows`` call in ``write_log_csv``: ~64 KB of text, where
 # the whole log at once would hold megabytes
 _BLOCK_ROWS = 256
-
-# RK4 substeps of the cart-pendulum truth and reference per control period
-_SUBSTEPS = 10
 
 
 @dataclass(frozen=True)
@@ -269,13 +267,6 @@ def run_closed_loop(
     return _log_from_rows(rows, diverged, meta)
 
 
-def _noise_stream(config: ExperimentConfig) -> Optional[BumpNoiseStream]:
-    if config.noise is None:
-        return None
-    seed = config.noise.seed if config.noise.seed is not None else config.seed
-    return BumpNoiseStream(config.noise.width, seed)
-
-
 class _PendulumPlant:
     """Cart-pendulum truth advanced by RK4.  Only the current measurement
     exists at decision time, so the law runs one step in arrears on the
@@ -376,7 +367,10 @@ def _run_loop(config, plant, oracle_f, f_hat_bias, rows: array) -> bool:
     dt = config.dt
     n = config.n_records
     lag = plant.lag
-    noise = _noise_stream(config)
+    noise = None
+    if config.noise is not None:
+        seed = config.noise.seed if config.noise.seed is not None else config.seed
+        noise = BumpNoiseStream(config.noise.width, seed)
     y_true = plant.y
     y_hat = []
     signal = y_hat if plant.reads_estimates else y_true
@@ -704,10 +698,14 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     return _decode_object(ExperimentConfig, d, "")
 
 
+def _config_json(config: ExperimentConfig) -> str:
+    """The JSON text of a config file: two-space indent, final newline."""
+    return json.dumps(config_to_dict(config), indent=2) + "\n"
+
+
 def write_config(config: ExperimentConfig, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(config_to_dict(config), fh, indent=2)
-        fh.write("\n")
+        fh.write(_config_json(config))
 
 
 def read_config(path) -> ExperimentConfig:

@@ -2,21 +2,34 @@
 generator, the bounded bump-distribution measurement noise, and the exact
 discrete synthetic plant used to verify the controller.
 
-The cart-pendulum integrates with fixed-step RK4 through the selected
-kernel backend (compiled extension when built, pure Python otherwise).
+The cart-pendulum integrates with fixed-step RK4 through ``kernels``, the
+selected kernel backend.  The compiled extension is preferred when it was
+built; otherwise the pure-Python twin is used.  Setting the environment
+variable ``MFCLAB_PURE_PYTHON=1`` before import forces the fallback (useful
+for benchmarking and debugging).  ``BACKEND`` names the one in use.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from ._backend import BACKEND, kernels
 from .core import is_positive, require_finite, require_int, shown
+
+if os.environ.get("MFCLAB_PURE_PYTHON") == "1":
+    from . import _kernels_py as kernels
+else:
+    try:
+        from . import _kernels as kernels  # type: ignore[attr-defined]
+    except ImportError:
+        from . import _kernels_py as kernels
+
+BACKEND = kernels.BACKEND_NAME
 
 __all__ = [
     "BACKEND",
@@ -33,6 +46,10 @@ __all__ = [
     "generate_desired_trajectory",
     "synthetic_ulm_plant_step",
 ]
+
+
+# RK4 substeps per control period of the cart-pendulum truth and reference
+_SUBSTEPS = 10
 
 
 class DivergenceError(RuntimeError):
@@ -135,7 +152,7 @@ def rk4_advance(
     force: float,
     dt: float,
     params: PendulumParams,
-    substeps: int = 10,
+    substeps: int = _SUBSTEPS,
 ) -> PendulumState:
     """Advance one control period with zero-order-hold force, integrating
     with ``substeps`` internal RK4 steps."""
@@ -154,7 +171,7 @@ def _desired_theta_samples(
     initial: PendulumState,
     count: int,
     dt: float,
-    substeps: int = 10,
+    substeps: int = _SUBSTEPS,
 ) -> np.ndarray:
     """First ``count`` angle samples of the reference-generating loop, as a
     read-only array.
@@ -201,7 +218,7 @@ def generate_desired_trajectory(
     initial: PendulumState,
     horizon: float,
     dt: float,
-    substeps: int = 10,
+    substeps: int = _SUBSTEPS,
 ) -> np.ndarray:
     """Reference angle trajectory as an (n, 2) array of (t, theta) rows.
 

@@ -25,7 +25,6 @@ from mfclab import (
     PendulumParams,
     PendulumState,
     SyntheticUlmParams,
-    TrackingState,
     UlmConfig,
     UlmObserverState,
     compute_metrics,
@@ -303,11 +302,8 @@ class TestCriterion5ControllerAlgebra:
             e_k, e_kp1 = rng.normal(size=dim), rng.normal(size=dim)
             yd = rng.normal(size=(3, dim))
             f_hat = rng.normal(size=dim)
-            tracking = TrackingState.from_history(
-                np.stack([e_k, e_kp1]), CTL_GAINS.coefficients
-            )
             general = control_rhs_general(
-                tracking, yd[2] - 2.0 * yd[1] + yd[0], f_hat, CTL_GAINS
+                np.stack([e_k, e_kp1]), yd[2] - 2.0 * yd[1] + yd[0], f_hat, CTL_GAINS
             )
             special = control_rhs_second_order(
                 e_k, e_kp1, yd[0], yd[1], yd[2], f_hat, CTL_GAINS

@@ -28,6 +28,17 @@ def _demo_with(value, *path):
     return json.dumps(d)
 
 
+def _metrics_both_spellings(log, cutoff: str, capsys):
+    """(exit code, stdout, stderr) of ``metrics --cutoff=<cutoff>``, once
+    ``metrics --cutoff <cutoff>`` has given the same three."""
+    outcomes = []
+    for argv in (["--cutoff=" + cutoff], ["--cutoff", cutoff]):
+        code = main(["metrics", str(log), *argv])
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
 # case id -> (config file text, the key its error message must name)
 BAD_CONFIGS = {
     "missing-keys": ('{"horizon": 1.0}', "plant"),
@@ -150,6 +161,10 @@ class TestUsage:
         assert exc.value.code == 0
         assert "usage: mfclab" in capsys.readouterr().out
 
+    def test_negative_seed_is_a_value(self, short_config, capsys):
+        assert main(["run", str(short_config), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+
     def test_usage_error_leaves_no_state(self, short_config, tmp_path):
         before, after = tmp_path / "before.csv", tmp_path / "after.csv"
         assert main(["run", str(short_config), "--out", str(before)]) == 0
@@ -170,6 +185,12 @@ class TestDemoPaper:
         out = tmp_path / "demo.json"
         assert main(["demo-paper", "--out", str(out)]) == 0
         assert config_from_dict(json.loads(out.read_text())) == demo_config()
+
+    def test_file_bytes_equal_stdout_bytes(self, tmp_path, capsys):
+        out = tmp_path / "demo.json"
+        assert main(["demo-paper"]) == 0
+        assert main(["demo-paper", "--out", str(out)]) == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
 
     def test_output_bytes_pinned(self, capsys):
         assert main(["demo-paper"]) == 0
@@ -271,20 +292,24 @@ class TestMetricsCommand:
         out = tmp_path / "log.csv"
         main(["run", str(short_config), "--out", str(out)])
         capsys.readouterr()
-        assert main(["metrics", str(out), f"--cutoff={cutoff}"]) == 1
-        err = capsys.readouterr().err
+        code, _, err = _metrics_both_spellings(out, cutoff, capsys)
+        assert code == 1
         assert err == "error: cutoff must be a number of seconds, got nan\n"
 
-    @pytest.mark.parametrize("cutoff, code", [("inf", 1), ("-inf", 0), ("0.25", 0)])
+    @pytest.mark.parametrize(
+        "cutoff, code",
+        [("inf", 1), ("-inf", 0), ("-Infinity", 0), ("-1e3", 0), ("0.25", 0)],
+    )
     def test_infinite_and_finite_cutoffs_as_before(self, short_config, tmp_path, capsys,
                                                    cutoff, code):
         out = tmp_path / "log.csv"
         main(["run", str(short_config), "--out", str(out)])
         capsys.readouterr()
-        assert main(["metrics", str(out), f"--cutoff={cutoff}"]) == code
-        err = capsys.readouterr().err
-        assert err == ("" if code == 0 else f"error: cutoff {cutoff} s lies beyond the "
-                       f"horizon {read_log_csv(out).t[-1]} s\n")
+        assert _metrics_both_spellings(out, cutoff, capsys)[::2] == (
+            code,
+            "" if code == 0 else f"error: cutoff {cutoff} s lies beyond the "
+            f"horizon {read_log_csv(out).t[-1]} s\n",
+        )
 
     @pytest.mark.parametrize("case", list(MALFORMED_LOGS))
     def test_malformed_log_is_error(self, tmp_path, capsys, case):

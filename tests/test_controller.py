@@ -7,7 +7,6 @@ from mfclab import (
     AdaptiveInfluence,
     ControllerConfig,
     FixedInfluence,
-    TrackingState,
     control_rhs_general,
     control_rhs_second_order,
     holder_gain,
@@ -96,9 +95,14 @@ class TestSchurCheck:
 
 class TestControlLaws:
     def test_pure_feedforward_when_errors_vanish(self):
-        tracking = TrackingState.from_history([0.0, 0.0], PAPER_CTL.coefficients)
-        rhs = control_rhs_general(tracking, 1.25, 0.0, PAPER_CTL)
+        rhs = control_rhs_general([0.0, 0.0], 1.25, 0.0, PAPER_CTL)
         assert rhs.tolist() == [1.25]
+
+    @pytest.mark.parametrize("history", [[0.0], [0.0, 1.0, 2.0]], ids=["1", "3"])
+    def test_general_law_checks_history_length(self, history):
+        message = f"^history of {len(history)} errors does not match order 2$"
+        with pytest.raises(ValueError, match=message):
+            control_rhs_general(history, 0.0, 0.0, PAPER_CTL)
 
     def test_second_order_feedforward(self):
         rhs = control_rhs_second_order(0.0, 0.0, 1.0, 2.0, 4.0, 0.0, PAPER_CTL)
@@ -112,9 +116,8 @@ class TestControlLaws:
             coefficients=(0.35,),
             influence_policy=FixedInfluence(1.0),
         )
-        tracking = TrackingState.from_history([0.0, 1.0], (0.35,))
         # history (0, 1): s = 1 + 0.35*0 = 1, first difference 1
-        rhs = control_rhs_general(tracking, 0.0, 0.0, cfg)
+        rhs = control_rhs_general([0.0, 1.0], 0.0, 0.0, cfg)
         assert rhs[0] == pytest.approx(-1.0 - 0.35 * 1.0)
 
     @pytest.mark.parametrize("dim", [1, 3])
@@ -125,11 +128,10 @@ class TestControlLaws:
             e_kp1 = rng.normal(size=dim)
             yd = rng.normal(size=(3, dim))
             f_hat = rng.normal(size=dim)
-            tracking = TrackingState.from_history(
-                np.stack([e_k, e_kp1]), PAPER_CTL.coefficients
-            )
             desired_diff = yd[2] - 2.0 * yd[1] + yd[0]
-            general = control_rhs_general(tracking, desired_diff, f_hat, PAPER_CTL)
+            general = control_rhs_general(
+                np.stack([e_k, e_kp1]), desired_diff, f_hat, PAPER_CTL
+            )
             special = control_rhs_second_order(
                 e_k, e_kp1, yd[0], yd[1], yd[2], f_hat, PAPER_CTL
             )
