@@ -5,8 +5,8 @@
  * order.  The cart-pendulum kernels write the arithmetic expression for
  * expression in the same order, so both backends return the same bits.
  * That holds when the compiler does not contract a*b + c into a fused
- * multiply-add (gcc's default on x86-64; setup.py passes -ffp-contract=off
- * for targets with FMA).
+ * multiply-add: setup.py always passes -ffp-contract=off, which matters on
+ * targets with FMA (gcc does not contract on plain x86-64).
  *
  * As in the Python twin, the products that do not depend on the state are
  * formed once per call: ``get_params`` derives a11 = mc + mp, mp * lp,
@@ -16,13 +16,21 @@
  * changes no rounding; -mp * lp * co is ((-mp) * lp) * co, and IEEE
  * multiplication is sign-symmetric, so (-mp) * lp == -(mp * lp).
  *
- * The codec calls the functions Python's own conversions call:
- * ``format_rows`` formats each value with PyOS_double_to_string(x, 'g', 17,
- * 0, NULL), which is what ``b"%.17g" % x`` runs, so it writes the Python
- * twin's bytes.  ``parse_rows`` reads each token with
- * PyOS_string_to_double, which ``float`` and numpy's ``loadtxt`` run, but
- * only from strict rows (see ``parse_body``); for any other body it returns
- * None, and the caller reads the file line by line.
+ * The codec writes the bytes of ``b"%.17g" % x`` and reads the bits of
+ * ``float(token)``, computing both exactly in 128-bit integers where it can
+ * and calling the functions behind Python's own conversions elsewhere.
+ * ``format_rows`` writes +-0 and every 10^-16 <= |x| < 2^128 with
+ * ``format_fast``: the 17 digits rounded half to even from the exact
+ * remainder, in the layout of '%g'.  Any other value (a subnormal, NaN,
+ * inf, one out of that range) goes to PyOS_double_to_string(x, 'g', 17, 0,
+ * NULL), which is what ``%`` runs.  ``parse_rows`` reads strict rows only
+ * (see ``parse_body``), each token with ``parse_fast`` when it has at most
+ * 19 significant digits and a decimal exponent in [-26, 19], correctly
+ * rounded as _Py_dg_strtod rounds, and any other token with
+ * PyOS_string_to_double, which ``float`` and numpy's ``loadtxt`` run; for
+ * a body that is not strict rows it returns None, and the caller reads the
+ * file line by line.  A compiler without ``unsigned __int128`` builds the
+ * PyOS calls alone.
  *
  * Build in place with ``python setup.py build_ext --inplace``.
  */
@@ -216,6 +224,226 @@ get_ncols(PyObject *arg, Py_ssize_t *ncols)
     return *ncols == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+/* 5^n (n <= 32) and 10^n (n <= 22), filled by PyInit__kernels. */
+static u128 pow5[33], pow10[23];
+
+/* The "%.17g" text of x written to ``out`` (24 bytes at least), as
+ * PyOS_double_to_string(x, 'g', 17, 0, NULL) writes it; returns its length,
+ * or 0 unless x is +-0 or 10^-16 <= |x| < 2^128.  With x = m * 2^e and
+ * k = floor(log10 |x|), the 17 digits are D = x * 10^p, p = 16 - k, rounded
+ * half to even: m * 5^p shifted by p + e when p >= 0 (p <= 32, so
+ * m * 5^p < 2^128), (m << e) / 10^-p when p < 0 (-p <= 22, so m << e is
+ * below 2^128 too). */
+static int
+format_fast(double x, char *out)
+{
+    char *o = out;
+    if (signbit(x))
+        *o++ = '-';
+    if (x == 0.0) {
+        *o++ = '0';
+        return (int)(o - out);
+    }
+    double ax = fabs(x);
+    if (!(ax >= 1e-16 && ax < 0x1p128))
+        return 0;
+    uint64_t bits;
+    memcpy(&bits, &ax, sizeof bits);
+    uint64_t m = (bits & ((UINT64_C(1) << 52) - 1)) | (UINT64_C(1) << 52);
+    int e = (int)(bits >> 52) - 1075;
+    /* log10 may be off by one near a power of ten; the truncated D corrects k */
+    int k = (int)floor(log10(ax));
+    u128 d, rem, unit;
+    for (;;) {
+        /* p = 33 for the doubles in [1e-16, 10^-16) */
+        int p = 16 - k;
+        if (p > 32 || p < -22)
+            return 0;
+        if (p < 0) {
+            unit = pow10[-p];
+            u128 v = (u128)m << e;
+            d = v / unit;
+            rem = v % unit;
+        }
+        else if (p + e >= 0) {
+            d = (u128)m * pow5[p] << (p + e);
+            rem = 0;
+            unit = 1;
+        }
+        else {
+            u128 v = (u128)m * pow5[p];
+            int s = -(p + e);
+            d = v >> s;
+            unit = (u128)1 << s;
+            rem = v & (unit - 1);
+        }
+        if (d < pow10[16])
+            k--;
+        else if (d >= pow10[17])
+            k++;
+        else
+            break;
+    }
+    if (2 * rem > unit || (2 * rem == unit && (d & 1)))
+        d++;
+    if (d == pow10[17]) {
+        d = pow10[16];
+        k++;
+    }
+    char dig[17];
+    uint64_t r = (uint64_t)d;
+    for (int i = 16; i >= 0; i--, r /= 10)
+        dig[i] = (char)('0' + r % 10);
+    int nd = 17;
+    while (dig[nd - 1] == '0')
+        nd--;
+    if (k < -4 || k >= 17) {
+        *o++ = dig[0];
+        if (nd > 1) {
+            *o++ = '.';
+            memcpy(o, dig + 1, nd - 1);
+            o += nd - 1;
+        }
+        *o++ = 'e';
+        *o++ = k < 0 ? '-' : '+';
+        k = abs(k);
+        *o++ = (char)('0' + k / 10);
+        *o++ = (char)('0' + k % 10);
+    }
+    else if (k < 0) {
+        memcpy(o, "0.0000", 1 - k);
+        o += 1 - k;
+        memcpy(o, dig, nd);
+        o += nd;
+    }
+    else if (nd <= k + 1) {
+        memcpy(o, dig, nd);
+        memset(o + nd, '0', k + 1 - nd);
+        o += k + 1;
+    }
+    else {
+        memcpy(o, dig, k + 1);
+        o[k + 1] = '.';
+        memcpy(o + k + 2, dig + k + 1, nd - k - 1);
+        o += nd + 1;
+    }
+    return (int)(o - out);
+}
+
+/* (v + sticky) * 2^exp correctly rounded, for v != 0 and a normal result;
+ * ``sticky`` says that a nonzero fraction below v was dropped. */
+static double
+scaled_double(u128 v, int sticky, int exp)
+{
+    uint64_t hi = (uint64_t)(v >> 64);
+    int bitlen = hi ? 128 - __builtin_clzll(hi) : 64 - __builtin_clzll((uint64_t)v);
+    uint64_t top;
+    /* keep the top 64 bits; any lower bit set joins the sticky bit, which
+     * lies below the rounding position of the 53-bit result */
+    if (bitlen > 64) {
+        int drop = bitlen - 64;
+        top = (uint64_t)(v >> drop);
+        sticky |= (v & (((u128)1 << drop) - 1)) != 0;
+        exp += drop;
+    }
+    else {
+        top = (uint64_t)v << (64 - bitlen);
+        exp -= 64 - bitlen;
+    }
+    return ldexp((double)(top | (uint64_t)sticky), exp);
+}
+
+static inline int
+is_digit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/* The end of the run of digits at p, appended to w (*nd significant digits
+ * so far, leading zeros skipped); NULL past 19 significant digits. */
+static const char *
+take_digits(const char *p, const char *end, uint64_t *w, int *nd)
+{
+    for (; p < end && is_digit(*p); p++)
+        if (*w || *p != '0') {
+            if (++*nd > 19)
+                return NULL;
+            *w = *w * 10 + (uint64_t)(*p - '0');
+        }
+    return p;
+}
+
+/* The token s[0:end] as PyOS_string_to_double reads it, into ``out``,
+ * when it has the form -?d+(.d*)?([eE][+-]?d{1,3})? with 19 significant
+ * digits at most (w < 10^19) and a decimal exponent q in [-26, 19]:
+ * w * 10^q exactly when q >= 0, and w shifted to bit 127 divided by 5^-q
+ * when q < 0 (5^26 < 2^61, so the quotient keeps 66 bits at least).
+ * Returns 1, or 0 for any other token. */
+static int
+parse_fast(const char *s, const char *end, double *out)
+{
+    int neg = *s == '-';
+    uint64_t w = 0;
+    int nd = 0;
+    Py_ssize_t q = 0;
+    const char *p = take_digits(s + neg, end, &w, &nd);
+    if (p == NULL || p == s + neg)
+        return 0;
+    if (p < end && *p == '.') {
+        const char *frac = p + 1;
+        if ((p = take_digits(frac, end, &w, &nd)) == NULL)
+            return 0;
+        q = frac - p;
+    }
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        p++;
+        int eneg = p < end && *p == '-';
+        if (p < end && (*p == '-' || *p == '+'))
+            p++;
+        const char *start = p;
+        int ex = 0;
+        for (; p < end && is_digit(*p) && p - start < 3; p++)
+            ex = ex * 10 + (*p - '0');
+        if (p == start)
+            return 0;
+        q += eneg ? -ex : ex;
+    }
+    if (p != end)
+        return 0;
+    if (w == 0) {
+        *out = neg ? -0.0 : 0.0;
+        return 1;
+    }
+    if (q < -26 || q > 19)
+        return 0;
+    double x;
+    if (q >= 0)
+        x = scaled_double((u128)w * pow10[q], 0, 0);
+    else {
+        int shift = __builtin_clzll(w) + 64;
+        u128 v = (u128)w << shift;
+        x = scaled_double(v / pow5[-q], v % pow5[-q] != 0, (int)(-shift + q));
+    }
+    *out = neg ? -x : x;
+    return 1;
+}
+#else
+static inline int
+format_fast(double Py_UNUSED(x), char *Py_UNUSED(out))
+{
+    return 0;
+}
+
+static inline int
+parse_fast(const char *Py_UNUSED(s), const char *Py_UNUSED(end), double *Py_UNUSED(out))
+{
+    return 0;
+}
+#endif
+
 static PyObject *
 format_rows(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -248,18 +476,23 @@ format_rows(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     }
     const double *v = view.buf;
     for (Py_ssize_t i = 0; i < n; i++) {
-        char *s = PyOS_double_to_string(v[i], 'g', 17, 0, NULL);
-        if (s == NULL)
-            goto done;
-        size_t k = strlen(s);
-        if (used + k + 1 > cap) {
+        int fast = format_fast(v[i], out + used);
+        if (fast)
+            used += (size_t)fast;
+        else {
+            char *s = PyOS_double_to_string(v[i], 'g', 17, 0, NULL);
+            if (s == NULL)
+                goto done;
+            size_t k = strlen(s);
+            if (used + k + 1 > cap) {
+                PyMem_Free(s);
+                PyErr_SetString(PyExc_SystemError, "format_rows(): a value outgrew its bound");
+                goto done;
+            }
+            memcpy(out + used, s, k);
             PyMem_Free(s);
-            PyErr_SetString(PyExc_SystemError, "format_rows(): a value outgrew its bound");
-            goto done;
+            used += k;
         }
-        memcpy(out + used, s, k);
-        PyMem_Free(s);
-        used += k;
         out[used++] = (i + 1) % ncols ? ',' : '\n';
     }
     result = PyBytes_FromStringAndSize(out, (Py_ssize_t)used);
@@ -290,18 +523,20 @@ parse_body(const char *s, Py_ssize_t len, Py_ssize_t total, Py_ssize_t ncols, do
             q++;
         if (q == p || q == end || *q != ((i + 1) % ncols ? ',' : '\n'))
             return 0;
-        /* the token ends at a separator, so the parse cannot run past it */
-        char *stop;
-        double x = PyOS_string_to_double(p, &stop, NULL);
-        if (x == -1.0 && PyErr_Occurred()) {
-            if (!PyErr_ExceptionMatches(PyExc_ValueError))
-                return -1;
-            PyErr_Clear();
-            return 0;
+        if (!parse_fast(p, q, &v[i])) {
+            /* the token ends at a separator, so the parse cannot run past it */
+            char *stop;
+            double x = PyOS_string_to_double(p, &stop, NULL);
+            if (x == -1.0 && PyErr_Occurred()) {
+                if (!PyErr_ExceptionMatches(PyExc_ValueError))
+                    return -1;
+                PyErr_Clear();
+                return 0;
+            }
+            if (stop != q || !isfinite(x))
+                return 0;
+            v[i] = x;
         }
-        if (stop != q || !isfinite(x))
-            return 0;
-        v[i] = x;
         p = q + 1;
     }
     return 1;
@@ -372,6 +607,13 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__kernels(void)
 {
+#ifdef __SIZEOF_INT128__
+    pow5[0] = pow10[0] = 1;
+    for (int n = 1; n < 33; n++)
+        pow5[n] = 5 * pow5[n - 1];
+    for (int n = 1; n < 23; n++)
+        pow10[n] = 10 * pow10[n - 1];
+#endif
     PyObject *m = PyModule_Create(&module);
     if (m != NULL && PyModule_AddStringConstant(m, "BACKEND_NAME", "compiled") < 0)
         Py_CLEAR(m);

@@ -11,6 +11,7 @@ import mfclab
 from mfclab import (
     PendulumParams,
     PendulumState,
+    SyntheticUlmParams,
     _kernels_py,
     cli,
     demo_config,
@@ -198,6 +199,31 @@ def test_cli_round_trips_alike_across_backends(compiled_kernels, monkeypatch, tm
                 runs.append((rate, flags, log.read_bytes(), capsys.readouterr().out))
         outputs.append(runs)
     assert outputs[0] == outputs[1]
+
+
+def test_cli_round_trips_alike_beyond_the_fast_range(
+    compiled_kernels, monkeypatch, tmp_path, capsys
+):
+    """A synthetic-plant log whose values lie below, inside and above the C
+    writer's fast range (1e-16 <= |x| < 2**128), and whose tokens lie on
+    both sides of the C reader's: the same log bytes and printed metrics
+    from either twin."""
+    plant = SyntheticUlmParams(f_mode="constant", f_value=1e-20, y0=1e39, y1=1e39)
+    config = tmp_path / "tiny-forcing.json"
+    write_config(dataclasses.replace(demo_config(), plant=plant, horizon=10.0), config)
+    outputs = []
+    for module in (_kernels_py, compiled_kernels):
+        monkeypatch.setattr(plants, "kernels", module)
+        log = tmp_path / f"{module.BACKEND_NAME}.csv"
+        assert cli.main(["run", str(config), "--out", str(log)]) == 0
+        capsys.readouterr()
+        assert cli.main(["metrics", str(log), "--cutoff=-inf"]) == 0
+        outputs.append((log.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    values = np.abs(np.loadtxt(log, delimiter=",", skiprows=1))
+    assert ((values > 0) & (values < 1e-16)).any()
+    assert ((values >= 1e-16) & (values < 2.0**128)).any()
+    assert (values >= 2.0**128).any()
 
 
 def test_substeps_checked_alike(kernels, monkeypatch):

@@ -63,6 +63,17 @@ def synthetic_config(horizon=10.0, seed=0, f_mode="sine", noise=None):
     )
 
 
+def noisy_config(plant, seed):
+    """The demo, or the synthetic plant, with measurement noise on."""
+    if plant == "pendulum":
+        return demo_config(seed)
+    return synthetic_config(seed=seed, noise=NoiseModel(width=0.01))
+
+
+def _columns_of(log):
+    return np.column_stack([getattr(log, name) for name in CSV_HEADER.lower().split(",")]).tobytes()
+
+
 def _key_paths(d, prefix=()):
     for key, value in d.items():
         yield prefix + (key,)
@@ -421,16 +432,33 @@ class TestRunClosedLoop:
         a, b = run_closed_loop(base), run_closed_loop(other)
         assert not np.array_equal(a.y_meas, b.y_meas)
 
-    def test_longer_run_extends_shorter(self):
-        # everything logged at step k uses information available at k, so a
-        # longer horizon must reproduce the shorter run as its prefix
-        cfg_short = dataclasses.replace(demo_config(seed=5), horizon=2.0)
-        cfg_long = dataclasses.replace(demo_config(seed=5), horizon=4.0)
-        short, long = run_closed_loop(cfg_short), run_closed_loop(cfg_long)
-        for name in ("y_true", "y_meas", "y_hat", "e", "u", "s", "f_hat"):
-            np.testing.assert_array_equal(
-                getattr(short, name), getattr(long, name)[: short.n]
+    @pytest.mark.parametrize("plant", ["pendulum", "synthetic"])
+    def test_explicit_noise_seed_selects_the_stream(self, plant):
+        def columns(noise_seed, seed):
+            config = dataclasses.replace(
+                noisy_config(plant, seed), horizon=2.0, noise=NoiseModel(0.018, noise_seed)
             )
+            return _columns_of(run_closed_loop(config))
+
+        pinned = columns(noise_seed=5, seed=0)
+        assert pinned == columns(noise_seed=None, seed=5)
+        assert pinned != columns(noise_seed=None, seed=0)
+        assert pinned == columns(noise_seed=5, seed=1)
+
+    @pytest.mark.parametrize("rate", [5.0, 50.0])
+    @pytest.mark.parametrize("plant", ["pendulum", "synthetic"])
+    def test_longer_run_extends_shorter(self, kernels, monkeypatch, plant, rate):
+        # everything logged at step k uses information available at k, so a
+        # longer horizon must reproduce the shorter run as its prefix, value
+        # for value, on either kernel twin
+        monkeypatch.setattr(plants, "kernels", kernels)
+        plants._theta_samples.cache_clear()  # this twin computes the references
+        base = dataclasses.replace(noisy_config(plant, seed=5), sample_rate=rate)
+        short, long = (run_closed_loop(dataclasses.replace(base, horizon=h)) for h in (7.0, 20.0))
+        assert (short.n, long.n) == (7 * rate + 1, 20 * rate + 1)
+        assert not short.diverged and not long.diverged
+        for name in CSV_HEADER.lower().split(","):
+            assert (getattr(long, name)[: short.n] == getattr(short, name)).all(), name
 
     def test_observer_initialization_error(self):
         log = run_closed_loop(

@@ -10,8 +10,11 @@ the same bits (signed zeros included) or the same error message.
 
 import dataclasses
 import io
+import math
+import struct
 import warnings
 from array import array
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -356,6 +359,130 @@ class TestBackendsAgree:
             if module is _kernels_py:
                 want = str(info.value)
             assert str(info.value) == want
+
+
+def _tie(a, j):
+    """``a * 2**j``, checked to be an exact tie at 17 digits: its decimal
+    expansion has 18 significant digits and the last is a 5."""
+    x = math.ldexp(a, j)
+    digits = Decimal(x).normalize().as_tuple().digits
+    assert len(digits) == 18 and digits[-1] == 5, x
+    return x
+
+
+def _around(*values):
+    """Each value with its two neighbours, on both sides of zero."""
+    near = [math.nextafter(v, d) for v in values for d in (-math.inf, math.inf)]
+    return [s * float(v) for v in [*values, *near] for s in (1.0, -1.0)]
+
+
+# the C writer's fast path takes +-0 and 10**-16 <= |x| < 2**128; each case
+# is at a limit of its digits or layout, with its neighbours beyond it
+FORMAT_CASES = {
+    # odd * 2**j half-way between two 17-digit decimals: to even, either way
+    "ties": _around(_tie(4000000000000001, -2), _tie(4000000000000003, -2),
+                    _tie(1049, -20), _tie(1, -25), _tie(3, -25), _tie(4503599627370497, -3)),
+    # the 17 digits round up to 10**17: the double 1e-14 lies below 10**-14
+    "carry": _around(1e-14, 1e-5, 1e-10, 1e20, 0.3, 1e16 - 2.0),
+    "layout-k-5-4": _around(1e-4, 1.2345678901234567e-4, 1e-5, 9.87654321e-5),
+    "layout-k16-17": _around(1e16, 1.2345678901234567e16, 1e17, 99999999999999984.0, 3e17),
+    "range-1e-16": _around(1e-16, 1.0000000000000002e-16, 9.9e-17),
+    "range-2**128": _around(2.0**128, 3.4e38, 2.0**127),
+    "zero-subnormal-max": _around(0.0, 5e-324, 2.2250738585072009e-308,
+                                  2.2250738585072014e-308, 1.7976931348623157e308),
+    "powers-of-ten": _around(*(float(f"1e{k}") for k in range(-17, 40))),
+}
+
+
+def _bits_to_float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+any_double = st.floats() | st.integers(0, 2**64 - 1).map(_bits_to_float) | st.floats(
+    min_value=1e-17, max_value=2.0**129
+)
+
+
+def _token_cases():
+    """Tokens at the limits of the C reader's fast path, -?d+(.d*)?([eE][+-]?d{1,3})?
+    with 19 significant digits at most and a decimal exponent in [-26, 19],
+    and just beyond them."""
+    tokens = ["1.", "-0", "0.000", "0", "-0.0e-5", "000", "0e999", "1e5", "1e05", "1e005",
+              "1e0005", "1.5E+12", "-2.5e-7", "1e-0001", "1e+000", "0.1",
+              "0.30000000000000004", "9007199254740993", "9007199254740995",
+              "1.7976931348623157e308", "2.2250738585072011e-308", "4.9e-324"]
+    for n in range(1, 22):
+        digits = ("123456789" * 3)[:n]
+        tokens += [digits, "-" + digits, "00" + digits, "0.00" + digits, digits + "000",
+                   digits[0] + "." + digits[1:] + "00", "-" + digits[:-1] + "9e-3"]
+    # decimal exponent q = -27/-26 and 19/20, with 1 and 19 significant digits
+    tokens += ["1e-26", "1e-27", "1.2345678901234567e-10", "1.23456789012345678e-10",
+               "1234567890123456789e-45", "1234567890123456789e-46", "1e19", "1e20",
+               "9999999999999999999e19", "9999999999999999999e20", "9999999999999999999",
+               "99999999999999999999", "0.0000000000000000000000000001"]
+    # within 2**-66 above the midpoint of two doubles: the top 64 bits read
+    # as a tie, and only the remainder's sticky bit rounds them up
+    tokens += ["7705233693076608500e-22", "6229631909277159982e-22", "9410135702919435571e-13",
+               "9668011565518599120e11", "2544586109091622011e10",
+               # so close that the quotient by 5**26 reads as a tie: the
+               # remainder rounds it up
+               "2701693964323170658e-26"]
+    return tokens
+
+
+@st.composite
+def number_tokens(draw):
+    """Decimal tokens of 1-21 digits, with or without a point and an
+    exponent of 1-4 digits up to 40."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=21))
+    dot = draw(st.integers(0, len(digits)))
+    token = digits[:dot] + "." + digits[dot:] if draw(st.booleans()) and dot else digits
+    if draw(st.booleans()):
+        width = draw(st.integers(1, 4))
+        exponent = "%0*d" % (width, draw(st.integers(0, min(40, 10**width - 1))))
+        token += draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"])) + exponent
+    return draw(st.sampled_from(["", "-"])) + token
+
+
+class TestCFastPaths:
+    """The C writer and reader compute most values in 128-bit integers and
+    call PyOS_double_to_string / PyOS_string_to_double for the rest; either
+    way they must give the bytes of ``%.17g`` and the bits of ``float``."""
+
+    @staticmethod
+    def assert_formats_like_percent(kernels, values):
+        text = kernels.format_rows(np.array(values, dtype=float), 1)
+        assert text.split(b"\n")[:-1] == [b"%.17g" % x for x in values]
+
+    @staticmethod
+    def assert_parses_like_float(kernels, tokens):
+        parsed = kernels.parse_rows(io.StringIO("".join(t + "\n" for t in tokens)), 1)
+        got = [x.hex() for x in np.frombuffer(parsed, dtype=float).tolist()]
+        assert dict(zip(tokens, got)) == {t: float(t).hex() for t in tokens}
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(any_double, min_size=1, max_size=50))
+    def test_any_double_formats_like_percent(self, compiled_kernels, values):
+        self.assert_formats_like_percent(compiled_kernels, values)
+
+    @pytest.mark.parametrize("case", FORMAT_CASES)
+    def test_limits_format_like_percent(self, compiled_kernels, case):
+        self.assert_formats_like_percent(compiled_kernels, FORMAT_CASES[case])
+
+    def test_limit_cases_are_what_they_say(self):
+        assert Decimal(1e-14) < Decimal("1e-14") and b"%.17g" % 1e-14 == b"1e-14"
+        assert b"%.17g" % 1e-4 == b"0.0001" and b"e-05" in b"%.17g" % math.nextafter(1e-4, 0)
+        assert b"%.17g" % 1e16 == b"10000000000000000" and b"%.17g" % 1e17 == b"1e+17"
+        assert 1e-16 < Decimal("1e-16")
+        assert len(b"%.17g" % -2.2250738585072014e-308) == 24
+
+    def test_limits_parse_like_float(self, compiled_kernels):
+        self.assert_parses_like_float(compiled_kernels, _token_cases())
+
+    @settings(max_examples=300, deadline=None)
+    @given(tokens=st.lists(number_tokens(), min_size=1, max_size=30))
+    def test_any_token_parses_like_float(self, compiled_kernels, tokens):
+        self.assert_parses_like_float(compiled_kernels, tokens)
 
 
 def _outcome(read, path):
