@@ -1,9 +1,12 @@
-/* Compiled kernels: the hot inner loops of the simulator and the codec of
- * the CSV log's body.
+/* Compiled kernels: the whole SISO closed loop, the hot inner loops of the
+ * simulator and the codec of the CSV log's body.
  *
- * Twin of ``_kernels_py``: the same five functions with the same argument
- * order.  The cart-pendulum kernels write the arithmetic expression for
- * expression in the same order, so both backends return the same bits.
+ * Twin of ``_kernels_py``: the same six functions with the same argument
+ * order.  The loop and the cart-pendulum kernels write the arithmetic
+ * expression for expression in the same order, so both backends return the
+ * same bits.  ``run_loop`` calls the C library's exp, log, tanh and sqrt,
+ * which CPython's ``math`` calls too, and draws the noise from the
+ * stream's generator in blocks of 1,024 doubles, as ``sample`` does.
  * That holds when the compiler does not contract a*b + c into a fused
  * multiply-add: setup.py always passes -ffp-contract=off, which matters on
  * targets with FMA (gcc does not contract on plain x86-64).
@@ -128,16 +131,23 @@ get_doubles(PyObject *const *args, Py_ssize_t n, double *out)
     return 0;
 }
 
+/* The Params of the seven constants ``c``. */
+static void
+make_params(const double *c, Params *p)
+{
+    double mc = c[0], mp = c[1], lp = c[2], ip = c[3], grav = c[4], cx = c[5], cth = c[6];
+    double ml = mp * lp;
+    *p = (Params){.a11 = mc + mp, .ml = ml, .a22 = ip + ml * lp, .mgl = mp * grav * lp,
+                  .cx = cx, .cth = cth, .rth = 0.5 * cth, .rx = 0.1 * cx};
+}
+
 static int
 get_params(PyObject *const *args, Params *p)
 {
     double c[7];
     if (get_doubles(args, 7, c) < 0)
         return -1;
-    double mc = c[0], mp = c[1], lp = c[2], ip = c[3], grav = c[4], cx = c[5], cth = c[6];
-    double ml = mp * lp;
-    *p = (Params){.a11 = mc + mp, .ml = ml, .a22 = ip + ml * lp, .mgl = mp * grav * lp,
-                  .cx = cx, .cth = cth, .rth = 0.5 * cth, .rx = 0.1 * cx};
+    make_params(c, p);
     return 0;
 }
 
@@ -154,6 +164,15 @@ get_substeps(PyObject *arg, long *n)
         return -1;
     }
     return 0;
+}
+
+/* A count by the index protocol, as the Python twin's ``operator.index``
+ * and ``range`` take it. */
+static int
+get_count(PyObject *arg, Py_ssize_t *n)
+{
+    *n = PyNumber_AsSsize_t(arg, PyExc_OverflowError);
+    return *n == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
 static PyObject *
@@ -213,16 +232,325 @@ trajgen_advance(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nar
     return pack(v, 4);
 }
 
-/* ---- the CSV log's body codec ------------------------------------------ */
+/* ---- the SISO closed loop ---------------------------------------------- */
 
-/* ``ncols`` by the index protocol, as the Python twin's ``operator.index``
- * takes it. */
-static int
-get_ncols(PyObject *arg, Py_ssize_t *ncols)
+#define ROW 13            /* values per row of the log */
+#define NOISE_BLOCK 1024  /* doubles per call of the noise generator */
+
+/* A Hölder gain: weight w (1x1 when ``matrix``), margin, a = 1 - 1/exponent. */
+typedef struct {
+    double w, margin, a;
+    int matrix;
+} Gain;
+
+/* holder_gain of a scalar error, rounded as ``quadratic_form`` rounds:
+ * w*(e*e) for a scalar weight, (e*w)*e for a 1x1 one; a form that is not
+ * positive (zero or NaN) gives exactly -1. */
+static inline double
+gain(double e, const Gain *g)
 {
-    *ncols = PyNumber_AsSsize_t(arg, PyExc_OverflowError);
-    return *ncols == -1 && PyErr_Occurred() ? -1 : 0;
+    double x = g->matrix ? (e * g->w) * e : g->w * (e * e);
+    if (!(x > 0.0))
+        return -1.0;
+    double z = exp(g->a * log(x));
+    return (z - g->margin) / (z + g->margin);
 }
+
+/* The influence for a feedback total: the fixed ``value``, or with
+ * ``adaptive`` set value * (1 + tanh(|total|)). */
+static inline double
+influence_of(double total, int adaptive, double value)
+{
+    return adaptive ? value * (1.0 + tanh(sqrt(total * total))) : value;
+}
+
+/* The measurement noise: the doubles of ``random`` (a Generator.random),
+ * drawn NOISE_BLOCK at a time and read in order. */
+typedef struct {
+    PyObject *random;
+    double width;
+    double block[NOISE_BLOCK];
+    int next;
+} Noise;
+
+static int
+draw(Noise *z, double *d)
+{
+    if (z->next == NOISE_BLOCK) {
+        PyObject *arr = PyObject_CallFunction(z->random, "n", (Py_ssize_t)NOISE_BLOCK);
+        if (arr == NULL)
+            return -1;
+        Py_buffer view;
+        int rc = PyObject_GetBuffer(arr, &view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT);
+        Py_DECREF(arr);
+        if (rc < 0)
+            return -1;
+        rc = view.format != NULL && strcmp(view.format, "d") == 0
+             && view.len == (Py_ssize_t)sizeof z->block;
+        if (rc)
+            memcpy(z->block, view.buf, sizeof z->block);
+        PyBuffer_Release(&view);
+        if (!rc) {
+            PyErr_SetString(PyExc_TypeError, "run_loop(): random(1024) gave no 1024 doubles");
+            return -1;
+        }
+        z->next = 0;
+    }
+    *d = z->block[z->next++];
+    return 0;
+}
+
+/* A sample of ``BumpNoiseStream.sample``: rejection against a uniform
+ * envelope, u = -1 + 2 d and h = d of two draws per attempt. */
+static int
+sample(Noise *z, double *v)
+{
+    for (;;) {
+        double d, h;
+        if (draw(z, &d) < 0 || draw(z, &h) < 0)
+            return -1;
+        double u = -1.0 + 2.0 * d;
+        double u2 = u * u;
+        if (u2 >= 1.0)
+            continue;
+        if (h < exp(1.0 - 1.0 / (1.0 - u2))) {
+            *v = 0.5 * z->width * u;
+            return 0;
+        }
+    }
+}
+
+static int
+get_flag(PyObject *arg, int *flag)
+{
+    *flag = PyObject_IsTrue(arg);
+    return *flag < 0 ? -1 : 0;
+}
+
+/* A gain's (w, is_matrix, margin, a). */
+static int
+get_gain(PyObject *const *args, Gain *g)
+{
+    if (get_doubles(args, 1, &g->w) < 0 || get_flag(args[1], &g->matrix) < 0
+        || get_doubles(args + 2, 1, &g->margin) < 0 || get_doubles(args + 3, 1, &g->a) < 0)
+        return -1;
+    return 0;
+}
+
+/* The ``n`` doubles of the sequence ``seq``, named ``what``. */
+static int
+get_sequence(PyObject *seq, Py_ssize_t n, const char *what, double *out)
+{
+    PyObject *fast = PySequence_Fast(seq, "run_loop() takes a sequence of floats");
+    if (fast == NULL)
+        return -1;
+    int rc = -1;
+    if (PySequence_Fast_GET_SIZE(fast) != n)
+        PyErr_Format(PyExc_ValueError, "run_loop() takes %s as %zd floats", what, n);
+    else
+        rc = get_doubles(PySequence_Fast_ITEMS(fast), n, out);
+    Py_DECREF(fast);
+    return rc;
+}
+
+/* A C-contiguous buffer of ``min`` doubles at least, named ``what``. */
+static int
+get_buffer(PyObject *obj, Py_ssize_t min, const char *what, Py_buffer *view)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        return -1;
+    if (view->format == NULL || strcmp(view->format, "d") != 0
+        || view->len / (Py_ssize_t)sizeof(double) < min) {
+        PyErr_Format(PyExc_ValueError, "run_loop() takes %s as %zd doubles at least", what,
+                     min);
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return 0;
+}
+
+/* The loop of ``_kernels_py.run_loop``, statement for statement; see its
+ * docstring for the arguments.  Where the Python twin's trig raises on an
+ * infinite angle, ``advance`` gives NaN, and the state is checked
+ * instead. */
+static PyObject *
+run_loop(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    Gain obs, ulm, ctl;
+    int adaptive, second_order, oracle_f;
+    double influence, mu, f_hat_bias, dt, y_hat0;
+    Py_ssize_t n;
+    if (check_nargs("run_loop", nargs, 28) < 0 || get_gain(args, &obs) < 0
+        || get_gain(args + 4, &ulm) < 0 || get_gain(args + 8, &ctl) < 0
+        || get_flag(args[12], &adaptive) < 0 || get_doubles(args + 13, 1, &influence) < 0
+        || get_doubles(args + 14, 1, &mu) < 0 || get_flag(args[15], &second_order) < 0
+        || get_flag(args[16], &oracle_f) < 0 || get_doubles(args + 17, 1, &f_hat_bias) < 0
+        || get_doubles(args + 18, 1, &dt) < 0 || get_count(args[19], &n) < 0
+        || get_doubles(args + 21, 1, &y_hat0) < 0)
+        return NULL;
+    if (n < 0)
+        n = 0;
+    if (n > PY_SSIZE_T_MAX / (ROW * (Py_ssize_t)sizeof(double)) - 2)
+        return PyErr_NoMemory();
+
+    int pendulum = args[23] != Py_None;
+    Py_ssize_t lag = pendulum ? 1 : 0;
+    double state[4];
+    long substeps = 0;
+    Params p;
+    Noise *noise = NULL;
+    Py_buffer y_d_view = {0}, f_view = {0};
+    double *rows = NULL, *y_true = NULL, *y_hat = NULL;
+    PyObject *result = NULL;
+    if (pendulum) {
+        double c[7];
+        if (get_sequence(args[22], 4, "truth", state) < 0
+            || get_sequence(args[23], 7, "params", c) < 0
+            || get_substeps(args[24], &substeps) < 0)
+            return NULL;
+        make_params(c, &p);
+    }
+    else if (get_sequence(args[22], 2, "truth", state) < 0)
+        return NULL;
+    if (get_buffer(args[20], n + 2 - lag, "y_d", &y_d_view) < 0)
+        return NULL;
+    if (!pendulum && get_buffer(args[25], n, "f_signal", &f_view) < 0)
+        goto done;
+    if (args[27] != Py_None) {
+        noise = PyMem_Malloc(sizeof *noise);
+        if (noise == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        noise->random = args[27];
+        noise->next = NOISE_BLOCK;
+        if (get_doubles(args + 26, 1, &noise->width) < 0)
+            goto done;
+    }
+    rows = PyMem_Malloc((size_t)(n * ROW) * sizeof(double));
+    y_true = PyMem_Malloc((size_t)(n + 2) * sizeof(double));
+    y_hat = PyMem_Malloc((size_t)n * sizeof(double));
+    if (rows == NULL || y_true == NULL || y_hat == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+
+    const double *y_d = y_d_view.buf, *f_signal = f_view.buf;
+    if (pendulum)
+        y_true[0] = state[1];
+    else {
+        y_true[0] = state[0];
+        y_true[1] = state[1];
+    }
+    const double *signal = pendulum ? y_hat : y_true;
+    /* the F estimator: its estimate, the last value it absorbed (none
+     * before the first) and, second order only, its estimate of F's first
+     * difference */
+    double f_hat = 0.0, f_prev = 0.0, delta_hat = 0.0;
+    int have_prev = 0;
+    double e_o = 0.0;     /* observer estimate minus measurement */
+    double effect = 0.0;  /* G u of the previous step */
+    Py_ssize_t kept = n;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        double y_k = y_true[k];
+        double v = 0.0;
+        if (noise != NULL && sample(noise, &v) < 0)
+            goto done;
+        double y_m = y_k + v;
+        double y_hat_k = k == 0 ? y_hat0 : y_m + gain(e_o, &obs) * e_o;
+        e_o = y_hat_k - y_m;
+        y_hat[k] = y_hat_k;
+
+        Py_ssize_t j = k - lag;
+        if (j >= 1) {
+            double f_new;
+            if (pendulum)
+                f_new = ((signal[j + 1] - signal[j]) - (signal[j] - signal[j - 1])) - effect;
+            else
+                f_new = (signal[j + 1] - 2.0 * signal[j] + signal[j - 1]) - effect;
+            if (!second_order) {
+                double err = f_hat - f_new;
+                f_hat = gain(err, &ulm) * err + f_new;
+            }
+            else if (have_prev) {
+                double delta = f_new - f_prev;
+                double err = delta_hat - delta;
+                delta_hat = gain(err, &ulm) * err + delta;
+                err = f_hat - f_new;
+                f_hat = gain(err, &ulm) * err + f_new + delta_hat;
+            }
+            f_prev = f_new;
+            have_prev = 1;
+        }
+        double f_true_k;
+        if (!pendulum)
+            f_true_k = f_signal[k];
+        else if (k < 2)
+            f_true_k = 0.0;
+        else
+            f_true_k = ((y_true[k] - y_true[k - 1]) - (y_true[k - 1] - y_true[k - 2])) - effect;
+        double f_hat_k = (oracle_f ? f_true_k : f_hat) + f_hat_bias;
+
+        double s_k, g_k, u_k;
+        if (j >= 0) {
+            double e_j = signal[j] - y_d[j];
+            double e_j1 = signal[j + 1] - y_d[j + 1];
+            double e_1 = e_j1 - e_j;
+            s_k = e_1 + mu * e_j;
+            double c = gain(s_k, &ctl);
+            double rhs = y_d[j + 2] - 2.0 * y_d[j + 1] + y_d[j] - (1.0 - c) * e_1
+                         + c * mu * e_j - mu * e_j1 - f_hat_k;
+            g_k = influence_of(-(1.0 - c) * s_k - mu * e_1 - f_hat_k, adaptive, influence);
+            u_k = rhs / g_k;
+            if (!isfinite(u_k)) {
+                kept = k;
+                break;
+            }
+        }
+        else {
+            s_k = 0.0;
+            g_k = influence_of(0.0, adaptive, influence);
+            u_k = 0.0;
+        }
+        effect = g_k * u_k;
+
+        const double row[ROW] = {
+            (double)k * dt, y_d[k], y_k, y_m, y_hat_k, y_k - y_d[k], e_o,
+            f_true_k, f_hat_k, f_hat_k - f_true_k, s_k, u_k, g_k,
+        };
+        memcpy(rows + k * ROW, row, sizeof row);
+        if (k < n - lag) {
+            int finite;
+            if (pendulum) {
+                advance(state, u_k, 0, dt, substeps, &p);
+                finite = isfinite(state[0]) && isfinite(state[1]) && isfinite(state[2])
+                         && isfinite(state[3]);
+                y_true[k + 1] = state[1];
+            }
+            else {
+                double y_next = 2.0 * y_true[k + 1] - y_true[k] + f_true_k + g_k * u_k;
+                finite = isfinite(y_next);
+                y_true[k + 2] = y_next;
+            }
+            if (!finite) {
+                kept = k + lag;
+                break;
+            }
+        }
+    }
+    result = Py_BuildValue("(y#O)", (const char *)rows, kept * ROW * (Py_ssize_t)sizeof(double),
+                           kept < n ? Py_True : Py_False);
+done:
+    PyMem_Free(rows);
+    PyMem_Free(y_true);
+    PyMem_Free(y_hat);
+    PyMem_Free(noise);
+    PyBuffer_Release(&f_view);  /* nothing to release when it was not taken */
+    PyBuffer_Release(&y_d_view);
+    return result;
+}
+
+/* ---- the CSV log's body codec ------------------------------------------ */
 
 #ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
@@ -450,7 +778,7 @@ format_rows(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     Py_buffer view;
     Py_ssize_t ncols;
     if (check_nargs("format_rows", nargs, 2) < 0
-        || get_ncols(args[1], &ncols) < 0
+        || get_count(args[1], &ncols) < 0
         || PyObject_GetBuffer(args[0], &view, PyBUF_STRIDES | PyBUF_FORMAT) < 0)
         return NULL;
     PyObject *result = NULL;
@@ -547,7 +875,7 @@ parse_rows(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_ssize_t ncols, len;
     if (check_nargs("parse_rows", nargs, 2) < 0
-        || get_ncols(args[1], &ncols) < 0)
+        || get_count(args[1], &ncols) < 0)
         return NULL;
     PyObject *text = PyObject_CallMethod(args[0], "read", NULL);
     if (text == NULL) {
@@ -588,6 +916,8 @@ static PyMethodDef methods[] = {
     ENTRY(rk4_advance, "Advance by ``dt`` using ``substeps`` RK4 steps, zero-order-hold force."),
     ENTRY(trajgen_advance, "Advance the reference-generating closed loop by ``dt``; the force "
                            "is re-evaluated from the state at every RK4 stage."),
+    ENTRY(run_loop, "The ``n`` rows of a closed-loop run as row-major doubles, and whether it "
+                    "diverged; the C twin of ``_kernels_py.run_loop``."),
     ENTRY(format_rows, "The rows of ``ncols`` values of a C-contiguous float64 ``block`` as CSV "
                        "bytes: ``%.17g`` values, ',' between them, '\\n' after each row."),
     ENTRY(parse_rows, "The rest of the text file ``fh`` as ``ncols``-value rows: the finite "

@@ -1,10 +1,10 @@
-"""Pure-Python kernels: the cart-pendulum dynamics and the codec of the CSV
-log's body.
+"""Pure-Python kernels: the whole SISO closed loop, the cart-pendulum
+dynamics and the codec of the CSV log's body.
 
 Fallback twin of the compiled extension ``_kernels``; both expose the same
-five functions with identical argument order.  The cart-pendulum kernels
-are plain scalar float math, written with the same arithmetic in the same
-order as the C twin, so both return the same bits.
+six functions with identical argument order.  The loop and the
+cart-pendulum kernels are plain scalar float math, written with the same
+arithmetic in the same order as the C twin, so both return the same bits.
 
 Both advances run one substep loop, ``_advance``, with the four RK4 stages
 and the accelerations of ``pendulum_accel`` written inline.  The products
@@ -17,6 +17,11 @@ and ``-cx``.  Each is the left operand of a left-associative chain in
 ``-mp * lp * co`` is ``((-mp) * lp) * co``, and since IEEE multiplication
 is sign-symmetric ``(-mp) * lp == -(mp * lp)``.
 
+``run_loop`` steps the closed loop of ``harness.run_closed_loop`` on
+floats and calls ``_advance`` for the pendulum's truth.  The gains call
+``math``'s ``exp``, ``log``, ``tanh`` and ``sqrt``, which are the C
+library's, as the C twin calls them.
+
 The codec: ``format_rows`` formats a block with one bytes ``%`` of
 ``%.17g`` fields, and ``parse_rows`` parses the rest of a file with one
 call of numpy's ``loadtxt``.  The C twin writes the same bytes.  Where both
@@ -26,11 +31,14 @@ other parses, and the caller then reads it line by line.
 
 import operator
 import warnings
-from math import cos, sin, tanh
+from array import array
+from math import cos, exp, isfinite, log, sin, sqrt, tanh
 
 import numpy as np
 
 BACKEND_NAME = "python"
+
+_ROW = 13  # values per row of the log
 
 
 def pendulum_accel(x, theta, x_dot, theta_dot, force,
@@ -148,6 +156,183 @@ def trajgen_advance(x, theta, x_dot, theta_dot, dt, substeps,
     """
     return _advance(x, theta, x_dot, theta_dot, 0.0, True, dt, substeps,
                     mc, mp, lp, ip, grav, cx, cth)
+
+
+def _gain(w, matrix, margin, a):
+    """``holder_gain`` of a scalar error, as a function on floats, for the
+    weight ``w`` (1x1 when ``matrix``), ``margin`` and ``a = 1 - 1/exponent``.
+
+    It rounds as ``quadratic_form`` does: w*(e*e) for a scalar weight,
+    (e*w)*e for a 1x1 one, and a form that is not positive (zero or NaN)
+    gives exactly -1.
+    """
+
+    def gain(e):
+        x = (e * w) * e if matrix else w * (e * e)
+        if not x > 0.0:
+            return -1.0
+        z = exp(a * log(x))
+        return (z - margin) / (z + margin)
+
+    return gain
+
+
+def _bump_sampler(width, random):
+    """The samples of ``BumpNoiseStream(width, seed).sample`` when ``random``
+    is that stream's ``Generator.random``: the doubles are drawn 1,024 at a
+    time and read in the order ``sample`` reads them."""
+
+    def doubles():
+        while True:
+            yield from random(1024).tolist()
+
+    draw = doubles().__next__
+
+    def sample():
+        while True:
+            u = -1.0 + 2.0 * draw()
+            h = draw()
+            u2 = u * u
+            if u2 >= 1.0:
+                continue
+            if h < exp(1.0 - 1.0 / (1.0 - u2)):
+                return 0.5 * width * u
+
+    return sample
+
+
+def run_loop(ow, om, omargin, oa, uw, um, umargin, ua, cw, cm, cmargin, ca,
+             adaptive, influence, mu, second_order, oracle_f, f_hat_bias, dt, n,
+             y_d, y_hat0, truth, params, substeps, f_signal, width, random):
+    """The ``n`` rows of a closed-loop run, row-major, and whether it
+    diverged.
+
+    The observer, ULM and controller gains are ``(w, is_matrix, margin,
+    a)`` each.  The influence is the fixed value ``influence``, or with
+    ``adaptive`` set the adaptive one of base ``influence``.  ``y_d`` is
+    the reference, ``n + 2 - lag`` doubles, and ``y_hat0`` the initial
+    estimate.  The plant is the cart-pendulum when ``params`` holds its
+    seven constants: ``truth`` is its raw state, advanced by ``substeps``
+    RK4 steps per period, and its lag is 1.  Otherwise (``params`` None)
+    it is the synthetic plant: ``truth`` is ``(y0, y1)``, ``f_signal`` the
+    ``n`` values of its forcing, and its lag is 0.  ``random`` is the
+    noise stream's ``Generator.random``, or None for no noise.
+
+    At step k the law anchors at j = k - lag: it uses the errors at
+    (j, j+1) and y_d[j..j+2], and shapes y[j+2].  F is reconstructed from
+    the signal window [j-1, j+1] with the input effect of step k-1, the
+    input that shaped y[j+1].  The pendulum's law reads the observer
+    estimates, the synthetic plant's its exact outputs.  A non-finite
+    input at step k keeps k rows; a failed advance after step k keeps
+    k + lag rows.
+    """
+    observer_gain = _gain(ow, om, omargin, oa)
+    ulm_gain = _gain(uw, um, umargin, ua)
+    ctl_gain = _gain(cw, cm, cmargin, ca)
+    if adaptive:
+        def influence_of(feedback_total):
+            return influence * (1.0 + tanh(sqrt(feedback_total * feedback_total)))
+    else:
+        def influence_of(feedback_total):
+            return influence
+    noise = _bump_sampler(width, random) if random is not None else None
+    y_d = memoryview(y_d).tolist()
+    pendulum = params is not None
+    lag = 1 if pendulum else 0
+    if pendulum:
+        state = tuple(truth)
+        y_true = [state[1]]
+    else:
+        y_true = [truth[0], truth[1]]
+        f_signal = memoryview(f_signal).tolist()
+    y_hat = []
+    signal = y_hat if pendulum else y_true
+    rows = array("d")
+    # the F estimator: its estimate, the last value it absorbed (None
+    # before the first) and, second order only, its estimate of F's first
+    # difference
+    f_hat = 0.0
+    f_prev = None
+    delta_hat = 0.0
+    e_o = 0.0  # observer estimate minus measurement
+    effect = 0.0  # G u of the previous step
+    for k in range(n):
+        y_k = y_true[k]
+        y_m = y_k + (noise() if noise is not None else 0.0)
+        if k == 0:
+            y_hat_k = y_hat0
+        else:
+            y_hat_k = y_m + observer_gain(e_o) * e_o
+        e_o = y_hat_k - y_m
+        y_hat.append(y_hat_k)
+
+        j = k - lag
+        if j >= 1:
+            if pendulum:
+                f_new = ((signal[j + 1] - signal[j]) - (signal[j] - signal[j - 1])) - effect
+            else:
+                f_new = (signal[j + 1] - 2.0 * signal[j] + signal[j - 1]) - effect
+            if not second_order:
+                err = f_hat - f_new
+                f_hat = ulm_gain(err) * err + f_new
+            elif f_prev is not None:
+                delta = f_new - f_prev
+                err = delta_hat - delta
+                delta_hat = ulm_gain(err) * err + delta
+                err = f_hat - f_new
+                f_hat = ulm_gain(err) * err + f_new + delta_hat
+            f_prev = f_new
+        if not pendulum:
+            f_true_k = f_signal[k]
+        elif k < 2:
+            # the newest value reconstructable from truth; none before step 2
+            f_true_k = 0.0
+        else:
+            f_true_k = ((y_true[k] - y_true[k - 1]) - (y_true[k - 1] - y_true[k - 2])) - effect
+        # the bias is added even when it is 0.0: that turns -0.0 into 0.0
+        f_hat_k = (f_true_k if oracle_f else f_hat) + f_hat_bias
+
+        if j >= 0:
+            e_j = signal[j] - y_d[j]
+            e_j1 = signal[j + 1] - y_d[j + 1]
+            e_1 = e_j1 - e_j
+            s_k = e_1 + mu * e_j
+            c = ctl_gain(s_k)
+            rhs = (
+                y_d[j + 2] - 2.0 * y_d[j + 1] + y_d[j] - (1.0 - c) * e_1
+                + c * mu * e_j - mu * e_j1 - f_hat_k
+            )
+            g_k = influence_of(-(1.0 - c) * s_k - mu * e_1 - f_hat_k)
+            u_k = rhs / g_k
+            if not isfinite(u_k):
+                return rows, True
+        else:
+            s_k = 0.0
+            g_k = influence_of(0.0)
+            u_k = 0.0
+        effect = g_k * u_k
+
+        rows.extend((
+            k * dt, y_d[k], y_k, y_m, y_hat_k, y_k - y_d[k], e_o,
+            f_true_k, f_hat_k, f_hat_k - f_true_k, s_k, u_k, g_k,
+        ))
+        if k < n - lag:
+            if pendulum:
+                try:
+                    state = _advance(*state, u_k, False, dt, substeps, *params)
+                    finite = all(map(isfinite, state))
+                except ValueError:
+                    # math's trig raises on an infinite angle, where C gives NaN
+                    finite = False
+                y_next = state[1]
+            else:
+                y_next = 2.0 * y_true[k + 1] - y_true[k] + f_true_k + g_k * u_k
+                finite = isfinite(y_next)
+            if not finite:
+                del rows[(k + lag) * _ROW :]
+                return rows, True
+            y_true.append(y_next)
+    return rows, False
 
 
 def format_rows(block, ncols):

@@ -4,8 +4,8 @@ One run wires measurement noise -> output observer -> ultra-local-model
 estimator -> tracking controller -> plant and records every per-step
 quantity.  Runs are deterministic given the configuration and seed.
 
-A single step loop serves both plants; a small per-run plant object
-supplies what differs between them:
+The kernel backend's ``run_loop`` steps one loop for both plants, which
+differ in where the law anchors:
 
 * cart-pendulum: only the current measurement exists at decision time, so
   the second-order law is evaluated one step in arrears (the (k-1, k)
@@ -43,7 +43,6 @@ from .plants import (
     SyntheticUlmParams,
     _SUBSTEPS,
     _desired_theta_samples,
-    _kernel,
 )
 from .ulm import SECOND_ORDER, UlmConfig
 
@@ -201,38 +200,14 @@ def _siso_value(value, key: str) -> float:
     return float(np.reshape(value, -1)[0])
 
 
-def _float_gain(params: HolderGainParams):
-    """``holder_gain`` of a scalar error for ``params``, as a function on
-    floats.
-
-    It rounds as ``quadratic_form`` does: w*(e*e) for a scalar weight,
-    (e*w)*e for a 1x1 one, and a form that is not positive (zero or NaN)
-    gives exactly -1.
-    """
-    matrix = not isinstance(params.weight, float)
-    w = _siso_value(params.weight, "weight")
-    margin = params.margin
-    a = 1.0 - 1.0 / params.exponent
-    exp, log = math.exp, math.log
-
-    def gain(e: float) -> float:
-        x = (e * w) * e if matrix else w * (e * e)
-        if not x > 0.0:
-            return -1.0
-        z = exp(a * log(x))
-        return (z - margin) / (z + margin)
-
-    return gain
-
-
-def _float_influence(policy):
-    """``influence_gain`` of a scalar feedback total, as a function on floats."""
-    if isinstance(policy, FixedInfluence):
-        value = _siso_value(policy.value, "value")
-        return lambda feedback_total: value
-    base = policy.base
-    return lambda feedback_total: base * (
-        1.0 + math.tanh(math.sqrt(feedback_total * feedback_total))
+def _gain_args(params: HolderGainParams) -> tuple:
+    """``params`` as the kernels' gain arguments ``(w, is_matrix, margin, a)``
+    with a = 1 - 1/exponent; the weight is a scalar or 1x1."""
+    return (
+        _siso_value(params.weight, "weight"),
+        not isinstance(params.weight, float),
+        params.margin,
+        1.0 - 1.0 / params.exponent,
     )
 
 
@@ -258,192 +233,53 @@ def run_closed_loop(
         "f_hat_bias": f_hat_bias,
         "backend": BACKEND,
     }
-    rows = array("d")
-    diverged = False
+    rows, diverged = b"", False
     if config.n_records > 0:
-        plant = _PLANTS[type(config.plant)](config)
-        diverged = _run_loop(config, plant, oracle_f, f_hat_bias, rows)
+        rows, diverged = _run_loop(config, oracle_f, f_hat_bias)
     meta["wall_time_s"] = time.perf_counter() - start
     return _log_from_rows(rows, diverged, meta)
 
 
-class _PendulumPlant:
-    """Cart-pendulum truth advanced by RK4.  Only the current measurement
-    exists at decision time, so the law runs one step in arrears on the
-    observer estimates."""
+def _run_loop(config: ExperimentConfig, oracle_f: bool, f_hat_bias: float):
+    """The rows of the run, row-major doubles, and whether it diverged.
 
-    lag = 1
-    reads_estimates = True
-
-    def __init__(self, config: ExperimentConfig):
-        self.params = config.plant
-        self.raw_params = config.plant.as_tuple()
-        self.dt = config.dt
-        self.initial = config.initial_truth
-        self.state = config.initial_truth.as_tuple()
-        self.y = [config.initial_truth.theta]
-        self.initial_estimate = config.initial_estimates.theta
-
-    def reference(self, count: int) -> np.ndarray:
-        return _desired_theta_samples(
-            self.params, self.initial, count, self.dt, _SUBSTEPS
-        )
-
-    @staticmethod
-    def reconstruct(y, j: int, effect: float) -> float:
-        return ((y[j + 1] - y[j]) - (y[j] - y[j - 1])) - effect
-
-    def f_true(self, k: int, effect: float) -> float:
-        # the newest value reconstructable from truth; none before step 2
-        if k < 2:
-            return 0.0
-        return self.reconstruct(self.y, k - 1, effect)
-
-    def advance(self, k: int, g: float, u: float, f: float) -> None:
-        self.state = _kernel(
-            "rk4_advance", *self.state, u, self.dt, _SUBSTEPS, *self.raw_params
-        )
-        self.y.append(self.state[1])
-
-
-class _SyntheticPlant:
-    """Exact discrete plant whose step-k state is the output pair
-    (y[k], y[k+1]); the law runs at its natural anchor on truth, so the
-    controller identities hold exactly per step."""
-
-    lag = 0
-    reads_estimates = False
-
-    def __init__(self, config: ExperimentConfig):
-        self.params = config.plant
-        self.dt = config.dt
-        self.y = [self.params.y0, self.params.y1]
-        self.initial_estimate = self.params.y0
-
-    def reference(self, count: int) -> np.ndarray:
-        return self.params.desired_samples(count, self.dt)
-
-    @staticmethod
-    def reconstruct(y, j: int, effect: float) -> float:
-        return (y[j + 1] - 2.0 * y[j] + y[j - 1]) - effect
-
-    def f_true(self, k: int, effect: float) -> float:
-        return self.params.f_signal(k, self.dt)
-
-    def advance(self, k: int, g: float, u: float, f: float) -> None:
-        # f is f_true(k), evaluated once per step
-        y = self.y
-        y_next = 2.0 * y[k + 1] - y[k] + f + g * u
-        if not math.isfinite(y_next):
-            raise DivergenceError("synthetic plant produced a non-finite output")
-        y.append(y_next)
-
-
-_PLANTS = {PendulumParams: _PendulumPlant, SyntheticUlmParams: _SyntheticPlant}
-
-
-def _run_loop(config, plant, oracle_f, f_hat_bias, rows: array) -> bool:
-    """Step the closed loop on floats, appending each step's row to
-    ``rows``; True when it diverged.
-
-    At step k the law anchors at j = k - lag: it uses the errors at
-    (j, j+1) and y_d[j..j+2], and shapes y[j+2].  F is reconstructed from
-    the signal window [j-1, j+1] with the input effect of step k-1, the
-    input that shaped y[j+1].  The advance after step k yields y[j+2];
-    when it fails the log keeps its first k + lag rows.
-
-    The arithmetic is that of ``fts_observer_step``, ``ulm_predict``,
+    The reference and the synthetic plant's forcing are computed here, the
+    loop by the kernel backend's ``run_loop``; no row survives a failed
+    reference.  ``tests/test_loop.py`` checks the loop against
+    one built from ``fts_observer_step``, ``ulm_predict``,
     ``control_rhs_second_order``, ``influence_gain``, ``solve_input`` and
-    the plant steps, in their order of evaluation, so the log is the one
-    those functions give value for value.
+    the plant steps.
     """
-    ctl = config.controller
-    mu = ctl.mu
-    observer_gain = _float_gain(config.observer)
-    ulm_gain = _float_gain(config.ulm.gain)
-    ctl_gain = _float_gain(ctl.gain)
-    influence = _float_influence(ctl.influence_policy)
-    second_order = config.ulm.observer_order == SECOND_ORDER
-    dt = config.dt
     n = config.n_records
-    lag = plant.lag
-    noise = None
+    dt = config.dt
+    plant = config.plant
+    if isinstance(plant, PendulumParams):
+        try:
+            y_d = _desired_theta_samples(plant, config.initial_truth, n + 1, dt, _SUBSTEPS)
+        except DivergenceError:
+            return b"", True
+        truth, y_hat0 = config.initial_truth.as_tuple(), config.initial_estimates.theta
+        params, f_signal = plant.as_tuple(), None
+    else:
+        y_d = plant.desired_samples(n + 2, dt)
+        truth, y_hat0 = (plant.y0, plant.y1), plant.y0
+        params, f_signal = None, array("d", [plant.f_signal(k, dt) for k in range(n)])
+    ctl = config.controller
+    policy = ctl.influence_policy
+    if isinstance(policy, FixedInfluence):
+        influence = (False, _siso_value(policy.value, "value"))
+    else:
+        influence = (True, policy.base)
+    width, random = 0.0, None
     if config.noise is not None:
         seed = config.noise.seed if config.noise.seed is not None else config.seed
-        noise = BumpNoiseStream(config.noise.width, seed)
-    y_true = plant.y
-    y_hat = []
-    signal = y_hat if plant.reads_estimates else y_true
-    reconstruct = plant.reconstruct
-    # the F estimator: its estimate, the last value it absorbed (None
-    # before the first) and, second order only, its estimate of F's first
-    # difference
-    f_hat = 0.0
-    f_prev = None
-    delta_hat = 0.0
-    e_o = 0.0  # observer estimate minus measurement
-    effect = 0.0  # G u of the previous step
-    k = 0
-    try:
-        y_d = plant.reference(n + 2 - lag).tolist()
-        for k in range(n):
-            y_k = y_true[k]
-            y_m = y_k + (noise.sample() if noise is not None else 0.0)
-            if k == 0:
-                y_hat_k = plant.initial_estimate
-            else:
-                y_hat_k = y_m + observer_gain(e_o) * e_o
-            e_o = y_hat_k - y_m
-            y_hat.append(y_hat_k)
-
-            j = k - lag
-            if j >= 1:
-                f_new = reconstruct(signal, j, effect)
-                if not second_order:
-                    err = f_hat - f_new
-                    f_hat = ulm_gain(err) * err + f_new
-                elif f_prev is not None:
-                    delta = f_new - f_prev
-                    err = delta_hat - delta
-                    delta_hat = ulm_gain(err) * err + delta
-                    err = f_hat - f_new
-                    f_hat = ulm_gain(err) * err + f_new + delta_hat
-                f_prev = f_new
-            f_true_k = plant.f_true(k, effect)
-            # the bias is added even when it is 0.0: that turns -0.0 into 0.0
-            f_hat_k = (f_true_k if oracle_f else f_hat) + f_hat_bias
-
-            if j >= 0:
-                e_j = signal[j] - y_d[j]
-                e_j1 = signal[j + 1] - y_d[j + 1]
-                e_1 = e_j1 - e_j
-                s_k = e_1 + mu * e_j
-                c = ctl_gain(s_k)
-                rhs = (
-                    y_d[j + 2] - 2.0 * y_d[j + 1] + y_d[j] - (1.0 - c) * e_1
-                    + c * mu * e_j - mu * e_j1 - f_hat_k
-                )
-                g_k = influence(-(1.0 - c) * s_k - mu * e_1 - f_hat_k)
-                u_k = rhs / g_k
-                if not math.isfinite(u_k):
-                    raise DivergenceError("control input is not finite")
-            else:
-                s_k = 0.0
-                g_k = influence(0.0)
-                u_k = 0.0
-            effect = g_k * u_k
-
-            rows.extend((
-                k * dt, y_d[k], y_k, y_m, y_hat_k, y_k - y_d[k], e_o,
-                f_true_k, f_hat_k, f_hat_k - f_true_k, s_k, u_k, g_k,
-            ))
-            if k < n - lag:
-                plant.advance(k, g_k, u_k, f_true_k)
-    except DivergenceError:
-        # no row survives a failed reference; a failed input keeps k rows
-        del rows[(k + lag) * len(_COLUMNS) :]
-        return True
-    return False
+        width = config.noise.width
+        random = BumpNoiseStream(width, seed).random
+    return plants.kernels.run_loop(
+        *_gain_args(config.observer), *_gain_args(config.ulm.gain), *_gain_args(ctl.gain),
+        *influence, ctl.mu, config.ulm.observer_order == SECOND_ORDER, oracle_f, f_hat_bias,
+        dt, n, y_d, y_hat0, truth, params, _SUBSTEPS, f_signal, width, random,
+    )
 
 
 @dataclass(frozen=True)

@@ -253,12 +253,12 @@ class NoiseModel:
             require_int(self, "seed", ok=lambda s: s >= 0, rule="be non-negative")
 
 
-def _doubles(rng: np.random.Generator):
-    """The doubles of ``rng.random()``, drawn 1,024 at a time.  It holds
-    the generator, not the stream, so a stream is freed without the
+def _doubles(random):
+    """The doubles of ``random()``, drawn 1,024 at a time.  It holds the
+    generator's method, not the stream, so a stream is freed without the
     cyclic collector."""
     while True:
-        yield from rng.random(1024).tolist()
+        yield from random(1024).tolist()
 
 
 class BumpNoiseStream:
@@ -272,15 +272,17 @@ class BumpNoiseStream:
     ``sample`` reads the generator in blocks of 1,024 doubles and takes
     ``u = -1 + 2 d`` and ``h = d`` from them, which are the bits of
     ``uniform(-1, 1)`` and ``uniform(0, 1)``: the scalar samples are those
-    of two scalar ``uniform`` draws per attempt.
+    of two scalar ``uniform`` draws per attempt.  ``random`` is the
+    generator's ``random``; the kernels' ``run_loop`` draws its samples
+    from it the same way.
     """
 
     def __init__(self, width: float, seed: int):
         if not is_positive(width):
             raise ValueError(f"width must be positive and finite, got {shown(width)}")
         self.width = width
-        self._rng = np.random.Generator(np.random.PCG64(seed))
-        self._next_double = _doubles(self._rng).__next__
+        self.random = np.random.Generator(np.random.PCG64(seed)).random
+        self._next_double = _doubles(self.random).__next__
 
     def sample(self) -> float:
         draw = self._next_double

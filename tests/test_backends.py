@@ -3,9 +3,12 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from loop_runs import diverging_examples, loop_runs
 
 import mfclab
 from mfclab import (
@@ -16,6 +19,7 @@ from mfclab import (
     cli,
     demo_config,
     generate_desired_trajectory,
+    harness,
     plants,
     rk4_advance,
     run_closed_loop,
@@ -104,7 +108,8 @@ def test_twins_define_the_same_entry_points(compiled_kernels):
             and getattr(value, "__module__", None) == module.__name__
         }
         assert public == {
-            "pendulum_accel", "rk4_advance", "trajgen_advance", "format_rows", "parse_rows",
+            "pendulum_accel", "rk4_advance", "trajgen_advance", "run_loop",
+            "format_rows", "parse_rows",
         }
 
 
@@ -163,6 +168,22 @@ def test_advances_match_stagewise_reference(kernels, substeps):
         assert outcome(kernels.trajgen_advance, *state, dt, substeps, *params) == outcome(
             stagewise_advance, accel, state, 0.0, True, dt, substeps, params
         )
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=loop_runs())
+@diverging_examples
+def test_run_loop_agrees_across_twins(compiled_kernels, run):
+    """Both twins' ``run_loop`` on the arguments the harness passes: the same
+    row bytes, row count and divergence flag."""
+    config, oracle_f, f_hat_bias = run
+    results = []
+    for twin in (_kernels_py, compiled_kernels):
+        with mock.patch.object(plants, "kernels", twin):
+            rows, diverged = harness._run_loop(config, oracle_f, f_hat_bias)
+        rows = bytes(rows)
+        results.append((rows, len(rows) // (13 * 8), diverged))
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -37,8 +37,9 @@ from mfclab import (
     write_config,
     write_log_csv,
 )
+from mfclab._kernels_py import _gain
 from mfclab.cli import main
-from mfclab.harness import _float_gain
+from mfclab.harness import _gain_args
 
 
 def synthetic_config(horizon=10.0, seed=0, f_mode="sine", noise=None):
@@ -470,7 +471,7 @@ class TestRunClosedLoop:
         assert abs(log.e_o[20]) < abs(log.e_o[0])
 
     @pytest.mark.parametrize(
-        "config, rows",
+        "config, kwargs, rows",
         [
             pytest.param(
                 dataclasses.replace(
@@ -484,14 +485,52 @@ class TestRunClosedLoop:
                         influence_policy=FixedInfluence(1e-300),
                     ),
                 ),
+                {},
                 2,
                 id="pendulum-tiny-influence",
+            ),
+            pytest.param(
+                dataclasses.replace(
+                    demo_config(),
+                    horizon=1.0,
+                    noise=None,
+                    controller=ControllerConfig(
+                        margin=1.0,
+                        exponent=11.0 / 9.0,
+                        coefficients=(0.35,),
+                        influence_policy=FixedInfluence(1e-5),
+                    ),
+                ),
+                {},
+                37,
+                # inputs of ~1e7 N, finite, until RK4 leaves the doubles: the
+                # Python twin raises in cos(inf), the C twin gets a NaN state
+                id="pendulum-truth-diverges",
+            ),
+            pytest.param(
+                dataclasses.replace(
+                    demo_config(), horizon=1.0, initial_estimates=PendulumState(theta=1e200)
+                ),
+                {},
+                1,
+                id="pendulum-huge-estimate",
+            ),
+            pytest.param(
+                dataclasses.replace(
+                    demo_config(),
+                    horizon=1.0,
+                    initial_truth=PendulumState(theta=0.1, theta_dot=1e5),
+                ),
+                {},
+                0,
+                id="pendulum-reference-diverges",
             ),
             pytest.param(
                 dataclasses.replace(
                     synthetic_config(horizon=1.0),
                     plant=SyntheticUlmParams(f_mode="constant", f_value=1e300),
                 ),
+                {},
                 1,
                 id="synthetic-huge-forcing",
             ),
@@ -499,13 +538,27 @@ class TestRunClosedLoop:
                 dataclasses.replace(
                     synthetic_config(horizon=1.0), plant=SyntheticUlmParams(y1=1e308)
                 ),
+                {},
                 0,
                 id="synthetic-huge-output",
             ),
+            pytest.param(
+                dataclasses.replace(
+                    synthetic_config(horizon=1.0),
+                    plant=SyntheticUlmParams(f_mode="constant", f_value=-1e308),
+                ),
+                {"f_hat_bias": 1e308},
+                0,
+                # a finite input whose effect overflows the plant's next
+                # output: the failed advance after step 0 keeps k + lag rows
+                id="synthetic-plant-overflows",
+            ),
         ],
     )
-    def test_divergence_truncates_and_flags(self, config, rows):
-        log = run_closed_loop(config)
+    def test_divergence_truncates_and_flags(self, kernels, monkeypatch, config, kwargs, rows):
+        monkeypatch.setattr(plants, "kernels", kernels)
+        plants._theta_samples.cache_clear()  # this twin computes the reference
+        log = run_closed_loop(config, **kwargs)
         assert log.diverged
         assert log.n == rows
 
@@ -645,7 +698,8 @@ POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 class TestFloatGain:
-    """The loop's float gain against ``holder_gain`` on a 1-vector."""
+    """The Python twin's float gain, on the arguments the harness passes to
+    ``run_loop``, against ``holder_gain`` on a 1-vector."""
 
     @settings(max_examples=1000, deadline=None)
     @given(
@@ -663,7 +717,7 @@ class TestFloatGain:
         )
         with np.errstate(all="ignore"):
             expected = holder_gain(np.array([e]), params)
-        got = _float_gain(params)(e)
+        got = _gain(*_gain_args(params))(e)
         assert _same_float(got, expected)
 
 

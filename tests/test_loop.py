@@ -1,0 +1,200 @@
+"""Checks of the closed loop that need no stored digest, on both kernel
+twins: a reference loop built from the library's public steps must write
+the same CSV bytes, and the mirror image of a noiseless run must be its
+exact negation."""
+
+import dataclasses
+from array import array
+from unittest import mock
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from loop_runs import diverging_examples, loop_runs
+
+from mfclab import (
+    BumpNoiseStream,
+    DivergenceError,
+    OutputObserverState,
+    PendulumParams,
+    PendulumState,
+    UlmObserverState,
+    control_rhs_second_order,
+    fts_observer_step,
+    holder_gain,
+    influence_gain,
+    plants,
+    rk4_advance,
+    run_closed_loop,
+    solve_input,
+    synthetic_ulm_plant_step,
+    ulm_predict,
+    write_log_csv,
+)
+from mfclab.harness import _log_from_rows
+
+# the kernels fixture hands each example the same module; nothing to reset
+TWIN_SETTINGS = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def reference_loop(config, oracle_f, f_hat_bias):
+    """The rows of ``run_closed_loop(config, ...)``, flat, and its divergence
+    flag, from ``BumpNoiseStream``, ``fts_observer_step``, ``ulm_predict``,
+    ``control_rhs_second_order``, ``holder_gain``, ``influence_gain``,
+    ``solve_input`` and the plant steps ``rk4_advance`` and
+    ``synthetic_ulm_plant_step``.  F is reconstructed here, per plant."""
+    rows = []
+    n, dt = config.n_records, config.dt
+    ctl, plant = config.controller, config.plant
+    mu = ctl.mu
+    pendulum = isinstance(plant, PendulumParams)
+    lag = 1 if pendulum else 0
+    if n == 0:
+        return rows, False
+    try:
+        if pendulum:
+            y_d = plants._desired_theta_samples(plant, config.initial_truth, n + 1, dt)
+        else:
+            y_d = plant.desired_samples(n + 2, dt)
+    except DivergenceError:
+        return rows, True
+    noise = None
+    if config.noise is not None:
+        seed = config.seed if config.noise.seed is None else config.noise.seed
+        noise = BumpNoiseStream(config.noise.width, seed)
+    if pendulum:
+        state = config.initial_truth
+        y_true, y_hat0 = [state.theta], config.initial_estimates.theta
+    else:
+        y_true, y_hat0 = [plant.y0, plant.y1], plant.y0
+    y_hat = []
+    signal = y_hat if pendulum else y_true
+    estimator = UlmObserverState.initial(1, config.ulm.observer_order)
+    known = []  # the reconstructed values of F
+    effect = 0.0
+    for k in range(n):
+        y_k = y_true[k]
+        y_m = y_k + (noise.sample() if noise is not None else 0.0)
+        if k == 0:
+            observer = OutputObserverState.initial(y_hat0, y_m)
+        else:
+            observer = fts_observer_step(observer, y_m, config.observer)
+        y_hat.append(float(observer.estimate[0]))
+        e_o = float(observer.last_error[0])
+
+        j = k - lag
+        if j >= 1:
+            if pendulum:
+                f_new = ((signal[j + 1] - signal[j]) - (signal[j] - signal[j - 1])) - effect
+            else:
+                f_new = (signal[j + 1] - 2.0 * signal[j] + signal[j - 1]) - effect
+            known.append(f_new)
+        f_hat, estimator = ulm_predict(estimator, known, config.ulm)
+        if not pendulum:
+            f_true = plant.f_signal(k, dt)
+        elif k < 2:
+            f_true = 0.0
+        else:
+            f_true = ((y_true[k] - y_true[k - 1]) - (y_true[k - 1] - y_true[k - 2])) - effect
+        f_used = (f_true if oracle_f else float(f_hat[0])) + f_hat_bias
+
+        if j >= 0:
+            e_j, e_j1 = signal[j] - y_d[j], signal[j + 1] - y_d[j + 1]
+            rhs = control_rhs_second_order(
+                e_j, e_j1, y_d[j], y_d[j + 1], y_d[j + 2], f_used, ctl
+            )
+            e_1 = e_j1 - e_j
+            s = e_1 + mu * e_j
+            c = holder_gain(s, ctl.gain)
+            g = influence_gain(ctl.influence_policy, -(1.0 - c) * s - mu * e_1 - f_used)
+            u = float(solve_input(g, rhs)[0])
+            if not np.isfinite(u):
+                return rows, True
+        else:
+            s, u = 0.0, 0.0
+            g = influence_gain(ctl.influence_policy, 0.0)
+        g = float(np.reshape(g, -1)[0])
+        effect = g * u
+        rows.extend([
+            k * dt, y_d[k], y_k, y_m, y_hat[k], y_k - y_d[k], e_o,
+            f_true, f_used, f_used - f_true, s, u, g,
+        ])
+        if k < n - lag:
+            if pendulum:
+                try:
+                    state = rk4_advance(state, u, dt, plant)
+                except DivergenceError:
+                    return rows, True
+                y_true.append(state.theta)
+            else:
+                y_next = float(synthetic_ulm_plant_step(y_true[k], y_true[k + 1], f_true, g, u)[0])
+                if not np.isfinite(y_next):
+                    del rows[-13:]
+                    return rows, True
+                y_true.append(y_next)
+    return rows, False
+
+
+def _csv_bytes(log, path):
+    write_log_csv(log, path)
+    return path.read_bytes()
+
+
+@TWIN_SETTINGS
+@given(run=loop_runs())
+@diverging_examples
+def test_loop_matches_reference_built_from_the_steps(kernels, run, tmp_path_factory):
+    config, oracle_f, f_hat_bias = run
+    path = tmp_path_factory.mktemp("loop") / "log.csv"
+    with np.errstate(all="ignore"), mock.patch.object(plants, "kernels", kernels):
+        rows, diverged = reference_loop(config, oracle_f, f_hat_bias)
+        expected = _log_from_rows(array("d", rows), diverged, {})
+        log = run_closed_loop(config, oracle_f=oracle_f, f_hat_bias=f_hat_bias)
+        assert (log.n, log.diverged) == (expected.n, expected.diverged)
+        assert _csv_bytes(log, path) == _csv_bytes(expected, path)
+
+
+def mirrored(config):
+    """``config`` with the plant's initial state (and for the synthetic
+    plant its forcing and reference amplitude) negated."""
+    plant = config.plant
+    if isinstance(plant, PendulumParams):
+        def negated(state):
+            return PendulumState(*(-v for v in state.as_tuple()))
+
+        return dataclasses.replace(
+            config,
+            initial_truth=negated(config.initial_truth),
+            initial_estimates=negated(config.initial_estimates),
+        )
+    plant = dataclasses.replace(
+        plant,
+        y0=-plant.y0,
+        y1=-plant.y1,
+        f_value=-plant.f_value,
+        desired_amplitude=-plant.desired_amplitude,
+    )
+    return dataclasses.replace(config, plant=plant)
+
+
+SIGNED = ("y_d", "y_true", "y_meas", "y_hat", "e", "e_o", "f_true", "f_hat", "e_f", "s", "u")
+
+
+@TWIN_SETTINGS
+@given(run=loop_runs())
+@diverging_examples
+def test_noiseless_mirror_image_negates_every_signed_column(kernels, run):
+    # every gain reads e*e, the adaptive influence sqrt(x*x), the law is
+    # odd in the errors and glibc's sin and tanh are odd and cos even; the
+    # bias mirrors too.  Compared with ==: the bias add may turn -0.0 to 0.0
+    config, oracle_f, f_hat_bias = run
+    config = dataclasses.replace(config, noise=None)
+    with mock.patch.object(plants, "kernels", kernels):
+        log = run_closed_loop(config, oracle_f=oracle_f, f_hat_bias=f_hat_bias)
+        image = run_closed_loop(mirrored(config), oracle_f=oracle_f, f_hat_bias=-f_hat_bias)
+    assert (image.n, image.diverged) == (log.n, log.diverged)
+    for name in SIGNED:
+        assert (getattr(image, name) == -getattr(log, name)).all(), name
+    assert (image.t == log.t).all() and (image.g == log.g).all()
+
