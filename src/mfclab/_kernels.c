@@ -20,18 +20,21 @@
  * multiplication is sign-symmetric, so (-mp) * lp == -(mp * lp).
  *
  * The codec writes the bytes of ``b"%.17g" % x`` and reads the bits of
- * ``float(token)``, computing both exactly in 128-bit integers where it can
- * and calling the functions behind Python's own conversions elsewhere.
- * ``format_rows`` writes +-0 and every 10^-16 <= |x| < 2^128 with
- * ``format_fast``: the 17 digits rounded half to even from the exact
- * remainder, in the layout of '%g'.  Any other value (a subnormal, NaN,
+ * ``float(token)``, computing both exactly in 64- and 128-bit integers
+ * where it can and calling the functions behind Python's own conversions
+ * elsewhere.  ``format_rows`` writes +-0 and every 10^-16 <= |x| < 2^128
+ * with ``format_fast``: the decimal exponent estimated from the binary one,
+ * the 17 digits rounded half to even from the exact remainder and written
+ * two at a time, in the layout of '%g'.  Any other value (a subnormal, NaN,
  * inf, one out of that range) goes to PyOS_double_to_string(x, 'g', 17, 0,
  * NULL), which is what ``%`` runs.  ``parse_rows`` reads strict rows only
- * (see ``parse_body``), each token with ``parse_fast`` when it has at most
- * 19 significant digits and a decimal exponent in [-26, 19], correctly
- * rounded as _Py_dg_strtod rounds, and any other token with
- * PyOS_string_to_double, which ``float`` and numpy's ``loadtxt`` run; for
- * a body that is not strict rows it returns None, and the caller reads the
+ * (see ``parse_body``), each token in one pass with ``parse_fast`` when it
+ * has at most 19 significant digits and a decimal exponent in [-26, 19],
+ * correctly rounded as _Py_dg_strtod rounds: a token with a negative
+ * exponent by ``eisel_lemire``'s one or two products, or by an exact
+ * division when they leave the rounding undecided.  Any other token goes to
+ * PyOS_string_to_double, which ``float`` and numpy's ``loadtxt`` run; for a
+ * body that is not strict rows it returns None, and the caller reads the
  * file line by line.  A compiler without ``unsigned __int128`` builds the
  * PyOS calls alone.
  *
@@ -555,8 +558,28 @@ done:
 #ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
 
-/* 5^n (n <= 32) and 10^n (n <= 22), filled by PyInit__kernels. */
-static u128 pow5[33], pow10[23];
+/* 5^n (n <= 32) and 10^n (n <= 22); for n = 1..26 the bit length b of 5^n
+ * and the 128-bit reciprocal floor(2^(127+b) / 5^n), whose top bit is set.
+ * All are filled by PyInit__kernels. */
+static u128 pow5[33], pow10[23], inv5[27];
+static int pow5_bits[27];
+
+static const char digit_pairs[] =
+    "00010203040506070809" "10111213141516171819" "20212223242526272829"
+    "30313233343536373839" "40414243444546474849" "50515253545556575859"
+    "60616263646566676869" "70717273747576777879" "80818283848586878889"
+    "90919293949596979899";
+
+/* The 8 decimal digits of v < 10^8, two at a time. */
+static inline void
+put8(char *o, uint32_t v)
+{
+    uint32_t hi = v / 10000, lo = v % 10000;
+    memcpy(o, digit_pairs + 2 * (hi / 100), 2);
+    memcpy(o + 2, digit_pairs + 2 * (hi % 100), 2);
+    memcpy(o + 4, digit_pairs + 2 * (lo / 100), 2);
+    memcpy(o + 6, digit_pairs + 2 * (lo % 100), 2);
+}
 
 /* The "%.17g" text of x written to ``out`` (24 bytes at least), as
  * PyOS_double_to_string(x, 'g', 17, 0, NULL) writes it; returns its length,
@@ -564,7 +587,8 @@ static u128 pow5[33], pow10[23];
  * k = floor(log10 |x|), the 17 digits are D = x * 10^p, p = 16 - k, rounded
  * half to even: m * 5^p shifted by p + e when p >= 0 (p <= 32, so
  * m * 5^p < 2^128), (m << e) / 10^-p when p < 0 (-p <= 22, so m << e is
- * below 2^128 too). */
+ * below 2^128 too).  k is first estimated from the binary exponent; when the
+ * estimate is one short, D has 18 digits and its last joins the remainder. */
 static int
 format_fast(double x, char *out)
 {
@@ -581,50 +605,56 @@ format_fast(double x, char *out)
     uint64_t bits;
     memcpy(&bits, &ax, sizeof bits);
     uint64_t m = (bits & ((UINT64_C(1) << 52) - 1)) | (UINT64_C(1) << 52);
-    int e = (int)(bits >> 52) - 1075;
-    /* log10 may be off by one near a power of ten; the truncated D corrects k */
-    int k = (int)floor(log10(ax));
-    u128 d, rem, unit;
-    for (;;) {
-        /* p = 33 for the doubles in [1e-16, 10^-16) */
-        int p = 16 - k;
-        if (p > 32 || p < -22)
-            return 0;
-        if (p < 0) {
-            unit = pow10[-p];
-            u128 v = (u128)m << e;
-            d = v / unit;
-            rem = v % unit;
-        }
-        else if (p + e >= 0) {
-            d = (u128)m * pow5[p] << (p + e);
-            rem = 0;
-            unit = 1;
-        }
-        else {
-            u128 v = (u128)m * pow5[p];
-            int s = -(p + e);
-            d = v >> s;
-            unit = (u128)1 << s;
-            rem = v & (unit - 1);
-        }
-        if (d < pow10[16])
-            k--;
-        else if (d >= pow10[17])
-            k++;
-        else
-            break;
+    int e2 = (int)(bits >> 52) - 1023;  /* 2^e2 <= |x| < 2^(e2 + 1) */
+    int e = e2 - 52;
+    /* floor(e2 * log10 2), exact for |e2| < 1650: k or k - 1.  Below 2^-53
+     * it is -17, and k is -16 but for the doubles below 10^-16. */
+    int k = (e2 * 78913) >> 18;
+    if (k < -16)
+        k = -16;
+    int p = 16 - k;
+    uint64_t d;
+    u128 rem, unit;
+    if (p < 0) {
+        unit = pow10[-p];
+        u128 v = (u128)m << e;
+        u128 quo = v / unit;
+        rem = v - quo * unit;
+        d = (uint64_t)quo;
+    }
+    else if (p + e >= 0) {
+        d = (uint64_t)((u128)m * pow5[p] << (p + e));
+        rem = 0;
+        unit = 1;
+    }
+    else {
+        u128 v = (u128)m * pow5[p];
+        int s = -(p + e);
+        d = (uint64_t)(v >> s);
+        unit = (u128)1 << s;
+        rem = v & (unit - 1);
+    }
+    /* the doubles in [1e-16, 10^-16) have k = -17, beyond p's table */
+    if (d < UINT64_C(10000000000000000))
+        return 0;
+    if (d >= UINT64_C(100000000000000000)) {
+        rem += (d % 10) * unit;
+        unit *= 10;
+        d /= 10;
+        k++;
     }
     if (2 * rem > unit || (2 * rem == unit && (d & 1)))
         d++;
-    if (d == pow10[17]) {
-        d = pow10[16];
+    if (d == UINT64_C(100000000000000000)) {
+        d /= 10;
         k++;
     }
+    /* a 9-digit half and an 8-digit half */
     char dig[17];
-    uint64_t r = (uint64_t)d;
-    for (int i = 16; i >= 0; i--, r /= 10)
-        dig[i] = (char)('0' + r % 10);
+    uint32_t hi = (uint32_t)(d / 100000000);
+    dig[0] = (char)('0' + hi / 100000000);
+    put8(dig + 1, hi % 100000000);
+    put8(dig + 9, (uint32_t)(d % 100000000));
     int nd = 17;
     while (dig[nd - 1] == '0')
         nd--;
@@ -637,9 +667,8 @@ format_fast(double x, char *out)
         }
         *o++ = 'e';
         *o++ = k < 0 ? '-' : '+';
-        k = abs(k);
-        *o++ = (char)('0' + k / 10);
-        *o++ = (char)('0' + k % 10);
+        memcpy(o, digit_pairs + 2 * abs(k), 2);
+        o += 2;
     }
     else if (k < 0) {
         memcpy(o, "0.0000", 1 - k);
@@ -681,7 +710,53 @@ scaled_double(u128 v, int sticky, int exp)
         top = (uint64_t)v << (64 - bitlen);
         exp -= 64 - bitlen;
     }
-    return ldexp((double)(top | (uint64_t)sticky), exp);
+    /* one rounding, in the conversion; the power of two 2^exp, assembled
+     * from its bits, scales exactly */
+    uint64_t scale_bits = (uint64_t)(1023 + exp) << 52;
+    double scale;
+    memcpy(&scale, &scale_bits, sizeof scale);
+    return (double)(top | (uint64_t)sticky) * scale;
+}
+
+/* w * 10^-n for 0 < w < 10^19 and 1 <= n <= 26, correctly rounded, into
+ * ``out`` by Eisel and Lemire's method (Lemire, "Number parsing at a
+ * gigabyte per second", 2021); 0 when the table's truncation leaves the
+ * rounding undecided.  With W = w << l normalized to bit 63 and T = inv5[n],
+ * X = W * 2^(127+b) / 5^n lies in [W*T, W*T + W), below 2^192.  Its bits
+ * from 137 up (53 bits, the rounding bit, and bit 63 of the top word) are
+ * those of the top word of W * T_hi, which may be one short: they are
+ * decided unless its low 9 bits are all ones, and then the second product
+ * W * T_lo decides them unless bits 64..136 are still all ones.  They are
+ * only when X is a multiple K * 2^137, an exact double or a tie, which the
+ * caller rounds exactly: X then lies within 2^64 of one, and 5^n * X =
+ * W * 2^(127+b) and 5^n * K * 2^137 are multiples of 2^130 that differ by
+ * less than 5^n * 2^64 < 2^130.  Once decided, X is neither, and a set
+ * rounding bit means rounding up. */
+static int
+eisel_lemire(uint64_t w, int n, double *out)
+{
+    int l = __builtin_clzll(w);
+    uint64_t wn = w << l;
+    u128 prod = (u128)wn * (uint64_t)(inv5[n] >> 64);
+    uint64_t hi = (uint64_t)(prod >> 64), lo = (uint64_t)prod;
+    if ((hi & 0x1FF) == 0x1FF) {
+        uint64_t add = (uint64_t)(((u128)wn * (uint64_t)inv5[n]) >> 64);
+        lo += add;
+        hi += lo < add;
+        if ((hi & 0x1FF) == 0x1FF && lo == UINT64_MAX)
+            return 0;
+    }
+    int msb = (int)(hi >> 63);
+    /* the 53 bits after the rounding bit is added */
+    uint64_t m = ((hi >> (msb + 9)) + 1) >> 1;
+    int exp = 1086 + msb - l - n - pow5_bits[n];  /* the biased exponent */
+    if (m >> 53) {
+        m >>= 1;
+        exp++;
+    }
+    uint64_t bits = (uint64_t)exp << 52 | (m & ((UINT64_C(1) << 52) - 1));
+    memcpy(out, &bits, sizeof bits);
+    return 1;
 }
 
 static inline int
@@ -690,73 +765,71 @@ is_digit(char c)
     return c >= '0' && c <= '9';
 }
 
-/* The end of the run of digits at p, appended to w (*nd significant digits
- * so far, leading zeros skipped); NULL past 19 significant digits. */
+/* The token at s as PyOS_string_to_double reads it, into ``out``, when it
+ * has the form -?d+(.d*)?([eE][+-]?d{1,3})? with 19 significant digits at
+ * most (w < 10^19) and a decimal exponent q in [-26, 19]: w * 10^q exactly
+ * when q >= 0, and when q < 0 by ``eisel_lemire`` or, when that cannot
+ * decide, w shifted to bit 127 divided by 5^-q (5^26 < 2^61, so the
+ * quotient keeps 66 bits at least).  One pass: returns the end of the
+ * token, or NULL for any other token.  The byte at the end is read but not
+ * taken, so s must be followed by a byte that is no digit, such as the '\n'
+ * that ends a body. */
 static const char *
-take_digits(const char *p, const char *end, uint64_t *w, int *nd)
-{
-    for (; p < end && is_digit(*p); p++)
-        if (*w || *p != '0') {
-            if (++*nd > 19)
-                return NULL;
-            *w = *w * 10 + (uint64_t)(*p - '0');
-        }
-    return p;
-}
-
-/* The token s[0:end] as PyOS_string_to_double reads it, into ``out``,
- * when it has the form -?d+(.d*)?([eE][+-]?d{1,3})? with 19 significant
- * digits at most (w < 10^19) and a decimal exponent q in [-26, 19]:
- * w * 10^q exactly when q >= 0, and w shifted to bit 127 divided by 5^-q
- * when q < 0 (5^26 < 2^61, so the quotient keeps 66 bits at least).
- * Returns 1, or 0 for any other token. */
-static int
-parse_fast(const char *s, const char *end, double *out)
+parse_fast(const char *s, double *out)
 {
     int neg = *s == '-';
-    uint64_t w = 0;
-    int nd = 0;
-    Py_ssize_t q = 0;
-    const char *p = take_digits(s + neg, end, &w, &nd);
-    if (p == NULL || p == s + neg)
-        return 0;
-    if (p < end && *p == '.') {
-        const char *frac = p + 1;
-        if ((p = take_digits(frac, end, &w, &nd)) == NULL)
-            return 0;
+    const char *p = s + neg;
+    if (!is_digit(*p))
+        return NULL;
+    while (*p == '0')
+        p++;
+    const char *first = p;
+    uint64_t w = 0;  /* wraps past 19 digits, which are then refused */
+    for (; is_digit(*p); p++)
+        w = w * 10 + (uint64_t)(*p - '0');
+    Py_ssize_t nd = p - first, q = 0;
+    if (*p == '.') {
+        const char *frac = ++p;
+        if (nd == 0)
+            while (*p == '0')
+                p++;
+        first = p;
+        for (; is_digit(*p); p++)
+            w = w * 10 + (uint64_t)(*p - '0');
+        nd += p - first;
         q = frac - p;
     }
-    if (p < end && (*p == 'e' || *p == 'E')) {
+    if (*p == 'e' || *p == 'E') {
         p++;
-        int eneg = p < end && *p == '-';
-        if (p < end && (*p == '-' || *p == '+'))
+        int eneg = *p == '-';
+        if (*p == '-' || *p == '+')
             p++;
         const char *start = p;
         int ex = 0;
-        for (; p < end && is_digit(*p) && p - start < 3; p++)
+        for (; is_digit(*p) && p - start < 3; p++)
             ex = ex * 10 + (*p - '0');
         if (p == start)
-            return 0;
+            return NULL;
         q += eneg ? -ex : ex;
     }
-    if (p != end)
-        return 0;
+    if (nd > 19)
+        return NULL;
     if (w == 0) {
         *out = neg ? -0.0 : 0.0;
-        return 1;
+        return p;
     }
     if (q < -26 || q > 19)
-        return 0;
+        return NULL;
     double x;
     if (q >= 0)
         x = scaled_double((u128)w * pow10[q], 0, 0);
-    else {
+    else if (!eisel_lemire(w, (int)-q, &x)) {
         int shift = __builtin_clzll(w) + 64;
-        u128 v = (u128)w << shift;
-        x = scaled_double(v / pow5[-q], v % pow5[-q] != 0, (int)(-shift + q));
+        u128 v = (u128)w << shift, quo = v / pow5[-q];
+        x = scaled_double(quo, v - quo * pow5[-q] != 0, (int)(q - shift));
     }
     *out = neg ? -x : x;
-    return 1;
+    return p;
 }
 #else
 static inline int
@@ -765,10 +838,10 @@ format_fast(double Py_UNUSED(x), char *Py_UNUSED(out))
     return 0;
 }
 
-static inline int
-parse_fast(const char *Py_UNUSED(s), const char *Py_UNUSED(end), double *Py_UNUSED(out))
+static inline const char *
+parse_fast(const char *Py_UNUSED(s), double *Py_UNUSED(out))
 {
-    return 0;
+    return NULL;
 }
 #endif
 
@@ -803,7 +876,7 @@ format_rows(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
         goto done;
     }
     const double *v = view.buf;
-    for (Py_ssize_t i = 0; i < n; i++) {
+    for (Py_ssize_t i = 0, col = 1; i < n; i++, col++) {
         int fast = format_fast(v[i], out + used);
         if (fast)
             used += (size_t)fast;
@@ -821,7 +894,12 @@ format_rows(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
             PyMem_Free(s);
             used += k;
         }
-        out[used++] = (i + 1) % ncols ? ',' : '\n';
+        if (col < ncols)
+            out[used++] = ',';
+        else {
+            out[used++] = '\n';
+            col = 0;
+        }
     }
     result = PyBytes_FromStringAndSize(out, (Py_ssize_t)used);
 done:
@@ -836,37 +914,41 @@ number_char(char c)
     return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-';
 }
 
-/* Parse ``s[0:len]`` into ``total`` doubles ``v``, row-major.  Strict rows
- * only: every token is a run of [0-9.eE+-] that PyOS_string_to_double reads
- * whole into a finite double, ',' follows each value of a row and '\n' the
- * last.  1 when ``s`` is such rows, 0 when it is not, -1 with an exception
- * set.  ``s`` is only read. */
+/* Parse the body ``s``, a NUL-terminated text whose last byte is '\n',
+ * into ``rows`` rows of ``ncols`` doubles ``v``.  Strict rows only: every
+ * token is a run of [0-9.eE+-] that parse_fast or PyOS_string_to_double
+ * reads whole into a finite double, ',' follows each value of a row and
+ * '\n' the last.  1 when ``s`` is such rows, 0 when it is not, -1 with an
+ * exception set.  ``s`` is only read, and not past its NUL. */
 static int
-parse_body(const char *s, Py_ssize_t len, Py_ssize_t total, Py_ssize_t ncols, double *v)
+parse_body(const char *s, Py_ssize_t rows, Py_ssize_t ncols, double *v)
 {
-    const char *p = s, *end = s + len;
-    for (Py_ssize_t i = 0; i < total; i++) {
-        const char *q = p;
-        while (q < end && number_char(*q))
-            q++;
-        if (q == p || q == end || *q != ((i + 1) % ncols ? ',' : '\n'))
-            return 0;
-        if (!parse_fast(p, q, &v[i])) {
-            /* the token ends at a separator, so the parse cannot run past it */
-            char *stop;
-            double x = PyOS_string_to_double(p, &stop, NULL);
-            if (x == -1.0 && PyErr_Occurred()) {
-                if (!PyErr_ExceptionMatches(PyExc_ValueError))
-                    return -1;
-                PyErr_Clear();
-                return 0;
+    const char *p = s;
+    for (Py_ssize_t r = 0; r < rows; r++)
+        for (Py_ssize_t c = 0; c < ncols; c++, v++) {
+            char sep = c + 1 < ncols ? ',' : '\n';
+            const char *q = parse_fast(p, v);
+            if (q == NULL || *q != sep) {
+                q = p;
+                while (number_char(*q))
+                    q++;
+                if (q == p || *q != sep)
+                    return 0;
+                /* the token ends at a separator, so the parse cannot run past it */
+                char *stop;
+                double x = PyOS_string_to_double(p, &stop, NULL);
+                if (x == -1.0 && PyErr_Occurred()) {
+                    if (!PyErr_ExceptionMatches(PyExc_ValueError))
+                        return -1;
+                    PyErr_Clear();
+                    return 0;
+                }
+                if (stop != q || !isfinite(x))
+                    return 0;
+                *v = x;
             }
-            if (stop != q || !isfinite(x))
-                return 0;
-            v[i] = x;
+            p = q + 1;
         }
-        p = q + 1;
-    }
     return 1;
 }
 
@@ -901,7 +983,7 @@ parse_rows(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     if (result == NULL)
         goto done;
     double *v = (double *)PyBytes_AS_STRING(result);
-    int ok = parse_body(s, len, rows * ncols, ncols, v);
+    int ok = parse_body(s, rows, ncols, v);
     if (ok <= 0)
         Py_SETREF(result, ok ? NULL : Py_NewRef(Py_None));
 done:
@@ -943,6 +1025,14 @@ PyInit__kernels(void)
         pow5[n] = 5 * pow5[n - 1];
     for (int n = 1; n < 23; n++)
         pow10[n] = 10 * pow10[n - 1];
+    for (int n = 1; n < 27; n++) {
+        /* 2^(127+b) / 5^n as 2^64 * (2^(63+b) / 5^n): 5^n < 2^61, so the
+         * numerator fits and the remainder shifted by 64 bits does too */
+        int b = 64 - __builtin_clzll((uint64_t)pow5[n]);
+        u128 num = (u128)1 << (63 + b), quo = num / pow5[n];
+        inv5[n] = quo << 64 | ((num - quo * pow5[n]) << 64) / pow5[n];
+        pow5_bits[n] = b;
+    }
 #endif
     PyObject *m = PyModule_Create(&module);
     if (m != NULL && PyModule_AddStringConstant(m, "BACKEND_NAME", "compiled") < 0)

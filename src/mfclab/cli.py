@@ -89,10 +89,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = read_config(args.config)
+    changes = {}
     if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+        changes["seed"] = args.seed
     if args.no_noise:
-        config = dataclasses.replace(config, noise=None)
+        changes["noise"] = None
+    if changes:
+        config = dataclasses.replace(config, **changes)
     log = run_closed_loop(config, oracle_f=args.oracle_f)
     if args.out:
         write_log_csv(log, args.out)

@@ -25,7 +25,7 @@ import time
 import typing
 import warnings
 from array import array
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -227,7 +227,7 @@ def run_closed_loop(
     check_finite("f_hat_bias", f_hat_bias)
     start = time.perf_counter()
     meta = {
-        "config": config_to_dict(config),
+        "config": config,
         "seed": config.seed,
         "oracle_f": oracle_f,
         "f_hat_bias": f_hat_bias,
@@ -295,7 +295,7 @@ class RunMetrics:
     rms_u: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _first_below(values: np.ndarray, tol: float) -> Optional[int]:
@@ -452,9 +452,32 @@ def _type_error(path: str, expected: str, raw) -> ValueError:
     return ValueError(f"{path or 'config'} must be {expected}, got {got}")
 
 
+@functools.cache
+def _kind(tp) -> tuple:
+    """What the annotation ``tp`` is, as ``_decode`` reads it: its kind and
+    the annotation or members it decodes through."""
+    if tp in (float, int, str, bool):
+        return "scalar", tp
+    if is_dataclass(tp):
+        return "dataclass", tp
+    if tp is np.ndarray:
+        return "array", Union[float, np.ndarray]
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        return "tuple", args[0]
+    # a Union
+    members = tuple(a for a in args if a is not type(None))
+    if len(members) < len(args):
+        return "optional", Union[members]
+    if all(m in _KINDS for m in members):
+        return "tagged", members
+    return "weight", None
+
+
 def _decode(tp, raw, path: str):
     """``raw`` checked against the annotation ``tp`` and converted to it."""
-    if tp in (float, int, str, bool):
+    kind, inner = _kind(tp)
+    if kind == "scalar":
         if type(raw) is not tp and not (tp is float and type(raw) is int):
             raise _type_error(path, _JSON_TYPES[tp], raw)
         if tp is not float:
@@ -466,25 +489,19 @@ def _decode(tp, raw, path: str):
         if not math.isfinite(value):
             raise ValueError(f"{path} must be finite, got {value}")
         return value
-    if is_dataclass(tp):
+    if kind == "dataclass":
         return _decode_object(tp, raw, path)
-    if tp is np.ndarray:
+    if kind == "array":
         # the dataclass turns the nested list into its array
-        element = Union[float, np.ndarray]
-        return [_decode(element, v, f"{path}[{i}]") for i, v in enumerate(raw)]
-    args = typing.get_args(tp)
-    if typing.get_origin(tp) is tuple:
+        return [_decode(inner, v, f"{path}[{i}]") for i, v in enumerate(raw)]
+    if kind == "tuple":
         if not isinstance(raw, list):
             raise _type_error(path, "a list", raw)
-        return tuple(_decode(args[0], v, f"{path}[{i}]") for i, v in enumerate(raw))
-    # a Union
-    if raw is None and type(None) in args:
-        return None
-    members = [a for a in args if a is not type(None)]
-    if len(members) == 1:
-        return _decode(members[0], raw, path)
-    if all(m in _KINDS for m in members):
-        return _decode_tagged(members, raw, path)
+        return tuple(_decode(inner, v, f"{path}[{i}]") for i, v in enumerate(raw))
+    if kind == "optional":
+        return None if raw is None else _decode(inner, raw, path)
+    if kind == "tagged":
+        return _decode_tagged(inner, raw, path)
     # a weight: a number, or a nested list of numbers
     return _decode(np.ndarray if isinstance(raw, list) else float, raw, path)
 

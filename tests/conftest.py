@@ -11,12 +11,11 @@ from mfclab import _kernels_py
 KERNELS_C = Path(__file__).resolve().parents[1] / "src" / "mfclab" / "_kernels.c"
 
 
-@pytest.fixture(scope="session")
-def compiled_kernels(tmp_path_factory):
+def _build_kernels(tmp_path_factory, *flags):
     """The tracked ``_kernels.c`` built by gcc into a temporary directory and
     loaded as ``mfclab._kernels``, with the no-FMA flag that ``setup.py``
-    passes.  Any compiler warning fails the build;
-    the tests that use it skip only when gcc is not found."""
+    passes and ``flags``.  Any compiler warning fails the build; the tests
+    that use it skip only when gcc is not found."""
     gcc = shutil.which("gcc")
     if gcc is None:
         pytest.skip("gcc not found")
@@ -24,7 +23,7 @@ def compiled_kernels(tmp_path_factory):
     target = tmp_path_factory.mktemp("kernels") / f"_kernels{suffix}"
     proc = subprocess.run(
         [gcc, "-O2", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off",
-         f"-I{sysconfig.get_paths()['include']}", str(KERNELS_C), "-lm",
+         *flags, f"-I{sysconfig.get_paths()['include']}", str(KERNELS_C), "-lm",
          "-o", str(target)],
         capture_output=True,
         text=True,
@@ -35,6 +34,20 @@ def compiled_kernels(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels(tmp_path_factory):
+    """The compiled twin as ``setup.py`` builds it."""
+    return _build_kernels(tmp_path_factory)
+
+
+@pytest.fixture(scope="session")
+def kernels_without_int128(tmp_path_factory):
+    """The compiled twin as a compiler without ``unsigned __int128`` builds
+    it: its CSV codec calls PyOS_double_to_string and PyOS_string_to_double
+    for every value."""
+    return _build_kernels(tmp_path_factory, "-U__SIZEOF_INT128__")
 
 
 @pytest.fixture(params=["python", "compiled"])

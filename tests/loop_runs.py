@@ -4,8 +4,9 @@
 first- and second-order ULM, scalar and 1x1 observer weights and fixed
 influences, the adaptive influence, the oracle on and off, a bias, noise
 off, on with the experiment's seed and on with its own, and inputs that
-diverge.  A run has at most ``max_steps + 1`` rows.  ``diverging_examples``
-adds an explicit example of each way a run diverges.
+diverge.  A run has at most ``max_steps + 1`` rows.  ``explicit_examples``
+adds an explicit example of each way a run diverges, and one run whose
+bytes show how a 1x1 weight's quadratic form rounds.
 """
 
 import dataclasses
@@ -160,8 +161,24 @@ DIVERGING_RUNS = (
 )
 
 
-def diverging_examples(test):
-    """``test`` with an explicit example of each way a run diverges."""
-    for run in DIVERGING_RUNS:
+# a 1x1 observer weight rounds its gain's form as (e*w)*e, a scalar one as
+# w*(e*e); the noise makes row 7 of this run tell the two apart, which few
+# drawn runs do
+MATRIX_WEIGHT_RUN = (
+    dataclasses.replace(
+        demo_config(),
+        horizon=1.0,
+        sample_rate=20.0,
+        observer=dataclasses.replace(demo_config().observer, weight=np.array([[2.1]])),
+    ),
+    False,
+    0.0,
+)
+
+
+def explicit_examples(test):
+    """``test`` with an explicit example of each way a run diverges, and
+    ``MATRIX_WEIGHT_RUN``."""
+    for run in (*DIVERGING_RUNS, MATRIX_WEIGHT_RUN):
         test = example(run=run)(test)
     return test

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from loop_runs import diverging_examples, loop_runs
+from loop_runs import explicit_examples, loop_runs
 
 import mfclab
 from mfclab import (
@@ -172,7 +172,7 @@ def test_advances_match_stagewise_reference(kernels, substeps):
 
 @settings(max_examples=150, deadline=None)
 @given(run=loop_runs())
-@diverging_examples
+@explicit_examples
 def test_run_loop_agrees_across_twins(compiled_kernels, run):
     """Both twins' ``run_loop`` on the arguments the harness passes: the same
     row bytes, row count and divergence flag."""

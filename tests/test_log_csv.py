@@ -391,6 +391,9 @@ FORMAT_CASES = {
     "zero-subnormal-max": _around(0.0, 5e-324, 2.2250738585072009e-308,
                                   2.2250738585072014e-308, 1.7976931348623157e308),
     "powers-of-ten": _around(*(float(f"1e{k}") for k in range(-17, 40))),
+    # k is first estimated from the binary exponent, which steps at each
+    # power of two; 2**-54 < 1e-16 <= 2**-53 is where the estimate is raised
+    "powers-of-two": _around(*(2.0**e for e in range(-55, 129))),
 }
 
 
@@ -427,7 +430,28 @@ def _token_cases():
                # so close that the quotient by 5**26 reads as a tie: the
                # remainder rounds it up
                "2701693964323170658e-26"]
+    # q < 0 reads by Eisel-Lemire: 19-digit roundings of double midpoints
+    # whose first product's low 9 bits are all ones, so the second decides,
+    # with a carry into the top word (rounding up) and without one
+    tokens += ["7.215400323407826738e-4", "5.911534350013039238e-8", "9.364405867994597088e2",
+               "7.609624449125756655e4", "6.958328667684435687e-3", "6.864838541790798558e2"]
+    # exact dyadic values, where both products stay undecided: the division
+    tokens += ["0.03125", "0.0009765625", "3.0517578125e-05", "0.09375", "-1.52587890625e-5",
+               "4.76837158203125e-07"]
+    # exact ties w * 10**q, q = -1..-4, to even
+    tokens += EXACT_TIES
     return tokens
+
+
+# doubles' midpoints with 1-4 decimals, checked in ``test_limit_cases_are_what_they_say``;
+# the products leave every tie undecided; the top word of the first holds
+# the 54 bits from bit 63 for the first nine, from bit 62 for the last eight
+EXACT_TIES = ["4503599627370496.5", "4503599627370497.5", "-2251799813685248.25",
+              "2251799813685248.75", "1125899906842624.125", "-1125899906842625.375",
+              "562949953421312.0625", "45035996273704965e-1", "225179981368524825e-2",
+              "7586875392583996.5", "4140714565366429.25", "2037730314598460.625",
+              "996310220298114.0625", "8414271189354691.5", "-2893537686072820.75",
+              "2199101084546992.875", "926008072231623.1875"]
 
 
 @st.composite
@@ -475,6 +499,10 @@ class TestCFastPaths:
         assert b"%.17g" % 1e16 == b"10000000000000000" and b"%.17g" % 1e17 == b"1e+17"
         assert 1e-16 < Decimal("1e-16")
         assert len(b"%.17g" % -2.2250738585072014e-308) == 24
+        for token in EXACT_TIES:
+            x = float(token)
+            assert Decimal(token) in {(Decimal(x) + Decimal(math.nextafter(x, d))) / 2
+                                      for d in (-math.inf, math.inf)}, token
 
     def test_limits_parse_like_float(self, compiled_kernels):
         self.assert_parses_like_float(compiled_kernels, _token_cases())
@@ -483,6 +511,28 @@ class TestCFastPaths:
     @given(tokens=st.lists(number_tokens(), min_size=1, max_size=30))
     def test_any_token_parses_like_float(self, compiled_kernels, tokens):
         self.assert_parses_like_float(compiled_kernels, tokens)
+
+
+class TestCWithoutInt128:
+    """The C twin built without ``unsigned __int128`` writes and reads every
+    value through PyOS_double_to_string and PyOS_string_to_double."""
+
+    @pytest.mark.parametrize("case", FORMAT_CASES)
+    def test_limits_format_like_percent(self, kernels_without_int128, case):
+        TestCFastPaths.assert_formats_like_percent(kernels_without_int128, FORMAT_CASES[case])
+
+    def test_limits_parse_like_float(self, kernels_without_int128):
+        TestCFastPaths.assert_parses_like_float(kernels_without_int128, _token_cases())
+
+    def test_run_log_round_trips(self, kernels_without_int128, monkeypatch, tmp_path):
+        log = run_closed_loop(dataclasses.replace(demo_config(), horizon=4.0))
+        want = tmp_path / "reference.csv"
+        reference_write_log_csv(log, want)
+        monkeypatch.setattr(plants, "kernels", kernels_without_int128)
+        path = tmp_path / "log.csv"
+        write_log_csv(log, path)
+        assert path.read_bytes() == want.read_bytes()
+        assert _rows_of(read_log_csv(path)).tobytes() == _rows_of(log).tobytes()
 
 
 def _outcome(read, path):

@@ -1,7 +1,7 @@
 """Checks of the closed loop that need no stored digest, on both kernel
 twins: a reference loop built from the library's public steps must write
-the same CSV bytes, and the mirror image of a noiseless run must be its
-exact negation."""
+the same CSV bytes, the mirror image of a noiseless run must be its exact
+negation, and a run must be the first rows of the same run made longer."""
 
 import dataclasses
 from array import array
@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
-from loop_runs import diverging_examples, loop_runs
+from loop_runs import explicit_examples, loop_runs
 
 from mfclab import (
     BumpNoiseStream,
@@ -143,7 +143,7 @@ def _csv_bytes(log, path):
 
 @TWIN_SETTINGS
 @given(run=loop_runs())
-@diverging_examples
+@explicit_examples
 def test_loop_matches_reference_built_from_the_steps(kernels, run, tmp_path_factory):
     config, oracle_f, f_hat_bias = run
     path = tmp_path_factory.mktemp("loop") / "log.csv"
@@ -183,7 +183,7 @@ SIGNED = ("y_d", "y_true", "y_meas", "y_hat", "e", "e_o", "f_true", "f_hat", "e_
 
 @TWIN_SETTINGS
 @given(run=loop_runs())
-@diverging_examples
+@explicit_examples
 def test_noiseless_mirror_image_negates_every_signed_column(kernels, run):
     # every gain reads e*e, the adaptive influence sqrt(x*x), the law is
     # odd in the errors and glibc's sin and tanh are odd and cos even; the
@@ -198,3 +198,24 @@ def test_noiseless_mirror_image_negates_every_signed_column(kernels, run):
         assert (getattr(image, name) == -getattr(log, name)).all(), name
     assert (image.t == log.t).all() and (image.g == log.g).all()
 
+
+@TWIN_SETTINGS
+@given(run=loop_runs())
+@explicit_examples
+def test_run_is_the_prefix_of_a_longer_run(kernels, run):
+    # the reference, the noise and the loop are causal.  A longer run
+    # repeats a diverging one; a run that ends before the longer one
+    # diverges is not diverged.  Compared with ==, as the mirror test does
+    config, oracle_f, f_hat_bias = run
+    longer = dataclasses.replace(config, horizon=2 * config.horizon)
+    with mock.patch.object(plants, "kernels", kernels):
+        log = run_closed_loop(config, oracle_f=oracle_f, f_hat_bias=f_hat_bias)
+        long = run_closed_loop(longer, oracle_f=oracle_f, f_hat_bias=f_hat_bias)
+    n = config.n_records
+    if long.diverged and long.n == 0 < log.n:
+        # no row survives a reference that fails, which it may do after n
+        return
+    assert log.n == min(n, long.n)
+    assert log.diverged == (long.diverged and long.n < n)
+    for name in (*SIGNED, "t", "g"):
+        assert (getattr(long, name)[: log.n] == getattr(log, name)).all(), name
