@@ -2,9 +2,13 @@
  * simulator and the codec of the CSV log's body.
  *
  * Twin of ``_kernels_py``: the same six functions with the same argument
- * order.  The loop and the cart-pendulum kernels write the arithmetic
- * expression for expression in the same order, so both backends return the
- * same bits.  ``run_loop`` calls the C library's exp, log, tanh and sqrt,
+ * order.  The Python twin's loop calls the library's float steps
+ * (``core.float_gain``, ``observers.fts_observer_step``, ``ulm``'s
+ * first- and second-order steps, ``controller.control_rhs_second_order``
+ * and ``influence_gain``, ``plants.synthetic_ulm_plant_step``); the loop
+ * here writes each of them inline.  It and the cart-pendulum kernels write
+ * the arithmetic expression for expression in the same order, so both
+ * backends return the same bits.  ``run_loop`` calls the C library's exp, log, tanh and sqrt,
  * which CPython's ``math`` calls too, and draws the noise from the
  * stream's generator in blocks of 1,024 doubles, as ``sample`` does.
  * That holds when the compiler does not contract a*b + c into a fused
@@ -246,9 +250,9 @@ typedef struct {
     int matrix;
 } Gain;
 
-/* holder_gain of a scalar error, rounded as ``quadratic_form`` rounds:
- * w*(e*e) for a scalar weight, (e*w)*e for a 1x1 one; a form that is not
- * positive (zero or NaN) gives exactly -1. */
+/* ``core.float_gain``: the Hölder gain of a scalar error, its form rounded
+ * as w*(e*e) for a scalar weight and (e*w)*e for a 1x1 one; a form that is
+ * not positive (zero or NaN) gives exactly -1. */
 static inline double
 gain(double e, const Gain *g)
 {
@@ -372,8 +376,9 @@ get_buffer(PyObject *obj, Py_ssize_t min, const char *what, Py_buffer *view)
     return 0;
 }
 
-/* The loop of ``_kernels_py.run_loop``, statement for statement; see its
- * docstring for the arguments.  Where the Python twin's trig raises on an
+/* The loop of ``_kernels_py.run_loop``, statement for statement, with the
+ * library steps it calls written inline; see its docstring for the
+ * arguments.  Where the Python twin's trig raises on an
  * infinite angle, ``advance`` gives NaN, and the state is checked
  * instead. */
 static PyObject *

@@ -18,9 +18,14 @@ and ``-cx``.  Each is the left operand of a left-associative chain in
 is sign-symmetric ``(-mp) * lp == -(mp * lp)``.
 
 ``run_loop`` steps the closed loop of ``harness.run_closed_loop`` on
-floats and calls ``_advance`` for the pendulum's truth.  The gains call
-``math``'s ``exp``, ``log``, ``tanh`` and ``sqrt``, which are the C
-library's, as the C twin calls them.
+floats.  It states no law of its own: each step calls the library's
+float functions, ``core.float_gain``, ``observers.fts_observer_step``,
+``ulm.first_order_step`` or ``second_order_step``,
+``controller.control_rhs_second_order`` and ``influence_gain``, and
+``plants.synthetic_ulm_plant_step`` or ``_advance`` for the truth; the C
+twin writes the same arithmetic inline.  The gains call ``math``'s
+``exp``, ``log``, ``tanh`` and ``sqrt``, which are the C library's, as
+the C twin calls them.
 
 The codec: ``format_rows`` formats a block with one bytes ``%`` of
 ``%.17g`` fields, and ``parse_rows`` parses the rest of a file with one
@@ -32,7 +37,7 @@ other parses, and the caller then reads it line by line.
 import operator
 import warnings
 from array import array
-from math import cos, exp, isfinite, log, sin, sqrt, tanh
+from math import cos, exp, isfinite, sin, tanh
 
 import numpy as np
 
@@ -158,25 +163,6 @@ def trajgen_advance(x, theta, x_dot, theta_dot, dt, substeps,
                     mc, mp, lp, ip, grav, cx, cth)
 
 
-def _gain(w, matrix, margin, a):
-    """``holder_gain`` of a scalar error, as a function on floats, for the
-    weight ``w`` (1x1 when ``matrix``), ``margin`` and ``a = 1 - 1/exponent``.
-
-    It rounds as ``quadratic_form`` does: w*(e*e) for a scalar weight,
-    (e*w)*e for a 1x1 one, and a form that is not positive (zero or NaN)
-    gives exactly -1.
-    """
-
-    def gain(e):
-        x = (e * w) * e if matrix else w * (e * e)
-        if not x > 0.0:
-            return -1.0
-        z = exp(a * log(x))
-        return (z - margin) / (z + margin)
-
-    return gain
-
-
 def _bump_sampler(width, random):
     """The samples of ``BumpNoiseStream(width, seed).sample`` when ``random``
     is that stream's ``Generator.random``: the doubles are drawn 1,024 at a
@@ -226,15 +212,16 @@ def run_loop(ow, om, omargin, oa, uw, um, umargin, ua, cw, cm, cmargin, ca,
     input at step k keeps k rows; a failed advance after step k keeps
     k + lag rows.
     """
-    observer_gain = _gain(ow, om, omargin, oa)
-    ulm_gain = _gain(uw, um, umargin, ua)
-    ctl_gain = _gain(cw, cm, cmargin, ca)
-    if adaptive:
-        def influence_of(feedback_total):
-            return influence * (1.0 + tanh(sqrt(feedback_total * feedback_total)))
-    else:
-        def influence_of(feedback_total):
-            return influence
+    # the library's steps, looked up per run: a substituted one takes effect
+    from . import controller, core, observers, plants, ulm
+
+    observe = observers.fts_observer_step
+    first_order_step, second_order_step = ulm.first_order_step, ulm.second_order_step
+    law, influence_gain = controller.control_rhs_second_order, controller.influence_gain
+    plant_step = plants.synthetic_ulm_plant_step
+    observer_gain = core.float_gain(ow, om, omargin, oa)
+    ulm_gain = core.float_gain(uw, um, umargin, ua)
+    ctl_gain = core.float_gain(cw, cm, cmargin, ca)
     noise = _bump_sampler(width, random) if random is not None else None
     y_d = memoryview(y_d).tolist()
     pendulum = params is not None
@@ -261,9 +248,9 @@ def run_loop(ow, om, omargin, oa, uw, um, umargin, ua, cw, cm, cmargin, ca,
         y_m = y_k + (noise() if noise is not None else 0.0)
         if k == 0:
             y_hat_k = y_hat0
+            e_o = y_hat_k - y_m
         else:
-            y_hat_k = y_m + observer_gain(e_o) * e_o
-        e_o = y_hat_k - y_m
+            y_hat_k, e_o = observe(y_m, e_o, observer_gain)
         y_hat.append(y_hat_k)
 
         j = k - lag
@@ -273,14 +260,9 @@ def run_loop(ow, om, omargin, oa, uw, um, umargin, ua, cw, cm, cmargin, ca,
             else:
                 f_new = (signal[j + 1] - 2.0 * signal[j] + signal[j - 1]) - effect
             if not second_order:
-                err = f_hat - f_new
-                f_hat = ulm_gain(err) * err + f_new
+                f_hat = first_order_step(f_hat, f_new, ulm_gain)
             elif f_prev is not None:
-                delta = f_new - f_prev
-                err = delta_hat - delta
-                delta_hat = ulm_gain(err) * err + delta
-                err = f_hat - f_new
-                f_hat = ulm_gain(err) * err + f_new + delta_hat
+                f_hat, delta_hat = second_order_step(f_hat, delta_hat, f_prev, f_new, ulm_gain)
             f_prev = f_new
         if not pendulum:
             f_true_k = f_signal[k]
@@ -293,22 +275,17 @@ def run_loop(ow, om, omargin, oa, uw, um, umargin, ua, cw, cm, cmargin, ca,
         f_hat_k = (f_true_k if oracle_f else f_hat) + f_hat_bias
 
         if j >= 0:
-            e_j = signal[j] - y_d[j]
-            e_j1 = signal[j + 1] - y_d[j + 1]
-            e_1 = e_j1 - e_j
-            s_k = e_1 + mu * e_j
-            c = ctl_gain(s_k)
-            rhs = (
-                y_d[j + 2] - 2.0 * y_d[j + 1] + y_d[j] - (1.0 - c) * e_1
-                + c * mu * e_j - mu * e_j1 - f_hat_k
+            s_k, rhs, feedback_total = law(
+                signal[j] - y_d[j], signal[j + 1] - y_d[j + 1],
+                y_d[j], y_d[j + 1], y_d[j + 2], f_hat_k, mu, ctl_gain,
             )
-            g_k = influence_of(-(1.0 - c) * s_k - mu * e_1 - f_hat_k)
+            g_k = influence_gain(adaptive, influence, feedback_total)
             u_k = rhs / g_k
             if not isfinite(u_k):
                 return rows, True
         else:
             s_k = 0.0
-            g_k = influence_of(0.0)
+            g_k = influence_gain(adaptive, influence, 0.0)
             u_k = 0.0
         effect = g_k * u_k
 
@@ -326,7 +303,7 @@ def run_loop(ow, om, omargin, oa, uw, um, umargin, ua, cw, cm, cmargin, ca,
                     finite = False
                 y_next = state[1]
             else:
-                y_next = 2.0 * y_true[k + 1] - y_true[k] + f_true_k + g_k * u_k
+                y_next = plant_step(y_true[k], y_true[k + 1], f_true_k, g_k, u_k)
                 finite = isfinite(y_next)
             if not finite:
                 del rows[(k + lag) * _ROW :]

@@ -6,7 +6,8 @@ Subcommands:
 * ``demo-paper [--out config.json]`` -- emit the built-in benchmark config
 * ``metrics <log.csv> [--cutoff S]``
 
-Exit codes: 0 success, 1 configuration or usage error, 2 divergence.
+Exit codes: 0 success, 1 configuration or usage error (a run too large to
+allocate included), 2 divergence.
 """
 
 from __future__ import annotations
@@ -134,7 +135,8 @@ def main(argv=None) -> int:
         if args.command == "demo-paper":
             return _cmd_demo(args)
         return _cmd_metrics(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
+        # a MemoryError: a valid config whose arrays cannot be allocated
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

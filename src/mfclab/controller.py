@@ -4,7 +4,8 @@ The sliding variable combines tracking-error forward differences with
 coefficients chosen so its zero set is a stable manifold; the control law
 pushes the loop onto that manifold through the same Hölder gain the
 observers use, and an influence policy maps the resulting right-hand side
-to an actual input.
+to an actual input.  The laws are functions on floats; ``gain`` is a float
+function of the sliding value, such as ``float_gain(*gain_args(config.gain))``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .core import (
     HolderGainParams,
     as_tuple,
     forward_difference,
-    holder_gain,
     is_positive,
     require_finite,
     same_fields,
@@ -36,13 +36,13 @@ __all__ = [
     "control_rhs_general",
     "control_rhs_second_order",
     "influence_gain",
-    "solve_input",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class FixedInfluence:
-    """Constant designed influence matrix (a scalar is accepted for SISO)."""
+    """Constant designed influence: a nonzero scalar, or a matrix, which the
+    SISO loop takes only as 1x1."""
 
     value: Union[float, np.ndarray]
 
@@ -110,14 +110,7 @@ class ControllerConfig:
         return self.coefficients[0]
 
 
-def _stack_history(error_history) -> np.ndarray:
-    hist = np.asarray(error_history, dtype=float)
-    if hist.ndim == 1:
-        hist = hist[:, None]
-    return hist
-
-
-def sliding_variable(error_history, coefficients: Sequence[float]) -> np.ndarray:
+def sliding_variable(error_history, coefficients: Sequence[float]) -> float:
     """Sliding value from the last nu tracking errors (oldest first).
 
     Computes ``e^(nu-1) + c_1 e^(nu-2) + ... + c_(nu-1) e`` with every
@@ -125,14 +118,13 @@ def sliding_variable(error_history, coefficients: Sequence[float]) -> np.ndarray
     """
     coeffs = tuple(coefficients)
     nu = len(coeffs) + 1
-    hist = _stack_history(error_history)
-    if hist.shape[0] != nu:
+    if len(error_history) != nu:
         raise ValueError(
-            f"history of {hist.shape[0]} errors does not match order {nu}"
+            f"history of {len(error_history)} errors does not match order {nu}"
         )
-    s = forward_difference(hist, nu - 1)[0].copy()
+    s = float(forward_difference(error_history, nu - 1)[0])
     for i, c in enumerate(coeffs, start=1):
-        s += c * forward_difference(hist, nu - 1 - i)[0]
+        s += c * float(forward_difference(error_history, nu - 1 - i)[0])
     return s
 
 
@@ -147,89 +139,48 @@ def schur_check(coefficients: Sequence[float]) -> bool:
 
 
 def control_rhs_general(
-    error_history, desired_diff_nu, f_hat, config: ControllerConfig
-) -> np.ndarray:
+    error_history, desired_diff_nu: float, f_hat: float, coefficients: Sequence[float], gain
+) -> float:
     """Right-hand side G u of the order-nu tracking law on the last nu
     tracking errors (oldest first).
 
     Feedforward of the order-nu desired difference, the reaching term
-    ``(1 - gain(s)) s`` on the sliding value of ``config.coefficients``,
+    ``(1 - gain(s)) s`` on the sliding value of ``coefficients``,
     cancellation of the predicted F, and the weighted error differences of
     orders nu-1 down to 1.
     """
-    nu = config.order_nu
-    hist = _stack_history(error_history)
-    s = sliding_variable(hist, config.coefficients)
-    rhs = (
-        np.atleast_1d(np.asarray(desired_diff_nu, dtype=float))
-        - (1.0 - holder_gain(s, config.gain)) * s
-        - np.atleast_1d(np.asarray(f_hat, dtype=float))
-    )
-    for i, c in enumerate(config.coefficients, start=1):
-        rhs = rhs - c * forward_difference(hist, nu - i)[0]
+    nu = len(coefficients) + 1
+    s = sliding_variable(error_history, coefficients)
+    rhs = desired_diff_nu - (1.0 - gain(s)) * s - f_hat
+    for i, c in enumerate(coefficients, start=1):
+        rhs -= c * float(forward_difference(error_history, nu - i)[0])
     return rhs
 
 
 def control_rhs_second_order(
-    e_k, e_kp1, yd_k, yd_kp1, yd_kp2, f_hat, config: ControllerConfig
-) -> np.ndarray:
-    """Second-order specialization of the tracking law.
+    e_k: float, e_kp1: float, yd_k: float, yd_kp1: float, yd_kp2: float, f_hat: float, mu: float,
+    gain,
+):
+    """The second-order tracking law on the error pair (e_k, e_kp1): the
+    sliding value ``s``, the right-hand side G u, and the feedback total
+    ``-(1 - gain(s)) s - mu (e_kp1 - e_k) - f_hat`` that drives the
+    adaptive influence.
 
-    Algebraically identical to ``control_rhs_general`` at nu = 2 (the
-    reaching term is split across the error pair using the gain value).
+    The right-hand side equals ``control_rhs_general`` at nu = 2
+    algebraically; the reaching term is split across the error pair using
+    the gain value.
     """
-    if config.order_nu != 2:
-        raise ValueError("second-order law requires exactly one coefficient")
-    mu = config.mu
-    e_k = np.atleast_1d(np.asarray(e_k, dtype=float))
-    e_kp1 = np.atleast_1d(np.asarray(e_kp1, dtype=float))
-    e1 = e_kp1 - e_k
-    s = e1 + mu * e_k
-    c_of_s = holder_gain(s, config.gain)
-    reach = 1.0 - c_of_s
-    return (
-        np.atleast_1d(np.asarray(yd_kp2, dtype=float))
-        - 2.0 * np.atleast_1d(np.asarray(yd_kp1, dtype=float))
-        + np.atleast_1d(np.asarray(yd_k, dtype=float))
-        - reach * e1
-        + c_of_s * mu * e_k
-        - mu * e_kp1
-        - np.atleast_1d(np.asarray(f_hat, dtype=float))
-    )
+    e_1 = e_kp1 - e_k
+    s = e_1 + mu * e_k
+    c = gain(s)
+    rhs = yd_kp2 - 2.0 * yd_kp1 + yd_k - (1.0 - c) * e_1 + c * mu * e_k - mu * e_kp1 - f_hat
+    return s, rhs, -(1.0 - c) * s - mu * e_1 - f_hat
 
 
-def influence_gain(policy: InfluencePolicy, feedback_total):
-    """Influence gain for the step: the fixed matrix, or the adaptive
-    scalar ``base * (1 + tanh(norm(E)))`` driven by the feedback total E."""
-    if isinstance(policy, FixedInfluence):
-        return policy.value
-    e = np.atleast_1d(np.asarray(feedback_total, dtype=float))
-    if e.size != 1:
-        raise ValueError("adaptive influence is only defined for scalar outputs")
-    return policy.base * (1.0 + math.tanh(float(np.linalg.norm(e))))
-
-
-def solve_input(influence, rhs) -> np.ndarray:
-    """Input u with ``G u = rhs``: exact solve when G is square, the
-    minimum-norm solution when G is wide; raises on rank deficiency."""
-    rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-    if np.isscalar(influence):
-        g = float(influence)
-        if g == 0.0:
-            raise ValueError("influence scalar is zero")
-        return rhs / g
-    g_mat = np.asarray(influence, dtype=float)
-    if g_mat.ndim != 2:
-        raise ValueError(f"influence must be scalar or 2-D, got shape {g_mat.shape}")
-    n_out, n_in = g_mat.shape
-    if rhs.shape != (n_out,):
-        raise ValueError(
-            f"rhs shape {rhs.shape} does not match influence shape {g_mat.shape}"
-        )
-    if np.linalg.matrix_rank(g_mat) < n_out:
-        raise ValueError("influence matrix is rank deficient")
-    if n_out == n_in:
-        return np.linalg.solve(g_mat, rhs)
-    if n_in < n_out:
-        raise ValueError("influence matrix needs at least as many inputs as outputs")
-    return g_mat.T @ np.linalg.solve(g_mat @ g_mat.T, rhs)
+def influence_gain(adaptive: bool, value: float, feedback_total: float) -> float:
+    """Influence gain for the step: the fixed ``value``, or with
+    ``adaptive`` the adaptive ``value * (1 + tanh(|E|))`` of base ``value``,
+    driven by the feedback total E."""
+    if adaptive:
+        return value * (1.0 + math.tanh(math.sqrt(feedback_total * feedback_total)))
+    return value

@@ -5,10 +5,11 @@ The central object is the Hölder-continuous gain
     ((x' W x)^(1 - 1/p) - margin) / ((x' W x)^(1 - 1/p) + margin)
 
 which every observer and the tracking controller reuse with their own
-weight/margin/exponent triple.  The module also provides discrete forward
-differences and an executable oracle for the scalar recursion
-``c_{k+1} = c_k - a_k * c_k**alpha`` that underlies the finite-time
-convergence argument.
+weight/margin/exponent triple; ``float_gain`` is it as a function on
+floats, the one the loop and the library's steps call.  The module also
+provides discrete forward differences and an executable oracle for the
+scalar recursion ``c_{k+1} = c_k - a_k * c_k**alpha`` that underlies the
+finite-time convergence argument.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import numpy as np
 __all__ = [
     "HolderGainParams",
     "LyapunovRecursionSpec",
+    "float_gain",
+    "gain_args",
     "holder_gain",
     "forward_difference",
     "lyapunov_recursion",
@@ -157,24 +160,13 @@ def same_fields(self, other):
     return all(np.array_equal(a, b) for a, b in pairs)
 
 
-def fractional_power(x: float, a: float) -> float:
-    """x**a computed as exp(a*ln(x)) with an explicit branch at x == 0.
-
-    The branch avoids log(0) when the quadratic form underflows to zero.
-    """
-    if x == 0.0:
-        return 0.0
-    return math.exp(a * math.log(x))
-
-
 @dataclass(frozen=True, eq=False)
 class HolderGainParams:
     """Weight/margin/exponent triple of the Hölder gain.
 
-    ``weight`` is either a positive scalar (that multiple of the identity,
-    usable with vectors of any dimension) or a symmetric positive-definite
-    matrix.  ``margin`` must be positive and ``exponent`` must lie in the
-    open interval (1, 2).
+    ``weight`` is either a positive scalar or a symmetric positive-definite
+    matrix; the gain functions take a scalar or a 1x1 one.  ``margin`` must
+    be positive and ``exponent`` must lie in the open interval (1, 2).
     """
 
     weight: Union[float, np.ndarray]
@@ -197,32 +189,58 @@ class HolderGainParams:
 
     __eq__ = same_fields
 
-    def quadratic_form(self, err: np.ndarray) -> float:
-        """x' W x for the configured weight; never negative."""
-        if isinstance(self.weight, float):
-            x = self.weight * float(err @ err)
-        else:
-            if err.shape != (self.weight.shape[0],):
-                raise ValueError(
-                    f"error dimension {err.shape} does not match weight "
-                    f"{self.weight.shape}"
-                )
-            x = float(err @ self.weight @ err)
-        # guard against -0.0 / tiny negative round-off from the matrix form
-        return x if x > 0.0 else 0.0
+
+def siso_value(value, key: str) -> float:
+    """A weight or influence as a float; the loop is SISO, so it must be a
+    scalar or 1x1."""
+    shape = np.shape(value)
+    if shape not in ((), (1, 1)):
+        raise ValueError(
+            f"{key} must be a scalar or 1x1 in the SISO loop, got shape {shape}"
+        )
+    return float(np.reshape(value, -1)[0])
 
 
-def holder_gain(err, params: HolderGainParams) -> float:
-    """Evaluate the Hölder gain at ``err``.
+def gain_args(params: HolderGainParams) -> tuple:
+    """``params`` as the arguments ``(w, is_matrix, margin, a)`` of
+    ``float_gain`` and of the kernels' ``run_loop``, with a = 1 - 1/exponent;
+    the weight must be a scalar or 1x1."""
+    return (
+        siso_value(params.weight, "weight"),
+        not isinstance(params.weight, float),
+        params.margin,
+        1.0 - 1.0 / params.exponent,
+    )
+
+
+def float_gain(w: float, matrix: bool, margin: float, a: float):
+    """The Hölder gain of a scalar error as a function on floats, for the
+    weight ``w`` (1x1 when ``matrix``), ``margin`` and ``a = 1 - 1/exponent``.
+
+    The form rounds as x' W x does: w*(e*e) for a scalar weight, (e*w)*e
+    for a 1x1 one, and a form that is not positive (zero or NaN) gives
+    exactly -1.
+    """
+    exp, log = math.exp, math.log
+
+    def gain(e):
+        x = (e * w) * e if matrix else w * (e * e)
+        if not x > 0.0:
+            return -1.0
+        z = exp(a * log(x))
+        return (z - margin) / (z + margin)
+
+    return gain
+
+
+def holder_gain(err: float, params: HolderGainParams) -> float:
+    """The Hölder gain of ``params`` at the scalar error ``err``.
 
     Returns a value in [-1, 1): exactly -1 iff err == 0, and strictly
     inside (-1, 1) otherwise, which is what makes the induced error maps
     contractions.
     """
-    e = np.atleast_1d(np.asarray(err, dtype=float))
-    x = params.quadratic_form(e)
-    z = fractional_power(x, 1.0 - 1.0 / params.exponent)
-    return (z - params.margin) / (z + params.margin)
+    return float_gain(*gain_args(params))(err)
 
 
 def forward_difference(series, order: int):
@@ -320,7 +338,7 @@ def gamma_ratio_bound(chi: float, mu: float, exponent: float):
         raise ValueError(f"mu must be positive, got {shown(mu)}")
     if not 1.0 < exponent < 2.0:
         raise ValueError(f"exponent must lie in (1, 2), got {shown(exponent)}")
-    t = fractional_power(chi, 1.0 - 1.0 / exponent)
+    t = math.exp((1.0 - 1.0 / exponent) * math.log(chi))  # chi**(1 - 1/exponent)
     delta = mu * (1.0 - t) / (t + mu)
     epsilon = 2.0 * delta - delta * delta
     return (1.0 - delta) ** 2, epsilon

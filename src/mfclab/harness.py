@@ -32,7 +32,14 @@ import numpy as np
 
 from . import plants
 from .controller import AdaptiveInfluence, ControllerConfig, FixedInfluence
-from .core import HolderGainParams, check_finite, require_finite, require_int
+from .core import (
+    HolderGainParams,
+    check_finite,
+    gain_args,
+    require_finite,
+    require_int,
+    siso_value,
+)
 from .plants import (
     BACKEND,
     BumpNoiseStream,
@@ -98,10 +105,10 @@ class ExperimentConfig:
         require_int(self, "seed", ok=lambda s: s >= 0, rule="be non-negative")
         if self.ulm.order_nu != 2 or self.controller.order_nu != 2:
             raise ValueError("the closed-loop harness implements the second-order law")
-        _siso_value(self.observer.weight, "observer.weight")
+        siso_value(self.observer.weight, "observer.weight")
         policy = self.controller.influence_policy
         key = "controller.influence_policy.value"
-        if isinstance(policy, FixedInfluence) and _siso_value(policy.value, key) == 0.0:
+        if isinstance(policy, FixedInfluence) and siso_value(policy.value, key) == 0.0:
             raise ValueError(f"{key} must be nonzero")
         separated = (
             self.controller.margin < self.observer.margin
@@ -189,28 +196,6 @@ def _log_from_rows(rows, diverged: bool, meta: dict) -> RunLog:
     return RunLog(diverged=diverged, meta=meta, **cols)
 
 
-def _siso_value(value, key: str) -> float:
-    """A weight or influence as a float; the harness runs SISO loops, so it
-    must be a scalar or 1x1."""
-    shape = np.shape(value)
-    if shape not in ((), (1, 1)):
-        raise ValueError(
-            f"{key} must be a scalar or 1x1 in the SISO loop, got shape {shape}"
-        )
-    return float(np.reshape(value, -1)[0])
-
-
-def _gain_args(params: HolderGainParams) -> tuple:
-    """``params`` as the kernels' gain arguments ``(w, is_matrix, margin, a)``
-    with a = 1 - 1/exponent; the weight is a scalar or 1x1."""
-    return (
-        _siso_value(params.weight, "weight"),
-        not isinstance(params.weight, float),
-        params.margin,
-        1.0 - 1.0 / params.exponent,
-    )
-
-
 def run_closed_loop(
     config: ExperimentConfig,
     *,
@@ -245,10 +230,10 @@ def _run_loop(config: ExperimentConfig, oracle_f: bool, f_hat_bias: float):
 
     The reference and the synthetic plant's forcing are computed here, the
     loop by the kernel backend's ``run_loop``; no row survives a failed
-    reference.  ``tests/test_loop.py`` checks the loop against
-    one built from ``fts_observer_step``, ``ulm_predict``,
-    ``control_rhs_second_order``, ``influence_gain``, ``solve_input`` and
-    the plant steps.
+    reference.  The Python twin's loop is built from the library's float
+    steps; ``tests/test_loop.py`` checks both twins against a reference
+    loop built from the numpy laws of ``tests/oracle.py``, and that the
+    Python twin calls the steps.
     """
     n = config.n_records
     dt = config.dt
@@ -267,7 +252,7 @@ def _run_loop(config: ExperimentConfig, oracle_f: bool, f_hat_bias: float):
     ctl = config.controller
     policy = ctl.influence_policy
     if isinstance(policy, FixedInfluence):
-        influence = (False, _siso_value(policy.value, "value"))
+        influence = (False, siso_value(policy.value, "value"))
     else:
         influence = (True, policy.base)
     width, random = 0.0, None
@@ -276,7 +261,7 @@ def _run_loop(config: ExperimentConfig, oracle_f: bool, f_hat_bias: float):
         width = config.noise.width
         random = BumpNoiseStream(width, seed).random
     return plants.kernels.run_loop(
-        *_gain_args(config.observer), *_gain_args(config.ulm.gain), *_gain_args(ctl.gain),
+        *gain_args(config.observer), *gain_args(config.ulm.gain), *gain_args(ctl.gain),
         *influence, ctl.mu, config.ulm.observer_order == SECOND_ORDER, oracle_f, f_hat_bias,
         dt, n, y_d, y_hat0, truth, params, _SUBSTEPS, f_signal, width, random,
     )
@@ -547,8 +532,12 @@ def _decode_object(cls, raw, path: str):
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Decode a config object, checking every value against its field's
-    annotation; any malformed value raises a ``ValueError`` naming its key."""
-    return _decode_object(ExperimentConfig, d, "")
+    annotation; any malformed value raises a ``ValueError`` naming its key,
+    and a value nested past the recursion limit one that says so."""
+    try:
+        return _decode_object(ExperimentConfig, d, "")
+    except RecursionError:
+        raise ValueError("config is nested too deeply") from None
 
 
 def _config_json(config: ExperimentConfig) -> str:
@@ -567,4 +556,6 @@ def read_config(path) -> ExperimentConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+        except RecursionError:
+            raise ValueError(f"{path}: invalid JSON (nested too deeply)") from None
     return config_from_dict(raw)

@@ -39,7 +39,6 @@ __all__ = [
     "NoiseModel",
     "BumpNoiseStream",
     "SyntheticUlmParams",
-    "friction_forces",
     "pendulum_accel",
     "rk4_step",
     "rk4_advance",
@@ -110,14 +109,6 @@ class PendulumState:
 
     def as_tuple(self):
         return (self.x, self.theta, self.x_dot, self.theta_dot)
-
-
-def friction_forces(x_dot: float, theta_dot: float, params: PendulumParams):
-    """Saturating friction pair (on the cart, on the pendulum)."""
-    return (
-        params.cart_friction * math.tanh(x_dot),
-        params.pend_friction * math.tanh(theta_dot),
-    )
 
 
 def pendulum_accel(state: PendulumState, force: float, params: PendulumParams):
@@ -346,16 +337,7 @@ class SyntheticUlmParams:
         return self.desired_amplitude * np.sin(2.0 * math.pi * t / self.desired_period)
 
 
-def synthetic_ulm_plant_step(y_k, y_kp1, f_k, g_k, u_k):
+def synthetic_ulm_plant_step(y_k: float, y_kp1: float, f_k: float, g_k: float, u_k: float) -> float:
     """Exact discrete double-integrator step:
     ``y[k+2] = 2 y[k+1] - y[k] + f[k] + G[k] u[k]``."""
-    y_k = np.atleast_1d(np.asarray(y_k, dtype=float))
-    y_kp1 = np.atleast_1d(np.asarray(y_kp1, dtype=float))
-    f_k = np.atleast_1d(np.asarray(f_k, dtype=float))
-    if np.isscalar(g_k) or np.ndim(g_k) == 0:
-        input_effect = float(g_k) * np.atleast_1d(np.asarray(u_k, dtype=float))
-    else:
-        input_effect = np.asarray(g_k, dtype=float) @ np.atleast_1d(
-            np.asarray(u_k, dtype=float)
-        )
-    return 2.0 * y_kp1 - y_k + f_k + input_effect
+    return 2.0 * y_kp1 - y_k + f_k + g_k * u_k

@@ -1,0 +1,147 @@
+"""The library's laws as numpy functions on 1-vectors: the independent
+oracle of ``test_loop.reference_loop`` and of the float gain's tests.
+
+Each is written as the library wrote it before its laws became functions
+on floats, with the same arithmetic in the same order: the gain forms
+x' W x as ``w * (e @ e)`` for a scalar weight and ``e @ W @ e`` for a
+matrix one, and the observers carry their state in dataclasses.  The
+config dataclasses (``HolderGainParams``, ``UlmConfig``,
+``ControllerConfig`` and the influence policies) are the library's.
+"""
+
+import math
+from dataclasses import dataclass, replace
+from typing import Optional
+
+import numpy as np
+
+from mfclab import FIRST_ORDER, SECOND_ORDER, FixedInfluence
+
+
+def _vector(value):
+    return np.atleast_1d(np.asarray(value, dtype=float))
+
+
+def holder_gain(err, params):
+    """The Hölder gain of ``params`` at the error vector ``err``."""
+    e = _vector(err)
+    if isinstance(params.weight, float):
+        x = params.weight * float(e @ e)
+    else:
+        x = float(e @ params.weight @ e)
+    # guard against -0.0 / tiny negative round-off from the matrix form
+    x = x if x > 0.0 else 0.0
+    z = 0.0 if x == 0.0 else math.exp((1.0 - 1.0 / params.exponent) * math.log(x))
+    return (z - params.margin) / (z + params.margin)
+
+
+@dataclass(frozen=True)
+class OutputObserverState:
+    """Current estimate and the error against the latest measurement."""
+
+    estimate: np.ndarray
+    last_error: np.ndarray
+
+    @classmethod
+    def initial(cls, estimate, first_measurement):
+        est = _vector(estimate)
+        return cls(estimate=est, last_error=est - _vector(first_measurement))
+
+
+def fts_observer_step(state, new_measurement, gain):
+    m = _vector(new_measurement)
+    err = state.last_error
+    estimate = m + holder_gain(err, gain) * err
+    return OutputObserverState(estimate=estimate, last_error=estimate - m)
+
+
+@dataclass(frozen=True)
+class UlmObserverState:
+    """F estimator state; ``delta_f_hat`` is used by the second order only,
+    and ``consumed`` counts the reconstructed values absorbed."""
+
+    f_hat: np.ndarray
+    f_prev: Optional[np.ndarray] = None
+    delta_f_hat: Optional[np.ndarray] = None
+    consumed: int = 0
+
+    @classmethod
+    def initial(cls, dim, observer_order=FIRST_ORDER):
+        zero = np.zeros(dim)
+        if observer_order == SECOND_ORDER:
+            return cls(f_hat=zero, delta_f_hat=zero.copy())
+        return cls(f_hat=zero)
+
+
+def first_order_step(f_hat, f_known, gain):
+    f_hat, f_known = _vector(f_hat), _vector(f_known)
+    err = f_hat - f_known
+    return holder_gain(err, gain) * err + f_known
+
+
+def second_order_step(state, f_known, gain):
+    f_known = _vector(f_known)
+    delta_prev = f_known - state.f_prev
+    err_delta = state.delta_f_hat - delta_prev
+    new_delta_hat = holder_gain(err_delta, gain) * err_delta + delta_prev
+    err_f = state.f_hat - f_known
+    new_f_hat = holder_gain(err_f, gain) * err_f + f_known + new_delta_hat
+    return UlmObserverState(
+        f_hat=new_f_hat, f_prev=f_known, delta_f_hat=new_delta_hat, consumed=state.consumed + 1
+    )
+
+
+def ulm_predict(state, reconstructed, config):
+    """The estimate of F for the current step, plus the new state: absorbs
+    the reconstructed values not yet consumed; the second order spends its
+    first value priming ``f_prev``."""
+    new_state = state
+    for i in range(state.consumed, len(reconstructed)):
+        value = _vector(reconstructed[i])
+        if config.observer_order == FIRST_ORDER:
+            new_state = replace(
+                new_state,
+                f_hat=first_order_step(new_state.f_hat, value, config.gain),
+                f_prev=value,
+                consumed=new_state.consumed + 1,
+            )
+        elif new_state.f_prev is None:
+            new_state = replace(new_state, f_prev=value, consumed=new_state.consumed + 1)
+        else:
+            new_state = second_order_step(new_state, value, config.gain)
+    return new_state.f_hat.copy(), new_state
+
+
+def control_rhs_second_order(e_k, e_kp1, yd_k, yd_kp1, yd_kp2, f_hat, config):
+    mu = config.mu
+    e_k, e_kp1 = _vector(e_k), _vector(e_kp1)
+    e1 = e_kp1 - e_k
+    s = e1 + mu * e_k
+    c_of_s = holder_gain(s, config.gain)
+    reach = 1.0 - c_of_s
+    return (
+        _vector(yd_kp2) - 2.0 * _vector(yd_kp1) + _vector(yd_k)
+        - reach * e1 + c_of_s * mu * e_k - mu * e_kp1 - _vector(f_hat)
+    )
+
+
+def influence_gain(policy, feedback_total):
+    if isinstance(policy, FixedInfluence):
+        return policy.value
+    return policy.base * (1.0 + math.tanh(float(np.linalg.norm(_vector(feedback_total)))))
+
+
+def solve_input(influence, rhs):
+    """Input u with ``G u = rhs`` for a scalar or square G."""
+    rhs = _vector(rhs)
+    if np.isscalar(influence):
+        return rhs / float(influence)
+    return np.linalg.solve(np.asarray(influence, dtype=float), rhs)
+
+
+def synthetic_ulm_plant_step(y_k, y_kp1, f_k, g_k, u_k):
+    if np.ndim(g_k) == 0:
+        input_effect = float(g_k) * _vector(u_k)
+    else:
+        input_effect = np.asarray(g_k, dtype=float) @ _vector(u_k)
+    return 2.0 * _vector(y_kp1) - _vector(y_k) + _vector(f_k) + input_effect

@@ -21,19 +21,18 @@ from mfclab import (
     FixedInfluence,
     HolderGainParams,
     LyapunovRecursionSpec,
-    OutputObserverState,
     PendulumParams,
     PendulumState,
     SyntheticUlmParams,
     UlmConfig,
-    UlmObserverState,
     compute_metrics,
     control_rhs_general,
     control_rhs_second_order,
     demo_config,
     first_order_step,
+    float_gain,
     fts_observer_step,
-    holder_gain,
+    gain_args,
     lyapunov_recursion,
     rk4_step,
     run_closed_loop,
@@ -48,6 +47,9 @@ CTL_GAINS = ControllerConfig(
     coefficients=(0.35,),
     influence_policy=FixedInfluence(2.0),
 )
+OBS_GAIN = float_gain(*gain_args(OBS_GAINS))
+ULM_GAIN = float_gain(*gain_args(ULM_GAINS.gain))
+CTL_GAIN = float_gain(*gain_args(CTL_GAINS.gain))
 
 
 def report(name: str, ok: bool, detail: str = "") -> bool:
@@ -130,13 +132,13 @@ class TestCriterion2OutputObserver:
             e0 = 0.0
             while abs(e0) < 1e-2:
                 e0 = rng.uniform(-10.0, 10.0)
-            state = OutputObserverState.initial(e0, 0.0)
-            quad = weight * float(state.last_error @ state.last_error)
+            error = e0  # the initial estimate against a zero measurement
+            quad = weight * (error * error)
             hit = None
             for k in range(1, 201):
                 v = 0.5 * quad
-                state = fts_observer_step(state, 0.0, OBS_GAINS)
-                quad_next = weight * float(state.last_error @ state.last_error)
+                _, error = fts_observer_step(0.0, error, OBS_GAIN)
+                quad_next = weight * (error * error)
                 assert quad_next < quad  # monotone decrease every step
                 v_next = 0.5 * quad_next
                 gamma = (
@@ -191,14 +193,13 @@ class TestCriterion4UlmObservers:
         "README 'Reproduction status'",
     )
     def test_4a_constant_signal_tolerance_within_100_steps(self):
-        f = np.array([1.0])
-        f_hat = np.array([0.0])
+        f, f_hat = 1.0, 0.0
         hit = None
         for k in range(201):
-            if float(np.linalg.norm(f_hat - f)) <= 1e-9:
+            if abs(f_hat - f) <= 1e-9:
                 hit = k
                 break
-            f_hat = first_order_step(f_hat, f, ULM_GAINS.gain)
+            f_hat = first_order_step(f_hat, f, ULM_GAIN)
         ok = hit is not None and hit <= 100
         report(
             "criterion 4a: constant-signal estimate error below 1e-9 within "
@@ -211,38 +212,28 @@ class TestCriterion4UlmObservers:
 
     def test_4b_error_propagation_identities(self):
         rng = np.random.default_rng(77)
-        f_seq = np.cumsum(rng.normal(size=80)) * 0.05
+        f_seq = (np.cumsum(rng.normal(size=80)) * 0.05).tolist()
         # first order: err_next = D(err) err - df
-        f_hat = np.array([0.5])
+        f_hat = 0.5
         worst = 0.0
         for k in range(79):
-            f_k = np.array([f_seq[k]])
-            err = f_hat - f_k
-            predicted = (
-                holder_gain(err, ULM_GAINS.gain) * err - (f_seq[k + 1] - f_seq[k])
-            )
-            f_hat = first_order_step(f_hat, f_k, ULM_GAINS.gain)
-            worst = max(worst, abs(float(f_hat[0] - f_seq[k + 1] - predicted[0])))
-            assert abs(float(f_hat[0] - f_seq[k + 1]) - predicted[0]) <= 1e-12
+            err = f_hat - f_seq[k]
+            predicted = ULM_GAIN(err) * err - (f_seq[k + 1] - f_seq[k])
+            f_hat = first_order_step(f_hat, f_seq[k], ULM_GAIN)
+            resid = abs(f_hat - f_seq[k + 1] - predicted)
+            worst = max(worst, resid)
+            assert resid <= 1e-12
         # second order: err_next = D(err) err + D(derr) derr - ddf
-        state = UlmObserverState(
-            f_hat=np.array([0.3]),
-            f_prev=np.array([f_seq[0]]),
-            delta_f_hat=np.array([0.1]),
-        )
+        f_hat, delta_hat = 0.3, 0.1
         for k in range(1, 78):
-            f_k = np.array([f_seq[k]])
-            delta_prev = f_k - state.f_prev
-            err_delta = state.delta_f_hat - delta_prev
-            err_f = state.f_hat - f_k
+            err_delta = delta_hat - (f_seq[k] - f_seq[k - 1])
+            err_f = f_hat - f_seq[k]
             ddf = f_seq[k + 1] - 2.0 * f_seq[k] + f_seq[k - 1]
-            predicted = (
-                holder_gain(err_f, ULM_GAINS.gain) * err_f
-                + holder_gain(err_delta, ULM_GAINS.gain) * err_delta
-                - ddf
+            predicted = ULM_GAIN(err_f) * err_f + ULM_GAIN(err_delta) * err_delta - ddf
+            f_hat, delta_hat = second_order_step(
+                f_hat, delta_hat, f_seq[k - 1], f_seq[k], ULM_GAIN
             )
-            state = second_order_step(state, f_k, ULM_GAINS.gain)
-            resid = abs(float(state.f_hat[0] - f_seq[k + 1]) - predicted[0])
+            resid = abs(f_hat - f_seq[k + 1] - predicted)
             worst = max(worst, resid)
             assert resid <= 1e-12
         assert report(
@@ -254,15 +245,13 @@ class TestCriterion4UlmObservers:
 
     def test_4c_second_order_handles_linear_ramp(self):
         slope = 0.1
-        state = UlmObserverState(
-            f_hat=np.zeros(1), f_prev=np.zeros(1), delta_f_hat=np.zeros(1)
-        )
+        f_hat = delta_hat = 0.0
         ultimate = math.inf
         for k in range(1, 25_000):
-            state = second_order_step(
-                state, np.array([slope * k]), ULM_GAINS.gain
+            f_hat, delta_hat = second_order_step(
+                f_hat, delta_hat, slope * (k - 1), slope * k, ULM_GAIN
             )
-            ultimate = abs(float(state.f_hat[0]) - slope * (k + 1))
+            ultimate = abs(f_hat - slope * (k + 1))
         ok = ultimate < 1e-6
         report(
             "criterion 4c (second order): ultimate ramp estimate error < 1e-6",
@@ -279,10 +268,10 @@ class TestCriterion4UlmObservers:
     )
     def test_4c_first_order_ramp_offset_matches_slope(self):
         slope = 0.1
-        f_hat = np.array([0.0])
+        f_hat = 0.0
         for k in range(20_000):
-            f_hat = first_order_step(f_hat, np.array([slope * k]), ULM_GAINS.gain)
-        ultimate = abs(float(f_hat[0]) - slope * 20_000)
+            f_hat = first_order_step(f_hat, slope * k, ULM_GAIN)
+        ultimate = abs(f_hat - slope * 20_000)
         ok = abs(ultimate - slope) <= 0.1 * slope
         report(
             "criterion 4c (first order): ultimate ramp error equals the slope "
@@ -297,19 +286,16 @@ class TestCriterion5ControllerAlgebra:
     def test_laws_agree_on_random_inputs(self):
         rng = np.random.default_rng(4096)
         worst = 0.0
-        for trial in range(1000):
-            dim = 1 if trial % 2 == 0 else 3
-            e_k, e_kp1 = rng.normal(size=dim), rng.normal(size=dim)
-            yd = rng.normal(size=(3, dim))
-            f_hat = rng.normal(size=dim)
+        mu = CTL_GAINS.mu
+        for _ in range(1000):
+            e_k, e_kp1, yd_k, yd_kp1, yd_kp2, f_hat = rng.normal(size=6).tolist()
             general = control_rhs_general(
-                np.stack([e_k, e_kp1]), yd[2] - 2.0 * yd[1] + yd[0], f_hat, CTL_GAINS
+                [e_k, e_kp1], yd_kp2 - 2.0 * yd_kp1 + yd_k, f_hat, (mu,), CTL_GAIN
             )
-            special = control_rhs_second_order(
-                e_k, e_kp1, yd[0], yd[1], yd[2], f_hat, CTL_GAINS
+            _, special, _ = control_rhs_second_order(
+                e_k, e_kp1, yd_k, yd_kp1, yd_kp2, f_hat, mu, CTL_GAIN
             )
-            scale = max(1.0, float(np.max(np.abs(general))))
-            worst = max(worst, float(np.max(np.abs(special - general))) / scale)
+            worst = max(worst, abs(special - general) / max(1.0, abs(general)))
             assert worst <= 1e-12
         assert report(
             "criterion 5: general and second-order laws agree to 1e-12 on "
@@ -323,7 +309,7 @@ class TestCriterion5ControllerAlgebra:
         log = run_closed_loop(cfg, oracle_f=True)
         worst = 0.0
         for k in range(log.n - 1):
-            ideal = holder_gain(log.s[k], CTL_GAINS.gain) * log.s[k]
+            ideal = CTL_GAIN(log.s[k]) * log.s[k]
             resid = abs(log.s[k + 1] - ideal) / max(1.0, abs(log.s[k]))
             worst = max(worst, resid)
             assert resid <= 1e-10
@@ -367,8 +353,7 @@ class TestCriterion6Robustness:
             log = run_closed_loop(cfg, oracle_f=True, f_hat_bias=w)
             assert not log.diverged
             for k in range(log.n - 1):
-                s_k = np.array([log.s[k]])
-                reach = 1.0 - holder_gain(s_k, CTL_GAINS.gain)
+                reach = 1.0 - CTL_GAIN(log.s[k])
                 resid = abs(log.s[k + 1] - log.s[k] + reach * log.s[k] + w)
                 assert resid <= 1e-12 * max(1.0, abs(log.s[k]), w)
             tail = np.abs(log.s[3 * log.n // 4 :])

@@ -239,6 +239,38 @@ class TestRun:
         assert err.startswith("error:")
         assert key in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # json.load gives up
+            ("[" * 100_000, "invalid JSON (nested too deeply)"),
+            # the decoder gives up on a weight 900 lists deep
+            (
+                _demo_with("W", "observer", "weight").replace('"W"', "[" * 900 + "2.1" + "]" * 900),
+                "config is nested too deeply",
+            ),
+        ],
+        ids=["json", "weight"],
+    )
+    def test_deep_config_is_config_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and message in err
+
+    def test_run_too_large_to_allocate_is_config_error(self, tmp_path, capsys):
+        # 5e17 samples of the reference are 3.5 EiB, past any address space
+        # (2^57 bytes with five-level paging), so the allocation fails at
+        # once; a size that could be mapped must never be tried here
+        path = tmp_path / "config.json"
+        write_config(dataclasses.replace(demo_config(), horizon=1e16), path)
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: Unable to allocate")
+
     def test_divergence_exit_code(self, tmp_path, capsys):
         cfg = dataclasses.replace(
             demo_config(),

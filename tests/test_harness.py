@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracle import holder_gain as vector_gain
 
 import mfclab
 from mfclab import (
@@ -37,9 +38,8 @@ from mfclab import (
     write_config,
     write_log_csv,
 )
-from mfclab._kernels_py import _gain
 from mfclab.cli import main
-from mfclab.harness import _gain_args
+from mfclab.core import float_gain, gain_args
 
 
 def synthetic_config(horizon=10.0, seed=0, f_mode="sine", noise=None):
@@ -698,8 +698,8 @@ POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 class TestFloatGain:
-    """The Python twin's float gain, on the arguments the harness passes to
-    ``run_loop``, against ``holder_gain`` on a 1-vector."""
+    """The float gain, on the arguments the harness passes to ``run_loop``,
+    against the numpy gain of ``oracle`` on a 1-vector."""
 
     @settings(max_examples=1000, deadline=None)
     @given(
@@ -716,9 +716,9 @@ class TestFloatGain:
             exponent=exponent,
         )
         with np.errstate(all="ignore"):
-            expected = holder_gain(np.array([e]), params)
-        got = _gain(*_gain_args(params))(e)
-        assert _same_float(got, expected)
+            expected = vector_gain(np.array([e]), params)
+        assert _same_float(float_gain(*gain_args(params))(e), expected)
+        assert _same_float(holder_gain(e, params), expected)
 
 
 class TestMetrics:

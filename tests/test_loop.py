@@ -1,33 +1,46 @@
 """Checks of the closed loop that need no stored digest, on both kernel
-twins: a reference loop built from the library's public steps must write
-the same CSV bytes, the mirror image of a noiseless run must be its exact
-negation, and a run must be the first rows of the same run made longer."""
+twins: a reference loop built from the numpy laws of ``oracle`` must write
+the same CSV bytes, the mirror image of a run must be its exact negation
+(with noise, the reference loop's image with every sample negated), and a
+run must be the first rows of the same run made longer.  The Python
+twin's loop must call the library's steps."""
 
+import contextlib
 import dataclasses
 from array import array
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from loop_runs import explicit_examples, loop_runs
 
-from mfclab import (
-    BumpNoiseStream,
-    DivergenceError,
+from oracle import (
     OutputObserverState,
-    PendulumParams,
-    PendulumState,
     UlmObserverState,
     control_rhs_second_order,
     fts_observer_step,
     holder_gain,
     influence_gain,
-    plants,
-    rk4_advance,
-    run_closed_loop,
     solve_input,
     synthetic_ulm_plant_step,
     ulm_predict,
+)
+
+from mfclab import (
+    BumpNoiseStream,
+    DivergenceError,
+    NoiseModel,
+    PendulumParams,
+    PendulumState,
+    _kernels_py,
+    controller,
+    demo_config,
+    observers,
+    plants,
+    rk4_advance,
+    run_closed_loop,
+    ulm,
     write_log_csv,
 )
 from mfclab.harness import _log_from_rows
@@ -38,12 +51,13 @@ TWIN_SETTINGS = settings(
 )
 
 
-def reference_loop(config, oracle_f, f_hat_bias):
+def reference_loop(config, oracle_f, f_hat_bias, negate_noise=False):
     """The rows of ``run_closed_loop(config, ...)``, flat, and its divergence
-    flag, from ``BumpNoiseStream``, ``fts_observer_step``, ``ulm_predict``,
-    ``control_rhs_second_order``, ``holder_gain``, ``influence_gain``,
-    ``solve_input`` and the plant steps ``rk4_advance`` and
-    ``synthetic_ulm_plant_step``.  F is reconstructed here, per plant."""
+    flag, from ``BumpNoiseStream``, the numpy laws of ``oracle``
+    (``fts_observer_step``, ``ulm_predict``, ``control_rhs_second_order``,
+    ``holder_gain``, ``influence_gain``, ``solve_input`` and
+    ``synthetic_ulm_plant_step``) and ``rk4_advance``.  F is reconstructed
+    here, per plant.  With ``negate_noise`` every noise sample is negated."""
     rows = []
     n, dt = config.n_records, config.dt
     ctl, plant = config.controller, config.plant
@@ -75,7 +89,8 @@ def reference_loop(config, oracle_f, f_hat_bias):
     effect = 0.0
     for k in range(n):
         y_k = y_true[k]
-        y_m = y_k + (noise.sample() if noise is not None else 0.0)
+        sample = noise.sample() if noise is not None else 0.0
+        y_m = y_k + (-sample if negate_noise else sample)
         if k == 0:
             observer = OutputObserverState.initial(y_hat0, y_m)
         else:
@@ -219,3 +234,56 @@ def test_run_is_the_prefix_of_a_longer_run(kernels, run):
     assert log.diverged == (long.diverged and long.n < n)
     for name in (*SIGNED, "t", "g"):
         assert (getattr(long, name)[: log.n] == getattr(log, name)).all(), name
+
+
+@TWIN_SETTINGS
+@given(run=loop_runs())
+@explicit_examples
+def test_mirror_image_with_negated_noise_negates_every_signed_column(kernels, run):
+    # the noise-on half of the mirror: the twins draw their noise inside
+    # run_loop, so the image runs on the reference loop, whose samples can
+    # be negated.  Noise is switched on where the run has none
+    config, oracle_f, f_hat_bias = run
+    if config.noise is None:
+        config = dataclasses.replace(config, noise=NoiseModel(width=0.018))
+    with np.errstate(all="ignore"), mock.patch.object(plants, "kernels", kernels):
+        log = run_closed_loop(config, oracle_f=oracle_f, f_hat_bias=f_hat_bias)
+        rows, diverged = reference_loop(
+            mirrored(config), oracle_f, -f_hat_bias, negate_noise=True
+        )
+    image = _log_from_rows(array("d", rows), diverged, {})
+    assert (image.n, image.diverged) == (log.n, log.diverged)
+    for name in SIGNED:
+        assert (getattr(image, name) == -getattr(log, name)).all(), name
+    assert (image.t == log.t).all() and (image.g == log.g).all()
+
+
+@pytest.mark.parametrize("order", ["first", "second"])
+def test_python_twin_calls_the_library_steps(order):
+    # the Python twin's loop states no law of its own: it calls the
+    # library's steps, looked up when the run starts
+    config = demo_config()
+    config = dataclasses.replace(config, ulm=dataclasses.replace(config.ulm, observer_order=order))
+    steps = {
+        "observe": (observers, "fts_observer_step"),
+        "estimate": (ulm, f"{order}_order_step"),
+        "law": (controller, "control_rhs_second_order"),
+        "influence": (controller, "influence_gain"),
+    }
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(plants, "kernels", _kernels_py))
+        calls = {
+            name: stack.enter_context(
+                mock.patch.object(module, attr, wraps=getattr(module, attr))
+            )
+            for name, (module, attr) in steps.items()
+        }
+        log = run_closed_loop(config)
+    assert (log.n, log.diverged) == (3501, False)
+    # the first step takes the initial estimate; the law anchors one step
+    # in arrears; the estimator absorbs its first value of F at step 2,
+    # which the second order spends priming its difference
+    assert calls["observe"].call_count == log.n - 1
+    assert calls["estimate"].call_count == log.n - (2 if order == "first" else 3)
+    assert calls["law"].call_count == log.n - 1
+    assert calls["influence"].call_count == log.n

@@ -4,29 +4,28 @@ import numpy as np
 import pytest
 
 from mfclab import (
-    SECOND_ORDER,
     UlmConfig,
-    UlmObserverState,
     first_order_step,
-    holder_gain,
+    float_gain,
+    gain_args,
     reconstruct_f,
     second_order_step,
     synthetic_ulm_plant_step,
-    ulm_predict,
 )
 
 PAPER_ULM = UlmConfig(order_nu=2, margin=1.5, exponent=9.0 / 7.0)
+GAIN = float_gain(*gain_args(PAPER_ULM.gain))
 
 
 class TestReconstructF:
     def test_zero_window(self):
-        assert reconstruct_f([0.0, 0.0, 0.0], 0.0, 2).tolist() == [0.0]
+        assert reconstruct_f([0.0, 0.0, 0.0], 0.0, 2) == 0.0
 
     def test_second_difference_window(self):
-        assert reconstruct_f([1.0, 2.0, 4.0], 0.0, 2).tolist() == [1.0]
+        assert reconstruct_f([1.0, 2.0, 4.0], 0.0, 2) == 1.0
 
     def test_input_effect_subtracted(self):
-        assert reconstruct_f([1.0, 2.0, 4.0], 0.25, 2).tolist() == [0.75]
+        assert reconstruct_f([1.0, 2.0, 4.0], 0.25, 2) == 0.75
 
     def test_wrong_window_length_rejected(self):
         with pytest.raises(ValueError, match="window"):
@@ -48,80 +47,72 @@ class TestReconstructF:
                 acc -= math.comb(nu, j) * (-1.0) ** (nu - j) * y[k + j]
             y.append(acc)
         for k in range(n - nu):
-            window = np.asarray(y[k : k + nu + 1])
-            rec = reconstruct_f(window, g * u[k], nu)
-            assert rec[0] == pytest.approx(f[k], abs=1e-9)
+            rec = reconstruct_f(y[k : k + nu + 1], g * u[k], nu)
+            assert rec == pytest.approx(f[k], abs=1e-9)
 
     def test_matches_synthetic_plant(self):
         rng = np.random.default_rng(11)
         y = [0.3, -0.2]
-        fs, us = rng.normal(size=30), rng.normal(size=30)
+        fs, us = rng.normal(size=30).tolist(), rng.normal(size=30).tolist()
         for k in range(28):
-            y.append(float(synthetic_ulm_plant_step(y[k], y[k + 1], fs[k], 1.5, us[k])[0]))
+            y.append(synthetic_ulm_plant_step(y[k], y[k + 1], fs[k], 1.5, us[k]))
         for k in range(28):
             rec = reconstruct_f(y[k : k + 3], 1.5 * us[k], 2)
-            assert rec[0] == pytest.approx(fs[k], abs=1e-12)
+            assert rec == pytest.approx(fs[k], abs=1e-12)
 
 
 class TestFirstOrderObserver:
-    def test_exact_estimate_is_fixed_point(self):
-        f = np.array([0.4, -0.7])
-        out = first_order_step(f, f, PAPER_ULM.gain)
-        np.testing.assert_array_equal(out, f)
+    @pytest.mark.parametrize("f", [0.4, -0.7])
+    def test_exact_estimate_is_fixed_point(self, f):
+        assert first_order_step(f, f, GAIN) == f
 
     def test_contraction_on_constant_signal(self):
-        f = np.array([1.0])
-        f_hat = np.array([0.0])
-        prev = np.inf
+        f, f_hat = 1.0, 0.0
+        prev = math.inf
         for _ in range(50):
-            err = float(np.linalg.norm(f_hat - f))
+            err = abs(f_hat - f)
             assert err < prev
             prev = err
-            f_hat = first_order_step(f_hat, f, PAPER_ULM.gain)
+            f_hat = first_order_step(f_hat, f, GAIN)
 
     def test_constant_signal_step_counts(self):
         # frozen regression from the iterated map, f = 1, estimate from 0:
         # squared error under 1e-9 after 165 steps, norm after 16868
-        f = np.array([1.0])
-        f_hat = np.array([0.0])
+        f, f_hat = 1.0, 0.0
         k_quad = k_norm = None
         for k in range(20_000):
             err = f_hat - f
-            if k_quad is None and float(err @ err) <= 1e-9:
+            if k_quad is None and err * err <= 1e-9:
                 k_quad = k
-            if k_norm is None and abs(float(err[0])) <= 1e-9:
+            if k_norm is None and abs(err) <= 1e-9:
                 k_norm = k
                 break
-            f_hat = first_order_step(f_hat, f, PAPER_ULM.gain)
+            f_hat = first_order_step(f_hat, f, GAIN)
         assert k_quad == 165
         assert k_norm == 16868
 
     def test_error_propagation_identity_on_time_varying_signal(self):
         # err_next = gain(err) * err - (f_next - f) holds to rounding
         rng = np.random.default_rng(5)
-        f_seq = np.cumsum(rng.normal(size=60)) * 0.1
-        f_hat = np.array([0.3])
+        f_seq = (np.cumsum(rng.normal(size=60)) * 0.1).tolist()
+        f_hat = 0.3
         for k in range(59):
-            f_k = np.array([f_seq[k]])
-            err = f_hat - f_k
-            predicted = holder_gain(err, PAPER_ULM.gain) * err - (f_seq[k + 1] - f_seq[k])
-            f_hat = first_order_step(f_hat, f_k, PAPER_ULM.gain)
-            realized = f_hat - np.array([f_seq[k + 1]])
-            assert realized[0] == pytest.approx(predicted[0], abs=1e-12)
+            err = f_hat - f_seq[k]
+            predicted = GAIN(err) * err - (f_seq[k + 1] - f_seq[k])
+            f_hat = first_order_step(f_hat, f_seq[k], GAIN)
+            assert f_hat - f_seq[k + 1] == pytest.approx(predicted, abs=1e-12)
 
     def test_lyapunov_difference_closed_form(self):
         # V_next - V = -margin * (1 + D)^2 * V^(1/r) on a constant signal
-        f = np.array([1.0])
-        f_hat = np.array([4.0])
+        f, f_hat = 1.0, 4.0
         lam, r = PAPER_ULM.margin, PAPER_ULM.exponent
         for _ in range(60):
             err = f_hat - f
-            v = float(err @ err)
-            d = holder_gain(err, PAPER_ULM.gain)
-            f_hat = first_order_step(f_hat, f, PAPER_ULM.gain)
+            v = err * err
+            d = GAIN(err)
+            f_hat = first_order_step(f_hat, f, GAIN)
             err_next = f_hat - f
-            v_next = float(err_next @ err_next)
-            drop = v_next - v
+            drop = err_next * err_next - v
             predicted = -lam * (1.0 + d) ** 2 * v ** (1.0 / r)
             assert drop == pytest.approx(predicted, rel=1e-12)
 
@@ -129,58 +120,41 @@ class TestFirstOrderObserver:
         # measured fixed point of err(1 - gain(err)) = slope: the ultimate
         # error sits strictly between slope/2 and slope
         slope = 0.1
-        f_hat = np.array([0.0])
+        f_hat = 0.0
         for k in range(20_000):
-            f_hat = first_order_step(f_hat, np.array([slope * k]), PAPER_ULM.gain)
-        ultimate = abs(float(f_hat[0]) - slope * 20_000)
+            f_hat = first_order_step(f_hat, slope * k, GAIN)
+        ultimate = abs(f_hat - slope * 20_000)
         assert 0.5 * slope < ultimate < slope
         assert ultimate == pytest.approx(0.05951168647243321, rel=1e-9)
-        err = np.array([-ultimate])
-        residual = ultimate * (1.0 - holder_gain(err, PAPER_ULM.gain)) - slope
+        residual = ultimate * (1.0 - GAIN(-ultimate)) - slope
         assert abs(residual) < 1e-12
 
     def test_bounded_drive_bound_shrinks_with_drive(self):
         # sinusoidal signal: ultimate error grows with the per-step drive
         ultimates = []
         for d in (0.001, 0.01, 0.1):
-            f_hat = np.array([0.0])
+            f_hat = 0.0
             worst = 0.0
             for k in range(4000):
-                f_k = np.array([d * math.sin(0.05 * k) / 0.05])
-                f_hat = first_order_step(f_hat, f_k, PAPER_ULM.gain)
+                f_hat = first_order_step(f_hat, d * math.sin(0.05 * k) / 0.05, GAIN)
                 if k > 3000:
                     nxt = d * math.sin(0.05 * (k + 1)) / 0.05
-                    worst = max(worst, abs(float(f_hat[0]) - nxt))
+                    worst = max(worst, abs(f_hat - nxt))
             ultimates.append(worst)
         assert ultimates[0] < ultimates[1] < ultimates[2]
 
 
 class TestSecondOrderObserver:
-    def test_requires_warmup_history(self):
-        state = UlmObserverState.initial(1, SECOND_ORDER)
-        with pytest.raises(ValueError, match="previously consumed"):
-            second_order_step(state, np.array([1.0]), PAPER_ULM.gain)
-
     def test_all_zero_history_stays_zero(self):
-        state = UlmObserverState.initial(1, SECOND_ORDER)
-        state = UlmObserverState(
-            f_hat=state.f_hat, f_prev=np.zeros(1), delta_f_hat=state.delta_f_hat
-        )
-        out = second_order_step(state, np.zeros(1), PAPER_ULM.gain)
-        assert out.f_hat.tolist() == [0.0]
-        assert out.delta_f_hat.tolist() == [0.0]
+        assert second_order_step(0.0, 0.0, 0.0, 0.0, GAIN) == (0.0, 0.0)
 
     def _run(self, f_of_k, steps: int):
-        state = UlmObserverState.initial(1, SECOND_ORDER)
-        state = UlmObserverState(
-            f_hat=state.f_hat,
-            f_prev=np.array([f_of_k(0)]),
-            delta_f_hat=np.zeros(1),
-        )
+        f_hat, delta_hat, f_prev = 0.0, 0.0, f_of_k(0)
         errors = []
         for k in range(1, steps):
-            state = second_order_step(state, np.array([f_of_k(k)]), PAPER_ULM.gain)
-            errors.append(abs(float(state.f_hat[0]) - f_of_k(k + 1)))
+            f_hat, delta_hat = second_order_step(f_hat, delta_hat, f_prev, f_of_k(k), GAIN)
+            f_prev = f_of_k(k)
+            errors.append(abs(f_hat - f_of_k(k + 1)))
         return errors
 
     def test_constant_signal_converges(self):
@@ -194,76 +168,27 @@ class TestSecondOrderObserver:
         errors = self._run(lambda k: slope * k, 20_000)
         assert min(errors) < 1e-6
         # first order on the same ramp keeps a persistent offset
-        f_hat = np.array([0.0])
+        f_hat = 0.0
         for k in range(20_000):
-            f_hat = first_order_step(f_hat, np.array([slope * k]), PAPER_ULM.gain)
-        first_order_ultimate = abs(float(f_hat[0]) - slope * 20_000)
+            f_hat = first_order_step(f_hat, slope * k, GAIN)
+        first_order_ultimate = abs(f_hat - slope * 20_000)
         assert first_order_ultimate > 100 * errors[-1]
 
     def test_error_propagation_identity(self):
         # err_next = D(err) err + D(delta_err) delta_err - ddf holds exactly
         rng = np.random.default_rng(9)
-        f_seq = np.cumsum(np.cumsum(rng.normal(size=50) * 0.01))
-        state = UlmObserverState(
-            f_hat=np.array([0.2]),
-            f_prev=np.array([f_seq[0]]),
-            delta_f_hat=np.array([-0.1]),
-        )
+        f_seq = np.cumsum(np.cumsum(rng.normal(size=50) * 0.01)).tolist()
+        f_hat, delta_hat = 0.2, -0.1
         for k in range(1, 48):
-            f_k = np.array([f_seq[k]])
-            delta_prev = f_k - state.f_prev
-            err_delta = state.delta_f_hat - delta_prev
-            err_f = state.f_hat - f_k
+            err_delta = delta_hat - (f_seq[k] - f_seq[k - 1])
+            err_f = f_hat - f_seq[k]
             ddf = f_seq[k + 1] - 2.0 * f_seq[k] + f_seq[k - 1]
-            predicted = (
-                holder_gain(err_f, PAPER_ULM.gain) * err_f
-                + holder_gain(err_delta, PAPER_ULM.gain) * err_delta
-                - ddf
-            )
-            state = second_order_step(state, f_k, PAPER_ULM.gain)
-            realized = state.f_hat - np.array([f_seq[k + 1]])
-            assert realized[0] == pytest.approx(predicted[0], abs=1e-12)
+            predicted = GAIN(err_f) * err_f + GAIN(err_delta) * err_delta - ddf
+            f_hat, delta_hat = second_order_step(f_hat, delta_hat, f_seq[k - 1], f_seq[k], GAIN)
+            assert f_hat - f_seq[k + 1] == pytest.approx(predicted, abs=1e-12)
 
 
-class TestUlmPredict:
-    def test_empty_history_returns_zero(self):
-        state = UlmObserverState.initial(1)
-        pred, new_state = ulm_predict(state, [], PAPER_ULM)
-        assert pred.tolist() == [0.0]
-        assert new_state.consumed == 0
-
-    def test_consumes_each_value_once(self):
-        state = UlmObserverState.initial(1)
-        history = [np.array([1.0])]
-        pred1, state = ulm_predict(state, history, PAPER_ULM)
-        assert state.consumed == 1
-        pred2, state = ulm_predict(state, history, PAPER_ULM)
-        assert state.consumed == 1
-        np.testing.assert_array_equal(pred1, pred2)
-
-    def test_constant_history_converges(self):
-        state = UlmObserverState.initial(1)
-        history = []
-        pred = np.zeros(1)
-        for _ in range(1500):
-            history.append(np.array([0.7]))
-            pred, state = ulm_predict(state, history, PAPER_ULM)
-        assert pred[0] == pytest.approx(0.7, abs=1e-6)
-
-    def test_second_order_primes_before_predicting(self):
-        cfg = UlmConfig(order_nu=2, margin=1.5, exponent=9.0 / 7.0,
-                        observer_order=SECOND_ORDER)
-        state = UlmObserverState.initial(1, SECOND_ORDER)
-        pred, state = ulm_predict(state, [np.array([0.5])], cfg)
-        assert pred.tolist() == [0.0]
-        assert state.consumed == 1
-        assert state.f_prev.tolist() == [0.5]
-        pred, state = ulm_predict(
-            state, [np.array([0.5]), np.array([0.6])], cfg
-        )
-        assert state.consumed == 2
-        assert pred[0] != 0.0
-
+class TestUlmConfig:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             UlmConfig(order_nu=0, margin=1.5, exponent=9.0 / 7.0)
