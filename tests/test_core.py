@@ -66,6 +66,18 @@ class TestHolderGain:
         assert holder_gain(1e-90, params) == -1.0   # rounding saturation
         assert holder_gain(1e-200, params) == -1.0  # quadratic form underflow
 
+    @given(
+        e=st.floats(min_value=-1e6, max_value=1e6),
+        weight=st.floats(min_value=1e-3, max_value=1e3),
+        matrix=st.booleans(),
+    )
+    def test_scalar_weight_depends_only_on_norm(self, e, weight, matrix):
+        # a scalar error's norm is |e|: the gain is even in e, bit for bit
+        params = HolderGainParams(
+            weight=np.array([[weight]]) if matrix else weight, margin=2.0, exponent=1.4
+        )
+        assert holder_gain(-e, params) == holder_gain(e, params)
+
     def test_matrix_weight_must_be_1x1(self):
         # the gain is a function of a scalar error
         params = HolderGainParams(weight=np.diag([1.0, 2.0]), margin=1.0, exponent=1.5)
