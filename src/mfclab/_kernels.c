@@ -1,22 +1,24 @@
-/* Compiled kernels: the whole SISO closed loop, the hot inner loops of the
- * simulator and the codec of the CSV log's body.
+/* Compiled kernels: the whole SISO closed loop, the cart-pendulum reference
+ * and the codec of the CSV log's body.
  *
- * Twin of ``_kernels_py``: the same six functions with the same argument
+ * Twin of ``_kernels_py``: the same four functions, ``reference``,
+ * ``run_loop``, ``format_rows`` and ``parse_rows``, with the same argument
  * order.  The Python twin's loop calls the library's float steps
  * (``core.float_gain``, ``observers.fts_observer_step``, ``ulm``'s
  * first- and second-order steps, ``controller.control_rhs_second_order``
  * and ``influence_gain``, ``plants.synthetic_ulm_plant_step``); the loop
- * here writes each of them inline.  It and the cart-pendulum kernels write
- * the arithmetic expression for expression in the same order, so both
- * backends return the same bits.  ``run_loop`` calls the C library's exp, log, tanh and sqrt,
- * which CPython's ``math`` calls too, and draws the noise from the
- * stream's generator in blocks of 1,024 doubles, as ``sample`` does.
+ * here writes each of them inline.  It and the RK4 ``advance`` write the
+ * arithmetic expression for expression in the same order, so both
+ * backends return the same bits.  ``run_loop`` calls the C library's exp,
+ * log, tanh and sqrt, which CPython's ``math`` calls too, and draws the
+ * noise from the stream's generator in blocks of 1,024 doubles, as
+ * ``plants._bump_sampler`` does.
  * That holds when the compiler does not contract a*b + c into a fused
  * multiply-add: setup.py always passes -ffp-contract=off, which matters on
  * targets with FMA (gcc does not contract on plain x86-64).
  *
  * As in the Python twin, the products that do not depend on the state are
- * formed once per call: ``get_params`` derives a11 = mc + mp, mp * lp,
+ * formed once per call: ``make_params`` derives a11 = mc + mp, mp * lp,
  * a22, mp * grav * lp, 0.5 * cth and 0.1 * cx, and ``advance`` h2 and h6.
  * Each is the left operand of a left-associative chain in the accelerations
  * (mp * lp * td * td * si is (((mp * lp) * td) * td) * si), so hoisting it
@@ -51,7 +53,7 @@
 
 /* What the kernels read of the seven pendulum constants (mc, mp, lp, ip,
  * grav, cx, cth in ``PendulumParams.as_tuple()`` order), derived once per
- * call by ``get_params``. */
+ * call by ``make_params``. */
 typedef struct {
     double a11, ml, a22, mgl, cx, cth, rth, rx;
 } Params;
@@ -148,16 +150,6 @@ make_params(const double *c, Params *p)
                   .cx = cx, .cth = cth, .rth = 0.5 * cth, .rx = 0.1 * cx};
 }
 
-static int
-get_params(PyObject *const *args, Params *p)
-{
-    double c[7];
-    if (get_doubles(args, 7, c) < 0)
-        return -1;
-    make_params(c, p);
-    return 0;
-}
-
 /* ``substeps`` by the index protocol, as ``range`` takes it: a float is
  * a TypeError.  Zero is the ZeroDivisionError of ``dt / substeps``. */
 static int
@@ -182,61 +174,52 @@ get_count(PyObject *arg, Py_ssize_t *n)
     return *n == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
-static PyObject *
-pack(const double *v, Py_ssize_t n)
+/* A C-contiguous buffer of doubles, writable when ``flags`` holds
+ * PyBUF_WRITABLE; any other is the TypeError of the Python twin's
+ * ``_doubles``. */
+static int
+get_double_buffer(PyObject *obj, int flags, const char *name, Py_buffer *view)
 {
-    PyObject *tuple = PyTuple_New(n);
-    if (tuple == NULL)
-        return NULL;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *item = PyFloat_FromDouble(v[i]);
-        if (item == NULL) {
-            Py_DECREF(tuple);
-            return NULL;
-        }
-        PyTuple_SET_ITEM(tuple, i, item);
+    if (PyObject_GetBuffer(obj, view, PyBUF_STRIDES | PyBUF_FORMAT | flags) < 0)
+        return -1;
+    if (!PyBuffer_IsContiguous(view, 'C') || view->itemsize != (Py_ssize_t)sizeof(double)
+        || strcmp(view->format, "d") != 0) {
+        PyErr_Format(PyExc_TypeError, "%s() takes a C-contiguous buffer of doubles", name);
+        PyBuffer_Release(view);
+        return -1;
     }
-    return tuple;
+    return 0;
 }
 
-/* ---- entry points ------------------------------------------------------ */
+/* ---- the reference ----------------------------------------------------- */
 
+/* ``_kernels_py.reference``: the angle of each state into the doubles of
+ * ``out``, the state advanced between samples under the reference
+ * feedback; False at the first non-finite state. */
 static PyObject *
-pendulum_accel(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+reference(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    double v[5], a[2];
-    Params p;
-    if (check_nargs("pendulum_accel", nargs, 12) < 0 || get_doubles(args, 5, v) < 0
-        || get_params(args + 5, &p) < 0)
+    double s[5], c[7];
+    long substeps;
+    Py_buffer out;
+    if (check_nargs("reference", nargs, 14) < 0 || get_doubles(args + 1, 5, s) < 0
+        || get_substeps(args[6], &substeps) < 0 || get_doubles(args + 7, 7, c) < 0
+        || get_double_buffer(args[0], PyBUF_WRITABLE, "reference", &out) < 0)
         return NULL;
-    accel(v[1], v[2], v[3], v[4], &p, &a[0], &a[1]);
-    return pack(a, 2);
-}
-
-static PyObject *
-rk4_advance(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    double v[6];
-    long n;
     Params p;
-    if (check_nargs("rk4_advance", nargs, 14) < 0 || get_doubles(args, 6, v) < 0
-        || get_substeps(args[6], &n) < 0 || get_params(args + 7, &p) < 0)
-        return NULL;
-    advance(v, v[4], 0, v[5], n, &p);
-    return pack(v, 4);
-}
-
-static PyObject *
-trajgen_advance(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    double v[5];
-    long n;
-    Params p;
-    if (check_nargs("trajgen_advance", nargs, 13) < 0 || get_doubles(args, 5, v) < 0
-        || get_substeps(args[5], &n) < 0 || get_params(args + 6, &p) < 0)
-        return NULL;
-    advance(v, 0.0, 1, v[4], n, &p);
-    return pack(v, 4);
+    make_params(c, &p);
+    double *theta = out.buf, dt = s[4];
+    Py_ssize_t count = out.len / (Py_ssize_t)sizeof(double);
+    int finite = 1;
+    for (Py_ssize_t k = 0; k < count && finite; k++) {
+        if (k > 0)
+            advance(s, 0.0, 1, dt, substeps, &p);
+        finite = isfinite(s[0]) && isfinite(s[1]) && isfinite(s[2]) && isfinite(s[3]);
+        if (finite)
+            theta[k] = s[1];
+    }
+    PyBuffer_Release(&out);
+    return PyBool_FromLong(finite);
 }
 
 /* ---- the SISO closed loop ---------------------------------------------- */
@@ -378,9 +361,9 @@ get_buffer(PyObject *obj, Py_ssize_t min, const char *what, Py_buffer *view)
 
 /* The loop of ``_kernels_py.run_loop``, statement for statement, with the
  * library steps it calls written inline; see its docstring for the
- * arguments.  Where the Python twin's trig raises on an
- * infinite angle, ``advance`` gives NaN, and the state is checked
- * instead. */
+ * arguments.  Where the Python twin's advance raises (trig of an infinite
+ * angle, a zero determinant), ``advance`` gives inf or NaN, and the state
+ * is checked instead. */
 static PyObject *
 run_loop(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -405,7 +388,9 @@ run_loop(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     Py_ssize_t lag = pendulum ? 1 : 0;
     double state[4];
     long substeps = 0;
-    Params p;
+    /* read for the pendulum alone, where it is set; zeroed, since gcc -O3
+     * cannot see that and warns */
+    Params p = {0};
     Noise *noise = NULL;
     Py_buffer y_d_view = {0}, f_view = {0};
     double *rows = NULL, *y_true = NULL, *y_hat = NULL;
@@ -857,15 +842,10 @@ format_rows(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     Py_ssize_t ncols;
     if (check_nargs("format_rows", nargs, 2) < 0
         || get_count(args[1], &ncols) < 0
-        || PyObject_GetBuffer(args[0], &view, PyBUF_STRIDES | PyBUF_FORMAT) < 0)
+        || get_double_buffer(args[0], 0, "format_rows", &view) < 0)
         return NULL;
     PyObject *result = NULL;
     char *out = NULL;
-    if (!PyBuffer_IsContiguous(&view, 'C') || view.itemsize != (Py_ssize_t)sizeof(double)
-        || strcmp(view.format, "d") != 0) {
-        PyErr_SetString(PyExc_TypeError, "format_rows() takes a C-contiguous buffer of doubles");
-        goto done;
-    }
     Py_ssize_t n = view.len / (Py_ssize_t)sizeof(double);
     if (ncols < 1 || n % ncols != 0) {
         PyErr_Format(PyExc_ValueError, "format_rows() got %zd values, not rows of %zd", n,
@@ -999,10 +979,9 @@ done:
 #define ENTRY(name, doc) {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, doc}
 
 static PyMethodDef methods[] = {
-    ENTRY(pendulum_accel, "Accelerations (xdd, thdd) of the cart-pendulum under ``force``."),
-    ENTRY(rk4_advance, "Advance by ``dt`` using ``substeps`` RK4 steps, zero-order-hold force."),
-    ENTRY(trajgen_advance, "Advance the reference-generating closed loop by ``dt``; the force "
-                           "is re-evaluated from the state at every RK4 stage."),
+    ENTRY(reference, "Fill the float64 buffer ``out`` with the angle samples of the "
+                     "reference-generating loop and return whether every state was finite; "
+                     "the C twin of ``_kernels_py.reference``."),
     ENTRY(run_loop, "The ``n`` rows of a closed-loop run as row-major doubles, and whether it "
                     "diverged; the C twin of ``_kernels_py.run_loop``."),
     ENTRY(format_rows, "The rows of ``ncols`` values of a C-contiguous float64 ``block`` as CSV "
@@ -1016,7 +995,7 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "mfclab._kernels",
-    .m_doc = "Compiled cart-pendulum kernels, the C twin of ``mfclab._kernels_py``.",
+    .m_doc = "Compiled kernels, the C twin of ``mfclab._kernels_py``.",
     .m_size = 0,
     .m_methods = methods,
 };
@@ -1040,7 +1019,11 @@ PyInit__kernels(void)
     }
 #endif
     PyObject *m = PyModule_Create(&module);
-    if (m != NULL && PyModule_AddStringConstant(m, "BACKEND_NAME", "compiled") < 0)
+    /* no entry points, but perfbench/spans.py looks both names up to wrap
+     * them; None, as in the Python twin, keeps its traced run going */
+    if (m != NULL && (PyModule_AddStringConstant(m, "BACKEND_NAME", "compiled") < 0
+                      || PyModule_AddObjectRef(m, "rk4_advance", Py_None) < 0
+                      || PyModule_AddObjectRef(m, "trajgen_advance", Py_None) < 0))
         Py_CLEAR(m);
     return m;
 }

@@ -1,31 +1,34 @@
 """Pure-Python kernels: the whole SISO closed loop, the cart-pendulum
-dynamics and the codec of the CSV log's body.
+reference and the codec of the CSV log's body.
 
 Fallback twin of the compiled extension ``_kernels``; both expose the same
-six functions with identical argument order.  The loop and the
-cart-pendulum kernels are plain scalar float math, written with the same
-arithmetic in the same order as the C twin, so both return the same bits.
+four functions, ``reference``, ``run_loop``, ``format_rows`` and
+``parse_rows``, with identical argument order.  The loop and the reference
+are plain scalar float math, written with the same arithmetic in the same
+order as the C twin, so both return the same bits.
 
-Both advances run one substep loop, ``_advance``, with the four RK4 stages
-and the accelerations of ``pendulum_accel`` written inline.  The products
-that do not depend on the state are computed once per call: ``h2``,
-``h6``, ``a11 = mc + mp``, ``mp * lp``, ``a22``, ``mp * grav * lp``,
-``0.5 * cth`` and ``0.1 * cx``, with the exact negations ``-(mp * lp)``
-and ``-cx``.  Each is the left operand of a left-associative chain in
-``pendulum_accel`` (``mp * lp * td * td * si`` is
+The truth advance of ``run_loop`` and the reference run one substep loop,
+``_advance``, with the four RK4 stages and the accelerations of ``_accel``
+written inline.  The products that do not depend on the state are
+computed once per call: ``h2``, ``h6``, ``a11 = mc + mp``, ``mp * lp``,
+``a22``, ``mp * grav * lp``, ``0.5 * cth`` and ``0.1 * cx``, with the exact
+negations ``-(mp * lp)`` and ``-cx``.  Each is the left operand of a
+left-associative chain in ``_accel`` (``mp * lp * td * td * si`` is
 ``(((mp * lp) * td) * td) * si``), so hoisting it changes no rounding;
 ``-mp * lp * co`` is ``((-mp) * lp) * co``, and since IEEE multiplication
-is sign-symmetric ``(-mp) * lp == -(mp * lp)``.
+is sign-symmetric ``(-mp) * lp == -(mp * lp)``.  ``plants.pendulum_accel``,
+``rk4_advance`` and ``rk4_step`` run ``_accel`` and ``_advance`` on either
+backend.
 
 ``run_loop`` steps the closed loop of ``harness.run_closed_loop`` on
 floats.  It states no law of its own: each step calls the library's
 float functions, ``core.float_gain``, ``observers.fts_observer_step``,
 ``ulm.first_order_step`` or ``second_order_step``,
 ``controller.control_rhs_second_order`` and ``influence_gain``, and
-``plants.synthetic_ulm_plant_step`` or ``_advance`` for the truth; the C
-twin writes the same arithmetic inline.  The gains call ``math``'s
-``exp``, ``log``, ``tanh`` and ``sqrt``, which are the C library's, as
-the C twin calls them.
+``plants.synthetic_ulm_plant_step`` or ``_advance`` for the truth, and it
+draws the noise with ``plants._bump_sampler``; the C twin writes the same
+arithmetic inline.  The gains call ``math``'s ``exp``, ``log``, ``tanh``
+and ``sqrt``, which are the C library's, as the C twin calls them.
 
 The codec: ``format_rows`` formats a block with one bytes ``%`` of
 ``%.17g`` fields, and ``parse_rows`` parses the rest of a file with one
@@ -37,7 +40,7 @@ other parses, and the caller then reads it line by line.
 import operator
 import warnings
 from array import array
-from math import cos, exp, isfinite, sin, tanh
+from math import cos, isfinite, nan, sin, tanh
 
 import numpy as np
 
@@ -45,9 +48,12 @@ BACKEND_NAME = "python"
 
 _ROW = 13  # values per row of the log
 
+# no entry points, but perfbench/spans.py looks both names up to wrap them;
+# None, as in the C twin, keeps its traced run going (their metrics read 0)
+rk4_advance = trajgen_advance = None
 
-def pendulum_accel(x, theta, x_dot, theta_dot, force,
-                   mc, mp, lp, ip, grav, cx, cth):
+
+def _accel(x, theta, x_dot, theta_dot, force, mc, mp, lp, ip, grav, cx, cth):
     """Accelerations (xdd, thdd) of the cart-pendulum under ``force``."""
     co = cos(theta)
     si = sin(theta)
@@ -145,46 +151,56 @@ def _advance(x, th, xd, td, force, feedback, dt, substeps,
     return x, th, xd, td
 
 
-def rk4_advance(x, theta, x_dot, theta_dot, force, dt, substeps,
-                mc, mp, lp, ip, grav, cx, cth):
-    """Advance by ``dt`` using ``substeps`` RK4 steps, zero-order-hold force."""
-    return _advance(x, theta, x_dot, theta_dot, force, False, dt, substeps,
-                    mc, mp, lp, ip, grav, cx, cth)
+def _doubles(buffer, name):
+    """The C-contiguous float64 ``buffer`` as a flat memoryview of doubles."""
+    view = memoryview(buffer)
+    if not view.c_contiguous or view.format != "d":
+        raise TypeError(f"{name}() takes a C-contiguous buffer of doubles")
+    return view.cast("B").cast("d")
 
 
-def trajgen_advance(x, theta, x_dot, theta_dot, dt, substeps,
-                    mc, mp, lp, ip, grav, cx, cth):
-    """Advance the reference-generating closed loop by ``dt``.
+def _check_substeps(substeps):
+    """Check ``substeps`` before any advance, as the C twin does: an index,
+    as ``range`` takes it, and 0 raises the error of ``dt / substeps``."""
+    if not operator.index(substeps):
+        raise ZeroDivisionError("float division by zero")
 
-    Unlike ``rk4_advance`` the force is re-evaluated from the state at
-    every RK4 stage (continuous feedback, no hold).
+
+def _step(state, force, feedback, dt, substeps, params):
+    """The raw ``state`` advanced by ``_advance``, or None for a non-finite
+    one.  Where C gives inf or NaN, Python raises: ``math``'s trig on an
+    infinite angle, and a zero determinant, which valid constants rule out."""
+    try:
+        state = _advance(*state, force, feedback, dt, substeps, *params)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return state if all(map(isfinite, state)) else None
+
+
+def reference(out, x, theta, x_dot, theta_dot, dt, substeps,
+              mc, mp, lp, ip, grav, cx, cth):
+    """Fill the float64 buffer ``out`` with the angle samples of the
+    reference-generating loop, ``out[0]`` being ``theta``, and return
+    whether every state was finite.
+
+    Between samples the state advances by ``dt`` in ``substeps`` RK4 steps,
+    the force re-evaluated from the state at every stage (continuous
+    feedback, no hold).  At the first non-finite state the loop returns
+    False, with the samples before it written.
     """
-    return _advance(x, theta, x_dot, theta_dot, 0.0, True, dt, substeps,
-                    mc, mp, lp, ip, grav, cx, cth)
-
-
-def _bump_sampler(width, random):
-    """The samples of ``BumpNoiseStream(width, seed).sample`` when ``random``
-    is that stream's ``Generator.random``: the doubles are drawn 1,024 at a
-    time and read in the order ``sample`` reads them."""
-
-    def doubles():
-        while True:
-            yield from random(1024).tolist()
-
-    draw = doubles().__next__
-
-    def sample():
-        while True:
-            u = -1.0 + 2.0 * draw()
-            h = draw()
-            u2 = u * u
-            if u2 >= 1.0:
-                continue
-            if h < exp(1.0 - 1.0 / (1.0 - u2)):
-                return 0.5 * width * u
-
-    return sample
+    samples = _doubles(out, "reference")
+    _check_substeps(substeps)
+    params = (mc, mp, lp, ip, grav, cx, cth)
+    state = (x, theta, x_dot, theta_dot)
+    for k in range(len(samples)):
+        if k:
+            state = _step(state, 0.0, True, dt, substeps, params)
+        elif not all(map(isfinite, state)):
+            state = None
+        if state is None:
+            return False
+        samples[k] = state[1]
+    return True
 
 
 def run_loop(ow, om, omargin, oa, uw, um, umargin, ua, cw, cm, cmargin, ca,
@@ -222,11 +238,12 @@ def run_loop(ow, om, omargin, oa, uw, um, umargin, ua, cw, cm, cmargin, ca,
     observer_gain = core.float_gain(ow, om, omargin, oa)
     ulm_gain = core.float_gain(uw, um, umargin, ua)
     ctl_gain = core.float_gain(cw, cm, cmargin, ca)
-    noise = _bump_sampler(width, random) if random is not None else None
+    noise = plants._bump_sampler(width, random) if random is not None else None
     y_d = memoryview(y_d).tolist()
     pendulum = params is not None
     lag = 1 if pendulum else 0
     if pendulum:
+        _check_substeps(substeps)
         state = tuple(truth)
         y_true = [state[1]]
     else:
@@ -295,17 +312,11 @@ def run_loop(ow, om, omargin, oa, uw, um, umargin, ua, cw, cm, cmargin, ca,
         ))
         if k < n - lag:
             if pendulum:
-                try:
-                    state = _advance(*state, u_k, False, dt, substeps, *params)
-                    finite = all(map(isfinite, state))
-                except ValueError:
-                    # math's trig raises on an infinite angle, where C gives NaN
-                    finite = False
-                y_next = state[1]
+                state = _step(state, u_k, False, dt, substeps, params)
+                y_next = nan if state is None else state[1]
             else:
                 y_next = plant_step(y_true[k], y_true[k + 1], f_true_k, g_k, u_k)
-                finite = isfinite(y_next)
-            if not finite:
+            if not isfinite(y_next):
                 del rows[(k + lag) * _ROW :]
                 return rows, True
             y_true.append(y_next)
@@ -316,10 +327,7 @@ def format_rows(block, ncols):
     """The rows of ``ncols`` values of a C-contiguous float64 ``block`` as CSV
     bytes: ``%.17g`` values, ',' between them, '\\n' after each row."""
     ncols = operator.index(ncols)
-    view = memoryview(block)
-    if not view.c_contiguous or view.format != "d":
-        raise TypeError("format_rows() takes a C-contiguous buffer of doubles")
-    values = view.cast("B").cast("d")
+    values = _doubles(block, "format_rows")
     if ncols < 1 or len(values) % ncols:
         raise ValueError(f"format_rows() got {len(values)} values, not rows of {ncols}")
     row = b",".join([b"%.17g"] * ncols) + b"\n"

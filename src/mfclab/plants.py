@@ -2,11 +2,13 @@
 generator, the bounded bump-distribution measurement noise, and the exact
 discrete synthetic plant used to verify the controller.
 
-The cart-pendulum integrates with fixed-step RK4 through ``kernels``, the
-selected kernel backend.  The compiled extension is preferred when it was
-built; otherwise the pure-Python twin is used.  Setting the environment
+``kernels`` is the selected kernel backend: the compiled extension when it
+was built, otherwise the pure-Python twin.  Setting the environment
 variable ``MFCLAB_PURE_PYTHON=1`` before import forces the fallback (useful
-for benchmarking and debugging).  ``BACKEND`` names the one in use.
+for benchmarking and debugging).  ``BACKEND`` names the one in use.  The
+closed loop and the reference run on it, each in one kernel call; the
+public cart-pendulum steps (``pendulum_accel``, ``rk4_step`` and
+``rk4_advance``) run the pure-Python twin's RK4 on either backend.
 """
 
 from __future__ import annotations
@@ -112,29 +114,19 @@ class PendulumState:
 
 
 def pendulum_accel(state: PendulumState, force: float, params: PendulumParams):
-    """Accelerations (x_ddot, theta_ddot) under a horizontal cart force."""
-    return kernels.pendulum_accel(*state.as_tuple(), force, *params.as_tuple())
+    """Accelerations (x_ddot, theta_ddot) under a horizontal cart force, by
+    the pure-Python twin on either backend."""
+    # imported on first use: a run on the compiled backend never needs it
+    from . import _kernels_py
 
-
-def _kernel(name: str, *args):
-    """The raw state that ``kernels.<name>(*args)`` returns; the kernel is
-    looked up at each call, so a substituted ``kernels`` takes effect.  A
-    kernel failure (the pure-Python kernels raise on trig of an infinite
-    angle where the C kernels return NaN) or a non-finite state is a
-    ``DivergenceError``."""
-    try:
-        raw = getattr(kernels, name)(*args)
-    except (ValueError, OverflowError) as exc:
-        raise DivergenceError(f"{name} produced a non-finite state") from exc
-    if not all(map(math.isfinite, raw)):
-        raise DivergenceError(f"{name} produced a non-finite state")
-    return raw
+    return _kernels_py._accel(*state.as_tuple(), force, *params.as_tuple())
 
 
 def rk4_step(
     state: PendulumState, force: float, dt: float, params: PendulumParams
 ) -> PendulumState:
-    """One fixed-step RK4 update with the force held constant over dt."""
+    """One fixed-step RK4 update with the force held constant over dt:
+    ``rk4_advance`` with one substep."""
     return rk4_advance(state, force, dt, params, substeps=1)
 
 
@@ -146,14 +138,17 @@ def rk4_advance(
     substeps: int = _SUBSTEPS,
 ) -> PendulumState:
     """Advance one control period with zero-order-hold force, integrating
-    with ``substeps`` internal RK4 steps."""
+    with ``substeps`` internal RK4 steps of the pure-Python twin on either
+    backend.  A non-finite state is a ``DivergenceError``."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {shown(dt)}")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {shown(substeps)}")
-    raw = _kernel(
-        "rk4_advance", *state.as_tuple(), force, dt, substeps, *params.as_tuple()
-    )
+    from . import _kernels_py
+
+    raw = _kernels_py._step(state.as_tuple(), force, False, dt, substeps, params.as_tuple())
+    if raw is None:
+        raise DivergenceError("rk4_advance produced a non-finite state")
     return PendulumState(*raw)
 
 
@@ -195,11 +190,8 @@ class _ByBits(tuple):
 def _theta_samples(args: _ByBits) -> np.ndarray:
     raw_params, raw, count, dt, substeps = args
     thetas = np.empty(count)
-    if count:
-        thetas[0] = raw[1]
-        for k in range(1, count):
-            raw = _kernel("trajgen_advance", *raw, dt, substeps, *raw_params)
-            thetas[k] = raw[1]
+    if not kernels.reference(thetas, *raw, dt, substeps, *raw_params):
+        raise DivergenceError("the reference produced a non-finite state")
     thetas.flags.writeable = False
     return thetas
 
@@ -244,12 +236,31 @@ class NoiseModel:
             require_int(self, "seed", ok=lambda s: s >= 0, rule="be non-negative")
 
 
-def _doubles(random):
-    """The doubles of ``random()``, drawn 1,024 at a time.  It holds the
-    generator's method, not the stream, so a stream is freed without the
+def _bump_sampler(width: float, random):
+    """A function whose calls return the bump samples of support ``width``
+    drawn from ``random``, a ``Generator.random``, 1,024 doubles at a time.
+    Each attempt takes ``u = -1 + 2 d`` and ``h = d`` from the next two
+    doubles: the bits of ``uniform(-1, 1)`` and ``uniform(0, 1)``.  It holds
+    the generator's method, not a stream, so a stream is freed without the
     cyclic collector."""
-    while True:
-        yield from random(1024).tolist()
+
+    def doubles():
+        while True:
+            yield from random(1024).tolist()
+
+    draw = doubles().__next__
+
+    def sample():
+        while True:
+            u = -1.0 + 2.0 * draw()
+            h = draw()
+            u2 = u * u
+            if u2 >= 1.0:
+                continue
+            if h < math.exp(1.0 - 1.0 / (1.0 - u2)):
+                return 0.5 * width * u
+
+    return sample
 
 
 class BumpNoiseStream:
@@ -260,12 +271,10 @@ class BumpNoiseStream:
     rejection against a uniform envelope; every sample is strictly inside
     the support.
 
-    ``sample`` reads the generator in blocks of 1,024 doubles and takes
-    ``u = -1 + 2 d`` and ``h = d`` from them, which are the bits of
-    ``uniform(-1, 1)`` and ``uniform(0, 1)``: the scalar samples are those
-    of two scalar ``uniform`` draws per attempt.  ``random`` is the
-    generator's ``random``; the kernels' ``run_loop`` draws its samples
-    from it the same way.
+    ``sample`` is a ``_bump_sampler`` of the generator's ``random``: its
+    samples are those of two scalar ``uniform`` draws per attempt.  The
+    kernels' ``run_loop`` draws its samples from ``random`` the same way,
+    the Python twin with ``_bump_sampler`` itself.
     """
 
     def __init__(self, width: float, seed: int):
@@ -273,18 +282,11 @@ class BumpNoiseStream:
             raise ValueError(f"width must be positive and finite, got {shown(width)}")
         self.width = width
         self.random = np.random.Generator(np.random.PCG64(seed)).random
-        self._next_double = _doubles(self.random).__next__
+        self._sample = _bump_sampler(width, self.random)
 
     def sample(self) -> float:
-        draw = self._next_double
-        while True:
-            u = -1.0 + 2.0 * draw()
-            h = draw()
-            u2 = u * u
-            if u2 >= 1.0:
-                continue
-            if h < math.exp(1.0 - 1.0 / (1.0 - u2)):
-                return 0.5 * self.width * u
+        """The next sample of the stream."""
+        return self._sample()
 
     def sample_batch(self, n: int) -> np.ndarray:
         """The next n samples of ``sample``, as an array."""

@@ -1,8 +1,10 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,6 +20,7 @@ from mfclab import (
     _kernels_py,
     cli,
     demo_config,
+    gain_args,
     generate_desired_trajectory,
     harness,
     plants,
@@ -28,6 +31,9 @@ from mfclab import (
 )
 
 PARAMS = (1.5, 0.5, 1.4, 0.84, 9.8, 0.028, 0.0032)
+
+# the twin contract: what each twin exposes, and nothing else
+ENTRY_POINTS = {"reference", "run_loop", "format_rows", "parse_rows"}
 
 
 def random_states(n=50, seed=0):
@@ -85,19 +91,6 @@ def test_env_override_forces_python_backend():
     assert out.stdout.strip() == "python"
 
 
-def test_accel_agrees_across_backends(compiled_kernels):
-    for state, force in random_states():
-        assert_same_bits(
-            compiled_kernels.pendulum_accel(*state, force, *PARAMS),
-            _kernels_py.pendulum_accel(*state, force, *PARAMS),
-        )
-    # random constants: with the demo ones mp * (lp * lp) == (mp * lp) * lp
-    for state, force, _, params in edge_cases(n=400, seed=4):
-        want = outcome(_kernels_py.pendulum_accel, *state, force, *params)
-        if isinstance(want, list):  # where ``math`` raises, C gives NaN
-            assert outcome(compiled_kernels.pendulum_accel, *state, force, *params) == want
-
-
 def test_twins_define_the_same_entry_points(compiled_kernels):
     for module in (_kernels_py, compiled_kernels):
         public = {
@@ -107,37 +100,89 @@ def test_twins_define_the_same_entry_points(compiled_kernels):
             and not name.startswith("_")
             and getattr(value, "__module__", None) == module.__name__
         }
-        assert public == {
-            "pendulum_accel", "rk4_advance", "trajgen_advance", "run_loop",
-            "format_rows", "parse_rows",
-        }
+        assert public == ENTRY_POINTS
 
 
-@pytest.mark.parametrize(
-    "dt, substeps, n, seed", [(0.02, 1, 50, 1), (0.5, 250, 10, 2)], ids=["1", "250"]
-)
-def test_rk4_advance_agrees_across_backends(compiled_kernels, dt, substeps, n, seed):
-    for state, force in random_states(n=n, seed=seed):
-        assert_same_bits(
-            compiled_kernels.rk4_advance(*state, force, dt, substeps, *PARAMS),
-            _kernels_py.rk4_advance(*state, force, dt, substeps, *PARAMS),
-        )
+def test_library_calls_every_entry_point():
+    """Each entry point has a caller in ``src/mfclab`` outside the twins, so
+    a twin holds no function that the library does not run."""
+    package = Path(mfclab.__file__).parent
+    code = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted(package.glob("*.py"))
+        if path.name != "_kernels_py.py"
+    )
+    for name in sorted(ENTRY_POINTS):
+        assert re.search(rf"\bkernels\.{name}\(", code), name
 
 
-def test_trajgen_agrees_across_backends(compiled_kernels):
+def reference_outcome(twin, state, dt, substeps, params, count):
+    """The hex bits that ``twin.reference`` leaves in a buffer of ``count``
+    copies of 1234.5 (the samples it wrote, then 1234.5), and what it
+    returned."""
+    out = np.full(count, 1234.5)
+    finite = twin.reference(out, *state, dt, substeps, *params)
+    return [v.hex() for v in out.tolist()], finite
+
+
+@pytest.mark.parametrize("substeps, n", [(1, 400), (2, 400), (10, 400), (250, 20)])
+def test_reference_agrees_across_twins(compiled_kernels, substeps, n):
+    """From edge-value initial states, dt and constants: the same samples,
+    or both twins stop at the same sample."""
+    stopped = 0
+    for state, _, dt, params in edge_cases(n=n, seed=substeps):
+        want = reference_outcome(_kernels_py, state, dt, substeps, params, 6)
+        assert reference_outcome(compiled_kernels, state, dt, substeps, params, 6) == want
+        stopped += not want[1]
+    assert 0 < stopped < n
+
+
+def test_reference_agrees_across_twins_on_the_demo_constants(compiled_kernels):
     # (0.02, 10) is the closed loop's reference advance at 50 Hz
     for dt, substeps in ((0.5, 250), (0.02, 10)):
         for state, _ in random_states(n=10, seed=3):
-            assert_same_bits(
-                compiled_kernels.trajgen_advance(*state, dt, substeps, *PARAMS),
-                _kernels_py.trajgen_advance(*state, dt, substeps, *PARAMS),
-            )
+            want = reference_outcome(_kernels_py, state, dt, substeps, PARAMS, 4)
+            assert want[1]
+            assert reference_outcome(compiled_kernels, state, dt, substeps, PARAMS, 4) == want
+
+
+def pendulum_rows(twin, state, force, dt, params, substeps, n=4):
+    """The rows and divergence flag of ``twin.run_loop`` on a noiseless
+    pendulum run of ``n`` rows from the raw ``state``, with the demo gains,
+    a zero reference and ``f_hat_bias = -force``.  The first advance holds
+    0.0 and each later one the law's input, which carries the bias."""
+    config = demo_config()
+    gains = (
+        *gain_args(config.observer), *gain_args(config.ulm.gain),
+        *gain_args(config.controller.gain),
+    )
+    rows, diverged = twin.run_loop(
+        *gains, False, 1.0, 0.35, False, False, -force, dt, n, np.zeros(n + 1), 0.0,
+        state, params, substeps, None, 0.0, None,
+    )
+    return np.frombuffer(bytes(rows)), diverged
+
+
+@pytest.mark.parametrize("substeps, n", [(1, 400), (2, 400), (10, 400), (250, 20)])
+def test_held_force_advance_agrees_across_twins(compiled_kernels, substeps, n):
+    """The C twin's held-force advance, reached through ``run_loop`` from
+    edge-value initial truth, dt and constants: the same rows and flag as
+    the Python twin's.  A non-finite input stops the loop before it
+    advances, so an infinite or NaN force never reaches either advance."""
+    advanced = 0
+    for state, force, dt, params in edge_cases(n=n, seed=100 + substeps):
+        rows, diverged = pendulum_rows(_kernels_py, state, force, dt, params, substeps)
+        got, got_diverged = pendulum_rows(compiled_kernels, state, force, dt, params, substeps)
+        assert_same_bits(got, rows)
+        assert got_diverged == diverged
+        advanced += not diverged
+    assert 0 < advanced < n
 
 
 def stagewise_advance(accel, state, force, feedback, dt, substeps, params):
-    """Classical RK4 written stage by stage on a twin's own ``accel``; with
-    ``feedback`` set each stage's force is the reference feedback of its
-    state.  The fused advances of both twins must reproduce it bit for bit."""
+    """Classical RK4 written stage by stage on ``accel``; with ``feedback``
+    set each stage's force is the reference feedback of its state.  The
+    fused advance must reproduce it bit for bit."""
     cx, cth = params[5], params[6]
 
     def deriv(s):
@@ -159,15 +204,16 @@ def stagewise_advance(accel, state, force, feedback, dt, substeps, params):
 
 
 @pytest.mark.parametrize("substeps", [1, 2, 10])
-def test_advances_match_stagewise_reference(kernels, substeps):
-    accel = kernels.pendulum_accel
+def test_advances_match_stagewise_reference(substeps):
+    """The Python twin's fused ``_advance``, with a held force and with the
+    reference feedback, against the stage-by-stage RK4 over its ``_accel``;
+    the twin parity tests above carry the check to the C twin's."""
+    advance, accel = _kernels_py._advance, _kernels_py._accel
     for state, force, dt, params in edge_cases(n=400, seed=substeps):
-        assert outcome(kernels.rk4_advance, *state, force, dt, substeps, *params) == outcome(
-            stagewise_advance, accel, state, force, False, dt, substeps, params
-        )
-        assert outcome(kernels.trajgen_advance, *state, dt, substeps, *params) == outcome(
-            stagewise_advance, accel, state, 0.0, True, dt, substeps, params
-        )
+        for held, feedback in ((force, False), (0.0, True)):
+            assert outcome(advance, *state, held, feedback, dt, substeps, *params) == outcome(
+                stagewise_advance, accel, state, held, feedback, dt, substeps, params
+            )
 
 
 @settings(max_examples=150, deadline=None)
@@ -247,15 +293,24 @@ def test_cli_round_trips_alike_beyond_the_fast_range(
     assert (values >= 2.0**128).any()
 
 
-def test_substeps_checked_alike(kernels, monkeypatch):
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_substeps_checked_alike(kernels, count, monkeypatch):
     monkeypatch.setattr(plants, "kernels", kernels)
     params, state = PendulumParams(), PendulumState(theta=0.1)
+    args = (*state.as_tuple(), 0.02)
     with pytest.raises(ValueError, match="substeps must be >= 1"):
         generate_desired_trajectory(params, state, 1.0, 0.02, substeps=0)
+    # checked before any advance, so for a reference of 0 or 1 samples too
     with pytest.raises(ZeroDivisionError):
-        kernels.trajgen_advance(*state.as_tuple(), 0.02, 0, *PARAMS)
+        kernels.reference(np.empty(count), *args, 0, *PARAMS)
     # substeps is an index, as ``range`` takes it: a float is a TypeError
+    with pytest.raises(TypeError):
+        kernels.reference(np.empty(count), *args, 10.0, *PARAMS)
     with pytest.raises(TypeError):
         generate_desired_trajectory(params, state, 1.0, 0.02, substeps=10.0)
     with pytest.raises(TypeError):
         rk4_advance(state, 0.4, 0.02, params, substeps=10.0)
+    # the samples go to a C-contiguous buffer of doubles
+    for out in (np.empty(count, dtype=np.float32), np.empty((2, 2))[:, 0]):
+        with pytest.raises(TypeError, match="C-contiguous buffer of doubles"):
+            kernels.reference(out, *args, 10, *PARAMS)

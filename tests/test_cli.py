@@ -12,6 +12,7 @@ from mfclab import (
     config_from_dict,
     config_to_dict,
     demo_config,
+    plants,
     read_log_csv,
     write_config,
 )
@@ -260,16 +261,25 @@ class TestRun:
         assert len(err.splitlines()) == 1
         assert err.startswith("error:") and message in err
 
-    def test_run_too_large_to_allocate_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "horizon, message",
+        [(1e16, "Unable to allocate"), (1e300, "Maximum allowed dimension exceeded")],
+        ids=["1e16", "1e300"],
+    )
+    def test_run_too_large_to_allocate_is_config_error(
+        self, kernels, monkeypatch, tmp_path, capsys, horizon, message
+    ):
         # 5e17 samples of the reference are 3.5 EiB, past any address space
-        # (2^57 bytes with five-level paging), so the allocation fails at
-        # once; a size that could be mapped must never be tried here
+        # (2^57 bytes with five-level paging), and 5e301 are past numpy's
+        # largest dimension, so either allocation fails at once; a size that
+        # could be mapped must never be tried here
+        monkeypatch.setattr(plants, "kernels", kernels)
         path = tmp_path / "config.json"
-        write_config(dataclasses.replace(demo_config(), horizon=1e16), path)
+        write_config(dataclasses.replace(demo_config(), horizon=horizon), path)
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert err.startswith("error: Unable to allocate")
+        assert err.startswith(f"error: {message}")
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         cfg = dataclasses.replace(

@@ -637,23 +637,23 @@ class TestReferenceMemo:
     )
     def test_shared_reference_computed_once(self, changes, kwargs, monkeypatch, tmp_path):
         calls = []
-        kernel = plants._kernel
+        reference = plants.kernels.reference
 
-        def counting(name, *args):
-            calls.append(name)
-            return kernel(name, *args)
+        def counting(out, *args):
+            calls.append(len(out))
+            return reference(out, *args)
 
-        monkeypatch.setattr(plants, "_kernel", counting)
+        monkeypatch.setattr(plants.kernels, "reference", counting)
         config = dataclasses.replace(self.BASE, **changes)
         plants._theta_samples.cache_clear()
         cold = _csv_bytes(run_closed_loop(config, **kwargs), tmp_path)
-        # the reference runs one sample past the last logged row
-        assert calls.count("trajgen_advance") == self.BASE.n_records
+        # one kernel call, for a reference one sample past the last logged row
+        assert calls == [self.BASE.n_records + 1]
         plants._theta_samples.cache_clear()
         run_closed_loop(self.BASE)
         calls.clear()
         warm = _csv_bytes(run_closed_loop(config, **kwargs), tmp_path)
-        assert calls.count("trajgen_advance") == 0
+        assert calls == []
         assert warm == cold
 
     @pytest.mark.parametrize(

@@ -239,7 +239,7 @@ class TestReferenceMemo:
     def test_failed_reference_not_kept(self, monkeypatch):
         plants._theta_samples.cache_clear()
         state = PendulumState(theta=0.3)
-        failing = types.SimpleNamespace(trajgen_advance=lambda *a: (math.nan,) * 4)
+        failing = types.SimpleNamespace(reference=lambda *a: False)
         with monkeypatch.context() as m:
             m.setattr(plants, "kernels", failing)
             with pytest.raises(DivergenceError):
