@@ -23,6 +23,8 @@ backend.
 ``run_loop`` steps the closed loop of ``harness.run_closed_loop`` on
 floats.  It states no law of its own: each step calls the library's
 float functions, ``core.float_gain``, ``observers.fts_observer_step``,
+``ulm.f_of_differences`` (the pendulum's F, and its true F) or
+``f_of_second_difference`` (the synthetic plant's),
 ``ulm.first_order_step`` or ``second_order_step``,
 ``controller.control_rhs_second_order`` and ``influence_gain``, and
 ``plants.synthetic_ulm_plant_step`` or ``_advance`` for the truth, and it
@@ -232,6 +234,7 @@ def run_loop(ow, om, omargin, oa, uw, um, umargin, ua, cw, cm, cmargin, ca,
     from . import controller, core, observers, plants, ulm
 
     observe = observers.fts_observer_step
+    f_of_differences, f_of_second_difference = ulm.f_of_differences, ulm.f_of_second_difference
     first_order_step, second_order_step = ulm.first_order_step, ulm.second_order_step
     law, influence_gain = controller.control_rhs_second_order, controller.influence_gain
     plant_step = plants.synthetic_ulm_plant_step
@@ -251,6 +254,7 @@ def run_loop(ow, om, omargin, oa, uw, um, umargin, ua, cw, cm, cmargin, ca,
         f_signal = memoryview(f_signal).tolist()
     y_hat = []
     signal = y_hat if pendulum else y_true
+    reconstruct = f_of_differences if pendulum else f_of_second_difference
     rows = array("d")
     # the F estimator: its estimate, the last value it absorbed (None
     # before the first) and, second order only, its estimate of F's first
@@ -272,10 +276,7 @@ def run_loop(ow, om, omargin, oa, uw, um, umargin, ua, cw, cm, cmargin, ca,
 
         j = k - lag
         if j >= 1:
-            if pendulum:
-                f_new = ((signal[j + 1] - signal[j]) - (signal[j] - signal[j - 1])) - effect
-            else:
-                f_new = (signal[j + 1] - 2.0 * signal[j] + signal[j - 1]) - effect
+            f_new = reconstruct(signal[j - 1], signal[j], signal[j + 1], effect)
             if not second_order:
                 f_hat = first_order_step(f_hat, f_new, ulm_gain)
             elif f_prev is not None:
@@ -287,7 +288,7 @@ def run_loop(ow, om, omargin, oa, uw, um, umargin, ua, cw, cm, cmargin, ca,
             # the newest value reconstructable from truth; none before step 2
             f_true_k = 0.0
         else:
-            f_true_k = ((y_true[k] - y_true[k - 1]) - (y_true[k - 1] - y_true[k - 2])) - effect
+            f_true_k = f_of_differences(y_true[k - 2], y_true[k - 1], y_true[k], effect)
         # the bias is added even when it is 0.0: that turns -0.0 into 0.0
         f_hat_k = (f_true_k if oracle_f else f_hat) + f_hat_bias
 

@@ -24,7 +24,7 @@ from .core import (
     is_positive,
     require_finite,
     same_fields,
-    scalar_or_matrix,
+    scalar_or_1x1,
 )
 
 __all__ = [
@@ -41,14 +41,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class FixedInfluence:
-    """Constant designed influence: a nonzero scalar, or a matrix, which the
-    SISO loop takes only as 1x1."""
+    """Constant designed influence: a nonzero scalar or 1x1 matrix
+    (``scalar_or_1x1``), as the loop is SISO."""
 
     value: Union[float, np.ndarray]
 
     def __post_init__(self):
-        rule = "influence scalar must be nonzero and finite"
-        g = scalar_or_matrix(self.value, rule, "influence matrix", bool, False)
+        g = scalar_or_1x1("value", self.value, "nonzero", lambda g: g != 0.0)
         object.__setattr__(self, "value", g)
 
     __eq__ = same_fields

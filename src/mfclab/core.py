@@ -125,28 +125,26 @@ def as_tuple(name: str, value) -> tuple:
     raise ValueError(f"{name} must be a sequence, got {shown(value)}")
 
 
-def scalar_or_matrix(value, scalar_rule: str, matrix: str, ok, square: bool):
-    """``value`` as a float, or as a read-only copy of a 2-D float array.
-
-    A 0-d value must be a finite number that passes ``ok``, else it fails
-    with "<scalar_rule>, got <value>".  A matrix, named ``matrix`` in its
-    errors, must be 2-D (square if ``square``) and hold finite numbers: a
-    string array is rejected, although ``float`` parses its elements.
-    """
-    m = np.asarray(value)
-    if m.ndim == 0:
-        if not (is_finite(value) and ok(value)):
-            raise ValueError(f"{scalar_rule}, got {shown(value)}")
-        return float(value)
-    kind = m.dtype.kind
-    if not (kind in "biuf" or (kind == "O" and all(map(is_finite, m.flat)))):
-        raise ValueError(f"{matrix} must be finite")
-    if m.ndim != 2 or (square and m.shape[0] != m.shape[1]):
-        shape = "square" if square else "2-D"
-        raise ValueError(f"{matrix} must be {shape}, got shape {m.shape}")
-    m = m.astype(float)  # a copy: the caller's array cannot change it
-    if not np.isfinite(m).all():
-        raise ValueError(f"{matrix} must be finite")
+def scalar_or_1x1(name: str, value, rule: str, ok):
+    """``value``, a weight or an influence of the SISO loop, by the one rule
+    for both: a finite number that passes ``ok``, as a scalar (kept as a
+    float) or a 1x1 matrix (kept as a read-only 1x1 float array, whose gain
+    rounds as x' W x does).  Else it raises "<name> must be a <rule> finite
+    scalar or 1x1, got <value>", or "..., got shape <shape>"; a string is
+    no number, although ``float`` parses it."""
+    message = f"{name} must be a {rule} finite scalar or 1x1, got"
+    try:
+        shape = np.shape(value)
+    except ValueError:  # a ragged nested list: reported as it is
+        shape = ()
+    if shape not in ((), (1, 1)):
+        raise ValueError(f"{message} shape {shape}")
+    number = np.reshape(value, -1)[0] if shape else value
+    if not (is_finite(number) and ok(number)):
+        raise ValueError(f"{message} {shown(value)}")
+    if not shape:
+        return float(number)
+    m = np.full((1, 1), float(number))  # a copy: the caller's array cannot change it
     m.flags.writeable = False
     return m
 
@@ -164,9 +162,9 @@ def same_fields(self, other):
 class HolderGainParams:
     """Weight/margin/exponent triple of the Hölder gain.
 
-    ``weight`` is either a positive scalar or a symmetric positive-definite
-    matrix; the gain functions take a scalar or a 1x1 one.  ``margin`` must
-    be positive and ``exponent`` must lie in the open interval (1, 2).
+    ``weight`` is a positive scalar or 1x1 matrix (``scalar_or_1x1``): the
+    loop is SISO.  ``margin`` must be positive and ``exponent`` must lie in
+    the open interval (1, 2).
     """
 
     weight: Union[float, np.ndarray]
@@ -174,13 +172,7 @@ class HolderGainParams:
     exponent: float
 
     def __post_init__(self):
-        rule = "scalar weight must be positive and finite"
-        w = scalar_or_matrix(self.weight, rule, "weight matrix", is_positive, True)
-        if isinstance(w, np.ndarray):
-            if not np.allclose(w, w.T, rtol=1e-12, atol=0.0):
-                raise ValueError("weight matrix must be symmetric")
-            if np.linalg.eigvalsh(w).min() <= 0.0:
-                raise ValueError("weight matrix must be positive definite")
+        w = scalar_or_1x1("weight", self.weight, "positive", is_positive)
         object.__setattr__(self, "weight", w)
         require_finite(self, "margin", ok=is_positive, rule="be positive")
         require_finite(
@@ -190,23 +182,16 @@ class HolderGainParams:
     __eq__ = same_fields
 
 
-def siso_value(value, key: str) -> float:
-    """A weight or influence as a float; the loop is SISO, so it must be a
-    scalar or 1x1."""
-    shape = np.shape(value)
-    if shape not in ((), (1, 1)):
-        raise ValueError(
-            f"{key} must be a scalar or 1x1 in the SISO loop, got shape {shape}"
-        )
-    return float(np.reshape(value, -1)[0])
+def siso_value(value) -> float:
+    """A stored weight or influence, a float or a 1x1 array, as a float."""
+    return value if isinstance(value, float) else float(value[0, 0])
 
 
 def gain_args(params: HolderGainParams) -> tuple:
     """``params`` as the arguments ``(w, is_matrix, margin, a)`` of
-    ``float_gain`` and of the kernels' ``run_loop``, with a = 1 - 1/exponent;
-    the weight must be a scalar or 1x1."""
+    ``float_gain`` and of the kernels' ``run_loop``, with a = 1 - 1/exponent."""
     return (
-        siso_value(params.weight, "weight"),
+        siso_value(params.weight),
         not isinstance(params.weight, float),
         params.margin,
         1.0 - 1.0 / params.exponent,

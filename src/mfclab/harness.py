@@ -105,11 +105,6 @@ class ExperimentConfig:
         require_int(self, "seed", ok=lambda s: s >= 0, rule="be non-negative")
         if self.ulm.order_nu != 2 or self.controller.order_nu != 2:
             raise ValueError("the closed-loop harness implements the second-order law")
-        siso_value(self.observer.weight, "observer.weight")
-        policy = self.controller.influence_policy
-        key = "controller.influence_policy.value"
-        if isinstance(policy, FixedInfluence) and siso_value(policy.value, key) == 0.0:
-            raise ValueError(f"{key} must be nonzero")
         separated = (
             self.controller.margin < self.observer.margin
             and self.controller.exponent < self.observer.exponent
@@ -252,7 +247,7 @@ def _run_loop(config: ExperimentConfig, oracle_f: bool, f_hat_bias: float):
     ctl = config.controller
     policy = ctl.influence_policy
     if isinstance(policy, FixedInfluence):
-        influence = (False, siso_value(policy.value, "value"))
+        influence = (False, siso_value(policy.value))
     else:
         influence = (True, policy.base)
     width, random = 0.0, None

@@ -22,6 +22,8 @@ __all__ = [
     "SECOND_ORDER",
     "UlmConfig",
     "reconstruct_f",
+    "f_of_differences",
+    "f_of_second_difference",
     "first_order_step",
     "second_order_step",
 ]
@@ -71,6 +73,18 @@ def reconstruct_f(outputs, input_effect: float, order_nu: int) -> float:
             f"{order_nu} (need {order_nu + 1})"
         )
     return float(forward_difference(outputs, order_nu)[0]) - input_effect
+
+
+def f_of_differences(y0: float, y1: float, y2: float, input_effect: float) -> float:
+    """``reconstruct_f`` at order 2 on the floats y[k..k+2], a difference of
+    differences: the pendulum's rounding."""
+    return ((y2 - y1) - (y1 - y0)) - input_effect
+
+
+def f_of_second_difference(y0: float, y1: float, y2: float, input_effect: float) -> float:
+    """F from the floats y[k..k+2] as ``y2 - 2 y1 + y0``, the rounding of
+    the synthetic plant's step ``y2 = 2 y1 - y0 + F + G u``."""
+    return (y2 - 2.0 * y1 + y0) - input_effect
 
 
 def first_order_step(f_hat: float, f_known: float, gain) -> float:

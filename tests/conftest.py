@@ -1,4 +1,5 @@
 import importlib.util
+import shlex
 import shutil
 import subprocess
 import sysconfig
@@ -13,18 +14,20 @@ KERNELS_C = Path(__file__).resolve().parents[1] / "src" / "mfclab" / "_kernels.c
 
 def _build_kernels(tmp_path_factory, *flags):
     """The tracked ``_kernels.c`` built by gcc into a temporary directory and
-    loaded as ``mfclab._kernels``, with the no-FMA flag that ``setup.py``
-    passes and ``flags``.  Any compiler warning fails the build; the tests
-    that use it skip only when gcc is not found."""
+    loaded as ``mfclab._kernels``, with the flags that ``setup.py`` compiles
+    it with (Python's own ``CFLAGS``, such as ``-O3 -fwrapv``, and the
+    no-FMA flag), then ``-Wextra`` and ``flags``.  Any compiler warning
+    fails the build; the tests that use it skip only when gcc is not
+    found."""
     gcc = shutil.which("gcc")
     if gcc is None:
         pytest.skip("gcc not found")
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
     target = tmp_path_factory.mktemp("kernels") / f"_kernels{suffix}"
     proc = subprocess.run(
-        [gcc, "-O2", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off",
-         *flags, f"-I{sysconfig.get_paths()['include']}", str(KERNELS_C), "-lm",
-         "-o", str(target)],
+        [gcc, *shlex.split(sysconfig.get_config_var("CFLAGS") or ""), "-shared", "-fPIC",
+         "-Wall", "-Wextra", "-Werror", "-ffp-contract=off", *flags,
+         f"-I{sysconfig.get_paths()['include']}", str(KERNELS_C), "-lm", "-o", str(target)],
         capture_output=True,
         text=True,
     )

@@ -40,7 +40,8 @@ def _metrics_both_spellings(log, cutoff: str, capsys):
     return outcomes[0]
 
 
-# case id -> (config file text, the key its error message must name)
+# case id -> (config file text, the key its error message must name, or the
+# whole message after "error: ")
 BAD_CONFIGS = {
     "missing-keys": ('{"horizon": 1.0}', "plant"),
     "horizon-null": (_demo_with(None, "horizon"), "horizon"),
@@ -66,7 +67,11 @@ BAD_CONFIGS = {
     ),
     "observer-weight-2x2": (
         _demo_with([[2.1, 0.0], [0.0, 2.1]], "observer", "weight"),
-        "observer.weight",
+        "observer: weight must be a positive finite scalar or 1x1, got shape (2, 2)",
+    ),
+    "observer-weight-3x3": (
+        _demo_with([[2.1, 0.0, 0.0], [0.0, 2.1, 0.0], [0.0, 0.0, 2.1]], "observer", "weight"),
+        "observer: weight must be a positive finite scalar or 1x1, got shape (3, 3)",
     ),
     "fixed-influence-2x2": (
         _demo_with(
@@ -74,11 +79,18 @@ BAD_CONFIGS = {
             "controller",
             "influence_policy",
         ),
-        "controller.influence_policy.value",
+        "controller.influence_policy: value must be a nonzero finite scalar or 1x1, "
+        "got shape (2, 2)",
+    ),
+    "fixed-influence-1x2": (
+        _demo_with({"kind": "fixed", "value": [[1.0, 2.0]]}, "controller", "influence_policy"),
+        "controller.influence_policy: value must be a nonzero finite scalar or 1x1, "
+        "got shape (1, 2)",
     ),
     "fixed-influence-zero-1x1": (
         _demo_with({"kind": "fixed", "value": [[0.0]]}, "controller", "influence_policy"),
-        "controller.influence_policy.value",
+        "controller.influence_policy: value must be a nonzero finite scalar or 1x1, "
+        "got [[0.0]]",
     ),
     "fixed-influence-nan-1x1": (
         _demo_with(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,17 +205,51 @@ class TestInfluenceGain:
         with pytest.raises(ValueError, match="^base must be positive and finite"):
             AdaptiveInfluence(base=value)
 
-    @pytest.mark.parametrize("value", NON_FINITE)
-    def test_fixed_non_finite_matrix_rejected(self, value):
-        with pytest.raises(ValueError, match="influence matrix must be finite"):
-            FixedInfluence(np.array([[value]]))
-        with pytest.raises(ValueError, match="influence scalar must be nonzero and finite"):
-            FixedInfluence(value)
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            pytest.param(np.nan, ("nan", "[[nan]]"), id="nan"),
+            pytest.param(np.inf, ("inf", "[[inf]]"), id="inf"),
+            pytest.param(-np.inf, ("-inf", "[[-inf]]"), id="-inf"),
+            pytest.param(10**400, (f"{10**400}", f"[[{10**400}]]"), id="int-1e400"),
+            pytest.param(-(10**400), (f"{-(10**400)}", f"[[{-(10**400)}]]"), id="int--1e400"),
+            pytest.param(10**5000, ("an int too large for a float",) * 2, id="int-1e5000"),
+            pytest.param(-(10**5000), ("an int too large for a float",) * 2, id="int--1e5000"),
+            pytest.param("1.5", ("'1.5'", "[['1.5']]"), id="str"),
+        ],
+    )
+    def test_fixed_non_finite_matrix_rejected(self, value, shown):
+        # the same rule, and message, for a scalar and a 1x1
+        for form, text in zip((value, np.array([[value]])), shown):
+            message = f"value must be a nonzero finite scalar or 1x1, got {text}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                FixedInfluence(form)
 
     @pytest.mark.parametrize("value", ["1.5", b"1.5", np.str_("1.5")], ids=repr)
     def test_fixed_string_scalar_rejected(self, value):
         # ``float`` parses a string, so only its type tells it apart
-        with pytest.raises(ValueError, match="influence scalar must be nonzero and finite"):
+        message = f"value must be a nonzero finite scalar or 1x1, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FixedInfluence(value)
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            (0.0, "0.0"),
+            (-0.0, "-0.0"),
+            (0, "0"),
+            (np.array([[0.0]]), "[[0.]]"),
+            (np.array([[1.0, 2.0]]), "shape (1, 2)"),
+            (np.eye(2), "shape (2, 2)"),
+            (np.eye(3), "shape (3, 3)"),
+            (np.ones(1), "shape (1,)"),
+            (np.ones((1, 1, 1)), "shape (1, 1, 1)"),
+        ],
+        ids=["0.0", "-0.0", "int-0", "zero-1x1", "1x2", "2x2", "3x3", "1", "1x1x1"],
+    )
+    def test_fixed_zero_or_another_shape_rejected_at_construction(self, value, shown):
+        message = f"value must be a nonzero finite scalar or 1x1, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             FixedInfluence(value)
 
     def test_fixed_value_returned(self):

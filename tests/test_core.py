@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -80,10 +81,24 @@ class TestHolderGain:
 
     def test_matrix_weight_must_be_1x1(self):
         # the gain is a function of a scalar error
-        params = HolderGainParams(weight=np.diag([1.0, 2.0]), margin=1.0, exponent=1.5)
-        message = r"^weight must be a scalar or 1x1 in the SISO loop, got shape \(2, 2\)$"
+        message = r"^weight must be a positive finite scalar or 1x1, got shape \(2, 2\)$"
         with pytest.raises(ValueError, match=message):
-            holder_gain(1.0, params)
+            HolderGainParams(weight=np.diag([1.0, 2.0]), margin=1.0, exponent=1.5)
+
+    @pytest.mark.parametrize(
+        "weight",
+        [np.eye(3), np.ones((1, 2)), np.ones(1), np.ones((1, 1, 1))],
+        ids=["3x3", "1x2", "1", "1x1x1"],
+    )
+    def test_weight_of_another_shape_rejected_at_construction(self, weight):
+        message = f"weight must be a positive finite scalar or 1x1, got shape {weight.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            HolderGainParams(weight=weight, margin=1.0, exponent=1.5)
+
+    def test_ragged_weight_named(self):
+        message = "weight must be a positive finite scalar or 1x1, got [[1.0], [2.0, 3.0]]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            HolderGainParams(weight=[[1.0], [2.0, 3.0]], margin=1.0, exponent=1.5)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -120,21 +135,22 @@ class TestHolderGain:
             HolderGainParams(**kwargs)
 
     @pytest.mark.parametrize(
-        "value",
+        "value, shown",
         [
-            math.nan,
-            math.inf,
-            -math.inf,
-            pytest.param(10**400, id="int-1e400"),
-            pytest.param(-(10**400), id="int--1e400"),
-            pytest.param(10**5000, id="int-1e5000"),
-            pytest.param(-(10**5000), id="int--1e5000"),
-            pytest.param("2.0", id="str"),
-            pytest.param(None, id="None"),
+            pytest.param(math.nan, "[[nan]]", id="nan"),
+            pytest.param(math.inf, "[[inf]]", id="inf"),
+            pytest.param(-math.inf, "[[-inf]]", id="-inf"),
+            pytest.param(10**400, f"[[{10**400}]]", id="int-1e400"),
+            pytest.param(-(10**400), f"[[{-(10**400)}]]", id="int--1e400"),
+            pytest.param(10**5000, "an int too large for a float", id="int-1e5000"),
+            pytest.param(-(10**5000), "an int too large for a float", id="int--1e5000"),
+            pytest.param("2.0", "[['2.0']]", id="str"),
+            pytest.param(None, "[[None]]", id="None"),
         ],
     )
-    def test_non_finite_weight_matrix_rejected(self, value):
-        with pytest.raises(ValueError, match="weight matrix must be finite"):
+    def test_non_finite_weight_matrix_rejected(self, value, shown):
+        message = f"weight must be a positive finite scalar or 1x1, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             HolderGainParams(weight=np.array([[value]]), margin=1.0, exponent=1.5)
 
 

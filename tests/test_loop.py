@@ -33,6 +33,7 @@ from mfclab import (
     NoiseModel,
     PendulumParams,
     PendulumState,
+    SyntheticUlmParams,
     _kernels_py,
     controller,
     demo_config,
@@ -258,6 +259,26 @@ def test_mirror_image_with_negated_noise_negates_every_signed_column(kernels, ru
     assert (image.t == log.t).all() and (image.g == log.g).all()
 
 
+def _library_calls(config, steps):
+    """The log of ``config`` run on the Python twin, and for each name of
+    ``steps`` (name -> (module, attribute)) a mock that wraps that step."""
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(plants, "kernels", _kernels_py))
+        calls = {
+            name: stack.enter_context(
+                mock.patch.object(module, attr, wraps=getattr(module, attr))
+            )
+            for name, (module, attr) in steps.items()
+        }
+        return run_closed_loop(config), calls
+
+
+RECONSTRUCTIONS = {
+    "differences": (ulm, "f_of_differences"),
+    "second_difference": (ulm, "f_of_second_difference"),
+}
+
+
 @pytest.mark.parametrize("order", ["first", "second"])
 def test_python_twin_calls_the_library_steps(order):
     # the Python twin's loop states no law of its own: it calls the
@@ -269,16 +290,9 @@ def test_python_twin_calls_the_library_steps(order):
         "estimate": (ulm, f"{order}_order_step"),
         "law": (controller, "control_rhs_second_order"),
         "influence": (controller, "influence_gain"),
+        **RECONSTRUCTIONS,
     }
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.object(plants, "kernels", _kernels_py))
-        calls = {
-            name: stack.enter_context(
-                mock.patch.object(module, attr, wraps=getattr(module, attr))
-            )
-            for name, (module, attr) in steps.items()
-        }
-        log = run_closed_loop(config)
+    log, calls = _library_calls(config, steps)
     assert (log.n, log.diverged) == (3501, False)
     # the first step takes the initial estimate; the law anchors one step
     # in arrears; the estimator absorbs its first value of F at step 2,
@@ -287,3 +301,17 @@ def test_python_twin_calls_the_library_steps(order):
     assert calls["estimate"].call_count == log.n - (2 if order == "first" else 3)
     assert calls["law"].call_count == log.n - 1
     assert calls["influence"].call_count == log.n
+    # from step 2 on, once for the estimator's F and once for the true F
+    assert calls["differences"].call_count == 2 * (log.n - 2)
+    assert calls["second_difference"].call_count == 0
+
+
+def test_python_twin_reconstructs_the_synthetic_f_with_the_library_law():
+    # the synthetic plant's law anchors at step k, so F is reconstructed
+    # from step 1 on; its true F is the plant's forcing
+    config = demo_config()
+    config = dataclasses.replace(config, horizon=10.0, plant=SyntheticUlmParams(f_mode="sine"))
+    log, calls = _library_calls(config, RECONSTRUCTIONS)
+    assert (log.n, log.diverged) == (501, False)
+    assert calls["second_difference"].call_count == log.n - 1
+    assert calls["differences"].call_count == 0

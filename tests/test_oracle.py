@@ -22,11 +22,14 @@ from mfclab import (
     HolderGainParams,
     UlmConfig,
     control_rhs_second_order,
+    f_of_differences,
+    f_of_second_difference,
     first_order_step,
     float_gain,
     fts_observer_step,
     gain_args,
     influence_gain,
+    reconstruct_f,
     second_order_step,
     synthetic_ulm_plant_step,
 )
@@ -154,6 +157,17 @@ class TestLibraryStepsEqualOracle:
     def test_fixed_influence(self, value, feedback_total):
         expected = oracle.influence_gain(FixedInfluence(value), feedback_total)
         assert influence_gain(False, value, feedback_total) == expected
+
+    @given(y0=values, y1=values, y2=values, effect=values)
+    def test_pendulum_f_reconstruction(self, y0, y1, y2, effect):
+        assert f_of_differences(y0, y1, y2, effect) == reconstruct_f([y0, y1, y2], effect, 2)
+
+    @given(y0=values, y1=values, y2=values, effect=values)
+    def test_synthetic_f_reconstruction(self, y0, y1, y2, effect):
+        # the reference loop of test_loop forms it from signal[j - 1..j + 1]
+        signal, j = [y0, y1, y2], 1
+        expected = (signal[j + 1] - 2.0 * signal[j] + signal[j - 1]) - effect
+        assert f_of_second_difference(y0, y1, y2, effect) == expected
 
     @given(y_k=values, y_kp1=values, f_k=values, g_k=values.filter(bool), u_k=values)
     def test_synthetic_plant_step(self, y_k, y_kp1, f_k, g_k, u_k):
