@@ -7,9 +7,9 @@ The central object is the Hölder-continuous gain
 which every observer and the tracking controller reuse with their own
 weight/margin/exponent triple; ``float_gain`` is it as a function on
 floats, the one the loop and the library's steps call.  The module also
-provides discrete forward differences and an executable oracle for the
-scalar recursion ``c_{k+1} = c_k - a_k * c_k**alpha`` that underlies the
-finite-time convergence argument.
+provides an executable oracle for the scalar recursion
+``c_{k+1} = c_k - a_k * c_k**alpha`` that underlies the finite-time
+convergence argument.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "float_gain",
     "gain_args",
     "holder_gain",
-    "forward_difference",
     "lyapunov_recursion",
     "gamma_ratio_bound",
 ]
@@ -226,25 +225,6 @@ def holder_gain(err: float, params: HolderGainParams) -> float:
     contractions.
     """
     return float_gain(*gain_args(params))(err)
-
-
-def forward_difference(series, order: int):
-    """Order-``order`` forward difference of a sequence of samples.
-
-    Samples may be scalars or vectors (stacked along the first axis).
-    Order 0 returns the series unchanged; each further order maps
-    ``y[k] -> y[k+1] - y[k]`` elementwise, so the output is shorter than
-    the input by ``order`` samples.
-    """
-    check_int("order", order, ok=lambda n: n >= 0, rule="be non-negative")
-    arr = np.asarray(series, dtype=float)
-    if arr.shape[0] <= order:
-        raise ValueError(
-            f"series of length {arr.shape[0]} is too short for order {order}"
-        )
-    for _ in range(order):
-        arr = arr[1:] - arr[:-1]
-    return arr
 
 
 @dataclass(frozen=True)

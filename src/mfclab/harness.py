@@ -8,7 +8,7 @@ The kernel backend's ``run_loop`` steps one loop for both plants, which
 differ in where the law anchors:
 
 * cart-pendulum: only the current measurement exists at decision time, so
-  the second-order law is evaluated one step in arrears (the (k-1, k)
+  the tracking law is evaluated one step in arrears (the (k-1, k)
   error pair plays the role of the (k, k+1) pair) on the observer
   estimates, and the newest reconstructable F value lags two samples;
 * synthetic plant: its step-k state is the output pair (y[k], y[k+1]), so
@@ -103,8 +103,6 @@ class ExperimentConfig:
         if not math.isfinite(self.horizon * self.sample_rate):
             raise ValueError("horizon * sample_rate (the record count) overflows")
         require_int(self, "seed", ok=lambda s: s >= 0, rule="be non-negative")
-        if self.ulm.order_nu != 2 or self.controller.order_nu != 2:
-            raise ValueError("the closed-loop harness implements the second-order law")
         separated = (
             self.controller.margin < self.observer.margin
             and self.controller.exponent < self.observer.exponent

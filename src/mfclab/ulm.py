@@ -1,11 +1,12 @@
 """Ultra-local-model reconstruction and its first/second order observers.
 
 The surrogate model ``y^(nu) = F + G u`` leaves everything unmodeled in
-the signal F.  F at time k is only computable nu steps later (its value
-needs outputs up to y[k+nu]), so the estimators here consume reconstructed
-values as they become available and the controller runs on the latest
-estimate; the reconstruction lag is absorbed by the observers as part of
-the first/second difference perturbation they are robust to.  The steps
+the signal F; the loop runs it at nu = 2.  F at time k is only computable
+two steps later (its value needs outputs up to y[k+2]), so the estimators
+here consume reconstructed values as they become available and the
+controller runs on the latest estimate; the reconstruction lag is absorbed
+by the observers as part of the first/second difference perturbation they
+are robust to.  The steps
 are functions on floats; ``gain`` is a float function of the error, such
 as ``float_gain(*gain_args(config.gain))``.
 """
@@ -15,13 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import HolderGainParams, forward_difference, require_int
+from .core import HolderGainParams, require_int
 
 __all__ = [
     "FIRST_ORDER",
     "SECOND_ORDER",
     "UlmConfig",
-    "reconstruct_f",
     "f_of_differences",
     "f_of_second_difference",
     "first_order_step",
@@ -34,7 +34,7 @@ SECOND_ORDER = "second"
 
 @dataclass(frozen=True)
 class UlmConfig:
-    """Order of the surrogate model and gains of its observer.
+    """Order of the surrogate model, which is 2, and gains of its observer.
 
     The observer gain always uses the plain squared norm of the error
     (unit weight), as opposed to the output observer's weighted form.
@@ -46,7 +46,7 @@ class UlmConfig:
     observer_order: str = FIRST_ORDER
 
     def __post_init__(self):
-        require_int(self, "order_nu", ok=lambda n: n >= 1, rule="be >= 1")
+        require_int(self, "order_nu", ok=lambda n: n == 2, rule="be 2")
         if self.observer_order not in (FIRST_ORDER, SECOND_ORDER):
             raise ValueError(
                 f"observer_order must be '{FIRST_ORDER}' or '{SECOND_ORDER}', "
@@ -60,24 +60,10 @@ class UlmConfig:
         return HolderGainParams(weight=1.0, margin=self.margin, exponent=self.exponent)
 
 
-def reconstruct_f(outputs, input_effect: float, order_nu: int) -> float:
-    """Recover F at the window start from nu+1 outputs and the input term.
-
-    ``outputs`` are y[k..k+nu] (oldest first) and ``input_effect`` is the
-    product G[k] u[k] that was applied at the window start; the result is
-    the order-nu forward difference minus that input effect.
-    """
-    if len(outputs) != order_nu + 1:
-        raise ValueError(
-            f"window of {len(outputs)} samples does not match order "
-            f"{order_nu} (need {order_nu + 1})"
-        )
-    return float(forward_difference(outputs, order_nu)[0]) - input_effect
-
-
 def f_of_differences(y0: float, y1: float, y2: float, input_effect: float) -> float:
-    """``reconstruct_f`` at order 2 on the floats y[k..k+2], a difference of
-    differences: the pendulum's rounding."""
+    """F from the floats y[k..k+2] as a difference of differences, the
+    pendulum's rounding: bit for bit the order-2 ``reconstruct_f`` of
+    ``tests/oracle.py``."""
     return ((y2 - y1) - (y1 - y0)) - input_effect
 
 

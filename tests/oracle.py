@@ -7,15 +7,21 @@ x' W x as ``w * (e @ e)`` for a scalar weight and ``e @ W @ e`` for a
 matrix one, and the observers carry their state in dataclasses.  The
 config dataclasses (``HolderGainParams``, ``UlmConfig``,
 ``ControllerConfig`` and the influence policies) are the library's.
+
+The order-nu laws of the ultra-local model ``y^(nu) = F + G u`` are here
+too: ``forward_difference``, ``sliding_variable``, ``control_rhs_general``
+and ``reconstruct_f``.  The library runs nu = 2 only; these are the
+references its second-order float laws are compared with.
 """
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from mfclab import FIRST_ORDER, SECOND_ORDER, FixedInfluence
+from mfclab.core import check_int
 
 
 def _vector(value):
@@ -145,3 +151,74 @@ def synthetic_ulm_plant_step(y_k, y_kp1, f_k, g_k, u_k):
     else:
         input_effect = np.asarray(g_k, dtype=float) @ _vector(u_k)
     return 2.0 * _vector(y_kp1) - _vector(y_k) + _vector(f_k) + input_effect
+
+
+def forward_difference(series, order: int):
+    """Order-``order`` forward difference of a sequence of samples.
+
+    Samples may be scalars or vectors (stacked along the first axis).
+    Order 0 returns the series unchanged; each further order maps
+    ``y[k] -> y[k+1] - y[k]`` elementwise, so the output is shorter than
+    the input by ``order`` samples.
+    """
+    check_int("order", order, ok=lambda n: n >= 0, rule="be non-negative")
+    arr = np.asarray(series, dtype=float)
+    if arr.shape[0] <= order:
+        raise ValueError(
+            f"series of length {arr.shape[0]} is too short for order {order}"
+        )
+    for _ in range(order):
+        arr = arr[1:] - arr[:-1]
+    return arr
+
+
+def sliding_variable(error_history, coefficients: Sequence[float]) -> float:
+    """Sliding value from the last nu tracking errors (oldest first).
+
+    Computes ``e^(nu-1) + c_1 e^(nu-2) + ... + c_(nu-1) e`` with every
+    difference anchored at the oldest sample of the window.
+    """
+    coeffs = tuple(coefficients)
+    nu = len(coeffs) + 1
+    if len(error_history) != nu:
+        raise ValueError(
+            f"history of {len(error_history)} errors does not match order {nu}"
+        )
+    s = float(forward_difference(error_history, nu - 1)[0])
+    for i, c in enumerate(coeffs, start=1):
+        s += c * float(forward_difference(error_history, nu - 1 - i)[0])
+    return s
+
+
+def control_rhs_general(
+    error_history, desired_diff_nu: float, f_hat: float, coefficients: Sequence[float], gain
+) -> float:
+    """Right-hand side G u of the order-nu tracking law on the last nu
+    tracking errors (oldest first).
+
+    Feedforward of the order-nu desired difference, the reaching term
+    ``(1 - gain(s)) s`` on the sliding value of ``coefficients``,
+    cancellation of the predicted F, and the weighted error differences of
+    orders nu-1 down to 1.
+    """
+    nu = len(coefficients) + 1
+    s = sliding_variable(error_history, coefficients)
+    rhs = desired_diff_nu - (1.0 - gain(s)) * s - f_hat
+    for i, c in enumerate(coefficients, start=1):
+        rhs -= c * float(forward_difference(error_history, nu - i)[0])
+    return rhs
+
+
+def reconstruct_f(outputs, input_effect: float, order_nu: int) -> float:
+    """Recover F at the window start from nu+1 outputs and the input term.
+
+    ``outputs`` are y[k..k+nu] (oldest first) and ``input_effect`` is the
+    product G[k] u[k] that was applied at the window start; the result is
+    the order-nu forward difference minus that input effect.
+    """
+    if len(outputs) != order_nu + 1:
+        raise ValueError(
+            f"window of {len(outputs)} samples does not match order "
+            f"{order_nu} (need {order_nu + 1})"
+        )
+    return float(forward_difference(outputs, order_nu)[0]) - input_effect

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from oracle import control_rhs_general
 
 from mfclab import (
     BumpNoiseStream,
@@ -26,7 +27,6 @@ from mfclab import (
     SyntheticUlmParams,
     UlmConfig,
     compute_metrics,
-    control_rhs_general,
     control_rhs_second_order,
     demo_config,
     first_order_step,

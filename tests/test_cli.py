@@ -112,6 +112,16 @@ BAD_CONFIGS = {
     ),
     "plant-kind-unknown": (_demo_with("rocket", "plant", "kind"), "plant.kind"),
     "horizon-too-large-for-float": (_demo_with(10**400, "horizon"), "horizon"),
+    "ulm-order-3": (_demo_with(3, "ulm", "order_nu"), "ulm: order_nu must be 2, got 3"),
+    "ulm-order-1": (_demo_with(1, "ulm", "order_nu"), "ulm: order_nu must be 2, got 1"),
+    "coefficients-empty": (
+        _demo_with([], "controller", "coefficients"),
+        "controller: coefficients must be one value mu in (0, 1), got ()",
+    ),
+    "coefficients-two": (
+        _demo_with([0.5, 0.25], "controller", "coefficients"),
+        "controller: coefficients must be one value mu in (0, 1), got (0.5, 0.25)",
+    ),
 }
 
 

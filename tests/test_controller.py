@@ -2,20 +2,15 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mfclab import (
     AdaptiveInfluence,
     ControllerConfig,
     FixedInfluence,
-    control_rhs_general,
     control_rhs_second_order,
     float_gain,
     gain_args,
     influence_gain,
-    schur_check,
-    sliding_variable,
     synthetic_ulm_plant_step,
 )
 
@@ -40,46 +35,11 @@ GAIN = float_gain(*gain_args(PAPER_CTL.gain))
 MU = PAPER_CTL.mu
 
 
-class TestSlidingVariable:
-    def test_zero_history(self):
-        assert sliding_variable([0.0, 0.0], (0.35,)) == 0.0
-
-    def test_second_order_formula(self):
-        # e and e_next both 1: first difference vanishes, mu * e remains
-        assert sliding_variable([1.0, 1.0], (0.35,)) == pytest.approx(0.35)
-
-    def test_third_order_hand_expansion(self):
-        s = sliding_variable([1.0, 2.0, 4.0], (0.5, 0.25))
-        assert s == pytest.approx(1.75)
-
-    def test_wrong_history_length(self):
-        with pytest.raises(ValueError, match="history"):
-            sliding_variable([1.0, 2.0, 3.0], (0.35,))
-
-
-class TestSchurCheck:
-    def test_paper_coefficient_stable(self):
-        assert schur_check((0.35,)) is True
-
-    def test_magnitude_above_one_unstable(self):
-        assert schur_check((1.5,)) is False
-
-    def test_empty_vacuously_stable(self):
-        assert schur_check(()) is True
-
-    def test_boundary_root_rejected(self):
-        assert schur_check((1.0,)) is False
-
-    @given(
-        coeffs=st.lists(
-            st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=4
-        )
-    )
-    @settings(max_examples=150)
-    def test_agrees_with_root_magnitudes(self, coeffs):
-        roots = np.roots([1.0] + coeffs)
-        expected = bool(np.max(np.abs(roots)) < 1.0) if len(roots) else True
-        assert schur_check(tuple(coeffs)) is expected
+class TestControlLaws:
+    def test_second_order_feedforward(self):
+        s, rhs, feedback_total = control_rhs_second_order(0.0, 0.0, 1.0, 2.0, 4.0, 0.0, MU, GAIN)
+        assert (s, feedback_total) == (0.0, 0.0)
+        assert rhs == pytest.approx(4.0 - 2.0 * 2.0 + 1.0)
 
     def test_manifold_decay_ratio(self):
         # with the sliding value pinned to zero, the error recursion is
@@ -90,48 +50,6 @@ class TestSchurCheck:
             e_next = (1.0 - mu) * e
             assert e_next / e == pytest.approx(0.65, abs=1e-15)
             e = e_next
-
-
-class TestControlLaws:
-    def test_pure_feedforward_when_errors_vanish(self):
-        assert control_rhs_general([0.0, 0.0], 1.25, 0.0, (MU,), GAIN) == 1.25
-
-    @pytest.mark.parametrize("history", [[0.0], [0.0, 1.0, 2.0]], ids=["1", "3"])
-    def test_general_law_checks_history_length(self, history):
-        message = f"^history of {len(history)} errors does not match order 2$"
-        with pytest.raises(ValueError, match=message):
-            control_rhs_general(history, 0.0, 0.0, (MU,), GAIN)
-
-    def test_second_order_feedforward(self):
-        s, rhs, feedback_total = control_rhs_second_order(0.0, 0.0, 1.0, 2.0, 4.0, 0.0, MU, GAIN)
-        assert (s, feedback_total) == (0.0, 0.0)
-        assert rhs == pytest.approx(4.0 - 2.0 * 2.0 + 1.0)
-
-    def test_scalar_reaching_term(self):
-        # s = 1 with unit margin: quadratic form 1, gain 0, reaching 2*1/(1+1)
-        cfg = ControllerConfig(
-            margin=1.0,
-            exponent=11.0 / 9.0,
-            coefficients=(0.35,),
-            influence_policy=FixedInfluence(1.0),
-        )
-        # history (0, 1): s = 1 + 0.35*0 = 1, first difference 1
-        gain = float_gain(*gain_args(cfg.gain))
-        rhs = control_rhs_general([0.0, 1.0], 0.0, 0.0, cfg.coefficients, gain)
-        assert rhs == pytest.approx(-1.0 - 0.35 * 1.0)
-
-    def test_general_equals_second_order(self):
-        rng = np.random.default_rng(17)
-        for _ in range(300):
-            e_k, e_kp1, yd_k, yd_kp1, yd_kp2, f_hat = rng.normal(size=6).tolist()
-            desired_diff = yd_kp2 - 2.0 * yd_kp1 + yd_k
-            general = control_rhs_general([e_k, e_kp1], desired_diff, f_hat, (MU,), GAIN)
-            s, special, feedback_total = control_rhs_second_order(
-                e_k, e_kp1, yd_k, yd_kp1, yd_kp2, f_hat, MU, GAIN
-            )
-            assert special == pytest.approx(general, abs=1e-12 * max(1.0, abs(general)))
-            assert s == sliding_variable([e_k, e_kp1], (MU,))
-            assert feedback_total == -(1.0 - GAIN(s)) * s - MU * (e_kp1 - e_k) - f_hat
 
     def test_ideal_s_recursion_contracts(self):
         s = 2.0
@@ -171,19 +89,25 @@ class TestControlLaws:
             ideal = GAIN(s) * s
             assert s_next == pytest.approx(ideal, abs=1e-10 * max(1.0, abs(s)))
 
+    @pytest.mark.parametrize(
+        "coefficients, shown",
+        [((1.0,), "(1.0,)"), ((0.0,), "(0.0,)"), ((-0.35,), "(-0.35,)"), ((), "()")],
+        ids=["1", "0", "-0.35", "none"],
+    )
+    def test_coefficients_must_be_one_mu_in_the_unit_interval(self, coefficients, shown):
+        message = f"coefficients must be one value mu in (0, 1), got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ControllerConfig(1.0, 11.0 / 9.0, coefficients, FixedInfluence(1.0))
+
     def test_config_invariants(self):
-        with pytest.raises(ValueError, match="coefficients"):
-            ControllerConfig(1.0, 11.0 / 9.0, (1.5,), FixedInfluence(1.0))
-        with pytest.raises(ValueError, match="coefficients"):
-            ControllerConfig(1.0, 11.0 / 9.0, (0.25, 0.5), FixedInfluence(1.0))
+        for coefficients in ((1.5,), (0.25, 0.5), (0.5, 0.25)):
+            message = f"coefficients must be one value mu in (0, 1), got {coefficients}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ControllerConfig(1.0, 11.0 / 9.0, coefficients, FixedInfluence(1.0))
         with pytest.raises(ValueError):
             ControllerConfig(-1.0, 11.0 / 9.0, (0.35,), FixedInfluence(1.0))
         with pytest.raises(ValueError):
             ControllerConfig(1.0, 2.5, (0.35,), FixedInfluence(1.0))
-        with pytest.raises(ValueError, match="second-order"):
-            ControllerConfig(
-                1.0, 11.0 / 9.0, (0.5, 0.25), FixedInfluence(1.0)
-            ).mu
         for coefficients in (("0.35",), (10**5000,)):
             with pytest.raises(ValueError, match="^coefficients must be finite"):
                 ControllerConfig(1.0, 11.0 / 9.0, coefficients, FixedInfluence(1.0))

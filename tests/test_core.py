@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mfclab import (
     HolderGainParams,
     LyapunovRecursionSpec,
-    forward_difference,
     gamma_ratio_bound,
     holder_gain,
     lyapunov_recursion,
@@ -152,50 +151,6 @@ class TestHolderGain:
         message = f"weight must be a positive finite scalar or 1x1, got {shown}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             HolderGainParams(weight=np.array([[value]]), margin=1.0, exponent=1.5)
-
-
-class TestForwardDifference:
-    def test_first_order(self):
-        assert forward_difference([1.0, 3.0, 6.0], 1).tolist() == [2.0, 3.0]
-
-    def test_second_order(self):
-        assert forward_difference([1.0, 3.0, 6.0], 2).tolist() == [1.0]
-
-    def test_order_zero_identity(self):
-        series = [1.0, 3.0, 6.0]
-        assert forward_difference(series, 0).tolist() == series
-
-    def test_vector_samples(self):
-        series = np.array([[0.0, 1.0], [1.0, 4.0], [3.0, 9.0]])
-        out = forward_difference(series, 1)
-        assert out.tolist() == [[1.0, 3.0], [2.0, 5.0]]
-
-    @given(
-        data=st.lists(
-            st.floats(min_value=-1e6, max_value=1e6), min_size=4, max_size=12
-        ),
-        order=st.integers(min_value=0, max_value=3),
-    )
-    def test_composition_matches_order(self, data, order):
-        stepwise = np.asarray(data, dtype=float)
-        for _ in range(order):
-            stepwise = forward_difference(stepwise, 1)
-        np.testing.assert_array_equal(forward_difference(data, order), stepwise)
-
-    @pytest.mark.parametrize("order", ["1", 1.5, True, None])
-    def test_order_that_is_no_integer_rejected(self, order):
-        with pytest.raises(ValueError, match="^order must be an integer, got "):
-            forward_difference([1.0, 2.0, 3.0], order)
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError, match="^order must be non-negative, got -1$"):
-            forward_difference([1.0, 2.0, 3.0], -1)
-
-    def test_too_short_series_rejected(self):
-        with pytest.raises(ValueError, match="too short"):
-            forward_difference([1.0, 2.0], 2)
-        with pytest.raises(ValueError):
-            forward_difference([1.0], 1)
 
 
 # (LyapunovRecursionSpec keyword arguments, the error they raise)

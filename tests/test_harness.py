@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 import types
 import typing
 
@@ -175,6 +176,24 @@ def test_package_exports_the_modules_public_names():
     assert public == set().union(*(m.__all__ for m in modules))
 
 
+def test_public_api_is_pinned():
+    # a public name added or dropped shows here, in review
+    assert sorted(mfclab.__all__) == [
+        "AdaptiveInfluence", "BACKEND", "BumpNoiseStream", "CSV_HEADER", "ControllerConfig",
+        "DivergenceError", "ExperimentConfig", "FIRST_ORDER", "FixedInfluence",
+        "HolderGainParams", "LyapunovRecursionSpec", "NoiseModel", "PendulumParams",
+        "PendulumState", "RunLog", "RunMetrics", "SECOND_ORDER", "SyntheticUlmParams",
+        "UlmConfig", "asymptotic_observer_step", "compute_metrics", "config_from_dict",
+        "config_to_dict", "control_rhs_second_order", "demo_config", "f_of_differences",
+        "f_of_second_difference", "first_order_step", "float_gain", "fts_observer_step",
+        "gain_args", "gamma_ratio_bound", "generate_desired_trajectory", "holder_gain",
+        "influence_gain", "lyapunov_recursion", "pendulum_accel", "read_config",
+        "read_log_csv", "rk4_advance", "rk4_step", "run_closed_loop",
+        "second_order_step", "steps_to_tolerance", "synthetic_ulm_plant_step",
+        "write_config", "write_log_csv",
+    ]
+
+
 class TestExperimentConfig:
     def test_demo_matches_published_constants(self):
         cfg = demo_config()
@@ -208,10 +227,18 @@ class TestExperimentConfig:
             )
 
     def test_second_order_wiring_required(self):
-        with pytest.raises(ValueError, match="second-order"):
+        with pytest.raises(ValueError, match="^order_nu must be 2, got 3$"):
             dataclasses.replace(
                 demo_config(),
                 ulm=UlmConfig(order_nu=3, margin=1.5, exponent=9.0 / 7.0),
+            )
+        message = re.escape("coefficients must be one value mu in (0, 1), got (0.5, 0.25)")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(
+                demo_config(),
+                controller=dataclasses.replace(
+                    demo_config().controller, coefficients=(0.5, 0.25)
+                ),
             )
 
     def test_gains_built_once_and_kept_by_copies(self):

@@ -2,17 +2,28 @@
 
 ``ulm_predict`` absorbs each reconstructed value once, converges on a
 constant history and spends the second order's first value priming it,
-independently of the twins it checks.  Each float law that the Python
+independently of the twins it checks.  The order-nu laws hold on
+hand-worked windows of several orders, and at nu = 2 the general law
+agrees with the library's second-order one.  Each float law that the Python
 twin calls equals, compared with ``==``, its numpy counterpart in
 ``oracle`` on drawn inputs, so a change to one law's arithmetic fails
 here by name, not only as a differing run in ``test_loop``."""
+
+import math
 
 import numpy as np
 import oracle
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracle import UlmObserverState, ulm_predict
+from oracle import (
+    UlmObserverState,
+    control_rhs_general,
+    forward_difference,
+    reconstruct_f,
+    sliding_variable,
+    ulm_predict,
+)
 
 from mfclab import (
     SECOND_ORDER,
@@ -29,12 +40,19 @@ from mfclab import (
     fts_observer_step,
     gain_args,
     influence_gain,
-    reconstruct_f,
     second_order_step,
     synthetic_ulm_plant_step,
 )
 
 PAPER_ULM = UlmConfig(order_nu=2, margin=1.5, exponent=9.0 / 7.0)
+PAPER_CTL = ControllerConfig(
+    margin=1.0,
+    exponent=11.0 / 9.0,
+    coefficients=(0.35,),
+    influence_policy=AdaptiveInfluence(base=1.5),
+)
+GAIN = float_gain(*gain_args(PAPER_CTL.gain))
+MU = PAPER_CTL.mu
 
 
 class TestUlmPredict:
@@ -75,6 +93,148 @@ class TestUlmPredict:
         )
         assert state.consumed == 2
         assert pred[0] != 0.0
+
+
+class TestForwardDifference:
+    def test_first_order(self):
+        assert forward_difference([1.0, 3.0, 6.0], 1).tolist() == [2.0, 3.0]
+
+    def test_second_order(self):
+        assert forward_difference([1.0, 3.0, 6.0], 2).tolist() == [1.0]
+
+    def test_order_zero_identity(self):
+        series = [1.0, 3.0, 6.0]
+        assert forward_difference(series, 0).tolist() == series
+
+    def test_vector_samples(self):
+        series = np.array([[0.0, 1.0], [1.0, 4.0], [3.0, 9.0]])
+        out = forward_difference(series, 1)
+        assert out.tolist() == [[1.0, 3.0], [2.0, 5.0]]
+
+    @given(
+        data=st.lists(
+            st.floats(min_value=-1e6, max_value=1e6), min_size=4, max_size=12
+        ),
+        order=st.integers(min_value=0, max_value=3),
+    )
+    def test_composition_matches_order(self, data, order):
+        stepwise = np.asarray(data, dtype=float)
+        for _ in range(order):
+            stepwise = forward_difference(stepwise, 1)
+        np.testing.assert_array_equal(forward_difference(data, order), stepwise)
+
+    @pytest.mark.parametrize("order", ["1", 1.5, True, None])
+    def test_order_that_is_no_integer_rejected(self, order):
+        with pytest.raises(ValueError, match="^order must be an integer, got "):
+            forward_difference([1.0, 2.0, 3.0], order)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="^order must be non-negative, got -1$"):
+            forward_difference([1.0, 2.0, 3.0], -1)
+
+    def test_too_short_series_rejected(self):
+        with pytest.raises(ValueError, match="too short"):
+            forward_difference([1.0, 2.0], 2)
+        with pytest.raises(ValueError):
+            forward_difference([1.0], 1)
+
+
+class TestSlidingVariable:
+    def test_zero_history(self):
+        assert sliding_variable([0.0, 0.0], (0.35,)) == 0.0
+
+    def test_second_order_formula(self):
+        # e and e_next both 1: first difference vanishes, mu * e remains
+        assert sliding_variable([1.0, 1.0], (0.35,)) == pytest.approx(0.35)
+
+    def test_third_order_hand_expansion(self):
+        s = sliding_variable([1.0, 2.0, 4.0], (0.5, 0.25))
+        assert s == pytest.approx(1.75)
+
+    def test_wrong_history_length(self):
+        with pytest.raises(ValueError, match="history"):
+            sliding_variable([1.0, 2.0, 3.0], (0.35,))
+
+
+class TestControlRhsGeneral:
+    def test_pure_feedforward_when_errors_vanish(self):
+        assert control_rhs_general([0.0, 0.0], 1.25, 0.0, (MU,), GAIN) == 1.25
+
+    @pytest.mark.parametrize("history", [[0.0], [0.0, 1.0, 2.0]], ids=["1", "3"])
+    def test_general_law_checks_history_length(self, history):
+        message = f"^history of {len(history)} errors does not match order 2$"
+        with pytest.raises(ValueError, match=message):
+            control_rhs_general(history, 0.0, 0.0, (MU,), GAIN)
+
+    def test_scalar_reaching_term(self):
+        # s = 1 with unit margin: quadratic form 1, gain 0, reaching 2*1/(1+1)
+        cfg = ControllerConfig(
+            margin=1.0,
+            exponent=11.0 / 9.0,
+            coefficients=(0.35,),
+            influence_policy=FixedInfluence(1.0),
+        )
+        # history (0, 1): s = 1 + 0.35*0 = 1, first difference 1
+        gain = float_gain(*gain_args(cfg.gain))
+        rhs = control_rhs_general([0.0, 1.0], 0.0, 0.0, cfg.coefficients, gain)
+        assert rhs == pytest.approx(-1.0 - 0.35 * 1.0)
+
+    def test_general_equals_second_order(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            e_k, e_kp1, yd_k, yd_kp1, yd_kp2, f_hat = rng.normal(size=6).tolist()
+            desired_diff = yd_kp2 - 2.0 * yd_kp1 + yd_k
+            general = control_rhs_general([e_k, e_kp1], desired_diff, f_hat, (MU,), GAIN)
+            s, special, feedback_total = control_rhs_second_order(
+                e_k, e_kp1, yd_k, yd_kp1, yd_kp2, f_hat, MU, GAIN
+            )
+            assert special == pytest.approx(general, abs=1e-12 * max(1.0, abs(general)))
+            assert s == sliding_variable([e_k, e_kp1], (MU,))
+            assert feedback_total == -(1.0 - GAIN(s)) * s - MU * (e_kp1 - e_k) - f_hat
+
+
+class TestReconstructF:
+    def test_zero_window(self):
+        assert reconstruct_f([0.0, 0.0, 0.0], 0.0, 2) == 0.0
+
+    def test_second_difference_window(self):
+        assert reconstruct_f([1.0, 2.0, 4.0], 0.0, 2) == 1.0
+
+    def test_input_effect_subtracted(self):
+        assert reconstruct_f([1.0, 2.0, 4.0], 0.25, 2) == 0.75
+
+    def test_wrong_window_length_rejected(self):
+        with pytest.raises(ValueError, match="window"):
+            reconstruct_f([1.0, 2.0], 0.0, 2)
+
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_round_trip_with_known_forcing(self, nu):
+        # simulate y^(nu) = f + g*u forward, reconstruct f backward
+        rng = np.random.default_rng(3)
+        n = 40
+        f = 0.7 * np.ones(n)
+        u = rng.normal(size=n)
+        g = 1.3
+        y = list(rng.normal(size=nu))
+        for k in range(n - nu):
+            # invert the order-nu forward difference explicitly
+            acc = f[k] + g * u[k]
+            for j in range(nu):
+                acc -= math.comb(nu, j) * (-1.0) ** (nu - j) * y[k + j]
+            y.append(acc)
+        for k in range(n - nu):
+            rec = reconstruct_f(y[k : k + nu + 1], g * u[k], nu)
+            assert rec == pytest.approx(f[k], abs=1e-9)
+
+    def test_matches_synthetic_plant(self):
+        rng = np.random.default_rng(11)
+        y = [0.3, -0.2]
+        fs, us = rng.normal(size=30).tolist(), rng.normal(size=30).tolist()
+        for k in range(28):
+            y.append(synthetic_ulm_plant_step(y[k], y[k + 1], fs[k], 1.5, us[k]))
+        for k in range(28):
+            rec = reconstruct_f(y[k : k + 3], 1.5 * us[k], 2)
+            assert rec == pytest.approx(fs[k], abs=1e-12)
 
 
 values = st.floats(min_value=-1e3, max_value=1e3)

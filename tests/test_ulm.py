@@ -8,57 +8,11 @@ from mfclab import (
     first_order_step,
     float_gain,
     gain_args,
-    reconstruct_f,
     second_order_step,
-    synthetic_ulm_plant_step,
 )
 
 PAPER_ULM = UlmConfig(order_nu=2, margin=1.5, exponent=9.0 / 7.0)
 GAIN = float_gain(*gain_args(PAPER_ULM.gain))
-
-
-class TestReconstructF:
-    def test_zero_window(self):
-        assert reconstruct_f([0.0, 0.0, 0.0], 0.0, 2) == 0.0
-
-    def test_second_difference_window(self):
-        assert reconstruct_f([1.0, 2.0, 4.0], 0.0, 2) == 1.0
-
-    def test_input_effect_subtracted(self):
-        assert reconstruct_f([1.0, 2.0, 4.0], 0.25, 2) == 0.75
-
-    def test_wrong_window_length_rejected(self):
-        with pytest.raises(ValueError, match="window"):
-            reconstruct_f([1.0, 2.0], 0.0, 2)
-
-    @pytest.mark.parametrize("nu", [1, 2, 3])
-    def test_round_trip_with_known_forcing(self, nu):
-        # simulate y^(nu) = f + g*u forward, reconstruct f backward
-        rng = np.random.default_rng(3)
-        n = 40
-        f = 0.7 * np.ones(n)
-        u = rng.normal(size=n)
-        g = 1.3
-        y = list(rng.normal(size=nu))
-        for k in range(n - nu):
-            # invert the order-nu forward difference explicitly
-            acc = f[k] + g * u[k]
-            for j in range(nu):
-                acc -= math.comb(nu, j) * (-1.0) ** (nu - j) * y[k + j]
-            y.append(acc)
-        for k in range(n - nu):
-            rec = reconstruct_f(y[k : k + nu + 1], g * u[k], nu)
-            assert rec == pytest.approx(f[k], abs=1e-9)
-
-    def test_matches_synthetic_plant(self):
-        rng = np.random.default_rng(11)
-        y = [0.3, -0.2]
-        fs, us = rng.normal(size=30).tolist(), rng.normal(size=30).tolist()
-        for k in range(28):
-            y.append(synthetic_ulm_plant_step(y[k], y[k + 1], fs[k], 1.5, us[k]))
-        for k in range(28):
-            rec = reconstruct_f(y[k : k + 3], 1.5 * us[k], 2)
-            assert rec == pytest.approx(fs[k], abs=1e-12)
 
 
 class TestFirstOrderObserver:
@@ -197,3 +151,9 @@ class TestUlmConfig:
                       observer_order="third")
         with pytest.raises(ValueError):
             UlmConfig(order_nu=2, margin=-1.0, exponent=9.0 / 7.0)
+
+    @pytest.mark.parametrize("order_nu", [0, 1, 3, -2])
+    def test_order_must_be_two(self, order_nu):
+        message = f"^order_nu must be 2, got {order_nu}$"
+        with pytest.raises(ValueError, match=message):
+            UlmConfig(order_nu=order_nu, margin=1.5, exponent=9.0 / 7.0)
