@@ -227,19 +227,17 @@ reference(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 #define ROW 13            /* values per row of the log */
 #define NOISE_BLOCK 1024  /* doubles per call of the noise generator */
 
-/* A Hölder gain: weight w (1x1 when ``matrix``), margin, a = 1 - 1/exponent. */
+/* A Hölder gain: weight w, margin, a = 1 - 1/exponent. */
 typedef struct {
     double w, margin, a;
-    int matrix;
 } Gain;
 
 /* ``core.float_gain``: the Hölder gain of a scalar error, its form rounded
- * as w*(e*e) for a scalar weight and (e*w)*e for a 1x1 one; a form that is
- * not positive (zero or NaN) gives exactly -1. */
+ * as w*(e*e); a form that is not positive (zero or NaN) gives exactly -1. */
 static inline double
 gain(double e, const Gain *g)
 {
-    double x = g->matrix ? (e * g->w) * e : g->w * (e * e);
+    double x = g->w * (e * e);
     if (!(x > 0.0))
         return -1.0;
     double z = exp(g->a * log(x));
@@ -317,12 +315,12 @@ get_flag(PyObject *arg, int *flag)
     return *flag < 0 ? -1 : 0;
 }
 
-/* A gain's (w, is_matrix, margin, a). */
+/* A gain's (w, margin, a). */
 static int
 get_gain(PyObject *const *args, Gain *g)
 {
-    if (get_doubles(args, 1, &g->w) < 0 || get_flag(args[1], &g->matrix) < 0
-        || get_doubles(args + 2, 1, &g->margin) < 0 || get_doubles(args + 3, 1, &g->a) < 0)
+    if (get_doubles(args, 1, &g->w) < 0 || get_doubles(args + 1, 1, &g->margin) < 0
+        || get_doubles(args + 2, 1, &g->a) < 0)
         return -1;
     return 0;
 }
@@ -371,20 +369,20 @@ run_loop(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     int adaptive, second_order, oracle_f;
     double influence, mu, f_hat_bias, dt, y_hat0;
     Py_ssize_t n;
-    if (check_nargs("run_loop", nargs, 28) < 0 || get_gain(args, &obs) < 0
-        || get_gain(args + 4, &ulm) < 0 || get_gain(args + 8, &ctl) < 0
-        || get_flag(args[12], &adaptive) < 0 || get_doubles(args + 13, 1, &influence) < 0
-        || get_doubles(args + 14, 1, &mu) < 0 || get_flag(args[15], &second_order) < 0
-        || get_flag(args[16], &oracle_f) < 0 || get_doubles(args + 17, 1, &f_hat_bias) < 0
-        || get_doubles(args + 18, 1, &dt) < 0 || get_count(args[19], &n) < 0
-        || get_doubles(args + 21, 1, &y_hat0) < 0)
+    if (check_nargs("run_loop", nargs, 25) < 0 || get_gain(args, &obs) < 0
+        || get_gain(args + 3, &ulm) < 0 || get_gain(args + 6, &ctl) < 0
+        || get_flag(args[9], &adaptive) < 0 || get_doubles(args + 10, 1, &influence) < 0
+        || get_doubles(args + 11, 1, &mu) < 0 || get_flag(args[12], &second_order) < 0
+        || get_flag(args[13], &oracle_f) < 0 || get_doubles(args + 14, 1, &f_hat_bias) < 0
+        || get_doubles(args + 15, 1, &dt) < 0 || get_count(args[16], &n) < 0
+        || get_doubles(args + 18, 1, &y_hat0) < 0)
         return NULL;
     if (n < 0)
         n = 0;
     if (n > PY_SSIZE_T_MAX / (ROW * (Py_ssize_t)sizeof(double)) - 2)
         return PyErr_NoMemory();
 
-    int pendulum = args[23] != Py_None;
+    int pendulum = args[20] != Py_None;
     Py_ssize_t lag = pendulum ? 1 : 0;
     double state[4];
     long substeps = 0;
@@ -397,27 +395,27 @@ run_loop(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     PyObject *result = NULL;
     if (pendulum) {
         double c[7];
-        if (get_sequence(args[22], 4, "truth", state) < 0
-            || get_sequence(args[23], 7, "params", c) < 0
-            || get_substeps(args[24], &substeps) < 0)
+        if (get_sequence(args[19], 4, "truth", state) < 0
+            || get_sequence(args[20], 7, "params", c) < 0
+            || get_substeps(args[21], &substeps) < 0)
             return NULL;
         make_params(c, &p);
     }
-    else if (get_sequence(args[22], 2, "truth", state) < 0)
+    else if (get_sequence(args[19], 2, "truth", state) < 0)
         return NULL;
-    if (get_buffer(args[20], n + 2 - lag, "y_d", &y_d_view) < 0)
+    if (get_buffer(args[17], n + 2 - lag, "y_d", &y_d_view) < 0)
         return NULL;
-    if (!pendulum && get_buffer(args[25], n, "f_signal", &f_view) < 0)
+    if (!pendulum && get_buffer(args[22], n, "f_signal", &f_view) < 0)
         goto done;
-    if (args[27] != Py_None) {
+    if (args[24] != Py_None) {
         noise = PyMem_Malloc(sizeof *noise);
         if (noise == NULL) {
             PyErr_NoMemory();
             goto done;
         }
-        noise->random = args[27];
+        noise->random = args[24];
         noise->next = NOISE_BLOCK;
-        if (get_doubles(args + 26, 1, &noise->width) < 0)
+        if (get_doubles(args + 23, 1, &noise->width) < 0)
             goto done;
     }
     rows = PyMem_Malloc((size_t)(n * ROW) * sizeof(double));

@@ -205,22 +205,23 @@ def reference(out, x, theta, x_dot, theta_dot, dt, substeps,
     return True
 
 
-def run_loop(ow, om, omargin, oa, uw, um, umargin, ua, cw, cm, cmargin, ca,
+def run_loop(ow, omargin, oa, uw, umargin, ua, cw, cmargin, ca,
              adaptive, influence, mu, second_order, oracle_f, f_hat_bias, dt, n,
              y_d, y_hat0, truth, params, substeps, f_signal, width, random):
     """The ``n`` rows of a closed-loop run, row-major, and whether it
     diverged.
 
-    The observer, ULM and controller gains are ``(w, is_matrix, margin,
-    a)`` each.  The influence is the fixed value ``influence``, or with
-    ``adaptive`` set the adaptive one of base ``influence``.  ``y_d`` is
-    the reference, ``n + 2 - lag`` doubles, and ``y_hat0`` the initial
-    estimate.  The plant is the cart-pendulum when ``params`` holds its
-    seven constants: ``truth`` is its raw state, advanced by ``substeps``
-    RK4 steps per period, and its lag is 1.  Otherwise (``params`` None)
-    it is the synthetic plant: ``truth`` is ``(y0, y1)``, ``f_signal`` the
-    ``n`` values of its forcing, and its lag is 0.  ``random`` is the
-    noise stream's ``Generator.random``, or None for no noise.
+    The observer, ULM and controller gains are ``(w, margin, a)`` each,
+    the arguments of ``core.float_gain``.  The influence is the fixed
+    value ``influence``, or with ``adaptive`` set the adaptive one of base
+    ``influence``.  ``y_d`` is the reference, ``n + 2 - lag`` doubles, and
+    ``y_hat0`` the initial estimate.  The plant is the cart-pendulum when
+    ``params`` holds its seven constants: ``truth`` is its raw state,
+    advanced by ``substeps`` RK4 steps per period, and its lag is 1.
+    Otherwise (``params`` None) it is the synthetic plant: ``truth`` is
+    ``(y0, y1)``, ``f_signal`` the ``n`` values of its forcing, and its lag
+    is 0.  ``random`` is the noise stream's ``Generator.random``, or None
+    for no noise.
 
     At step k the law anchors at j = k - lag: it uses the errors at
     (j, j+1) and y_d[j..j+2], and shapes y[j+2].  F is reconstructed from
@@ -238,9 +239,9 @@ def run_loop(ow, om, omargin, oa, uw, um, umargin, ua, cw, cm, cmargin, ca,
     first_order_step, second_order_step = ulm.first_order_step, ulm.second_order_step
     law, influence_gain = controller.control_rhs_second_order, controller.influence_gain
     plant_step = plants.synthetic_ulm_plant_step
-    observer_gain = core.float_gain(ow, om, omargin, oa)
-    ulm_gain = core.float_gain(uw, um, umargin, ua)
-    ctl_gain = core.float_gain(cw, cm, cmargin, ca)
+    observer_gain = core.float_gain(ow, omargin, oa)
+    ulm_gain = core.float_gain(uw, umargin, ua)
+    ctl_gain = core.float_gain(cw, cmargin, ca)
     noise = plants._bump_sampler(width, random) if random is not None else None
     y_d = memoryview(y_d).tolist()
     pendulum = params is not None

@@ -15,16 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Tuple, Union
 
-import numpy as np
-
-from .core import (
-    HolderGainParams,
-    as_tuple,
-    is_positive,
-    require_finite,
-    same_fields,
-    scalar_or_1x1,
-)
+from .core import HolderGainParams, as_tuple, check_finite, is_positive, require_finite
 
 __all__ = [
     "FixedInfluence",
@@ -35,18 +26,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FixedInfluence:
-    """Constant designed influence: a nonzero scalar or 1x1 matrix
-    (``scalar_or_1x1``), as the loop is SISO."""
+    """Constant designed influence: a nonzero number, as the loop is SISO."""
 
-    value: Union[float, np.ndarray]
+    value: float
 
     def __post_init__(self):
-        g = scalar_or_1x1("value", self.value, "nonzero", lambda g: g != 0.0)
-        object.__setattr__(self, "value", g)
-
-    __eq__ = same_fields
+        require_finite(self, "value", ok=lambda g: g != 0.0, rule="be nonzero")
+        object.__setattr__(self, "value", float(self.value))
 
 
 @dataclass(frozen=True)
@@ -76,9 +64,10 @@ class ControllerConfig:
     influence_policy: InfluencePolicy
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", as_tuple("coefficients", self.coefficients))
-        require_finite(self, "coefficients")
-        coeffs = tuple(map(float, self.coefficients))
+        coeffs = as_tuple("coefficients", self.coefficients)
+        for c in coeffs:
+            check_finite("coefficients", c)
+        coeffs = tuple(map(float, coeffs))
         object.__setattr__(self, "coefficients", coeffs)
         if len(coeffs) != 1 or not 0.0 < coeffs[0] < 1.0:
             raise ValueError(f"coefficients must be one value mu in (0, 1), got {coeffs}")

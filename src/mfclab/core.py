@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -58,25 +58,24 @@ def is_positive(value) -> bool:
 
 
 def shown(value) -> str:
-    """``value`` for an error message: a string in quotes, and a
-    description of an int past Python's 4,300-digit limit on ``str``,
-    which raises there."""
+    """``value`` for an error message, on one line: a string in quotes, a
+    matrix with its rows on one line, and a description of an int past
+    Python's 4,300-digit limit on ``str``, which raises there."""
     if isinstance(value, (str, bytes)):
         return repr(value)
     try:
-        return str(value)
+        text = str(value)
     except ValueError:
         return "an int too large for a float"
+    return " ".join(text.split()) if "\n" in text else text
 
 
 def require_finite(obj, *names: str, ok=None, rule: str = "be finite") -> None:
     """Raise a ``ValueError`` naming the first of the fields ``names`` of
-    ``obj`` (a tuple field element by element) that is no finite number;
-    see ``check_finite``."""
+    ``obj`` that is no finite number; see ``check_finite``.  A tuple is no
+    number: a tuple field checks its items with ``check_finite``."""
     for name in names:
-        value = getattr(obj, name)
-        for v in value if isinstance(value, tuple) else (value,):
-            check_finite(name, v, ok, rule)
+        check_finite(name, getattr(obj, name), ok, rule)
 
 
 def check_finite(name: str, value, ok=None, rule: str = "be finite") -> None:
@@ -124,91 +123,43 @@ def as_tuple(name: str, value) -> tuple:
     raise ValueError(f"{name} must be a sequence, got {shown(value)}")
 
 
-def scalar_or_1x1(name: str, value, rule: str, ok):
-    """``value``, a weight or an influence of the SISO loop, by the one rule
-    for both: a finite number that passes ``ok``, as a scalar (kept as a
-    float) or a 1x1 matrix (kept as a read-only 1x1 float array, whose gain
-    rounds as x' W x does).  Else it raises "<name> must be a <rule> finite
-    scalar or 1x1, got <value>", or "..., got shape <shape>"; a string is
-    no number, although ``float`` parses it."""
-    message = f"{name} must be a {rule} finite scalar or 1x1, got"
-    try:
-        shape = np.shape(value)
-    except ValueError:  # a ragged nested list: reported as it is
-        shape = ()
-    if shape not in ((), (1, 1)):
-        raise ValueError(f"{message} shape {shape}")
-    number = np.reshape(value, -1)[0] if shape else value
-    if not (is_finite(number) and ok(number)):
-        raise ValueError(f"{message} {shown(value)}")
-    if not shape:
-        return float(number)
-    m = np.full((1, 1), float(number))  # a copy: the caller's array cannot change it
-    m.flags.writeable = False
-    return m
-
-
-def same_fields(self, other):
-    """``__eq__`` of a dataclass of number fields, where a matrix equals
-    only an array of its shape and values, never a scalar."""
-    if type(other) is not type(self):
-        return NotImplemented
-    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-    return all(np.array_equal(a, b) for a, b in pairs)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HolderGainParams:
     """Weight/margin/exponent triple of the Hölder gain.
 
-    ``weight`` is a positive scalar or 1x1 matrix (``scalar_or_1x1``): the
-    loop is SISO.  ``margin`` must be positive and ``exponent`` must lie in
-    the open interval (1, 2).
+    The loop is SISO, so ``weight`` is a number: it and ``margin`` must be
+    positive, and ``exponent`` must lie in the open interval (1, 2).
     """
 
-    weight: Union[float, np.ndarray]
+    weight: float
     margin: float
     exponent: float
 
     def __post_init__(self):
-        w = scalar_or_1x1("weight", self.weight, "positive", is_positive)
-        object.__setattr__(self, "weight", w)
-        require_finite(self, "margin", ok=is_positive, rule="be positive")
+        require_finite(self, "weight", "margin", ok=is_positive, rule="be positive")
+        object.__setattr__(self, "weight", float(self.weight))
         require_finite(
             self, "exponent", ok=lambda p: 1.0 < p < 2.0, rule="lie in (1, 2)"
         )
 
-    __eq__ = same_fields
-
-
-def siso_value(value) -> float:
-    """A stored weight or influence, a float or a 1x1 array, as a float."""
-    return value if isinstance(value, float) else float(value[0, 0])
-
 
 def gain_args(params: HolderGainParams) -> tuple:
-    """``params`` as the arguments ``(w, is_matrix, margin, a)`` of
-    ``float_gain`` and of the kernels' ``run_loop``, with a = 1 - 1/exponent."""
-    return (
-        siso_value(params.weight),
-        not isinstance(params.weight, float),
-        params.margin,
-        1.0 - 1.0 / params.exponent,
-    )
+    """``params`` as the arguments ``(w, margin, a)`` of ``float_gain`` and
+    of the kernels' ``run_loop``, with a = 1 - 1/exponent."""
+    return params.weight, params.margin, 1.0 - 1.0 / params.exponent
 
 
-def float_gain(w: float, matrix: bool, margin: float, a: float):
+def float_gain(w: float, margin: float, a: float):
     """The Hölder gain of a scalar error as a function on floats, for the
-    weight ``w`` (1x1 when ``matrix``), ``margin`` and ``a = 1 - 1/exponent``.
+    weight ``w``, ``margin`` and ``a = 1 - 1/exponent``.
 
-    The form rounds as x' W x does: w*(e*e) for a scalar weight, (e*w)*e
-    for a 1x1 one, and a form that is not positive (zero or NaN) gives
-    exactly -1.
+    The form rounds as w*(e*e), and a form that is not positive (zero or
+    NaN) gives exactly -1.
     """
     exp, log = math.exp, math.log
 
     def gain(e):
-        x = (e * w) * e if matrix else w * (e * e)
+        x = w * (e * e)
         if not x > 0.0:
             return -1.0
         z = exp(a * log(x))
@@ -249,9 +200,9 @@ class LyapunovRecursionSpec:
         ratios = self.ratio_sequence
         if not is_number(ratios):
             ratios = as_tuple("ratio_sequence", ratios)
-            object.__setattr__(self, "ratio_sequence", ratios)
-        # NaN passes the sign rule, to be reported as not finite
-        require_finite(self, "ratio_sequence", ok=lambda a: not a <= 0.0, rule="be positive")
+        for a in ratios if isinstance(ratios, tuple) else (ratios,):
+            # NaN passes the sign rule, to be reported as not finite
+            check_finite("ratio_sequence", a, lambda a: not a <= 0.0, "be positive")
         if isinstance(ratios, tuple):
             object.__setattr__(self, "ratio_sequence", tuple(map(float, ratios)))
 

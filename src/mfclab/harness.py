@@ -32,14 +32,7 @@ import numpy as np
 
 from . import plants
 from .controller import AdaptiveInfluence, ControllerConfig, FixedInfluence
-from .core import (
-    HolderGainParams,
-    check_finite,
-    gain_args,
-    require_finite,
-    require_int,
-    siso_value,
-)
+from .core import HolderGainParams, check_finite, gain_args, require_finite, require_int
 from .plants import (
     BACKEND,
     BumpNoiseStream,
@@ -245,7 +238,7 @@ def _run_loop(config: ExperimentConfig, oracle_f: bool, f_hat_bias: float):
     ctl = config.controller
     policy = ctl.influence_policy
     if isinstance(policy, FixedInfluence):
-        influence = (False, siso_value(policy.value))
+        influence = (False, policy.value)
     else:
         influence = (True, policy.base)
     width, random = 0.0, None
@@ -404,8 +397,6 @@ _JSON_TYPES = {
 def _encode(value):
     if value is None or isinstance(value, (int, float, str)):
         return value
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     if isinstance(value, tuple):
         return [_encode(v) for v in value]
     cls = type(value)
@@ -438,18 +429,14 @@ def _kind(tp) -> tuple:
         return "scalar", tp
     if is_dataclass(tp):
         return "dataclass", tp
-    if tp is np.ndarray:
-        return "array", Union[float, np.ndarray]
     args = typing.get_args(tp)
     if typing.get_origin(tp) is tuple:
         return "tuple", args[0]
-    # a Union
+    # a Union: an Optional, or one of the tagged dataclasses of _KINDS
     members = tuple(a for a in args if a is not type(None))
     if len(members) < len(args):
         return "optional", Union[members]
-    if all(m in _KINDS for m in members):
-        return "tagged", members
-    return "weight", None
+    return "tagged", members
 
 
 def _decode(tp, raw, path: str):
@@ -469,19 +456,13 @@ def _decode(tp, raw, path: str):
         return value
     if kind == "dataclass":
         return _decode_object(tp, raw, path)
-    if kind == "array":
-        # the dataclass turns the nested list into its array
-        return [_decode(inner, v, f"{path}[{i}]") for i, v in enumerate(raw)]
     if kind == "tuple":
         if not isinstance(raw, list):
             raise _type_error(path, "a list", raw)
         return tuple(_decode(inner, v, f"{path}[{i}]") for i, v in enumerate(raw))
     if kind == "optional":
         return None if raw is None else _decode(inner, raw, path)
-    if kind == "tagged":
-        return _decode_tagged(inner, raw, path)
-    # a weight: a number, or a nested list of numbers
-    return _decode(np.ndarray if isinstance(raw, list) else float, raw, path)
+    return _decode_tagged(inner, raw, path)
 
 
 def _decode_tagged(members, raw, path: str):
@@ -525,12 +506,8 @@ def _decode_object(cls, raw, path: str):
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Decode a config object, checking every value against its field's
-    annotation; any malformed value raises a ``ValueError`` naming its key,
-    and a value nested past the recursion limit one that says so."""
-    try:
-        return _decode_object(ExperimentConfig, d, "")
-    except RecursionError:
-        raise ValueError("config is nested too deeply") from None
+    annotation; any malformed value raises a ``ValueError`` naming its key."""
+    return _decode_object(ExperimentConfig, d, "")
 
 
 def _config_json(config: ExperimentConfig) -> str:

@@ -1,17 +1,14 @@
 """Hypothesis strategy of closed-loop runs for the loop tests.
 
 ``loop_runs()`` draws ``(config, oracle_f, f_hat_bias)``: both plants,
-first- and second-order ULM, scalar and 1x1 observer weights and fixed
-influences, the adaptive influence, the oracle on and off, a bias, noise
-off, on with the experiment's seed and on with its own, and inputs that
-diverge.  A run has at most ``max_steps + 1`` rows.  ``explicit_examples``
-adds an explicit example of each way a run diverges, and one run whose
-bytes show how a 1x1 weight's quadratic form rounds.
+first- and second-order ULM, fixed and adaptive influences, the oracle on
+and off, a bias, noise off, on with the experiment's seed and on with its
+own, and inputs that diverge.  A run has at most ``max_steps + 1`` rows.
+``explicit_examples`` adds an explicit example of each way a run diverges.
 """
 
 import dataclasses
 
-import numpy as np
 from hypothesis import example
 from hypothesis import strategies as st
 
@@ -41,11 +38,6 @@ def _or_rarely(draw, common, *rare):
     if draw(st.sampled_from(range(8))) == 7:
         return draw(st.sampled_from(rare))
     return draw(common)
-
-
-def _weight(draw, value):
-    """``value`` as a scalar or a 1x1 matrix."""
-    return np.array([[value]]) if draw(st.booleans()) else value
 
 
 @st.composite
@@ -94,7 +86,7 @@ def _influence(draw):
         return AdaptiveInfluence(draw(_between(0.1, 5.0)))
     # a tiny influence gives a huge input: the pendulum's truth diverges
     value = draw(_or_rarely(_between(0.2, 5.0) | _between(-5.0, -0.2), 1e-5, 1e-300))
-    return FixedInfluence(_weight(draw, value))
+    return FixedInfluence(value)
 
 
 @st.composite
@@ -103,7 +95,7 @@ def loop_runs(draw, max_steps=200):
     steps = draw(st.integers(0, max_steps))
     plant = draw(st.one_of(_pendulum(), _synthetic()))
     observer = HolderGainParams(
-        weight=_weight(draw, draw(_between(0.5, 5.0))),
+        weight=draw(_between(0.5, 5.0)),
         margin=draw(_between(1.0, 3.0)),
         exponent=draw(_between(1.2, 1.9)),
     )
@@ -161,24 +153,8 @@ DIVERGING_RUNS = (
 )
 
 
-# a 1x1 observer weight rounds its gain's form as (e*w)*e, a scalar one as
-# w*(e*e); the noise makes row 7 of this run tell the two apart, which few
-# drawn runs do
-MATRIX_WEIGHT_RUN = (
-    dataclasses.replace(
-        demo_config(),
-        horizon=1.0,
-        sample_rate=20.0,
-        observer=dataclasses.replace(demo_config().observer, weight=np.array([[2.1]])),
-    ),
-    False,
-    0.0,
-)
-
-
 def explicit_examples(test):
-    """``test`` with an explicit example of each way a run diverges, and
-    ``MATRIX_WEIGHT_RUN``."""
-    for run in (*DIVERGING_RUNS, MATRIX_WEIGHT_RUN):
+    """``test`` with an explicit example of each way a run diverges."""
+    for run in DIVERGING_RUNS:
         test = example(run=run)(test)
     return test

@@ -3,10 +3,10 @@ oracle of ``test_loop.reference_loop`` and of the float gain's tests.
 
 Each is written as the library wrote it before its laws became functions
 on floats, with the same arithmetic in the same order: the gain forms
-x' W x as ``w * (e @ e)`` for a scalar weight and ``e @ W @ e`` for a
-matrix one, and the observers carry their state in dataclasses.  The
-config dataclasses (``HolderGainParams``, ``UlmConfig``,
-``ControllerConfig`` and the influence policies) are the library's.
+x' W x as ``w * (e @ e)`` for the scalar weight of the SISO loop, and the
+observers carry their state in dataclasses.  The config dataclasses
+(``HolderGainParams``, ``UlmConfig``, ``ControllerConfig`` and the
+influence policies) are the library's.
 
 The order-nu laws of the ultra-local model ``y^(nu) = F + G u`` are here
 too: ``forward_difference``, ``sliding_variable``, ``control_rhs_general``
@@ -31,11 +31,8 @@ def _vector(value):
 def holder_gain(err, params):
     """The Hölder gain of ``params`` at the error vector ``err``."""
     e = _vector(err)
-    if isinstance(params.weight, float):
-        x = params.weight * float(e @ e)
-    else:
-        x = float(e @ params.weight @ e)
-    # guard against -0.0 / tiny negative round-off from the matrix form
+    x = params.weight * float(e @ e)
+    # a NaN form gives -1, as a zero one does
     x = x if x > 0.0 else 0.0
     z = 0.0 if x == 0.0 else math.exp((1.0 - 1.0 / params.exponent) * math.log(x))
     return (z - params.margin) / (z + params.margin)

@@ -65,13 +65,25 @@ BAD_CONFIGS = {
         _demo_with({"width": 0.018, "seed": -1}, "noise"),
         "noise: seed",
     ),
+    "observer-weight-1x1": (
+        _demo_with([[2.1]], "observer", "weight"),
+        "observer.weight must be a number, got a list",
+    ),
     "observer-weight-2x2": (
         _demo_with([[2.1, 0.0], [0.0, 2.1]], "observer", "weight"),
-        "observer: weight must be a positive finite scalar or 1x1, got shape (2, 2)",
+        "observer.weight must be a number, got a list",
     ),
     "observer-weight-3x3": (
         _demo_with([[2.1, 0.0, 0.0], [0.0, 2.1, 0.0], [0.0, 0.0, 2.1]], "observer", "weight"),
-        "observer: weight must be a positive finite scalar or 1x1, got shape (3, 3)",
+        "observer.weight must be a number, got a list",
+    ),
+    "observer-weight-negative": (
+        _demo_with(-2.1, "observer", "weight"),
+        "observer: weight must be positive, got -2.1",
+    ),
+    "fixed-influence-1x1": (
+        _demo_with({"kind": "fixed", "value": [[1.5]]}, "controller", "influence_policy"),
+        "controller.influence_policy.value must be a number, got a list",
     ),
     "fixed-influence-2x2": (
         _demo_with(
@@ -79,18 +91,19 @@ BAD_CONFIGS = {
             "controller",
             "influence_policy",
         ),
-        "controller.influence_policy: value must be a nonzero finite scalar or 1x1, "
-        "got shape (2, 2)",
+        "controller.influence_policy.value must be a number, got a list",
     ),
     "fixed-influence-1x2": (
         _demo_with({"kind": "fixed", "value": [[1.0, 2.0]]}, "controller", "influence_policy"),
-        "controller.influence_policy: value must be a nonzero finite scalar or 1x1, "
-        "got shape (1, 2)",
+        "controller.influence_policy.value must be a number, got a list",
     ),
     "fixed-influence-zero-1x1": (
         _demo_with({"kind": "fixed", "value": [[0.0]]}, "controller", "influence_policy"),
-        "controller.influence_policy: value must be a nonzero finite scalar or 1x1, "
-        "got [[0.0]]",
+        "controller.influence_policy.value must be a number, got a list",
+    ),
+    "fixed-influence-zero": (
+        _demo_with({"kind": "fixed", "value": 0.0}, "controller", "influence_policy"),
+        "controller.influence_policy: value must be nonzero, got 0.0",
     ),
     "fixed-influence-nan-1x1": (
         _demo_with(
@@ -267,10 +280,10 @@ class TestRun:
         [
             # json.load gives up
             ("[" * 100_000, "invalid JSON (nested too deeply)"),
-            # the decoder gives up on a weight 900 lists deep
+            # the decoder stops at the first list, where the weight's number is due
             (
                 _demo_with("W", "observer", "weight").replace('"W"', "[" * 900 + "2.1" + "]" * 900),
-                "config is nested too deeply",
+                "observer.weight must be a number, got a list",
             ),
         ],
         ids=["json", "weight"],

@@ -143,16 +143,17 @@ class TestInfluenceGain:
         ],
     )
     def test_fixed_non_finite_matrix_rejected(self, value, shown):
-        # the same rule, and message, for a scalar and a 1x1
-        for form, text in zip((value, np.array([[value]])), shown):
-            message = f"value must be a nonzero finite scalar or 1x1, got {text}"
+        # a number is named by what it is not; a 1x1 is no number at all
+        rule = "be nonzero" if isinstance(value, str) else "be finite"
+        messages = (f"value must {rule}, got {shown[0]}", f"value must be nonzero, got {shown[1]}")
+        for form, message in zip((value, np.array([[value]])), messages):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 FixedInfluence(form)
 
     @pytest.mark.parametrize("value", ["1.5", b"1.5", np.str_("1.5")], ids=repr)
     def test_fixed_string_scalar_rejected(self, value):
         # ``float`` parses a string, so only its type tells it apart
-        message = f"value must be a nonzero finite scalar or 1x1, got {value!r}"
+        message = f"value must be nonzero, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             FixedInfluence(value)
 
@@ -163,16 +164,23 @@ class TestInfluenceGain:
             (-0.0, "-0.0"),
             (0, "0"),
             (np.array([[0.0]]), "[[0.]]"),
-            (np.array([[1.0, 2.0]]), "shape (1, 2)"),
-            (np.eye(2), "shape (2, 2)"),
-            (np.eye(3), "shape (3, 3)"),
-            (np.ones(1), "shape (1,)"),
-            (np.ones((1, 1, 1)), "shape (1, 1, 1)"),
+            (np.array([[1.0, 2.0]]), "[[1. 2.]]"),
+            (np.eye(2), "[[1. 0.] [0. 1.]]"),
+            (np.eye(3), "[[1. 0. 0.] [0. 1. 0.] [0. 0. 1.]]"),
+            (np.ones(1), "[1.]"),
+            (np.ones((1, 1, 1)), "[[[1.]]]"),
+            (np.array([[1.5]]), "[[1.5]]"),
+            ([[1.5]], "[[1.5]]"),
+            ((1.5,), "(1.5,)"),
         ],
-        ids=["0.0", "-0.0", "int-0", "zero-1x1", "1x2", "2x2", "3x3", "1", "1x1x1"],
+        ids=[
+            "0.0", "-0.0", "int-0", "zero-1x1", "1x2", "2x2", "3x3", "1", "1x1x1", "1x1",
+            "list-1x1", "tuple",
+        ],
     )
     def test_fixed_zero_or_another_shape_rejected_at_construction(self, value, shown):
-        message = f"value must be a nonzero finite scalar or 1x1, got {shown}"
+        # the loop is SISO: an influence is a number, never a matrix
+        message = f"value must be nonzero, got {shown}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             FixedInfluence(value)
 

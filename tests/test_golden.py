@@ -8,7 +8,6 @@ regenerate a value to make a change pass.
 import dataclasses
 import hashlib
 
-import numpy as np
 import pytest
 
 from mfclab import (
@@ -55,16 +54,16 @@ GOLDEN = {
         _synthetic_sine(20.0, 3), {}, 1001, False,
         "dde7d3e001f439de6b107e27608731323e4542528ec94a99f2f98b7ee0fcf4ad",
     ),
-    "demo-20hz-matrix-weight-and-influence": (
+    "demo-20hz-fixed-influence": (
         dataclasses.replace(
             demo_config(1),
             sample_rate=20.0,
             horizon=10.0,
-            observer=HolderGainParams(weight=np.array([[2.1]]), margin=2.0, exponent=1.4),
-            controller=_fixed(np.array([[1.5]])),
+            observer=HolderGainParams(weight=2.1, margin=2.0, exponent=1.4),
+            controller=_fixed(1.5),
         ),
         {}, 201, False,
-        "460f86d967523363f63b6f4fe90359ee688f3e4eb6731c0466b1c6bcdd8ce788",
+        "d57d7603a63cd351f566591b9dd052bd3939c3bd7c8c25f107e3850760f07d0f",
     ),
     "synthetic-sine-oracle-biased": (
         _synthetic_sine(10.0, 3), {"oracle_f": True, "f_hat_bias": 0.05}, 501, False,

@@ -288,8 +288,8 @@ class TestExperimentConfig:
     )
     @pytest.mark.parametrize(
         "value",
-        ["1.5", 10**400, 10**5000, math.nan],
-        ids=["str", "int-1e400", "int-1e5000", "nan"],
+        ["1.5", 10**400, 10**5000, math.nan, (1.5,)],
+        ids=["str", "int-1e400", "int-1e5000", "nan", "tuple"],
     )
     def test_float_field_rejects_what_is_no_finite_number(self, cls, name, value):
         if typing.get_type_hints(cls)[name] is not float:
@@ -337,29 +337,6 @@ class TestExperimentConfig:
             "SyntheticUlmParams.f_value",
         }
 
-    def test_caller_arrays_cannot_change_a_config(self, tmp_path):
-        def config(weight, influence):
-            demo = demo_config()
-            controller = dataclasses.replace(
-                demo.controller, influence_policy=FixedInfluence(influence)
-            )
-            return dataclasses.replace(
-                demo,
-                horizon=2.0,
-                observer=HolderGainParams(weight=weight, margin=2.0, exponent=1.4),
-                controller=controller,
-            )
-
-        weight, influence = np.array([[2.1]]), np.array([[1.5]])
-        built = config(weight, influence)
-        twin = config(weight.copy(), influence.copy())
-        weight[0, 0] = influence[0, 0] = 0.0
-        assert built.observer == twin.observer
-        assert built.controller.influence_policy == twin.controller.influence_policy
-        assert built == twin
-        built_bytes = _csv_bytes(run_closed_loop(built), tmp_path)
-        assert built_bytes == _csv_bytes(run_closed_loop(twin), tmp_path)
-
 
 class TestConfigRoundTrip:
     def test_demo_round_trip(self, tmp_path):
@@ -373,6 +350,13 @@ class TestConfigRoundTrip:
         path = tmp_path / "config.json"
         write_config(cfg, path)
         assert read_config(path) == cfg
+
+    @pytest.mark.parametrize("config", [demo_config(), synthetic_config()], ids=["demo", "synthetic"])
+    def test_equal_configs_hash_equal(self, config):
+        # a config is a tree of frozen dataclasses of numbers: it keys a dict
+        decoded = config_from_dict(config_to_dict(config))
+        assert decoded == config and hash(decoded) == hash(config)
+        assert {config: "run"}[decoded] == "run"
 
     def test_unknown_top_level_key_rejected(self):
         d = config_to_dict(demo_config())
@@ -732,16 +716,11 @@ class TestFloatGain:
     @given(
         e=st.floats(allow_subnormal=True) | EDGE_FLOATS,
         weight=POSITIVE,
-        matrix=st.booleans(),
         margin=POSITIVE,
         exponent=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
     )
-    def test_matches_holder_gain_bit_for_bit(self, e, weight, matrix, margin, exponent):
-        params = HolderGainParams(
-            weight=np.array([[weight]]) if matrix else weight,
-            margin=margin,
-            exponent=exponent,
-        )
+    def test_matches_holder_gain_bit_for_bit(self, e, weight, margin, exponent):
+        params = HolderGainParams(weight=weight, margin=margin, exponent=exponent)
         with np.errstate(all="ignore"):
             expected = vector_gain(np.array([e]), params)
         assert _same_float(float_gain(*gain_args(params))(e), expected)

@@ -242,14 +242,7 @@ positives = st.floats(min_value=1e-3, max_value=1e3)
 exponents = st.floats(min_value=1.01, max_value=1.99)
 
 
-@st.composite
-def gain_params(draw, matrix=st.booleans()):
-    weight = draw(positives)
-    return HolderGainParams(
-        weight=np.array([[weight]]) if draw(matrix) else weight,
-        margin=draw(positives),
-        exponent=draw(exponents),
-    )
+gain_params = st.builds(HolderGainParams, weight=positives, margin=positives, exponent=exponents)
 
 
 def library_gain(params):
@@ -257,28 +250,24 @@ def library_gain(params):
 
 
 class TestLibraryStepsEqualOracle:
-    @given(params=gain_params(matrix=st.just(False)), e=values)
+    @given(params=gain_params, e=values)
     def test_gain_scalar_weight(self, params, e):
         assert library_gain(params)(e) == oracle.holder_gain(e, params)
 
-    @given(params=gain_params(matrix=st.just(True)), e=values)
-    def test_gain_matrix_weight(self, params, e):
-        assert library_gain(params)(e) == oracle.holder_gain(e, params)
-
-    @given(params=gain_params(), estimate=values, previous=values, measurement=values)
+    @given(params=gain_params, estimate=values, previous=values, measurement=values)
     def test_output_observer_step(self, params, estimate, previous, measurement):
         state = oracle.OutputObserverState.initial(estimate, previous)
         expected = oracle.fts_observer_step(state, measurement, params)
         got = fts_observer_step(measurement, estimate - previous, library_gain(params))
         assert got == (expected.estimate[0], expected.last_error[0])
 
-    @given(params=gain_params(matrix=st.just(False)), f_hat=values, f_known=values)
+    @given(params=gain_params, f_hat=values, f_known=values)
     def test_first_order_step(self, params, f_hat, f_known):
         expected = oracle.first_order_step(f_hat, f_known, params)
         assert first_order_step(f_hat, f_known, library_gain(params)) == expected[0]
 
     @given(
-        params=gain_params(matrix=st.just(False)),
+        params=gain_params,
         f_hat=values, delta_hat=values, f_prev=values, f_known=values,
     )
     def test_second_order_step(self, params, f_hat, delta_hat, f_prev, f_known):
