@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Tuple, Union
+from typing import Union
 
-from .core import HolderGainParams, as_tuple, check_finite, is_positive, require_finite
+from .core import HolderGainParams, is_positive, require_finite
 
 __all__ = [
     "FixedInfluence",
@@ -34,7 +34,6 @@ class FixedInfluence:
 
     def __post_init__(self):
         require_finite(self, "value", ok=lambda g: g != 0.0, rule="be nonzero")
-        object.__setattr__(self, "value", float(self.value))
 
 
 @dataclass(frozen=True)
@@ -54,32 +53,22 @@ InfluencePolicy = Union[FixedInfluence, AdaptiveInfluence]
 class ControllerConfig:
     """Gain (margin, exponent), manifold coefficient and influence policy.
 
-    ``coefficients`` is the one value mu in (0, 1) that weights the error
-    in the sliding value: the loop is second order.
+    ``mu`` in (0, 1) weights the error in the sliding value.
     """
 
     margin: float
     exponent: float
-    coefficients: Tuple[float, ...]
+    mu: float
     influence_policy: InfluencePolicy
 
     def __post_init__(self):
-        coeffs = as_tuple("coefficients", self.coefficients)
-        for c in coeffs:
-            check_finite("coefficients", c)
-        coeffs = tuple(map(float, coeffs))
-        object.__setattr__(self, "coefficients", coeffs)
-        if len(coeffs) != 1 or not 0.0 < coeffs[0] < 1.0:
-            raise ValueError(f"coefficients must be one value mu in (0, 1), got {coeffs}")
         self.gain  # validates margin/exponent
+        require_finite(self, "margin", "exponent")
+        require_finite(self, "mu", ok=lambda mu: 0.0 < mu < 1.0, rule="lie in (0, 1)")
 
     @cached_property
     def gain(self) -> HolderGainParams:
         return HolderGainParams(weight=1.0, margin=self.margin, exponent=self.exponent)
-
-    @property
-    def mu(self) -> float:
-        return self.coefficients[0]
 
 
 def control_rhs_second_order(

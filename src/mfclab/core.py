@@ -33,14 +33,14 @@ __all__ = [
 
 
 def is_number(value) -> bool:
-    """True for a real number: a bool, int or float, or a numpy scalar or
-    0-d array of bool, int or float dtype.  A string is none, although
-    ``float`` parses it."""
-    if type(value) in (float, int, bool):  # the common case, before the ABC check
+    """True for a real number: an int or float, or a numpy scalar or 0-d
+    array of int or float dtype.  A bool is none, nor is a string,
+    although ``float`` parses both."""
+    if type(value) in (float, int):  # the common case, before the ABC check
         return True
     if isinstance(value, (np.ndarray, np.generic)):
-        return value.ndim == 0 and value.dtype.kind in "biuf"
-    return isinstance(value, numbers.Real)
+        return value.ndim == 0 and value.dtype.kind in "iuf"
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def is_finite(value) -> bool:
@@ -59,28 +59,31 @@ def is_positive(value) -> bool:
 
 def shown(value) -> str:
     """``value`` for an error message, on one line: a string in quotes, a
-    matrix with its rows on one line, and a description of an int past
-    Python's 4,300-digit limit on ``str``, which raises there."""
+    matrix with its rows on one line, and a description of an int too
+    large for a float, or of a matrix holding an int past Python's
+    4,300-digit limit on ``str``, which raises there."""
     if isinstance(value, (str, bytes)):
         return repr(value)
     try:
+        if isinstance(value, int):
+            float(value)
         text = str(value)
-    except ValueError:
+    except (OverflowError, ValueError):
         return "an int too large for a float"
     return " ".join(text.split()) if "\n" in text else text
 
 
 def require_finite(obj, *names: str, ok=None, rule: str = "be finite") -> None:
-    """Raise a ``ValueError`` naming the first of the fields ``names`` of
-    ``obj`` that is no finite number; see ``check_finite``.  A tuple is no
-    number: a tuple field checks its items with ``check_finite``."""
+    """Store ``float`` of each of the fields ``names`` of the frozen
+    dataclass ``obj``, or raise a ``ValueError`` naming the first that is
+    no finite number; see ``check_finite``."""
     for name in names:
-        check_finite(name, getattr(obj, name), ok, rule)
+        object.__setattr__(obj, name, check_finite(name, getattr(obj, name), ok, rule))
 
 
-def check_finite(name: str, value, ok=None, rule: str = "be finite") -> None:
-    """Raise a ``ValueError`` naming ``name`` when ``value`` is no finite
-    number.
+def check_finite(name: str, value, ok=None, rule: str = "be finite") -> float:
+    """``value`` as a float, or a ``ValueError`` naming ``name`` when it is
+    no finite number.
 
     No number, or one that fails ``ok``, reads "<name> must <rule>, got
     <value>"; a number that passes ``ok`` but is not finite reads "<name>
@@ -90,25 +93,28 @@ def check_finite(name: str, value, ok=None, rule: str = "be finite") -> None:
         raise ValueError(f"{name} must {rule}, got {shown(value)}")
     if not is_finite(value):
         raise ValueError(f"{name} must be finite, got {shown(value)}")
+    return float(value)
 
 
 def require_int(obj, *names: str, ok, rule: str) -> None:
-    """Raise a ``ValueError`` naming the first of the fields ``names`` of
-    ``obj`` that is no integer or fails ``ok``; see ``check_int``."""
+    """Store ``int`` of each of the fields ``names`` of the frozen
+    dataclass ``obj``, or raise a ``ValueError`` naming the first that is
+    no integer or fails ``ok``; see ``check_int``."""
     for name in names:
-        check_int(name, getattr(obj, name), ok, rule)
+        object.__setattr__(obj, name, check_int(name, getattr(obj, name), ok, rule))
 
 
-def check_int(name: str, value, ok, rule: str) -> None:
-    """Raise a ``ValueError`` naming ``name`` when ``value`` is no integer,
-    which reads "<name> must be an integer, got <value>", or fails ``ok``,
-    which reads "<name> must <rule>, got <value>".  An int or a numpy
-    integer is an integer; a bool is none, nor is a float with an integral
-    value."""
+def check_int(name: str, value, ok, rule: str) -> int:
+    """``value`` as an int, or a ``ValueError`` naming ``name`` when it is
+    no integer, which reads "<name> must be an integer, got <value>", or
+    fails ``ok``, which reads "<name> must <rule>, got <value>".  An int or
+    a numpy integer is an integer; a bool is none, nor is a float with an
+    integral value."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {shown(value)}")
     if not ok(value):
         raise ValueError(f"{name} must {rule}, got {shown(value)}")
+    return int(value)
 
 
 def as_tuple(name: str, value) -> tuple:
@@ -137,7 +143,6 @@ class HolderGainParams:
 
     def __post_init__(self):
         require_finite(self, "weight", "margin", ok=is_positive, rule="be positive")
-        object.__setattr__(self, "weight", float(self.weight))
         require_finite(
             self, "exponent", ok=lambda p: 1.0 < p < 2.0, rule="lie in (1, 2)"
         )

@@ -39,7 +39,6 @@ from .plants import (
     DivergenceError,
     NoiseModel,
     PendulumParams,
-    PendulumState,
     SyntheticUlmParams,
     _SUBSTEPS,
     _desired_theta_samples,
@@ -84,8 +83,6 @@ class ExperimentConfig:
     ulm: UlmConfig
     controller: ControllerConfig
     noise: Optional[NoiseModel]
-    initial_truth: PendulumState
-    initial_estimates: PendulumState
     seed: int
     allow_unseparated_gains: bool = False
 
@@ -129,16 +126,14 @@ def demo_config(seed: int = 0) -> ExperimentConfig:
         horizon=70.0,
         sample_rate=50.0,
         observer=HolderGainParams(weight=2.1, margin=2.0, exponent=7.0 / 5.0),
-        ulm=UlmConfig(order_nu=2, margin=1.5, exponent=9.0 / 7.0),
+        ulm=UlmConfig(margin=1.5, exponent=9.0 / 7.0),
         controller=ControllerConfig(
             margin=1.0,
             exponent=11.0 / 9.0,
-            coefficients=(0.35,),
+            mu=0.35,
             influence_policy=AdaptiveInfluence(base=1.5),
         ),
         noise=NoiseModel(width=0.018),
-        initial_truth=PendulumState(x=0.45, theta=-0.14, x_dot=-0.3, theta_dot=0.05),
-        initial_estimates=PendulumState(x=0.0, theta=0.102, x_dot=0.0, theta_dot=0.0),
         seed=seed,
     )
 
@@ -195,7 +190,7 @@ def run_closed_loop(
     value); ``f_hat_bias`` adds a constant offset to whichever estimate is
     used, which is the robustness-injection hook; it must be finite.
     """
-    check_finite("f_hat_bias", f_hat_bias)
+    f_hat_bias = check_finite("f_hat_bias", f_hat_bias)
     start = time.perf_counter()
     meta = {
         "config": config,
@@ -226,10 +221,10 @@ def _run_loop(config: ExperimentConfig, oracle_f: bool, f_hat_bias: float):
     plant = config.plant
     if isinstance(plant, PendulumParams):
         try:
-            y_d = _desired_theta_samples(plant, config.initial_truth, n + 1, dt, _SUBSTEPS)
+            y_d = _desired_theta_samples(plant, plant.initial, n + 1, dt, _SUBSTEPS)
         except DivergenceError:
             return b"", True
-        truth, y_hat0 = config.initial_truth.as_tuple(), config.initial_estimates.theta
+        truth, y_hat0 = plant.initial.as_tuple(), plant.theta_estimate
         params, f_signal = plant.as_tuple(), None
     else:
         y_d = plant.desired_samples(n + 2, dt)
@@ -397,8 +392,6 @@ _JSON_TYPES = {
 def _encode(value):
     if value is None or isinstance(value, (int, float, str)):
         return value
-    if isinstance(value, tuple):
-        return [_encode(v) for v in value]
     cls = type(value)
     d = {"kind": _KINDS[cls]} if cls in _KINDS else {}
     for name in _field_types(cls):
@@ -430,8 +423,6 @@ def _kind(tp) -> tuple:
     if is_dataclass(tp):
         return "dataclass", tp
     args = typing.get_args(tp)
-    if typing.get_origin(tp) is tuple:
-        return "tuple", args[0]
     # a Union: an Optional, or one of the tagged dataclasses of _KINDS
     members = tuple(a for a in args if a is not type(None))
     if len(members) < len(args):
@@ -440,26 +431,15 @@ def _kind(tp) -> tuple:
 
 
 def _decode(tp, raw, path: str):
-    """``raw`` checked against the annotation ``tp`` and converted to it."""
+    """``raw`` checked against the JSON type of the annotation ``tp`` and
+    decoded through it; the constructors check the values."""
     kind, inner = _kind(tp)
     if kind == "scalar":
         if type(raw) is not tp and not (tp is float and type(raw) is int):
             raise _type_error(path, _JSON_TYPES[tp], raw)
-        if tp is not float:
-            return raw
-        try:
-            value = float(raw)
-        except OverflowError:
-            raise ValueError(f"{path} is too large for a float") from None
-        if not math.isfinite(value):
-            raise ValueError(f"{path} must be finite, got {value}")
-        return value
+        return raw
     if kind == "dataclass":
         return _decode_object(tp, raw, path)
-    if kind == "tuple":
-        if not isinstance(raw, list):
-            raise _type_error(path, "a list", raw)
-        return tuple(_decode(inner, v, f"{path}[{i}]") for i, v in enumerate(raw))
     if kind == "optional":
         return None if raw is None else _decode(inner, raw, path)
     return _decode_tagged(inner, raw, path)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -58,45 +58,6 @@ class DivergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PendulumParams:
-    """Cart-pendulum constants; friction saturates at +-cart_friction /
-    +-pend_friction through tanh of the respective rate."""
-
-    cart_mass: float = 1.5
-    pend_mass: float = 0.5
-    half_length: float = 1.4
-    inertia: float = 0.84
-    gravity: float = 9.8
-    cart_friction: float = 0.028
-    pend_friction: float = 0.0032
-
-    def __post_init__(self):
-        require_finite(self, *(f.name for f in fields(self)))
-        positive = ("cart_mass", "pend_mass", "half_length", "inertia", "gravity")
-        require_finite(self, *positive, ok=lambda v: v > 0.0, rule="be positive")
-        friction = ("cart_friction", "pend_friction")
-        require_finite(self, *friction, ok=lambda v: v >= 0.0, rule="be non-negative")
-        # worst-case determinant of the mass matrix (cos(theta) = +-1)
-        m_l = self.pend_mass * self.half_length
-        det_min = (self.cart_mass + self.pend_mass) * (
-            self.inertia + m_l * self.half_length
-        ) - m_l * m_l
-        if det_min <= 0.0:
-            raise ValueError("mass matrix is not positive definite for all angles")
-
-    def as_tuple(self):
-        return (
-            self.cart_mass,
-            self.pend_mass,
-            self.half_length,
-            self.inertia,
-            self.gravity,
-            self.cart_friction,
-            self.pend_friction,
-        )
-
-
-@dataclass(frozen=True)
 class PendulumState:
     """Cart position/velocity and pendulum angle/rate (angle measured from
     the upward vertical, kept unwrapped)."""
@@ -111,6 +72,49 @@ class PendulumState:
 
     def as_tuple(self):
         return (self.x, self.theta, self.x_dot, self.theta_dot)
+
+
+@dataclass(frozen=True)
+class PendulumParams:
+    """Cart-pendulum constants, the initial state of the truth and the
+    initial estimate of its angle; friction saturates at +-cart_friction /
+    +-pend_friction through tanh of the respective rate."""
+
+    cart_mass: float = 1.5
+    pend_mass: float = 0.5
+    half_length: float = 1.4
+    inertia: float = 0.84
+    gravity: float = 9.8
+    cart_friction: float = 0.028
+    pend_friction: float = 0.0032
+    initial: PendulumState = PendulumState(x=0.45, theta=-0.14, x_dot=-0.3, theta_dot=0.05)
+    theta_estimate: float = 0.102
+
+    def __post_init__(self):
+        positive = ("cart_mass", "pend_mass", "half_length", "inertia", "gravity")
+        friction = ("cart_friction", "pend_friction")
+        require_finite(self, *positive, *friction, "theta_estimate")
+        require_finite(self, *positive, ok=lambda v: v > 0.0, rule="be positive")
+        require_finite(self, *friction, ok=lambda v: v >= 0.0, rule="be non-negative")
+        # worst-case determinant of the mass matrix (cos(theta) = +-1)
+        m_l = self.pend_mass * self.half_length
+        det_min = (self.cart_mass + self.pend_mass) * (
+            self.inertia + m_l * self.half_length
+        ) - m_l * m_l
+        if det_min <= 0.0:
+            raise ValueError("mass matrix is not positive definite for all angles")
+
+    def as_tuple(self):
+        """The constants, in the kernels' order."""
+        return (
+            self.cart_mass,
+            self.pend_mass,
+            self.half_length,
+            self.inertia,
+            self.gravity,
+            self.cart_friction,
+            self.pend_friction,
+        )
 
 
 def pendulum_accel(state: PendulumState, force: float, params: PendulumParams):
@@ -163,12 +167,12 @@ def _desired_theta_samples(
     read-only array.
 
     The samples are a function of the arguments alone, so each process
-    keeps the last 16 references: runs that share the plant, initial
-    truth, rate and horizon compute theirs once.  The memo keys on the
-    ``repr`` of the raw values, not on ``==``, which holds between ``-0.0``
-    and ``0.0`` (the first sample, logged as ``-0`` or ``0``) and between
-    an int and a float.  A failed reference raises and is not kept.  The
-    backend is no part of the key, since both twins give the same bits.
+    keeps the last 16 references: runs that share the plant constants,
+    initial truth, rate and horizon compute theirs once.  The memo keys on
+    the ``repr`` of the raw values, not on ``==``, which holds between
+    ``-0.0`` and ``0.0`` (the first sample, logged as ``-0`` or ``0``).  A
+    failed reference raises and is not kept.  The backend is no part of
+    the key, since both twins give the same bits.
     """
     return _theta_samples(
         _ByBits((params.as_tuple(), initial.as_tuple(), count, dt, substeps))
@@ -177,7 +181,7 @@ def _desired_theta_samples(
 
 class _ByBits(tuple):
     """A tuple that equals another only when their ``repr``s match, so that
-    ``-0.0`` and ``0.0``, or ``1`` and ``1.0``, are different keys."""
+    ``-0.0`` and ``0.0`` are different keys."""
 
     def __hash__(self):
         return hash(repr(self))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import HolderGainParams, require_int
+from .core import HolderGainParams, require_finite
 
 __all__ = [
     "FIRST_ORDER",
@@ -34,26 +34,24 @@ SECOND_ORDER = "second"
 
 @dataclass(frozen=True)
 class UlmConfig:
-    """Order of the surrogate model, which is 2, and gains of its observer.
+    """Gains of the observer of the second-order surrogate model.
 
     The observer gain always uses the plain squared norm of the error
     (unit weight), as opposed to the output observer's weighted form.
     """
 
-    order_nu: int
     margin: float
     exponent: float
     observer_order: str = FIRST_ORDER
 
     def __post_init__(self):
-        require_int(self, "order_nu", ok=lambda n: n == 2, rule="be 2")
         if self.observer_order not in (FIRST_ORDER, SECOND_ORDER):
             raise ValueError(
                 f"observer_order must be '{FIRST_ORDER}' or '{SECOND_ORDER}', "
                 f"got {self.observer_order!r}"
             )
-        # delegate margin/exponent validation
-        self.gain
+        self.gain  # validates margin/exponent
+        require_finite(self, "margin", "exponent")
 
     @cached_property
     def gain(self) -> HolderGainParams:

@@ -55,16 +55,12 @@ def _pendulum(draw):
     )
     # a huge estimate makes the first input non-finite
     estimate = _or_rarely(_between(-0.5, 0.5), 1e200)
-    return {
-        "plant": PendulumParams(),
-        "initial_truth": draw(truth),
-        "initial_estimates": PendulumState(theta=draw(estimate)),
-    }
+    return PendulumParams(initial=draw(truth), theta_estimate=draw(estimate))
 
 
 @st.composite
 def _synthetic(draw):
-    plant = SyntheticUlmParams(
+    return SyntheticUlmParams(
         f_mode=draw(st.sampled_from(["zero", "constant", "sine"])),
         # a huge forcing overflows the law or the plant
         f_value=draw(_or_rarely(_between(-1.0, 1.0), 1e300)),
@@ -76,7 +72,6 @@ def _synthetic(draw):
         desired_amplitude=draw(_between(-1.0, 1.0)),
         desired_period=draw(_between(1.0, 10.0)),
     )
-    return {"plant": plant, "initial_truth": PendulumState(), "initial_estimates": PendulumState()}
 
 
 @st.composite
@@ -103,11 +98,10 @@ def loop_runs(draw, max_steps=200):
     controller = ControllerConfig(
         margin=draw(st.floats(0.1, observer.margin, exclude_max=True)),
         exponent=draw(st.floats(1.05, observer.exponent, exclude_max=True)),
-        coefficients=(draw(_between(0.05, 0.9)),),
+        mu=draw(_between(0.05, 0.9)),
         influence_policy=draw(_influence()),
     )
     ulm = UlmConfig(
-        order_nu=2,
         margin=draw(_between(0.5, 3.0)),
         exponent=draw(_between(1.1, 1.9)),
         observer_order=draw(st.sampled_from(["first", "second"])),
@@ -117,6 +111,7 @@ def loop_runs(draw, max_steps=200):
         st.sampled_from([None, NoiseModel(width), NoiseModel(width, draw(st.integers(0, 100)))])
     )
     config = ExperimentConfig(
+        plant=plant,
         horizon=steps / rate,
         sample_rate=rate,
         observer=observer,
@@ -124,7 +119,6 @@ def loop_runs(draw, max_steps=200):
         controller=controller,
         noise=noise,
         seed=draw(st.integers(0, 20)),
-        **plant,
     )
     f_hat_bias = draw(st.just(0.0) | _between(-1.0, 1.0))
     return config, draw(st.booleans()), f_hat_bias
@@ -143,9 +137,9 @@ DIVERGING_RUNS = (
     # finite inputs send the pendulum's RK4 non-finite after 37 rows
     (_demo(controller=_fixed(1e-5)), False, 0.0),
     # a non-finite input at step 1
-    (_demo(initial_estimates=PendulumState(theta=1e200)), False, 0.0),
+    (_demo(plant=PendulumParams(theta_estimate=1e200)), False, 0.0),
     # the reference
-    (_demo(initial_truth=PendulumState(theta=0.1, theta_dot=1e5)), False, 0.0),
+    (_demo(plant=PendulumParams(initial=PendulumState(theta=0.1, theta_dot=1e5))), False, 0.0),
     # the synthetic plant's error overflows the law at step 1
     (_demo(plant=SyntheticUlmParams(f_mode="constant", f_value=1e300)), False, 0.0),
     # a finite input overflows the synthetic plant at step 0

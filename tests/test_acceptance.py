@@ -40,11 +40,11 @@ from mfclab import (
 )
 
 OBS_GAINS = HolderGainParams(weight=2.1, margin=2.0, exponent=7.0 / 5.0)
-ULM_GAINS = UlmConfig(order_nu=2, margin=1.5, exponent=9.0 / 7.0)
+ULM_GAINS = UlmConfig(margin=1.5, exponent=9.0 / 7.0)
 CTL_GAINS = ControllerConfig(
     margin=1.0,
     exponent=11.0 / 9.0,
-    coefficients=(0.35,),
+    mu=0.35,
     influence_policy=FixedInfluence(2.0),
 )
 OBS_GAIN = float_gain(*gain_args(OBS_GAINS))
@@ -71,8 +71,6 @@ def synthetic_config(horizon: float = 60.0) -> ExperimentConfig:
         ulm=ULM_GAINS,
         controller=CTL_GAINS,
         noise=None,
-        initial_truth=PendulumState(),
-        initial_estimates=PendulumState(),
         seed=0,
     )
 

@@ -40,17 +40,38 @@ def _metrics_both_spellings(log, cutoff: str, capsys):
     return outcomes[0]
 
 
+# the output of ``demo-paper`` in the format before the plant carried its
+# initial state and estimate, ``ulm.order_nu`` went and ``coefficients``
+# became ``mu``
+V1_DEMO_PAPER = json.dumps({
+    "plant": {
+        "kind": "pendulum", "cart_mass": 1.5, "pend_mass": 0.5, "half_length": 1.4,
+        "inertia": 0.84, "gravity": 9.8, "cart_friction": 0.028, "pend_friction": 0.0032,
+    },
+    "horizon": 70.0,
+    "sample_rate": 50.0,
+    "observer": {"weight": 2.1, "margin": 2.0, "exponent": 1.4},
+    "ulm": {
+        "order_nu": 2, "margin": 1.5, "exponent": 1.2857142857142858, "observer_order": "first",
+    },
+    "controller": {
+        "margin": 1.0, "exponent": 1.2222222222222223, "coefficients": [0.35],
+        "influence_policy": {"kind": "adaptive", "base": 1.5},
+    },
+    "noise": {"width": 0.018, "seed": None},
+    "initial_truth": {"x": 0.45, "theta": -0.14, "x_dot": -0.3, "theta_dot": 0.05},
+    "initial_estimates": {"x": 0.0, "theta": 0.102, "x_dot": 0.0, "theta_dot": 0.0},
+    "seed": 0,
+    "allow_unseparated_gains": False,
+}, indent=2) + "\n"
+
 # case id -> (config file text, the key its error message must name, or the
-# whole message after "error: ")
+# whole message after "error: ", or the whole of stderr)
 BAD_CONFIGS = {
     "missing-keys": ('{"horizon": 1.0}', "plant"),
     "horizon-null": (_demo_with(None, "horizon"), "horizon"),
     "plant-number": (_demo_with(5, "plant"), "plant"),
     "observer-null": (_demo_with(None, "observer"), "observer"),
-    "coefficients-number": (
-        _demo_with(5, "controller", "coefficients"),
-        "coefficients",
-    ),
     "horizon-infinite": (_demo_with(math.inf, "horizon"), "horizon"),
     "sample-rate-infinite": (_demo_with(math.inf, "sample_rate"), "sample_rate"),
     "seed-fractional": (_demo_with(1.5, "seed"), "seed"),
@@ -113,7 +134,7 @@ BAD_CONFIGS = {
     ),
     "adaptive-base-infinite": (
         _demo_with(math.inf, "controller", "influence_policy", "base"),
-        "controller.influence_policy.base",
+        "controller.influence_policy: base must be positive and finite, got inf",
     ),
     "observer-weight-nan-1x1": (
         _demo_with([[math.nan]], "observer", "weight"),
@@ -121,19 +142,32 @@ BAD_CONFIGS = {
     ),
     "cart-mass-infinite": (
         _demo_with(math.inf, "plant", "cart_mass"),
-        "plant.cart_mass",
+        "plant: cart_mass must be finite, got inf",
+    ),
+    "initial-theta-nan": (
+        _demo_with(math.nan, "plant", "initial", "theta"),
+        "plant.initial: theta must be finite, got nan",
     ),
     "plant-kind-unknown": (_demo_with("rocket", "plant", "kind"), "plant.kind"),
     "horizon-too-large-for-float": (_demo_with(10**400, "horizon"), "horizon"),
-    "ulm-order-3": (_demo_with(3, "ulm", "order_nu"), "ulm: order_nu must be 2, got 3"),
-    "ulm-order-1": (_demo_with(1, "ulm", "order_nu"), "ulm: order_nu must be 2, got 1"),
-    "coefficients-empty": (
-        _demo_with([], "controller", "coefficients"),
-        "controller: coefficients must be one value mu in (0, 1), got ()",
+    "sample-rate-too-large-for-float": (
+        _demo_with(10**400, "sample_rate"),
+        "error: sample_rate must be finite, got an int too large for a float\n",
     ),
-    "coefficients-two": (
-        _demo_with([0.5, 0.25], "controller", "coefficients"),
-        "controller: coefficients must be one value mu in (0, 1), got (0.5, 0.25)",
+    "mu-zero": (_demo_with(0, "controller", "mu"), "controller: mu must lie in (0, 1), got 0"),
+    "mu-one": (_demo_with(1.0, "controller", "mu"), "controller: mu must lie in (0, 1), got 1.0"),
+    "mu-list": (
+        _demo_with([0.35], "controller", "mu"),
+        "controller.mu must be a number, got a list",
+    ),
+    "mu-string": (
+        _demo_with("0.35", "controller", "mu"),
+        "controller.mu must be a number, got a string",
+    ),
+    # no reader of the format before the plant carried its initial state
+    "demo-paper-v1": (
+        V1_DEMO_PAPER,
+        "unknown key(s) ['initial_estimates', 'initial_truth'] in config",
     ),
 }
 
@@ -232,6 +266,12 @@ class TestDemoPaper:
         assert main(["demo-paper"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert digest == (
+            "ac2173f447becccdf94aab10162c846bf7f082da6ca3bd4553d419d3e685cfed"
+        )
+
+    def test_v1_text_is_the_old_output(self):
+        digest = hashlib.sha256(V1_DEMO_PAPER.encode("utf-8")).hexdigest()
+        assert digest == (
             "7730bb3bc75ec11881005c0393aec583af5c0139de6b36131ecf33184f3583e3"
         )
 
@@ -323,7 +363,7 @@ class TestRun:
             controller=ControllerConfig(
                 margin=1.0,
                 exponent=11.0 / 9.0,
-                coefficients=(0.35,),
+                mu=0.35,
                 influence_policy=FixedInfluence(1e-300),
             ),
         )

@@ -5,15 +5,20 @@ the loop; a change that moves any of them changes behaviour.  Never
 regenerate a value to make a change pass.
 """
 
+import copy
 import dataclasses
 import hashlib
 
 import pytest
 
 from mfclab import (
+    FIRST_ORDER,
+    SECOND_ORDER,
     FixedInfluence,
     HolderGainParams,
     SyntheticUlmParams,
+    config_from_dict,
+    config_to_dict,
     demo_config,
     plants,
     run_closed_loop,
@@ -104,3 +109,70 @@ def test_log_bytes_pinned(name, tmp_path):
 def test_log_bytes_pinned_on_compiled_kernels(name, compiled_kernels, monkeypatch, tmp_path):
     monkeypatch.setattr(plants, "kernels", compiled_kernels)
     test_log_bytes_pinned(name, tmp_path)
+
+
+def _leaf_paths(d, prefix=()):
+    for key, value in d.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def _with(d, key, value):
+    """A copy of the config dict ``d`` with ``value`` at the path ``key``."""
+    d = copy.deepcopy(d)
+    parent = d
+    for name in key[:-1]:
+        parent = parent[name]
+    parent[key[-1]] = value
+    return d
+
+
+def _other_values(value):
+    """Values other than the leaf ``value`` of a config dict, in the order
+    tried; those the constructors reject are skipped."""
+    if value is None:
+        return [5]
+    if isinstance(value, str):  # the modes and the observer orders
+        return [v for v in ("zero", "constant", "sine", FIRST_ORDER, SECOND_ORDER) if v != value]
+    if type(value) is int:
+        return [value + 1]
+    return [value * 1.1 + 0.01, value * 0.9 - 0.01]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [dataclasses.replace(DEMO, horizon=2.0), GOLDEN["synthetic-sine-second-order-noisy"][0]],
+    ids=["demo-2s", "synthetic-sine"],
+)
+def test_every_key_is_read(config, tmp_path):
+    # a key whose every other accepted value leaves the log's bytes as they
+    # are is no fact of the run.  Exempt: "kind", which picks the class of
+    # the object it is in, not a value, and allow_unseparated_gains, a
+    # policy on which configs construct, read before any run
+    path = tmp_path / "log.csv"
+
+    def log_bytes(config):
+        write_log_csv(run_closed_loop(config), path)
+        return path.read_bytes()
+
+    base = config_to_dict(config)
+    expected = log_bytes(config)
+    unread = []
+    for key in _leaf_paths(base):
+        if key[-1] in ("kind", "allow_unseparated_gains"):
+            continue
+        leaf = base
+        for name in key:
+            leaf = leaf[name]
+        for value in _other_values(leaf):
+            try:
+                changed = config_from_dict(_with(base, key, value))
+            except ValueError:
+                continue
+            if log_bytes(changed) != expected:
+                break
+        else:
+            unread.append(".".join(key))
+    assert unread == []

@@ -69,7 +69,7 @@ def reference_loop(config, oracle_f, f_hat_bias, negate_noise=False):
         return rows, False
     try:
         if pendulum:
-            y_d = plants._desired_theta_samples(plant, config.initial_truth, n + 1, dt)
+            y_d = plants._desired_theta_samples(plant, plant.initial, n + 1, dt)
         else:
             y_d = plant.desired_samples(n + 2, dt)
     except DivergenceError:
@@ -79,8 +79,8 @@ def reference_loop(config, oracle_f, f_hat_bias, negate_noise=False):
         seed = config.seed if config.noise.seed is None else config.noise.seed
         noise = BumpNoiseStream(config.noise.width, seed)
     if pendulum:
-        state = config.initial_truth
-        y_true, y_hat0 = [state.theta], config.initial_estimates.theta
+        state = plant.initial
+        y_true, y_hat0 = [state.theta], plant.theta_estimate
     else:
         y_true, y_hat0 = [plant.y0, plant.y1], plant.y0
     y_hat = []
@@ -172,25 +172,23 @@ def test_loop_matches_reference_built_from_the_steps(kernels, run, tmp_path_fact
 
 
 def mirrored(config):
-    """``config`` with the plant's initial state (and for the synthetic
-    plant its forcing and reference amplitude) negated."""
+    """``config`` with the plant's initial state and estimate (and for the
+    synthetic plant its forcing and reference amplitude) negated."""
     plant = config.plant
     if isinstance(plant, PendulumParams):
-        def negated(state):
-            return PendulumState(*(-v for v in state.as_tuple()))
-
-        return dataclasses.replace(
-            config,
-            initial_truth=negated(config.initial_truth),
-            initial_estimates=negated(config.initial_estimates),
+        plant = dataclasses.replace(
+            plant,
+            initial=PendulumState(*(-v for v in plant.initial.as_tuple())),
+            theta_estimate=-plant.theta_estimate,
         )
-    plant = dataclasses.replace(
-        plant,
-        y0=-plant.y0,
-        y1=-plant.y1,
-        f_value=-plant.f_value,
-        desired_amplitude=-plant.desired_amplitude,
-    )
+    else:
+        plant = dataclasses.replace(
+            plant,
+            y0=-plant.y0,
+            y1=-plant.y1,
+            f_value=-plant.f_value,
+            desired_amplitude=-plant.desired_amplitude,
+        )
     return dataclasses.replace(config, plant=plant)
 
 

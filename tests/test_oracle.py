@@ -44,11 +44,11 @@ from mfclab import (
     synthetic_ulm_plant_step,
 )
 
-PAPER_ULM = UlmConfig(order_nu=2, margin=1.5, exponent=9.0 / 7.0)
+PAPER_ULM = UlmConfig(margin=1.5, exponent=9.0 / 7.0)
 PAPER_CTL = ControllerConfig(
     margin=1.0,
     exponent=11.0 / 9.0,
-    coefficients=(0.35,),
+    mu=0.35,
     influence_policy=AdaptiveInfluence(base=1.5),
 )
 GAIN = float_gain(*gain_args(PAPER_CTL.gain))
@@ -81,8 +81,7 @@ class TestUlmPredict:
         assert pred[0] == pytest.approx(0.7, abs=1e-6)
 
     def test_second_order_primes_before_predicting(self):
-        cfg = UlmConfig(order_nu=2, margin=1.5, exponent=9.0 / 7.0,
-                        observer_order=SECOND_ORDER)
+        cfg = UlmConfig(margin=1.5, exponent=9.0 / 7.0, observer_order=SECOND_ORDER)
         state = UlmObserverState.initial(1, SECOND_ORDER)
         pred, state = ulm_predict(state, [np.array([0.5])], cfg)
         assert pred.tolist() == [0.0]
@@ -171,12 +170,12 @@ class TestControlRhsGeneral:
         cfg = ControllerConfig(
             margin=1.0,
             exponent=11.0 / 9.0,
-            coefficients=(0.35,),
+            mu=0.35,
             influence_policy=FixedInfluence(1.0),
         )
         # history (0, 1): s = 1 + 0.35*0 = 1, first difference 1
         gain = float_gain(*gain_args(cfg.gain))
-        rhs = control_rhs_general([0.0, 1.0], 0.0, 0.0, cfg.coefficients, gain)
+        rhs = control_rhs_general([0.0, 1.0], 0.0, 0.0, (cfg.mu,), gain)
         assert rhs == pytest.approx(-1.0 - 0.35 * 1.0)
 
     def test_general_equals_second_order(self):
@@ -285,7 +284,7 @@ class TestLibraryStepsEqualOracle:
     def test_second_order_law(self, margin, exponent, mu, e_k, e_kp1, yd_k, yd_kp1, yd_kp2, f_hat):
         # s and the feedback total as the reference loop forms them
         ctl = ControllerConfig(
-            margin=margin, exponent=exponent, coefficients=(mu,),
+            margin=margin, exponent=exponent, mu=mu,
             influence_policy=AdaptiveInfluence(1.5),
         )
         rhs = oracle.control_rhs_second_order(e_k, e_kp1, yd_k, yd_kp1, yd_kp2, f_hat, ctl)

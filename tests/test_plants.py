@@ -223,11 +223,8 @@ class TestReferenceMemo:
 
     @pytest.mark.parametrize(
         "a, b",
-        [
-            (PendulumState(theta=-0.0), PendulumState(theta=0.0)),
-            (PendulumState(x=1, theta=0.1), PendulumState(x=1.0, theta=0.1)),
-        ],
-        ids=["signed-zero", "int-float"],
+        [(PendulumState(theta=-0.0), PendulumState(theta=0.0))],
+        ids=["signed-zero"],
     )
     def test_equal_but_unlike_arguments_kept_apart(self, a, b):
         plants._theta_samples.cache_clear()
