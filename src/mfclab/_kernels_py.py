@@ -8,17 +8,18 @@ are plain scalar float math, written with the same arithmetic in the same
 order as the C twin, so both return the same bits.
 
 The truth advance of ``run_loop`` and the reference run one substep loop,
-``_advance``, with the four RK4 stages and the accelerations of ``_accel``
+``_advance``, with the four RK4 stages and the cart-pendulum accelerations
 written inline.  The products that do not depend on the state are
 computed once per call: ``h2``, ``h6``, ``a11 = mc + mp``, ``mp * lp``,
 ``a22``, ``mp * grav * lp``, ``0.5 * cth`` and ``0.1 * cx``, with the exact
 negations ``-(mp * lp)`` and ``-cx``.  Each is the left operand of a
-left-associative chain in ``_accel`` (``mp * lp * td * td * si`` is
+left-associative chain in the accelerations as ``pendulum_accel`` of
+``tests/oracle.py`` writes them (``mp * lp * td * td * si`` is
 ``(((mp * lp) * td) * td) * si``), so hoisting it changes no rounding;
 ``-mp * lp * co`` is ``((-mp) * lp) * co``, and since IEEE multiplication
-is sign-symmetric ``(-mp) * lp == -(mp * lp)``.  ``plants.pendulum_accel``,
-``rk4_advance`` and ``rk4_step`` run ``_accel`` and ``_advance`` on either
-backend.
+is sign-symmetric ``(-mp) * lp == -(mp * lp)``.  ``tests/test_backends.py``
+checks ``_advance`` against the stage-by-stage RK4 over that
+``pendulum_accel``, bit for bit.
 
 ``run_loop`` steps the closed loop of ``harness.run_closed_loop`` on
 floats.  It states no law of its own: each step calls the library's
@@ -53,21 +54,6 @@ _ROW = 13  # values per row of the log
 # no entry points, but perfbench/spans.py looks both names up to wrap them;
 # None, as in the C twin, keeps its traced run going (their metrics read 0)
 rk4_advance = trajgen_advance = None
-
-
-def _accel(x, theta, x_dot, theta_dot, force, mc, mp, lp, ip, grav, cx, cth):
-    """Accelerations (xdd, thdd) of the cart-pendulum under ``force``."""
-    co = cos(theta)
-    si = sin(theta)
-    a11 = mc + mp
-    a12 = -mp * lp * co
-    a22 = ip + mp * lp * lp
-    b1 = force - (mp * lp * theta_dot * theta_dot * si + cx * tanh(x_dot))
-    b2 = mp * grav * lp * si - cth * tanh(theta_dot)
-    det = a11 * a22 - a12 * a12
-    xdd = (a22 * b1 - a12 * b2) / det
-    thdd = (a11 * b2 - a12 * b1) / det
-    return xdd, thdd
 
 
 def _advance(x, th, xd, td, force, feedback, dt, substeps,

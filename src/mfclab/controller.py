@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from .core import HolderGainParams, is_positive, require_finite
+from .core import HolderGainParams, is_positive, require_finite, require_instance
 
 __all__ = [
     "FixedInfluence",
@@ -62,6 +62,7 @@ class ControllerConfig:
     influence_policy: InfluencePolicy
 
     def __post_init__(self):
+        require_instance(self, "influence_policy", FixedInfluence, AdaptiveInfluence)
         self.gain  # validates margin/exponent
         require_finite(self, "margin", "exponent")
         require_finite(self, "mu", ok=lambda mu: 0.0 < mu < 1.0, rule="lie in (0, 1)")

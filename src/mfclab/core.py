@@ -7,9 +7,9 @@ The central object is the Hölder-continuous gain
 which every observer and the tracking controller reuse with their own
 weight/margin/exponent triple; ``float_gain`` is it as a function on
 floats, the one the loop and the library's steps call.  The module also
-provides an executable oracle for the scalar recursion
-``c_{k+1} = c_k - a_k * c_k**alpha`` that underlies the finite-time
-convergence argument.
+holds the checks that every config constructor stores its numbers with.
+The scalar recursion ``c_{k+1} = c_k - a_k * c_k**alpha`` of the
+finite-time convergence argument is in ``claims/analysis.py``.
 """
 
 from __future__ import annotations
@@ -17,18 +17,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "HolderGainParams",
-    "LyapunovRecursionSpec",
     "float_gain",
     "gain_args",
-    "holder_gain",
-    "lyapunov_recursion",
-    "gamma_ratio_bound",
 ]
 
 
@@ -117,16 +112,16 @@ def check_int(name: str, value, ok, rule: str) -> int:
     return int(value)
 
 
-def as_tuple(name: str, value) -> tuple:
-    """``value``, an iterable, as a tuple, or a ``ValueError`` that reads
-    "<name> must be a sequence, got <value>".  A string is none: its items
-    are characters, not numbers."""
-    if not isinstance(value, (str, bytes)):
-        try:
-            return tuple(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be a sequence, got {shown(value)}")
+def require_instance(obj, name: str, *classes) -> None:
+    """Raise a ``ValueError`` naming the field ``name`` of ``obj`` unless it
+    holds an instance of one of ``classes``, where None admits None.  It
+    reads "<name> must be a <class> or <class>, got <value>", with
+    "boolean" for ``bool``."""
+    value = getattr(obj, name)
+    if not isinstance(value, tuple(type(None) if c is None else c for c in classes)):
+        names = {bool: "boolean", None: "None"}
+        expected = " or ".join(names.get(c) or c.__name__ for c in classes)
+        raise ValueError(f"{name} must be a {expected}, got {shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -171,95 +166,3 @@ def float_gain(w: float, margin: float, a: float):
         return (z - margin) / (z + margin)
 
     return gain
-
-
-def holder_gain(err: float, params: HolderGainParams) -> float:
-    """The Hölder gain of ``params`` at the scalar error ``err``.
-
-    Returns a value in [-1, 1): exactly -1 iff err == 0, and strictly
-    inside (-1, 1) otherwise, which is what makes the induced error maps
-    contractions.
-    """
-    return float_gain(*gain_args(params))(err)
-
-
-@dataclass(frozen=True)
-class LyapunovRecursionSpec:
-    """Inputs of the finite-time recursion c_{k+1} = c_k - a_k * c_k**alpha.
-
-    ``ratio_sequence`` is either a constant (every a_k equal) or an indexed
-    sequence, of positive finite numbers; conventionally a_0 == 1.  ``c0``
-    may be zero, in which case the recursion starts (and stays) at the
-    fixed point.
-    """
-
-    alpha: float
-    c0: float
-    ratio_sequence: Union[float, Sequence[float]] = 1.0
-    max_steps: int = 10_000
-
-    def __post_init__(self):
-        require_finite(self, "alpha", ok=lambda a: 0.0 < a < 1.0, rule="lie in (0, 1)")
-        require_finite(self, "c0", ok=lambda c: c >= 0.0, rule="be non-negative")
-        require_int(self, "max_steps", ok=lambda n: n >= 1, rule="be positive")
-        ratios = self.ratio_sequence
-        if not is_number(ratios):
-            ratios = as_tuple("ratio_sequence", ratios)
-        for a in ratios if isinstance(ratios, tuple) else (ratios,):
-            # NaN passes the sign rule, to be reported as not finite
-            check_finite("ratio_sequence", a, lambda a: not a <= 0.0, "be positive")
-        if isinstance(ratios, tuple):
-            object.__setattr__(self, "ratio_sequence", tuple(map(float, ratios)))
-
-    def ratio(self, k: int) -> float:
-        if not isinstance(self.ratio_sequence, tuple):
-            return float(self.ratio_sequence)
-        if k >= len(self.ratio_sequence):
-            raise ValueError(
-                f"ratio sequence of length {len(self.ratio_sequence)} exhausted "
-                f"at step {k}"
-            )
-        return self.ratio_sequence[k]
-
-
-def lyapunov_recursion(spec: LyapunovRecursionSpec):
-    """Iterate the recursion, clamping the first non-positive update to 0.
-
-    Returns ``(sequence, n_zero)`` where ``sequence[k] == c_k`` and
-    ``n_zero`` is the first index with c_N == 0 (None when the recursion
-    has not reached zero within ``max_steps`` updates).  The sequence is
-    strictly decreasing until it hits zero.
-    """
-    c = spec.c0
-    seq = [c]
-    n_zero: Optional[int] = 0 if c == 0.0 else None
-    k = 0
-    while n_zero is None and k < spec.max_steps:
-        nxt = c - spec.ratio(k) * math.pow(c, spec.alpha)
-        if nxt <= 0.0:
-            nxt = 0.0
-            n_zero = k + 1
-        seq.append(nxt)
-        c = nxt
-        k += 1
-    return np.asarray(seq), n_zero
-
-
-def gamma_ratio_bound(chi: float, mu: float, exponent: float):
-    """Lower bound on the gain-ratio sequence over the band (chi*V0, V0).
-
-    Returns ``(a_lower, epsilon)`` with a_lower = (1 - delta)**2 and
-    epsilon = 2*delta - delta**2 for
-    delta = mu*(1 - chi^(1-1/exponent)) / (chi^(1-1/exponent) + mu).
-    Both outputs lie in (0, 1) for arguments in the stated open ranges.
-    """
-    if not 0.0 < chi < 1.0:
-        raise ValueError(f"chi must lie in (0, 1), got {shown(chi)}")
-    if not is_positive(mu):
-        raise ValueError(f"mu must be positive, got {shown(mu)}")
-    if not 1.0 < exponent < 2.0:
-        raise ValueError(f"exponent must lie in (1, 2), got {shown(exponent)}")
-    t = math.exp((1.0 - 1.0 / exponent) * math.log(chi))  # chi**(1 - 1/exponent)
-    delta = mu * (1.0 - t) / (t + mu)
-    epsilon = 2.0 * delta - delta * delta
-    return (1.0 - delta) ** 2, epsilon

@@ -32,7 +32,14 @@ import numpy as np
 
 from . import plants
 from .controller import AdaptiveInfluence, ControllerConfig, FixedInfluence
-from .core import HolderGainParams, check_finite, gain_args, require_finite, require_int
+from .core import (
+    HolderGainParams,
+    check_finite,
+    gain_args,
+    require_finite,
+    require_instance,
+    require_int,
+)
 from .plants import (
     BACKEND,
     BumpNoiseStream,
@@ -87,6 +94,12 @@ class ExperimentConfig:
     allow_unseparated_gains: bool = False
 
     def __post_init__(self):
+        require_instance(self, "plant", PendulumParams, SyntheticUlmParams)
+        require_instance(self, "observer", HolderGainParams)
+        require_instance(self, "ulm", UlmConfig)
+        require_instance(self, "controller", ControllerConfig)
+        require_instance(self, "noise", NoiseModel, None)
+        require_instance(self, "allow_unseparated_gains", bool)
         require_finite(self, "sample_rate", ok=lambda r: r > 0.0, rule="be positive")
         # NaN passes the sign rule, to be reported as not finite
         require_finite(self, "horizon", ok=lambda h: not h < 0, rule="be non-negative")
@@ -221,7 +234,7 @@ def _run_loop(config: ExperimentConfig, oracle_f: bool, f_hat_bias: float):
     plant = config.plant
     if isinstance(plant, PendulumParams):
         try:
-            y_d = _desired_theta_samples(plant, plant.initial, n + 1, dt, _SUBSTEPS)
+            y_d = _desired_theta_samples(plant, n + 1, dt)
         except DivergenceError:
             return b"", True
         truth, y_hat0 = plant.initial.as_tuple(), plant.theta_estimate

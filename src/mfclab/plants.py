@@ -6,9 +6,8 @@ discrete synthetic plant used to verify the controller.
 was built, otherwise the pure-Python twin.  Setting the environment
 variable ``MFCLAB_PURE_PYTHON=1`` before import forces the fallback (useful
 for benchmarking and debugging).  ``BACKEND`` names the one in use.  The
-closed loop and the reference run on it, each in one kernel call; the
-public cart-pendulum steps (``pendulum_accel``, ``rk4_step`` and
-``rk4_advance``) run the pure-Python twin's RK4 on either backend.
+closed loop and the reference run on it, each in one kernel call, so a
+process on the compiled backend never imports the pure-Python twin.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import is_positive, require_finite, require_int, shown
+from .core import is_positive, require_finite, require_instance, require_int, shown
 
 if os.environ.get("MFCLAB_PURE_PYTHON") == "1":
     from . import _kernels_py as kernels
@@ -41,10 +40,6 @@ __all__ = [
     "NoiseModel",
     "BumpNoiseStream",
     "SyntheticUlmParams",
-    "pendulum_accel",
-    "rk4_step",
-    "rk4_advance",
-    "generate_desired_trajectory",
     "synthetic_ulm_plant_step",
 ]
 
@@ -93,6 +88,7 @@ class PendulumParams:
     def __post_init__(self):
         positive = ("cart_mass", "pend_mass", "half_length", "inertia", "gravity")
         friction = ("cart_friction", "pend_friction")
+        require_instance(self, "initial", PendulumState)
         require_finite(self, *positive, *friction, "theta_estimate")
         require_finite(self, *positive, ok=lambda v: v > 0.0, rule="be positive")
         require_finite(self, *friction, ok=lambda v: v >= 0.0, rule="be non-negative")
@@ -117,65 +113,23 @@ class PendulumParams:
         )
 
 
-def pendulum_accel(state: PendulumState, force: float, params: PendulumParams):
-    """Accelerations (x_ddot, theta_ddot) under a horizontal cart force, by
-    the pure-Python twin on either backend."""
-    # imported on first use: a run on the compiled backend never needs it
-    from . import _kernels_py
+def _desired_theta_samples(plant: PendulumParams, count: int, dt: float) -> np.ndarray:
+    """First ``count`` angle samples of the reference-generating loop from
+    ``plant.initial``, ``_SUBSTEPS`` RK4 steps per ``dt``, as a read-only
+    array.
 
-    return _kernels_py._accel(*state.as_tuple(), force, *params.as_tuple())
-
-
-def rk4_step(
-    state: PendulumState, force: float, dt: float, params: PendulumParams
-) -> PendulumState:
-    """One fixed-step RK4 update with the force held constant over dt:
-    ``rk4_advance`` with one substep."""
-    return rk4_advance(state, force, dt, params, substeps=1)
-
-
-def rk4_advance(
-    state: PendulumState,
-    force: float,
-    dt: float,
-    params: PendulumParams,
-    substeps: int = _SUBSTEPS,
-) -> PendulumState:
-    """Advance one control period with zero-order-hold force, integrating
-    with ``substeps`` internal RK4 steps of the pure-Python twin on either
-    backend.  A non-finite state is a ``DivergenceError``."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {shown(dt)}")
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {shown(substeps)}")
-    from . import _kernels_py
-
-    raw = _kernels_py._step(state.as_tuple(), force, False, dt, substeps, params.as_tuple())
-    if raw is None:
-        raise DivergenceError("rk4_advance produced a non-finite state")
-    return PendulumState(*raw)
-
-
-def _desired_theta_samples(
-    params: PendulumParams,
-    initial: PendulumState,
-    count: int,
-    dt: float,
-    substeps: int = _SUBSTEPS,
-) -> np.ndarray:
-    """First ``count`` angle samples of the reference-generating loop, as a
-    read-only array.
-
-    The samples are a function of the arguments alone, so each process
-    keeps the last 16 references: runs that share the plant constants,
-    initial truth, rate and horizon compute theirs once.  The memo keys on
-    the ``repr`` of the raw values, not on ``==``, which holds between
-    ``-0.0`` and ``0.0`` (the first sample, logged as ``-0`` or ``0``).  A
-    failed reference raises and is not kept.  The backend is no part of
-    the key, since both twins give the same bits.
+    The truth model is driven by a weak state feedback force (re-evaluated
+    at every stage, not held), which for the default constants produces a
+    swing whose amplitude decays slowly through friction.  The samples are
+    a function of the arguments alone, so each process keeps the last 16
+    references: runs that share the plant constants, initial state, rate
+    and horizon compute theirs once.  The memo keys on the ``repr`` of the raw values, not on ``==``,
+    which holds between ``-0.0`` and ``0.0`` (the first sample, logged as
+    ``-0`` or ``0``).  A failed reference raises and is not kept.  The
+    backend is no part of the key, since both twins give the same bits.
     """
     return _theta_samples(
-        _ByBits((params.as_tuple(), initial.as_tuple(), count, dt, substeps))
+        _ByBits((plant.as_tuple(), plant.initial.as_tuple(), count, dt))
     )
 
 
@@ -192,38 +146,12 @@ class _ByBits(tuple):
 
 @functools.lru_cache(maxsize=16)
 def _theta_samples(args: _ByBits) -> np.ndarray:
-    raw_params, raw, count, dt, substeps = args
+    raw_params, raw, count, dt = args
     thetas = np.empty(count)
-    if not kernels.reference(thetas, *raw, dt, substeps, *raw_params):
+    if not kernels.reference(thetas, *raw, dt, _SUBSTEPS, *raw_params):
         raise DivergenceError("the reference produced a non-finite state")
     thetas.flags.writeable = False
     return thetas
-
-
-def generate_desired_trajectory(
-    params: PendulumParams,
-    initial: PendulumState,
-    horizon: float,
-    dt: float,
-    substeps: int = _SUBSTEPS,
-) -> np.ndarray:
-    """Reference angle trajectory as an (n, 2) array of (t, theta) rows.
-
-    The truth model is driven by a weak state feedback force (re-evaluated
-    continuously, not held), which for the default constants produces a
-    swing whose amplitude decays slowly through friction.  The number of
-    rows is floor(horizon/dt) + 1.
-    """
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {shown(horizon)}")
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {shown(dt)}")
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {shown(substeps)}")
-    count = int(math.floor(horizon / dt + 1e-9)) + 1
-    thetas = _desired_theta_samples(params, initial, count, dt, substeps)
-    t = np.arange(count) * dt
-    return np.column_stack([t, thetas])
 
 
 @dataclass(frozen=True)
@@ -291,10 +219,6 @@ class BumpNoiseStream:
     def sample(self) -> float:
         """The next sample of the stream."""
         return self._sample()
-
-    def sample_batch(self, n: int) -> np.ndarray:
-        """The next n samples of ``sample``, as an array."""
-        return np.fromiter((self.sample() for _ in range(n)), float, n)
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,20 @@ The order-nu laws of the ultra-local model ``y^(nu) = F + G u`` are here
 too: ``forward_difference``, ``sliding_variable``, ``control_rhs_general``
 and ``reconstruct_f``.  The library runs nu = 2 only; these are the
 references its second-order float laws are compared with.
+
+The cart-pendulum: ``pendulum_accel`` is its accelerations, the
+stage-by-stage reference of the Python twin's fused RK4 substep loop, and
+``rk4_advance`` is a period of that loop on a ``PendulumState``.
 """
 
 import math
 from dataclasses import dataclass, replace
+from math import cos, sin, tanh
 from typing import Optional, Sequence
 
 import numpy as np
 
-from mfclab import FIRST_ORDER, SECOND_ORDER, FixedInfluence
+from mfclab import FIRST_ORDER, SECOND_ORDER, FixedInfluence, PendulumState, _kernels_py, plants
 from mfclab.core import check_int
 
 
@@ -219,3 +224,26 @@ def reconstruct_f(outputs, input_effect: float, order_nu: int) -> float:
             f"{order_nu} (need {order_nu + 1})"
         )
     return float(forward_difference(outputs, order_nu)[0]) - input_effect
+
+
+def pendulum_accel(x, theta, x_dot, theta_dot, force, mc, mp, lp, ip, grav, cx, cth):
+    """Accelerations (xdd, thdd) of the cart-pendulum under ``force``."""
+    co = cos(theta)
+    si = sin(theta)
+    a11 = mc + mp
+    a12 = -mp * lp * co
+    a22 = ip + mp * lp * lp
+    b1 = force - (mp * lp * theta_dot * theta_dot * si + cx * tanh(x_dot))
+    b2 = mp * grav * lp * si - cth * tanh(theta_dot)
+    det = a11 * a22 - a12 * a12
+    xdd = (a22 * b1 - a12 * b2) / det
+    thdd = (a11 * b2 - a12 * b1) / det
+    return xdd, thdd
+
+
+def rk4_advance(state, force, dt, params, substeps=plants._SUBSTEPS):
+    """The ``PendulumState`` ``state`` advanced by ``dt`` in ``substeps``
+    RK4 steps of the Python twin with ``force`` held, or None for a
+    non-finite state."""
+    raw = _kernels_py._step(state.as_tuple(), force, False, dt, substeps, params.as_tuple())
+    return None if raw is None else PendulumState(*raw)

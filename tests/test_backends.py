@@ -11,20 +11,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from loop_runs import explicit_examples, loop_runs
+from oracle import pendulum_accel
 
 import mfclab
 from mfclab import (
-    PendulumParams,
     PendulumState,
     SyntheticUlmParams,
     _kernels_py,
     cli,
     demo_config,
     gain_args,
-    generate_desired_trajectory,
     harness,
     plants,
-    rk4_advance,
     run_closed_loop,
     write_config,
     write_log_csv,
@@ -89,6 +87,41 @@ def test_env_override_forces_python_backend():
         check=True,
     )
     assert out.stdout.strip() == "python"
+
+
+# run in a fresh interpreter: the compiled twin registered as
+# ``mfclab._kernels`` before the package is imported, then every command
+COMPILED_PROCESS = """
+import dataclasses, importlib.util, sys
+kernels_path, config, log = sys.argv[1:]
+spec = importlib.util.spec_from_file_location("mfclab._kernels", kernels_path)
+sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(sys.modules[spec.name])
+import mfclab
+from mfclab import cli
+assert mfclab.BACKEND == "compiled"
+assert cli.main(["demo-paper", "--out", config]) == 0
+short = dataclasses.replace(mfclab.read_config(config), horizon=2.0)
+mfclab.write_config(short, config)
+assert cli.main(["run", config, "--out", log]) == 0
+assert cli.main(["metrics", log, "--cutoff", "1"]) == 0
+print(sorted(name for name in sys.modules if name.startswith("mfclab")))
+"""
+
+
+def test_compiled_process_never_imports_the_python_twin(compiled_kernels, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(mfclab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    ))
+    env.pop("MFCLAB_PURE_PYTHON", None)
+    out = subprocess.run(
+        [sys.executable, "-c", COMPILED_PROCESS, compiled_kernels.__file__,
+         str(tmp_path / "demo.json"), str(tmp_path / "log.csv")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    loaded = out.stdout.splitlines()[-1]
+    assert "'mfclab._kernels'" in loaded
+    assert "mfclab._kernels_py" not in loaded
 
 
 def test_twins_define_the_same_entry_points(compiled_kernels):
@@ -206,13 +239,14 @@ def stagewise_advance(accel, state, force, feedback, dt, substeps, params):
 @pytest.mark.parametrize("substeps", [1, 2, 10])
 def test_advances_match_stagewise_reference(substeps):
     """The Python twin's fused ``_advance``, with a held force and with the
-    reference feedback, against the stage-by-stage RK4 over its ``_accel``;
-    the twin parity tests above carry the check to the C twin's."""
-    advance, accel = _kernels_py._advance, _kernels_py._accel
+    reference feedback, against the stage-by-stage RK4 over the oracle's
+    ``pendulum_accel``; the twin parity tests above carry the check to the
+    C twin's."""
+    advance = _kernels_py._advance
     for state, force, dt, params in edge_cases(n=400, seed=substeps):
         for held, feedback in ((force, False), (0.0, True)):
             assert outcome(advance, *state, held, feedback, dt, substeps, *params) == outcome(
-                stagewise_advance, accel, state, held, feedback, dt, substeps, params
+                stagewise_advance, pendulum_accel, state, held, feedback, dt, substeps, params
             )
 
 
@@ -294,22 +328,14 @@ def test_cli_round_trips_alike_beyond_the_fast_range(
 
 
 @pytest.mark.parametrize("count", [0, 1, 2])
-def test_substeps_checked_alike(kernels, count, monkeypatch):
-    monkeypatch.setattr(plants, "kernels", kernels)
-    params, state = PendulumParams(), PendulumState(theta=0.1)
-    args = (*state.as_tuple(), 0.02)
-    with pytest.raises(ValueError, match="substeps must be >= 1"):
-        generate_desired_trajectory(params, state, 1.0, 0.02, substeps=0)
+def test_substeps_checked_alike(kernels, count):
+    args = (*PendulumState(theta=0.1).as_tuple(), 0.02)
     # checked before any advance, so for a reference of 0 or 1 samples too
     with pytest.raises(ZeroDivisionError):
         kernels.reference(np.empty(count), *args, 0, *PARAMS)
     # substeps is an index, as ``range`` takes it: a float is a TypeError
     with pytest.raises(TypeError):
         kernels.reference(np.empty(count), *args, 10.0, *PARAMS)
-    with pytest.raises(TypeError):
-        generate_desired_trajectory(params, state, 1.0, 0.02, substeps=10.0)
-    with pytest.raises(TypeError):
-        rk4_advance(state, 0.4, 0.02, params, substeps=10.0)
     # the samples go to a C-contiguous buffer of doubles
     for out in (np.empty(count, dtype=np.float32), np.empty((2, 2))[:, 0]):
         with pytest.raises(TypeError, match="C-contiguous buffer of doubles"):

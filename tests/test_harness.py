@@ -30,7 +30,6 @@ from mfclab import (
     config_from_dict,
     config_to_dict,
     demo_config,
-    holder_gain,
     plants,
     read_config,
     read_log_csv,
@@ -171,6 +170,23 @@ INT_FIELDS = [
     for name, hint in typing.get_type_hints(cls).items()
     if hint in (int, typing.Optional[int])
 ]
+# (class, field, annotation) for every field annotated bool, a dataclass or
+# a union of dataclasses: the fields that no number check covers
+TYPED_FIELDS = [
+    (cls, name, hint)
+    for cls in _dataclasses_reachable(ExperimentConfig, [])
+    for name, hint in typing.get_type_hints(cls).items()
+    if hint is bool or any(map(dataclasses.is_dataclass, typing.get_args(hint) or (hint,)))
+]
+
+
+def _values_of_another_type(hint):
+    """Values that the annotation ``hint`` does not admit: numbers, a
+    string, a tuple, and a config dataclass of another class."""
+    admitted = typing.get_args(hint) or (hint,)
+    other = next(value for cls, value in SAMPLES.items() if cls not in admitted)
+    values = [0.5, 1, "no", (0.1, 0.2, 0.3, 0.4), other]
+    return values if type(None) in admitted else [None, *values]
 
 
 def test_package_exports_the_modules_public_names():
@@ -191,16 +207,13 @@ def test_public_api_is_pinned():
     assert sorted(mfclab.__all__) == [
         "AdaptiveInfluence", "BACKEND", "BumpNoiseStream", "CSV_HEADER", "ControllerConfig",
         "DivergenceError", "ExperimentConfig", "FIRST_ORDER", "FixedInfluence",
-        "HolderGainParams", "LyapunovRecursionSpec", "NoiseModel", "PendulumParams",
-        "PendulumState", "RunLog", "RunMetrics", "SECOND_ORDER", "SyntheticUlmParams",
-        "UlmConfig", "asymptotic_observer_step", "compute_metrics", "config_from_dict",
-        "config_to_dict", "control_rhs_second_order", "demo_config", "f_of_differences",
+        "HolderGainParams", "NoiseModel", "PendulumParams", "PendulumState", "RunLog",
+        "RunMetrics", "SECOND_ORDER", "SyntheticUlmParams", "UlmConfig",
+        "compute_metrics", "config_from_dict", "config_to_dict",
+        "control_rhs_second_order", "demo_config", "f_of_differences",
         "f_of_second_difference", "first_order_step", "float_gain", "fts_observer_step",
-        "gain_args", "gamma_ratio_bound", "generate_desired_trajectory", "holder_gain",
-        "influence_gain", "lyapunov_recursion", "pendulum_accel", "read_config",
-        "read_log_csv", "rk4_advance", "rk4_step", "run_closed_loop",
-        "second_order_step", "steps_to_tolerance", "synthetic_ulm_plant_step",
-        "write_config", "write_log_csv",
+        "gain_args", "influence_gain", "read_config", "read_log_csv", "run_closed_loop",
+        "second_order_step", "synthetic_ulm_plant_step", "write_config", "write_log_csv",
     ]
 
 
@@ -299,6 +312,38 @@ class TestExperimentConfig:
     def test_int_field_rejects_what_is_no_integer(self, cls, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
             dataclasses.replace(SAMPLES[cls], **{name: value})
+
+    @pytest.mark.parametrize(
+        "cls, name, value",
+        [
+            pytest.param(cls, name, v, id=f"{cls.__name__}.{name}-{type(v).__name__}")
+            for cls, name, hint in TYPED_FIELDS
+            for v in _values_of_another_type(hint)
+        ],
+    )
+    def test_typed_field_rejects_another_type(self, cls, name, value):
+        # at construction, naming the field, as the decoder does for a file
+        with pytest.raises(ValueError, match=f"^{name} must be a "):
+            dataclasses.replace(SAMPLES[cls], **{name: value})
+
+    def test_typed_fields_found(self):
+        names = {f"{cls.__name__}.{name}" for cls, name, _ in TYPED_FIELDS}
+        assert names == {
+            "ExperimentConfig.plant",
+            "ExperimentConfig.observer",
+            "ExperimentConfig.ulm",
+            "ExperimentConfig.controller",
+            "ExperimentConfig.noise",
+            "ExperimentConfig.allow_unseparated_gains",
+            "PendulumParams.initial",
+            "ControllerConfig.influence_policy",
+        }
+
+    def test_allow_unseparated_gains_must_be_a_boolean(self):
+        # a truthy string would turn the separation error into a warning
+        message = "allow_unseparated_gains must be a boolean, got 'no'"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(demo_config(), allow_unseparated_gains="no")
 
     def test_int_fields_found(self):
         names = {f"{cls.__name__}.{name}" for cls, name in INT_FIELDS}
@@ -591,9 +636,9 @@ class TestRunClosedLoop:
     def test_synthetic_oracle_follows_ideal_recursion(self):
         cfg = synthetic_config(horizon=20.0)
         log = run_closed_loop(cfg, oracle_f=True)
-        gain = cfg.controller.gain
+        gain = float_gain(*gain_args(cfg.controller.gain))
         for k in range(log.n - 1):
-            ideal = holder_gain(log.s[k], gain) * log.s[k]
+            ideal = gain(log.s[k]) * log.s[k]
             assert log.s[k + 1] == pytest.approx(
                 ideal, abs=1e-10 * max(1.0, abs(log.s[k]))
             )
@@ -653,8 +698,9 @@ class TestReferenceMemo:
             ({"noise": None}, {}),
             ({}, {"oracle_f": True}),
             ({}, {"f_hat_bias": 0.05}),
+            ({"plant": PendulumParams(theta_estimate=-0.3)}, {}),
         ],
-        ids=["seed", "noise-off", "oracle", "bias"],
+        ids=["seed", "noise-off", "oracle", "bias", "theta-estimate"],
     )
     def test_shared_reference_computed_once(self, changes, kwargs, monkeypatch, tmp_path):
         calls = []
@@ -734,7 +780,6 @@ class TestFloatGain:
         with np.errstate(all="ignore"):
             expected = vector_gain(np.array([e]), params)
         assert _same_float(float_gain(*gain_args(params))(e), expected)
-        assert _same_float(holder_gain(e, params), expected)
 
 
 class TestMetrics:

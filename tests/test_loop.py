@@ -22,6 +22,7 @@ from oracle import (
     fts_observer_step,
     holder_gain,
     influence_gain,
+    rk4_advance,
     solve_input,
     synthetic_ulm_plant_step,
     ulm_predict,
@@ -39,7 +40,6 @@ from mfclab import (
     demo_config,
     observers,
     plants,
-    rk4_advance,
     run_closed_loop,
     ulm,
     write_log_csv,
@@ -57,8 +57,9 @@ def reference_loop(config, oracle_f, f_hat_bias, negate_noise=False):
     flag, from ``BumpNoiseStream``, the numpy laws of ``oracle``
     (``fts_observer_step``, ``ulm_predict``, ``control_rhs_second_order``,
     ``holder_gain``, ``influence_gain``, ``solve_input`` and
-    ``synthetic_ulm_plant_step``) and ``rk4_advance``.  F is reconstructed
-    here, per plant.  With ``negate_noise`` every noise sample is negated."""
+    ``synthetic_ulm_plant_step``) and the Python twin's RK4 through
+    ``rk4_advance``.  F is reconstructed here, per plant.  With
+    ``negate_noise`` every noise sample is negated."""
     rows = []
     n, dt = config.n_records, config.dt
     ctl, plant = config.controller, config.plant
@@ -69,7 +70,7 @@ def reference_loop(config, oracle_f, f_hat_bias, negate_noise=False):
         return rows, False
     try:
         if pendulum:
-            y_d = plants._desired_theta_samples(plant, plant.initial, n + 1, dt)
+            y_d = plants._desired_theta_samples(plant, n + 1, dt)
         else:
             y_d = plant.desired_samples(n + 2, dt)
     except DivergenceError:
@@ -138,9 +139,8 @@ def reference_loop(config, oracle_f, f_hat_bias, negate_noise=False):
         ])
         if k < n - lag:
             if pendulum:
-                try:
-                    state = rk4_advance(state, u, dt, plant)
-                except DivergenceError:
+                state = rk4_advance(state, u, dt, plant)
+                if state is None:
                     return rows, True
                 y_true.append(state.theta)
             else:

@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+from oracle import pendulum_accel, rk4_advance
 
 from mfclab import (
     BumpNoiseStream,
@@ -14,15 +15,23 @@ from mfclab import (
     PendulumParams,
     PendulumState,
     SyntheticUlmParams,
-    generate_desired_trajectory,
-    pendulum_accel,
     plants,
-    rk4_advance,
-    rk4_step,
     synthetic_ulm_plant_step,
 )
 
 PARAMS = PendulumParams()
+
+
+def accel(state, force):
+    return pendulum_accel(*state.as_tuple(), force, *PARAMS.as_tuple())
+
+
+def rk4_step(state, force, dt, params=PARAMS):
+    return rk4_advance(state, force, dt, params, substeps=1)
+
+
+def samples(stream, n):
+    return np.array([stream.sample() for _ in range(n)])
 
 
 def _float_fields(cls):
@@ -71,19 +80,22 @@ def mechanical_energy(state: PendulumState, params: PendulumParams) -> float:
 
 
 class TestPendulumAccel:
+    """The accelerations of the oracle, which the twins' fused RK4 is
+    checked against bit for bit."""
+
     def test_upright_rest_is_equilibrium(self):
-        assert pendulum_accel(PendulumState(), 0.0, PARAMS) == (0.0, 0.0)
+        assert accel(PendulumState(), 0.0) == (0.0, 0.0)
 
     def test_mass_matrix_hand_values_through_force_response(self):
         # at rest and theta = 0 the mass matrix is [[2.0, -0.7], [-0.7, 1.82]]
         # with determinant 3.15, so a unit force gives the inverse's column
-        xdd, thdd = pendulum_accel(PendulumState(), 1.0, PARAMS)
+        xdd, thdd = accel(PendulumState(), 1.0)
         assert xdd == pytest.approx(1.82 / 3.15, rel=1e-12)
         assert thdd == pytest.approx(0.7 / 3.15, rel=1e-12)
 
     @pytest.mark.parametrize("eps", [1e-4, -1e-4, 0.05, -0.05])
     def test_upright_instability_sign(self, eps):
-        _, thdd = pendulum_accel(PendulumState(theta=eps), 0.0, PARAMS)
+        _, thdd = accel(PendulumState(theta=eps), 0.0)
         assert math.copysign(1.0, thdd) == math.copysign(1.0, eps)
 
     def test_invalid_params_rejected(self):
@@ -102,25 +114,21 @@ class TestPendulumAccel:
 
 
 class TestRk4:
-    def test_upright_rest_fixed_point(self):
-        out = rk4_step(PendulumState(), 0.0, 0.02, PARAMS)
-        assert out.as_tuple() == (0.0, 0.0, 0.0, 0.0)
+    """The Python twin's RK4 substep loop, the truth advance of ``run_loop``
+    and of the reference."""
 
-    def test_positive_dt_required(self):
-        with pytest.raises(ValueError):
-            rk4_step(PendulumState(), 0.0, 0.0, PARAMS)
-        with pytest.raises(ValueError):
-            rk4_advance(PendulumState(), 0.0, -1.0, PARAMS)
+    def test_upright_rest_fixed_point(self):
+        out = rk4_step(PendulumState(), 0.0, 0.02)
+        assert out.as_tuple() == (0.0, 0.0, 0.0, 0.0)
 
     def test_divergence_detected(self):
         state = PendulumState(theta_dot=1e200)
-        with pytest.raises(DivergenceError):
-            rk4_step(state, 0.0, 1.0, PARAMS)
+        assert rk4_step(state, 0.0, 1.0) is None
 
     def _integrate(self, dt: float, horizon: float) -> PendulumState:
         state = PendulumState(x=0.1, theta=0.3, x_dot=-0.2, theta_dot=0.4)
         for _ in range(int(round(horizon / dt))):
-            state = rk4_step(state, 0.05, dt, PARAMS)
+            state = rk4_step(state, 0.05, dt)
         return state
 
     def test_step_halving_convergence_order(self):
@@ -157,7 +165,7 @@ class TestRk4:
         via_advance = rk4_advance(state, 0.4, 0.02, PARAMS, substeps=10)
         via_steps = state
         for _ in range(10):
-            via_steps = rk4_step(via_steps, 0.4, 0.002, PARAMS)
+            via_steps = rk4_step(via_steps, 0.4, 0.002)
         np.testing.assert_allclose(
             via_advance.as_tuple(), via_steps.as_tuple(), rtol=1e-12, atol=1e-15
         )
@@ -165,30 +173,21 @@ class TestRk4:
 
 @pytest.fixture(scope="module")
 def trajectory():
-    return generate_desired_trajectory(
-        PARAMS,
-        PendulumState(x=0.45, theta=-0.14, x_dot=-0.3, theta_dot=0.05),
-        70.0,
-        0.02,
-    )
+    """The demo's reference angles: 70 s at 50 Hz from the demo's swing start."""
+    return plants._desired_theta_samples(PARAMS, 3501, 0.02)
 
 
 class TestDesiredTrajectory:
 
     def test_initial_angle(self, trajectory):
-        assert trajectory[0, 1] == pytest.approx(-0.14)
-        assert trajectory[0, 0] == 0.0
-
-    def test_sample_count(self, trajectory):
-        assert trajectory.shape == (3501, 2)
+        assert trajectory[0] == PARAMS.initial.theta == -0.14
 
     def test_swings_through_the_bottom(self, trajectory):
-        theta = trajectory[:, 1]
-        assert theta.min() < -math.pi
-        assert theta.max() < 0.0
+        assert trajectory.min() < -math.pi
+        assert trajectory.max() < 0.0
 
     def test_amplitude_envelope_non_increasing(self, trajectory):
-        theta = trajectory[:, 1]
+        theta = trajectory
         rising = np.diff(theta) > 0
         peaks = np.nonzero(rising[:-1] & ~rising[1:])[0] + 1
         troughs = np.nonzero(~rising[:-1] & rising[1:])[0] + 1
@@ -198,27 +197,18 @@ class TestDesiredTrajectory:
         assert all(b <= a + 1e-9 for a, b in zip(peak_vals, peak_vals[1:]))
         assert all(b >= a - 1e-9 for a, b in zip(trough_vals, trough_vals[1:]))
 
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            generate_desired_trajectory(PARAMS, PendulumState(), 0.0, 0.02)
-        with pytest.raises(ValueError):
-            generate_desired_trajectory(PARAMS, PendulumState(), 1.0, -0.1)
-
 
 class TestReferenceMemo:
     """``plants._desired_theta_samples`` keeps each reference per process."""
 
-    def test_cached_samples_read_only_and_trajectory_writable(self):
+    def test_cached_samples_read_only(self):
         plants._theta_samples.cache_clear()
-        state = PendulumState(theta=0.3)
-        thetas = plants._desired_theta_samples(PARAMS, state, 51, 0.02)
+        plant = PendulumParams(initial=PendulumState(theta=0.3))
+        thetas = plants._desired_theta_samples(plant, 51, 0.02)
         assert not thetas.flags.writeable
         with pytest.raises(ValueError):
             thetas[0] = 1.0
-        assert plants._desired_theta_samples(PARAMS, state, 51, 0.02) is thetas
-        trajectory = generate_desired_trajectory(PARAMS, state, 1.0, 0.02)
-        assert trajectory.flags.writeable
-        trajectory[0, 1] = 1.0
+        assert plants._desired_theta_samples(plant, 51, 0.02) is thetas
         assert thetas[0] == 0.3
 
     @pytest.mark.parametrize(
@@ -228,39 +218,39 @@ class TestReferenceMemo:
     )
     def test_equal_but_unlike_arguments_kept_apart(self, a, b):
         plants._theta_samples.cache_clear()
-        first = plants._desired_theta_samples(PARAMS, a, 11, 0.02)
-        second = plants._desired_theta_samples(PARAMS, b, 11, 0.02)
+        first = plants._desired_theta_samples(PendulumParams(initial=a), 11, 0.02)
+        second = plants._desired_theta_samples(PendulumParams(initial=b), 11, 0.02)
         assert first is not second
         assert plants._theta_samples.cache_info().misses == 2
 
     def test_failed_reference_not_kept(self, monkeypatch):
         plants._theta_samples.cache_clear()
-        state = PendulumState(theta=0.3)
+        plant = PendulumParams(initial=PendulumState(theta=0.3))
         failing = types.SimpleNamespace(reference=lambda *a: False)
         with monkeypatch.context() as m:
             m.setattr(plants, "kernels", failing)
             with pytest.raises(DivergenceError):
-                plants._desired_theta_samples(PARAMS, state, 11, 0.02)
-        assert np.isfinite(plants._desired_theta_samples(PARAMS, state, 11, 0.02)).all()
+                plants._desired_theta_samples(plant, 11, 0.02)
+        assert np.isfinite(plants._desired_theta_samples(plant, 11, 0.02)).all()
         assert plants._theta_samples.cache_info().currsize == 1
 
 
 class TestBumpNoise:
     def test_support_bound(self):
         stream = BumpNoiseStream(width=0.018, seed=42)
-        batch = stream.sample_batch(100_000)
+        batch = samples(stream, 100_000)
         assert np.max(np.abs(batch)) < 0.009
 
     def test_mean_consistent_with_symmetry(self):
         stream = BumpNoiseStream(width=0.018, seed=7)
-        batch = stream.sample_batch(1_000_000)
+        batch = samples(stream, 1_000_000)
         stderr = batch.std() / math.sqrt(batch.size)
         assert abs(batch.mean()) < 3.0 * stderr
 
     def test_deterministic_given_seed(self):
         a = BumpNoiseStream(width=0.018, seed=123)
         b = BumpNoiseStream(width=0.018, seed=123)
-        np.testing.assert_array_equal(a.sample_batch(1000), b.sample_batch(1000))
+        np.testing.assert_array_equal(samples(a, 1000), samples(b, 1000))
         a2 = BumpNoiseStream(width=0.018, seed=9)
         b2 = BumpNoiseStream(width=0.018, seed=9)
         assert [a2.sample() for _ in range(100)] == [b2.sample() for _ in range(100)]
@@ -288,13 +278,6 @@ class TestBumpNoise:
         stream = BumpNoiseStream(width=0.018, seed=seed)
         got = [stream.sample().hex() for _ in range(3000)]
         assert got == [x.hex() for x in self._uniform_pattern(0.018, seed, 3000)]
-
-    def test_batch_equals_scalar_samples_on_twin_stream(self):
-        a = BumpNoiseStream(width=0.018, seed=11)
-        b = BumpNoiseStream(width=0.018, seed=11)
-        got = [a.sample_batch(2000), a.sample_batch(0), [a.sample()], a.sample_batch(5)]
-        want = [b.sample() for _ in range(2006)]
-        assert [float(x).hex() for x in np.concatenate(got)] == [x.hex() for x in want]
 
     def test_sampled_stream_freed_without_cyclic_gc(self):
         stream = BumpNoiseStream(width=0.018, seed=0)

@@ -2,15 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from analysis import steps_to_tolerance
 
-from mfclab import (
-    UlmConfig,
-    first_order_step,
-    float_gain,
-    gain_args,
-    second_order_step,
-    steps_to_tolerance,
-)
+from mfclab import UlmConfig, first_order_step, float_gain, gain_args, second_order_step
 
 PAPER_ULM = UlmConfig(margin=1.5, exponent=9.0 / 7.0)
 GAIN = float_gain(*gain_args(PAPER_ULM.gain))
