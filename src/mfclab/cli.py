@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a closed-loop experiment")
     run_p.add_argument("config", help="experiment configuration (JSON)")
     run_p.add_argument("--out", help="write the per-step log as CSV")
-    run_p.add_argument("--seed", type=int, help="override the configured seed")
+    run_p.add_argument("--seed", type=int, help="seed the noise stream (overrides the config)")
     run_p.add_argument(
         "--oracle-f",
         action="store_true",

@@ -77,6 +77,8 @@ _COLUMNS = (
 # rows per ``format_rows`` call in ``write_log_csv``: ~64 KB of text, where
 # the whole log at once would hold megabytes
 _BLOCK_ROWS = 256
+# first_step_e_o_below and first_step_e_f_below: the first |value| <= this
+_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,7 @@ class ExperimentConfig:
     ulm: UlmConfig
     controller: ControllerConfig
     noise: Optional[NoiseModel]
-    seed: int
+    seed: int  # of the noise stream, the one random input of a run
     allow_unseparated_gains: bool = False
 
     def __post_init__(self):
@@ -151,9 +153,21 @@ def demo_config(seed: int = 0) -> ExperimentConfig:
     )
 
 
+def _column_views(cls):
+    """``cls`` with a property per name of ``_COLUMNS``: its column of ``rows``."""
+    for i, name in enumerate(_COLUMNS):
+        setattr(cls, name, property(lambda log, i=i: log.rows[:, i]))
+    return cls
+
+
+@_column_views
 @dataclass
 class RunLog:
-    """Per-step record of one run; column arrays share a common length.
+    """Per-step record of one run: ``rows``, a read-only ``(n, 13)`` array
+    with one row per step and the columns in CSV header order, is the
+    buffer of doubles that ``run_loop`` or ``parse_rows`` returned, taken
+    with ``np.frombuffer``, or the array given, uncopied.  ``t``, ``y_d``,
+    ..., ``g`` are read-only views of its columns.
 
     ``e`` is the truth tracking error y_true - y_d (the controller acts on
     the estimate-based error, whose deviation from ``e`` is ``e_o``);
@@ -161,33 +175,19 @@ class RunLog:
     the estimator output the controller used at that step.
     """
 
-    t: np.ndarray
-    y_d: np.ndarray
-    y_true: np.ndarray
-    y_meas: np.ndarray
-    y_hat: np.ndarray
-    e: np.ndarray
-    e_o: np.ndarray
-    f_true: np.ndarray
-    f_hat: np.ndarray
-    e_f: np.ndarray
-    s: np.ndarray
-    u: np.ndarray
-    g: np.ndarray
+    rows: np.ndarray
     diverged: bool = False
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not isinstance(self.rows, np.ndarray):
+            self.rows = np.frombuffer(self.rows, dtype=float)
+        self.rows = self.rows.reshape(-1, len(_COLUMNS))
+        self.rows.flags.writeable = False
+
     @property
     def n(self) -> int:
-        return len(self.t)
-
-
-def _log_from_rows(rows, diverged: bool, meta: dict) -> RunLog:
-    """The log whose rows are ``rows``, a buffer of doubles, row-major, one
-    value per column."""
-    data = np.frombuffer(rows, dtype=float).reshape(-1, len(_COLUMNS))
-    cols = {name: data[:, i].copy() for i, name in enumerate(_COLUMNS)}
-    return RunLog(diverged=diverged, meta=meta, **cols)
+        return len(self.rows)
 
 
 def run_closed_loop(
@@ -216,7 +216,7 @@ def run_closed_loop(
     if config.n_records > 0:
         rows, diverged = _run_loop(config, oracle_f, f_hat_bias)
     meta["wall_time_s"] = time.perf_counter() - start
-    return _log_from_rows(rows, diverged, meta)
+    return RunLog(rows, diverged, meta)
 
 
 def _run_loop(config: ExperimentConfig, oracle_f: bool, f_hat_bias: float):
@@ -251,9 +251,8 @@ def _run_loop(config: ExperimentConfig, oracle_f: bool, f_hat_bias: float):
         influence = (True, policy.base)
     width, random = 0.0, None
     if config.noise is not None:
-        seed = config.noise.seed if config.noise.seed is not None else config.seed
         width = config.noise.width
-        random = BumpNoiseStream(width, seed).random
+        random = BumpNoiseStream(width, config.seed).random
     return plants.kernels.run_loop(
         *gain_args(config.observer), *gain_args(config.ulm.gain), *gain_args(ctl.gain),
         *influence, ctl.mu, config.ulm.observer_order == SECOND_ORDER, oracle_f, f_hat_bias,
@@ -277,22 +276,17 @@ class RunMetrics:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _first_below(values: np.ndarray, tol: float) -> Optional[int]:
-    hits = np.nonzero(np.abs(values) <= tol)[0]
+def _first_below(values: np.ndarray) -> Optional[int]:
+    hits = np.nonzero(np.abs(values) <= _TOLERANCE)[0]
     return int(hits[0]) if hits.size else None
 
 
-def compute_metrics(
-    log: RunLog,
-    transient_cutoff: float,
-    e_o_tol: float = 1e-6,
-    e_f_tol: float = 1e-6,
-) -> RunMetrics:
+def compute_metrics(log: RunLog, transient_cutoff: float) -> RunMetrics:
     """Summary statistics of a run after discarding the transient.
 
     Tracking-error and F-estimate statistics are taken for t >= cutoff;
-    the observer-error maximum, the first-step-below indices and the
-    control effort cover the whole run.
+    the observer-error maximum, the first steps with |e_o| and |e_f| at
+    most ``_TOLERANCE`` and the control effort cover the whole run.
     """
     if log.n == 0:
         raise ValueError("log is empty")
@@ -308,8 +302,8 @@ def compute_metrics(
         rms_e=float(np.sqrt(np.mean(log.e[mask] ** 2))),
         max_abs_e_o=float(np.max(np.abs(log.e_o))),
         max_abs_e_f=float(np.max(np.abs(log.e_f[mask]))),
-        first_step_e_o_below=_first_below(log.e_o, e_o_tol),
-        first_step_e_f_below=_first_below(log.e_f, e_f_tol),
+        first_step_e_o_below=_first_below(log.e_o),
+        first_step_e_f_below=_first_below(log.e_f),
         rms_u=float(np.sqrt(np.mean(log.u ** 2))),
     )
 
@@ -317,15 +311,13 @@ def compute_metrics(
 def write_log_csv(log: RunLog, path) -> None:
     """Write the log as CSV: fixed header, 17 significant digits, LF.
 
-    The kernel backend's ``format_rows`` formats the rows ``_BLOCK_ROWS``
-    at a time, which bounds the memory the text takes."""
-    columns = [getattr(log, name) for name in _COLUMNS]
+    The kernel backend's ``format_rows`` formats ``log.rows``, as doubles,
+    ``_BLOCK_ROWS`` rows a call, which bounds the memory the text takes."""
+    rows = np.ascontiguousarray(log.rows, dtype=float)
     with open(path, "wb") as fh:
         fh.write(CSV_HEADER.encode() + b"\n")
         for start in range(0, log.n, _BLOCK_ROWS):
-            block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
-            block = block.astype(float, copy=False)
-            fh.write(plants.kernels.format_rows(block, len(_COLUMNS)))
+            fh.write(plants.kernels.format_rows(rows[start : start + _BLOCK_ROWS], len(_COLUMNS)))
 
 
 def read_log_csv(path) -> RunLog:
@@ -345,7 +337,7 @@ def read_log_csv(path) -> RunLog:
             fh.seek(0)
             fh.readline()
             rows = _read_lines(fh, path)
-    return _log_from_rows(rows, False, {"source": str(path)})
+    return RunLog(rows, meta={"source": str(path)})
 
 
 def _read_lines(fh, path) -> array:
@@ -394,7 +386,6 @@ _OPTIONAL = {
     ExperimentConfig: {"noise", "allow_unseparated_gains"},
     SyntheticUlmParams: {f.name for f in fields(SyntheticUlmParams)} - {"f_mode"},
     UlmConfig: {"observer_order"},
-    NoiseModel: {"seed"},
 }
 _JSON_TYPES = {
     type(None): "null", bool: "a boolean", int: "an integer", float: "a number",

@@ -16,11 +16,10 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .core import is_positive, require_finite, require_instance, require_int, shown
+from .core import is_positive, require_finite, require_instance, shown
 
 if os.environ.get("MFCLAB_PURE_PYTHON") == "1":
     from . import _kernels_py as kernels
@@ -157,15 +156,12 @@ def _theta_samples(args: _ByBits) -> np.ndarray:
 @dataclass(frozen=True)
 class NoiseModel:
     """Bump-distribution measurement noise of the given total support
-    width; ``seed`` defaults to the experiment seed when omitted."""
+    width, drawn from the stream of the experiment's seed."""
 
     width: float = 0.018
-    seed: Optional[int] = None
 
     def __post_init__(self):
         require_finite(self, "width", ok=is_positive, rule="be positive and finite")
-        if self.seed is not None:
-            require_int(self, "seed", ok=lambda s: s >= 0, rule="be non-negative")
 
 
 def _bump_sampler(width: float, random):

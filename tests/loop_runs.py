@@ -107,9 +107,7 @@ def loop_runs(draw, max_steps=200):
         observer_order=draw(st.sampled_from(["first", "second"])),
     )
     width = draw(_between(0.001, 0.1))
-    noise = draw(
-        st.sampled_from([None, NoiseModel(width), NoiseModel(width, draw(st.integers(0, 100)))])
-    )
+    noise = draw(st.sampled_from([None, NoiseModel(width)]))
     config = ExperimentConfig(
         plant=plant,
         horizon=steps / rate,

@@ -82,9 +82,11 @@ BAD_CONFIGS = {
         "allow_unseparated_gains",
     ),
     "seed-negative": (_demo_with(-1, "seed"), "seed"),
-    "noise-seed-negative": (
-        _demo_with({"width": 0.018, "seed": -1}, "noise"),
-        "noise: seed",
+    # the noise stream has one seed, the experiment's: the noise object of
+    # a file written before that fails
+    "noise-seed": (
+        _demo_with({"width": 0.018, "seed": None}, "noise"),
+        "error: unknown key(s) ['seed'] in noise\n",
     ),
     "observer-weight-1x1": (
         _demo_with([[2.1]], "observer", "weight"),
@@ -266,7 +268,7 @@ class TestDemoPaper:
         assert main(["demo-paper"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert digest == (
-            "ac2173f447becccdf94aab10162c846bf7f082da6ca3bd4553d419d3e685cfed"
+            "59472a100d868f93da897fd1dd8f0c57a464bb8600de2964faaeb39b3f87f8ee"
         )
 
     def test_v1_text_is_the_old_output(self):
@@ -290,6 +292,18 @@ class TestRun:
         assert main(["run", str(short_config), "--out", str(out1), "--seed", "3"]) == 0
         assert main(["run", str(short_config), "--out", str(out2), "--seed", "4"]) == 0
         assert out1.read_bytes() != out2.read_bytes()
+
+    def test_seed_seeds_the_noise_stream_alone(self, short_config, tmp_path):
+        clean = tmp_path / "clean.json"
+        write_config(dataclasses.replace(demo_config(), horizon=1.0, noise=None), clean)
+
+        def log_bytes(config, seed):
+            out = tmp_path / "log.csv"
+            assert main(["run", str(config), "--out", str(out), "--seed", seed]) == 0
+            return out.read_bytes()
+
+        assert log_bytes(short_config, "0") != log_bytes(short_config, "1")
+        assert log_bytes(clean, "0") == log_bytes(clean, "1")
 
     def test_no_noise_measurement_equals_truth(self, short_config, tmp_path):
         out = tmp_path / "log.csv"

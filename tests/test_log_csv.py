@@ -5,7 +5,9 @@ line-by-line reader they replaced, kept here as references.
 body in one call, falling back to its line loop; both run the body codec
 (``format_rows``, ``parse_rows``) of the kernel twin in ``plants.kernels``.
 On either twin they must give what the references give: the same bytes,
-the same bits (signed zeros included) or the same error message.
+the same bits (signed zeros included) or the same error message.  A log
+is one read-only row block with a view per column, and a write and
+read-back gives its rows back bit for bit.
 """
 
 import dataclasses
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from loop_runs import DIVERGING_RUNS
 
 from mfclab import (
     CSV_HEADER,
@@ -33,10 +36,7 @@ from mfclab import (
     write_log_csv,
 )
 
-COLUMNS = (
-    "t", "y_d", "y_true", "y_meas", "y_hat", "e", "e_o",
-    "f_true", "f_hat", "e_f", "s", "u", "g",
-)
+COLUMNS = CSV_HEADER.lower().split(",")  # the names of RunLog's column views
 WIDTH = len(COLUMNS)
 
 
@@ -45,9 +45,8 @@ def reference_write_log_csv(log, path):
     row_format = ",".join(["%.17g"] * WIDTH) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        columns = [getattr(log, name) for name in COLUMNS]
-        for row in zip(*columns):
-            fh.write(row_format % row)
+        for row in log.rows:
+            fh.write(row_format % tuple(row))
 
 
 def reference_read_log_csv(path):
@@ -80,14 +79,6 @@ def reference_read_log_csv(path):
         name = CSV_HEADER.split(",")[i % WIDTH]
         raise ValueError(f"{path}, line {lineno}: {name} must be finite, got {rows[i]}")
     return np.frombuffer(rows, dtype=float).reshape(-1, WIDTH)
-
-
-def _log_of(data):
-    return RunLog(**{name: data[:, i].copy() for i, name in enumerate(COLUMNS)})
-
-
-def _rows_of(log):
-    return np.column_stack([getattr(log, name) for name in COLUMNS]).reshape(-1, WIDTH)
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +117,7 @@ class TestWriter:
         data = rng.integers(0, 2**64, size=(n, WIDTH), dtype=np.uint64).view(float)
         mask = rng.random((n, WIDTH)) < special_share
         data[mask] = rng.choice(SPECIAL, size=int(mask.sum()))
-        log = _log_of(data)
+        log = RunLog(data)
         ours, theirs = workdir / "ours.csv", workdir / "theirs.csv"
         write_log_csv(log, ours)
         reference_write_log_csv(log, theirs)
@@ -140,9 +131,7 @@ class TestWriter:
         assert ours.read_bytes() == theirs.read_bytes()
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float32])
-    def test_columns_of_another_dtype_bytes_equal_the_per_row_writer(
-        self, backend, workdir, dtype
-    ):
+    def test_rows_of_another_dtype_bytes_equal_the_per_row_writer(self, backend, workdir, dtype):
         rng = np.random.default_rng(5)
         if dtype is np.int64:  # 2**53 + 1 and beyond round to a double
             data = rng.integers(-(2**63), 2**63 - 1, size=(300, WIDTH), dtype=np.int64)
@@ -150,16 +139,62 @@ class TestWriter:
         else:
             data = rng.standard_normal((300, WIDTH)).astype(np.float32)
             data[0, :4] = [np.float32(0.1), -0.0, np.inf, np.nan]
-        log = _log_of(data)
-        log.t = log.t.astype(float)  # mixed dtypes: one column stays float64
+        log = RunLog(data)
+        assert log.rows.dtype == dtype
         ours, theirs = workdir / "ours.csv", workdir / "theirs.csv"
         write_log_csv(log, ours)
         reference_write_log_csv(log, theirs)
         assert ours.read_bytes() == theirs.read_bytes()
-        log.t = log.t.astype(dtype)  # one dtype throughout
-        write_log_csv(log, ours)
-        reference_write_log_csv(log, theirs)
-        assert ours.read_bytes() == theirs.read_bytes()
+
+
+# a run, a run of no step, and the runs that diverge, each another way
+LAYOUT_RUNS = [
+    (dataclasses.replace(demo_config(), horizon=2.0), False, 0.0),
+    (dataclasses.replace(demo_config(), horizon=0.0), False, 0.0),
+    *DIVERGING_RUNS,
+]
+LAYOUT_IDS = [
+    "demo-2s", "no-step", "diverges-in-rk4", "input-non-finite", "reference",
+    "synthetic-law", "synthetic-plant",
+]
+
+
+def assert_one_row_block(log):
+    """``log.rows`` is a read-only ``(n, 13)`` float64 array, and each name
+    of the CSV header, in header order, is the view of its column."""
+    rows = log.rows
+    assert (rows.shape, rows.dtype, rows.flags.writeable) == ((log.n, WIDTH), float, False)
+    for i, name in enumerate(COLUMNS):
+        column = getattr(log, name)
+        assert column.__array_interface__ == rows[:, i].__array_interface__, name
+        assert np.shares_memory(column, rows) or log.n == 0, name
+        with pytest.raises(ValueError, match="read-only"):
+            column[:] = 0.0
+        with pytest.raises(AttributeError):
+            setattr(log, name, column.copy())
+
+
+class TestLayout:
+    def test_a_log_is_its_rows(self):
+        assert [f.name for f in dataclasses.fields(RunLog)] == ["rows", "diverged", "meta"]
+
+    @pytest.mark.parametrize("run", LAYOUT_RUNS, ids=LAYOUT_IDS)
+    def test_run_and_read_back_hold_one_row_block(self, backend, workdir, run):
+        config, oracle_f, f_hat_bias = run
+        log = run_closed_loop(config, oracle_f=oracle_f, f_hat_bias=f_hat_bias)
+        assert log.n == config.n_records or log.diverged
+        assert_one_row_block(log)
+        path = workdir / "layout.csv"
+        write_log_csv(log, path)
+        back = read_log_csv(path)
+        assert_one_row_block(back)
+        assert back.rows.tobytes() == log.rows.tobytes()
+
+    def test_a_row_buffer_is_taken_without_a_copy(self):
+        buffer = array("d", range(2 * WIDTH))
+        log = RunLog(buffer)
+        assert np.shares_memory(log.rows, np.frombuffer(buffer))
+        assert log.y_d.tolist() == [1.0, 1.0 + WIDTH]
 
 
 # Arabic-Indic digits, which float() reads
@@ -267,7 +302,7 @@ class TestReader:
             raise AssertionError("a written log fell back to the line loop")
 
         monkeypatch.setattr(harness, "_read_lines", unexpected)
-        assert _rows_of(read_log_csv(path)).tobytes() == _rows_of(log).tobytes()
+        assert read_log_csv(path).rows.tobytes() == log.rows.tobytes()
 
     def test_empty_body_warns_nothing(self, backend, workdir):
         path = workdir / "header-only.csv"
@@ -532,7 +567,7 @@ class TestCWithoutInt128:
         path = tmp_path / "log.csv"
         write_log_csv(log, path)
         assert path.read_bytes() == want.read_bytes()
-        assert _rows_of(read_log_csv(path)).tobytes() == _rows_of(log).tobytes()
+        assert read_log_csv(path).rows.tobytes() == log.rows.tobytes()
 
 
 def _outcome(read, path):
@@ -541,5 +576,5 @@ def _outcome(read, path):
         result = read(path)
     except ValueError as exc:
         return ("error", type(exc).__name__, str(exc))
-    rows = result if isinstance(result, np.ndarray) else _rows_of(result)
+    rows = result if isinstance(result, np.ndarray) else result.rows
     return ("rows", rows.shape, rows.tobytes())

@@ -34,6 +34,7 @@ from mfclab import (
     NoiseModel,
     PendulumParams,
     PendulumState,
+    RunLog,
     SyntheticUlmParams,
     _kernels_py,
     controller,
@@ -44,7 +45,6 @@ from mfclab import (
     ulm,
     write_log_csv,
 )
-from mfclab.harness import _log_from_rows
 
 # the kernels fixture hands each example the same module; nothing to reset
 TWIN_SETTINGS = settings(
@@ -77,8 +77,7 @@ def reference_loop(config, oracle_f, f_hat_bias, negate_noise=False):
         return rows, True
     noise = None
     if config.noise is not None:
-        seed = config.seed if config.noise.seed is None else config.noise.seed
-        noise = BumpNoiseStream(config.noise.width, seed)
+        noise = BumpNoiseStream(config.noise.width, config.seed)
     if pendulum:
         state = plant.initial
         y_true, y_hat0 = [state.theta], plant.theta_estimate
@@ -165,7 +164,7 @@ def test_loop_matches_reference_built_from_the_steps(kernels, run, tmp_path_fact
     path = tmp_path_factory.mktemp("loop") / "log.csv"
     with np.errstate(all="ignore"), mock.patch.object(plants, "kernels", kernels):
         rows, diverged = reference_loop(config, oracle_f, f_hat_bias)
-        expected = _log_from_rows(array("d", rows), diverged, {})
+        expected = RunLog(array("d", rows), diverged)
         log = run_closed_loop(config, oracle_f=oracle_f, f_hat_bias=f_hat_bias)
         assert (log.n, log.diverged) == (expected.n, expected.diverged)
         assert _csv_bytes(log, path) == _csv_bytes(expected, path)
@@ -231,8 +230,7 @@ def test_run_is_the_prefix_of_a_longer_run(kernels, run):
         return
     assert log.n == min(n, long.n)
     assert log.diverged == (long.diverged and long.n < n)
-    for name in (*SIGNED, "t", "g"):
-        assert (getattr(long, name)[: log.n] == getattr(log, name)).all(), name
+    assert (long.rows[: log.n] == log.rows).all()
 
 
 @TWIN_SETTINGS
@@ -250,7 +248,7 @@ def test_mirror_image_with_negated_noise_negates_every_signed_column(kernels, ru
         rows, diverged = reference_loop(
             mirrored(config), oracle_f, -f_hat_bias, negate_noise=True
         )
-    image = _log_from_rows(array("d", rows), diverged, {})
+    image = RunLog(array("d", rows), diverged)
     assert (image.n, image.diverged) == (log.n, log.diverged)
     for name in SIGNED:
         assert (getattr(image, name) == -getattr(log, name)).all(), name
