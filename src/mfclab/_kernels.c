@@ -10,12 +10,19 @@
  * here writes each of them inline.  It and the RK4 ``advance`` write the
  * arithmetic expression for expression in the same order, so both
  * backends return the same bits.  ``run_loop`` calls the C library's exp,
- * log, tanh and sqrt, which CPython's ``math`` calls too, and draws the
- * noise from the stream's generator in blocks of 1,024 doubles, as
- * ``plants._bump_sampler`` does.
+ * log, tanh and sqrt, which CPython's ``math`` calls too.
  * That holds when the compiler does not contract a*b + c into a fused
  * multiply-add: setup.py always passes -ffp-contract=off, which matters on
  * targets with FMA (gcc does not contract on plain x86-64).
+ *
+ * ``run_loop`` takes the run's seed and computes the noise stream itself:
+ * the doubles of numpy's ``Generator(PCG64(seed)).random``, from numpy's
+ * SeedSequence hashing of the seed and the PCG64 generator (O'Neill 2014),
+ * in 32- and 64-bit words on every compiler.  The Python twin draws the same
+ * doubles from numpy, and both read them in the order of
+ * ``plants._bump_sampler``.  So the loop makes no Python call once its
+ * arguments are read.  ``tests/oracle.py`` restates the stream stage by
+ * stage.
  *
  * As in the Python twin, the products that do not depend on the state are
  * formed once per call: ``make_params`` derives a11 = mc + mp, mp * lp,
@@ -224,8 +231,7 @@ reference(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 
 /* ---- the SISO closed loop ---------------------------------------------- */
 
-#define ROW 13            /* values per row of the log */
-#define NOISE_BLOCK 1024  /* doubles per call of the noise generator */
+#define ROW 13  /* values per row of the log */
 
 /* A Hölder gain: weight w, margin, a = 1 - 1/exponent. */
 typedef struct {
@@ -252,59 +258,156 @@ influence_of(double total, int adaptive, double value)
     return adaptive ? value * (1.0 + tanh(sqrt(total * total))) : value;
 }
 
-/* The measurement noise: the doubles of ``random`` (a Generator.random),
- * drawn NOISE_BLOCK at a time and read in order. */
+/* The measurement noise: numpy's PCG64 stream, as ``np.random.PCG64(seed)``
+ * seeds it, and the doubles of its ``Generator.random``.  The 128-bit
+ * state and increment are held as 64-bit halves. */
 typedef struct {
-    PyObject *random;
+    uint64_t hi, lo, inc_hi, inc_lo;
     double width;
-    double block[NOISE_BLOCK];
-    int next;
 } Noise;
 
-static int
-draw(Noise *z, double *d)
+/* The high 64 bits of a * b, from 32-bit halves. */
+static inline uint64_t
+mul_hi(uint64_t a, uint64_t b)
 {
-    if (z->next == NOISE_BLOCK) {
-        PyObject *arr = PyObject_CallFunction(z->random, "n", (Py_ssize_t)NOISE_BLOCK);
-        if (arr == NULL)
-            return -1;
-        Py_buffer view;
-        int rc = PyObject_GetBuffer(arr, &view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT);
-        Py_DECREF(arr);
-        if (rc < 0)
-            return -1;
-        rc = view.format != NULL && strcmp(view.format, "d") == 0
-             && view.len == (Py_ssize_t)sizeof z->block;
-        if (rc)
-            memcpy(z->block, view.buf, sizeof z->block);
-        PyBuffer_Release(&view);
-        if (!rc) {
-            PyErr_SetString(PyExc_TypeError, "run_loop(): random(1024) gave no 1024 doubles");
-            return -1;
-        }
-        z->next = 0;
+    uint64_t a0 = a & 0xFFFFFFFFu, a1 = a >> 32, b0 = b & 0xFFFFFFFFu, b1 = b >> 32;
+    uint64_t p01 = a0 * b1, p10 = a1 * b0;
+    uint64_t mid = ((a0 * b0) >> 32) + (p01 & 0xFFFFFFFFu) + (p10 & 0xFFFFFFFFu);
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+}
+
+/* PCG64's 128-bit multiplier, as 64-bit halves */
+#define MULT_HI UINT64_C(2549297995355413924)
+#define MULT_LO UINT64_C(4865540595714422341)
+
+/* state = state * multiplier + inc, mod 2^128. */
+static inline void
+pcg_step(Noise *z)
+{
+    uint64_t lo = z->lo * MULT_LO + z->inc_lo;
+    z->hi = mul_hi(z->lo, MULT_LO) + z->lo * MULT_HI + z->hi * MULT_LO + z->inc_hi
+            + (lo < z->inc_lo);
+    z->lo = lo;
+}
+
+/* The next double of ``Generator.random``: the top 53 bits of the XSL-RR
+ * output of the stepped state, times 2^-53. */
+static inline double
+draw(Noise *z)
+{
+    pcg_step(z);
+    uint64_t x = z->hi ^ z->lo;
+    unsigned r = (unsigned)(z->hi >> 58);
+    x = (x >> r) | (x << (-r & 63));
+    return (double)(x >> 11) * 0x1.0p-53;
+}
+
+/* SeedSequence's hash of a 32-bit word; each call advances ``h``. */
+static inline uint32_t
+hashmix(uint32_t v, uint32_t *h, uint32_t mult)
+{
+    v ^= *h;
+    *h *= mult;
+    v *= *h;
+    return v ^ (v >> 16);
+}
+
+static inline uint32_t
+mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = 0xca01f9ddu * x - 0x4973f715u * y;
+    return r ^ (r >> 16);
+}
+
+/* The 32-bit little-endian word at ``b``. */
+static inline uint32_t
+word_at(const unsigned char *b)
+{
+    return b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16 | (uint32_t)b[3] << 24;
+}
+
+/* ``z`` seeded as ``np.random.PCG64`` seeds it from the ``n`` 32-bit words
+ * of an int seed, little-endian at ``seed``: SeedSequence mixes them into a
+ * pool of four words and hashes the pool into four 64-bit words w0..w3
+ * (generate_state); w2:w3 gives the increment, and w0:w1 is added to the
+ * state between two steps from 0 (pcg64_srandom_r). */
+static void
+seed_noise(const unsigned char *seed, Py_ssize_t n, Noise *z)
+{
+    const uint32_t mult_a = 0x931e8875u, mult_b = 0x58f38dedu;
+    uint32_t pool[4], h = 0x43b0d7e5u;
+    int src, dst;
+    for (dst = 0; dst < 4; dst++)
+        pool[dst] = hashmix(dst < n ? word_at(seed + 4 * dst) : 0, &h, mult_a);
+    for (src = 0; src < 4; src++)
+        for (dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &h, mult_a));
+    for (Py_ssize_t i = 4; i < n; i++)
+        for (dst = 0; dst < 4; dst++)
+            pool[dst] = mix(pool[dst], hashmix(word_at(seed + 4 * i), &h, mult_a));
+    uint64_t w[4];
+    h = 0x8b51f9ddu;
+    for (int i = 0; i < 4; i++) {
+        uint32_t low = hashmix(pool[2 * i % 4], &h, mult_b);
+        w[i] = low | (uint64_t)hashmix(pool[(2 * i + 1) % 4], &h, mult_b) << 32;
     }
-    *d = z->block[z->next++];
-    return 0;
+    z->inc_hi = w[2] << 1 | w[3] >> 63;
+    z->inc_lo = w[3] << 1 | 1;
+    z->hi = z->lo = 0;
+    pcg_step(z);
+    z->lo += w[1];
+    z->hi += w[0] + (z->lo < w[1]);
+    pcg_step(z);
+}
+
+/* ``z`` seeded from ``arg``, an int by the index protocol (a float is a
+ * TypeError) that is not negative (a ValueError), in as many 32-bit words
+ * as SeedSequence splits it into: 0 is one word. */
+static int
+get_noise(PyObject *arg, Noise *z)
+{
+    PyObject *seed = PyNumber_Index(arg), *bits = NULL, *bytes = NULL;
+    if (seed == NULL)
+        return -1;
+    int overflow, rc = -1;
+    long long small = PyLong_AsLongLongAndOverflow(seed, &overflow);
+    if (small == -1 && PyErr_Occurred())
+        goto done;
+    if (overflow < 0 || (overflow == 0 && small < 0)) {
+        PyErr_SetString(PyExc_ValueError, "run_loop() takes a non-negative seed");
+        goto done;
+    }
+    bits = PyObject_CallMethod(seed, "bit_length", NULL);
+    Py_ssize_t n = bits == NULL ? -1 : PyLong_AsSsize_t(bits);
+    if (n < 0)
+        goto done;
+    n = n ? n / 32 + (n % 32 != 0) : 1;
+    bytes = PyObject_CallMethod(seed, "to_bytes", "ns", 4 * n, "little");
+    if (bytes == NULL)
+        goto done;
+    seed_noise((const unsigned char *)PyBytes_AS_STRING(bytes), n, z);
+    rc = 0;
+done:
+    Py_XDECREF(bytes);
+    Py_XDECREF(bits);
+    Py_DECREF(seed);
+    return rc;
 }
 
 /* A sample of ``BumpNoiseStream.sample``: rejection against a uniform
  * envelope, u = -1 + 2 d and h = d of two draws per attempt. */
-static int
-sample(Noise *z, double *v)
+static double
+sample(Noise *z)
 {
     for (;;) {
-        double d, h;
-        if (draw(z, &d) < 0 || draw(z, &h) < 0)
-            return -1;
-        double u = -1.0 + 2.0 * d;
+        double u = -1.0 + 2.0 * draw(z);
+        double h = draw(z);
         double u2 = u * u;
         if (u2 >= 1.0)
             continue;
-        if (h < exp(1.0 - 1.0 / (1.0 - u2))) {
-            *v = 0.5 * z->width * u;
-            return 0;
-        }
+        if (h < exp(1.0 - 1.0 / (1.0 - u2)))
+            return 0.5 * z->width * u;
     }
 }
 
@@ -389,7 +492,8 @@ run_loop(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     /* read for the pendulum alone, where it is set; zeroed, since gcc -O3
      * cannot see that and warns */
     Params p = {0};
-    Noise *noise = NULL;
+    int noisy = args[24] != Py_None;
+    Noise noise = {0};
     Py_buffer y_d_view = {0}, f_view = {0};
     double *rows = NULL, *y_true = NULL, *y_hat = NULL;
     PyObject *result = NULL;
@@ -407,17 +511,8 @@ run_loop(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     if (!pendulum && get_buffer(args[22], n, "f_signal", &f_view) < 0)
         goto done;
-    if (args[24] != Py_None) {
-        noise = PyMem_Malloc(sizeof *noise);
-        if (noise == NULL) {
-            PyErr_NoMemory();
-            goto done;
-        }
-        noise->random = args[24];
-        noise->next = NOISE_BLOCK;
-        if (get_doubles(args + 23, 1, &noise->width) < 0)
-            goto done;
-    }
+    if (noisy && (get_doubles(args + 23, 1, &noise.width) < 0 || get_noise(args[24], &noise) < 0))
+        goto done;
     rows = PyMem_Malloc((size_t)(n * ROW) * sizeof(double));
     y_true = PyMem_Malloc((size_t)(n + 2) * sizeof(double));
     y_hat = PyMem_Malloc((size_t)n * sizeof(double));
@@ -444,10 +539,7 @@ run_loop(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     Py_ssize_t kept = n;
     for (Py_ssize_t k = 0; k < n; k++) {
         double y_k = y_true[k];
-        double v = 0.0;
-        if (noise != NULL && sample(noise, &v) < 0)
-            goto done;
-        double y_m = y_k + v;
+        double y_m = y_k + (noisy ? sample(&noise) : 0.0);
         double y_hat_k = k == 0 ? y_hat0 : y_m + gain(e_o, &obs) * e_o;
         e_o = y_hat_k - y_m;
         y_hat[k] = y_hat_k;
@@ -535,7 +627,6 @@ done:
     PyMem_Free(rows);
     PyMem_Free(y_true);
     PyMem_Free(y_hat);
-    PyMem_Free(noise);
     PyBuffer_Release(&f_view);  /* nothing to release when it was not taken */
     PyBuffer_Release(&y_d_view);
     return result;

@@ -29,9 +29,11 @@ float functions, ``core.float_gain``, ``observers.fts_observer_step``,
 ``ulm.first_order_step`` or ``second_order_step``,
 ``controller.control_rhs_second_order`` and ``influence_gain``, and
 ``plants.synthetic_ulm_plant_step`` or ``_advance`` for the truth, and it
-draws the noise with ``plants._bump_sampler``; the C twin writes the same
-arithmetic inline.  The gains call ``math``'s ``exp``, ``log``, ``tanh``
-and ``sqrt``, which are the C library's, as the C twin calls them.
+draws the noise with ``plants._bump_sampler`` from numpy's
+``Generator(PCG64(seed)).random``; the C twin writes the same arithmetic
+inline and computes the same stream itself.  The gains call ``math``'s
+``exp``, ``log``, ``tanh`` and ``sqrt``, which are the C library's, as the
+C twin calls them.
 
 The codec: ``format_rows`` formats a block with one bytes ``%`` of
 ``%.17g`` fields, and ``parse_rows`` parses the rest of a file with one
@@ -193,7 +195,7 @@ def reference(out, x, theta, x_dot, theta_dot, dt, substeps,
 
 def run_loop(ow, omargin, oa, uw, umargin, ua, cw, cmargin, ca,
              adaptive, influence, mu, second_order, oracle_f, f_hat_bias, dt, n,
-             y_d, y_hat0, truth, params, substeps, f_signal, width, random):
+             y_d, y_hat0, truth, params, substeps, f_signal, width, seed):
     """The ``n`` rows of a closed-loop run, row-major, and whether it
     diverged.
 
@@ -206,8 +208,10 @@ def run_loop(ow, omargin, oa, uw, umargin, ua, cw, cmargin, ca,
     advanced by ``substeps`` RK4 steps per period, and its lag is 1.
     Otherwise (``params`` None) it is the synthetic plant: ``truth`` is
     ``(y0, y1)``, ``f_signal`` the ``n`` values of its forcing, and its lag
-    is 0.  ``random`` is the noise stream's ``Generator.random``, or None
-    for no noise.
+    is 0.  ``seed`` seeds the noise stream, numpy's
+    ``Generator(PCG64(seed))``, whose bump samples of support ``width`` are
+    added to the measurements; None is no noise.  It is an int by the index
+    protocol (a float is a TypeError) and not negative (a ValueError).
 
     At step k the law anchors at j = k - lag: it uses the errors at
     (j, j+1) and y_d[j..j+2], and shapes y[j+2].  F is reconstructed from
@@ -228,7 +232,12 @@ def run_loop(ow, omargin, oa, uw, umargin, ua, cw, cmargin, ca,
     observer_gain = core.float_gain(ow, omargin, oa)
     ulm_gain = core.float_gain(uw, umargin, ua)
     ctl_gain = core.float_gain(cw, cmargin, ca)
-    noise = plants._bump_sampler(width, random) if random is not None else None
+    noise = None
+    if seed is not None:
+        # numpy also takes a str or a sequence as a seed; an int by the index
+        # protocol is what the C twin takes
+        random = np.random.Generator(np.random.PCG64(operator.index(seed))).random
+        noise = plants._bump_sampler(width, random)
     y_d = memoryview(y_d).tolist()
     pendulum = params is not None
     lag = 1 if pendulum else 0

@@ -42,7 +42,6 @@ from .core import (
 )
 from .plants import (
     BACKEND,
-    BumpNoiseStream,
     DivergenceError,
     NoiseModel,
     PendulumParams,
@@ -249,14 +248,13 @@ def _run_loop(config: ExperimentConfig, oracle_f: bool, f_hat_bias: float):
         influence = (False, policy.value)
     else:
         influence = (True, policy.base)
-    width, random = 0.0, None
+    width, seed = 0.0, None
     if config.noise is not None:
-        width = config.noise.width
-        random = BumpNoiseStream(width, config.seed).random
+        width, seed = config.noise.width, config.seed
     return plants.kernels.run_loop(
         *gain_args(config.observer), *gain_args(config.ulm.gain), *gain_args(ctl.gain),
         *influence, ctl.mu, config.ulm.observer_order == SECOND_ORDER, oracle_f, f_hat_bias,
-        dt, n, y_d, y_hat0, truth, params, _SUBSTEPS, f_signal, width, random,
+        dt, n, y_d, y_hat0, truth, params, _SUBSTEPS, f_signal, width, seed,
     )
 
 
@@ -281,6 +279,18 @@ def _first_below(values: np.ndarray) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
+def _rms(values: np.ndarray) -> float:
+    """The root mean square of finite ``values``.  Where the mean square
+    overflows, it is taken of the values scaled by their largest magnitude,
+    which keeps it finite."""
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean(values ** 2)))
+    if math.isinf(rms):
+        scale = np.max(np.abs(values))
+        rms = float(scale * np.sqrt(np.mean((values / scale) ** 2)))
+    return rms
+
+
 def compute_metrics(log: RunLog, transient_cutoff: float) -> RunMetrics:
     """Summary statistics of a run after discarding the transient.
 
@@ -299,12 +309,12 @@ def compute_metrics(log: RunLog, transient_cutoff: float) -> RunMetrics:
     mask = log.t >= transient_cutoff
     return RunMetrics(
         max_abs_e=float(np.max(np.abs(log.e[mask]))),
-        rms_e=float(np.sqrt(np.mean(log.e[mask] ** 2))),
+        rms_e=_rms(log.e[mask]),
         max_abs_e_o=float(np.max(np.abs(log.e_o))),
         max_abs_e_f=float(np.max(np.abs(log.e_f[mask]))),
         first_step_e_o_below=_first_below(log.e_o),
         first_step_e_f_below=_first_below(log.e_f),
-        rms_u=float(np.sqrt(np.mean(log.u ** 2))),
+        rms_u=_rms(log.u),
     )
 
 

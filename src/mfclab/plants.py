@@ -7,7 +7,8 @@ was built, otherwise the pure-Python twin.  Setting the environment
 variable ``MFCLAB_PURE_PYTHON=1`` before import forces the fallback (useful
 for benchmarking and debugging).  ``BACKEND`` names the one in use.  The
 closed loop and the reference run on it, each in one kernel call, so a
-process on the compiled backend never imports the pure-Python twin.
+process on the compiled backend never imports the pure-Python twin or
+``numpy.random``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,32 +124,25 @@ def _desired_theta_samples(plant: PendulumParams, count: int, dt: float) -> np.n
     swing whose amplitude decays slowly through friction.  The samples are
     a function of the arguments alone, so each process keeps the last 16
     references: runs that share the plant constants, initial state, rate
-    and horizon compute theirs once.  The memo keys on the ``repr`` of the raw values, not on ``==``,
-    which holds between ``-0.0`` and ``0.0`` (the first sample, logged as
-    ``-0`` or ``0``).  A failed reference raises and is not kept.  The
-    backend is no part of the key, since both twins give the same bits.
+    and horizon compute theirs once.  The memo keys on the packed bytes of
+    the twelve floats, not on ``==``, which holds between ``-0.0`` and
+    ``0.0`` (the first sample, logged as ``-0`` or ``0``), and on ``count``.
+    A failed reference raises and is not kept.  The backend is no part of
+    the key, since both twins give the same bits.
     """
-    return _theta_samples(
-        _ByBits((plant.as_tuple(), plant.initial.as_tuple(), count, dt))
-    )
+    raw = _KEY.pack(*plant.as_tuple(), *plant.initial.as_tuple(), dt)
+    return _theta_samples(raw, count)
 
 
-class _ByBits(tuple):
-    """A tuple that equals another only when their ``repr``s match, so that
-    ``-0.0`` and ``0.0`` are different keys."""
-
-    def __hash__(self):
-        return hash(repr(self))
-
-    def __eq__(self, other):
-        return repr(self) == repr(other)
+# the memo key of a reference: the seven constants, the initial state and dt
+_KEY = struct.Struct("12d")
 
 
 @functools.lru_cache(maxsize=16)
-def _theta_samples(args: _ByBits) -> np.ndarray:
-    raw_params, raw, count, dt = args
+def _theta_samples(raw: bytes, count: int) -> np.ndarray:
+    *params, x, theta, x_dot, theta_dot, dt = _KEY.unpack(raw)
     thetas = np.empty(count)
-    if not kernels.reference(thetas, *raw, dt, _SUBSTEPS, *raw_params):
+    if not kernels.reference(thetas, x, theta, x_dot, theta_dot, dt, _SUBSTEPS, *params):
         raise DivergenceError("the reference produced a non-finite state")
     thetas.flags.writeable = False
     return thetas
@@ -201,8 +196,10 @@ class BumpNoiseStream:
 
     ``sample`` is a ``_bump_sampler`` of the generator's ``random``: its
     samples are those of two scalar ``uniform`` draws per attempt.  The
-    kernels' ``run_loop`` draws its samples from ``random`` the same way,
-    the Python twin with ``_bump_sampler`` itself.
+    kernels' ``run_loop`` draws the same samples from the seed: the Python
+    twin with ``_bump_sampler`` of numpy's ``Generator(PCG64(seed)).random``,
+    the C twin from the same doubles, which it computes itself.  The loop
+    builds no stream; the tests' reference loop builds this one.
     """
 
     def __init__(self, width: float, seed: int):

@@ -2,9 +2,10 @@
 
 ``loop_runs()`` draws ``(config, oracle_f, f_hat_bias)``: both plants,
 first- and second-order ULM, fixed and adaptive influences, the oracle on
-and off, a bias, noise off, on with the experiment's seed and on with its
-own, and inputs that diverge.  A run has at most ``max_steps + 1`` rows.
-``explicit_examples`` adds an explicit example of each way a run diverges.
+and off, a bias, noise off and on (seeds 0-20), and inputs that diverge.
+A run has at most ``max_steps + 1`` rows.  ``explicit_examples`` adds an
+explicit example of each way a run diverges, ``seed_width_examples`` one
+noisy run per width of seed.
 """
 
 import dataclasses
@@ -148,5 +149,26 @@ DIVERGING_RUNS = (
 def explicit_examples(test):
     """``test`` with an explicit example of each way a run diverges."""
     for run in DIVERGING_RUNS:
+        test = example(run=run)(test)
+    return test
+
+
+# seeds that numpy's SeedSequence splits into 1, 2, 3, 4, 5, 5 and 104
+# 32-bit words: from 5 words on, the words past the fourth are mixed into
+# the pool one by one
+SEEDS_OF_EVERY_WIDTH = (
+    2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128, 10**40, int("1234567890" * 100),
+)
+
+# (config, oracle_f, f_hat_bias) of a noisy demo run per seed
+SEED_WIDTH_RUNS = tuple(
+    (dataclasses.replace(demo_config(seed), horizon=2.0), False, 0.0)
+    for seed in SEEDS_OF_EVERY_WIDTH
+)
+
+
+def seed_width_examples(test):
+    """``test`` with an explicit example of a noisy run per width of seed."""
+    for run in SEED_WIDTH_RUNS:
         test = example(run=run)(test)
     return test

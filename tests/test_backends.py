@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from loop_runs import explicit_examples, loop_runs
+from loop_runs import SEED_WIDTH_RUNS, explicit_examples, loop_runs, seed_width_examples
 from oracle import pendulum_accel
 
 import mfclab
@@ -105,7 +105,7 @@ short = dataclasses.replace(mfclab.read_config(config), horizon=2.0)
 mfclab.write_config(short, config)
 assert cli.main(["run", config, "--out", log]) == 0
 assert cli.main(["metrics", log, "--cutoff", "1"]) == 0
-print(sorted(name for name in sys.modules if name.startswith("mfclab")))
+print(sorted(name for name in sys.modules if name.startswith(("mfclab", "numpy.random"))))
 """
 
 
@@ -122,6 +122,8 @@ def test_compiled_process_never_imports_the_python_twin(compiled_kernels, tmp_pa
     loaded = out.stdout.splitlines()[-1]
     assert "'mfclab._kernels'" in loaded
     assert "mfclab._kernels_py" not in loaded
+    # the demo run is noisy, and the C twin draws its noise itself
+    assert "numpy.random" not in loaded
 
 
 def test_twins_define_the_same_entry_points(compiled_kernels):
@@ -250,20 +252,49 @@ def test_advances_match_stagewise_reference(substeps):
             )
 
 
-@settings(max_examples=150, deadline=None)
-@given(run=loop_runs())
-@explicit_examples
-def test_run_loop_agrees_across_twins(compiled_kernels, run):
-    """Both twins' ``run_loop`` on the arguments the harness passes: the same
-    row bytes, row count and divergence flag."""
+def assert_twins_agree(compiled, run):
+    """The Python twin's and ``compiled``'s ``run_loop`` on the arguments the
+    harness passes for ``run``: the same row bytes, row count and divergence
+    flag."""
     config, oracle_f, f_hat_bias = run
     results = []
-    for twin in (_kernels_py, compiled_kernels):
+    for twin in (_kernels_py, compiled):
         with mock.patch.object(plants, "kernels", twin):
             rows, diverged = harness._run_loop(config, oracle_f, f_hat_bias)
         rows = bytes(rows)
         results.append((rows, len(rows) // (13 * 8), diverged))
     assert results[0] == results[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=loop_runs())
+@explicit_examples
+@seed_width_examples
+def test_run_loop_agrees_across_twins(compiled_kernels, run):
+    assert_twins_agree(compiled_kernels, run)
+
+
+@pytest.mark.parametrize("run", SEED_WIDTH_RUNS, ids=lambda run: f"{run[0].seed.bit_length()}bits")
+def test_every_seed_width_agrees_on_the_build_without_int128(kernels_without_int128, run):
+    assert_twins_agree(kernels_without_int128, run)
+
+
+@pytest.mark.parametrize(
+    "seed, error",
+    [(-1, ValueError), (-(2**70), ValueError), (1.0, TypeError), ("1", TypeError),
+     ([1], TypeError)],
+)
+def test_seed_checked_alike(kernels, seed, error):
+    """``run_loop`` takes an int seed, by the index protocol, that is not
+    negative; numpy's Generator would also take a str or a sequence."""
+    config = dataclasses.replace(demo_config(), plant=SyntheticUlmParams(), horizon=0.1)
+    recorder = mock.Mock(return_value=(b"", False))
+    with mock.patch.object(plants, "kernels", mock.Mock(run_loop=recorder)):
+        harness._run_loop(config, False, 0.0)
+    *args, last = recorder.call_args.args
+    assert last == config.seed
+    with pytest.raises(error):
+        kernels.run_loop(*args, seed)
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -412,6 +412,26 @@ class TestMetricsCommand:
         assert "max_abs_e:" in text
         assert "rms_u:" in text
 
+    def test_a_diverged_log_with_a_huge_input_has_a_finite_rms(self, tmp_path, capsys):
+        """The log of the golden run ``demo-diverging-input``: an input near
+        1e300, whose square overflows."""
+        demo = demo_config()
+        config = tmp_path / "diverging.json"
+        write_config(dataclasses.replace(
+            demo, horizon=1.0, noise=None,
+            controller=dataclasses.replace(
+                demo.controller, influence_policy=FixedInfluence(1e-300)
+            ),
+        ), config)
+        log = tmp_path / "log.csv"
+        assert main(["run", str(config), "--out", str(log)]) == 2
+        capsys.readouterr()
+        assert main(["metrics", str(log), "--cutoff", "0"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rms_u = float(out.split("rms_u: ")[1])
+        assert math.isfinite(rms_u) and rms_u > 1e299
+
     def test_cutoff_beyond_horizon_is_error(self, short_config, tmp_path, capsys):
         out = tmp_path / "log.csv"
         main(["run", str(short_config), "--out", str(out)])

@@ -776,6 +776,20 @@ class TestMetrics:
         assert m.first_step_e_o_below == 0
         assert m.first_step_e_f_below == 0
 
+    @pytest.mark.parametrize(
+        "top, rms", [(1e150, math.sqrt(1e150 * 1e150 / 2)), (1e300, 1e300 * math.sqrt(0.5))]
+    )
+    def test_rms_is_finite_where_the_mean_square_overflows(self, top, rms, recwarn):
+        """Where the mean square is finite, the RMS is its root; where it
+        overflows, the RMS of the scaled values times the scale, with no
+        warning."""
+        rows = np.zeros((2, 13))
+        rows[:, 0] = (0.0, 0.1)
+        rows[:, 5] = rows[:, 11] = (0.0, top)  # e and u
+        m = compute_metrics(RunLog(rows), 0.0)
+        assert m.rms_e == m.rms_u == rms
+        assert not recwarn.list
+
     def test_cutoff_beyond_horizon_rejected(self):
         log = run_closed_loop(dataclasses.replace(demo_config(), horizon=1.0))
         with pytest.raises(ValueError, match="cutoff"):

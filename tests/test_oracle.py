@@ -7,7 +7,11 @@ hand-worked windows of several orders, and at nu = 2 the general law
 agrees with the library's second-order one.  Each float law that the Python
 twin calls equals, compared with ``==``, its numpy counterpart in
 ``oracle`` on drawn inputs, so a change to one law's arithmetic fails
-here by name, not only as a differing run in ``test_loop``."""
+here by name, not only as a differing run in ``test_loop``.
+
+The noise stream's spec, which the C twin restates, matches numpy's
+``SeedSequence`` pool, ``PCG64`` state and ``Generator.random`` for seeds
+of every width."""
 
 import math
 
@@ -16,6 +20,7 @@ import oracle
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from loop_runs import SEEDS_OF_EVERY_WIDTH
 from oracle import (
     UlmObserverState,
     control_rhs_general,
@@ -321,3 +326,12 @@ class TestLibraryStepsEqualOracle:
     def test_synthetic_plant_step(self, y_k, y_kp1, f_k, g_k, u_k):
         expected = oracle.synthetic_ulm_plant_step(y_k, y_kp1, f_k, g_k, u_k)
         assert synthetic_ulm_plant_step(y_k, y_kp1, f_k, g_k, u_k) == expected[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, *SEEDS_OF_EVERY_WIDTH])
+def test_noise_stream_spec_matches_numpy_stage_by_stage(seed):
+    assert oracle.seed_sequence_pool(seed) == np.random.SeedSequence(seed).pool.tolist()
+    state = np.random.PCG64(seed).state["state"]
+    assert oracle.pcg64_state(seed) == (state["state"], state["inc"])
+    expected = np.random.Generator(np.random.PCG64(seed)).random(1000).tolist()
+    assert oracle.pcg64_doubles(seed, 1000) == expected
