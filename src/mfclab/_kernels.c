@@ -3,11 +3,12 @@
  *
  * Twin of ``_kernels_py``: the same four functions, ``reference``,
  * ``run_loop``, ``format_rows`` and ``parse_rows``, with the same argument
- * order.  The Python twin's loop calls the library's float steps
- * (``core.float_gain``, ``observers.fts_observer_step``, ``ulm``'s
- * first- and second-order steps, ``controller.control_rhs_second_order``
- * and ``influence_gain``, ``plants.synthetic_ulm_plant_step``); the loop
- * here writes each of them inline.  It and the RK4 ``advance`` write the
+ * order, and the same two constants, ``SUBSTEPS`` and ``ROW``.  The Python
+ * twin's loop calls the library's float steps (``core.float_gain``,
+ * ``observers.fts_observer_step``, ``ulm``'s first- and second-order steps,
+ * ``controller.control_rhs_second_order`` and ``influence_gain``,
+ * ``plants.synthetic_ulm_plant_step``); the loop here writes each of them
+ * inline.  It and the RK4 ``advance`` write the
  * arithmetic expression for expression in the same order, so both
  * backends return the same bits.  ``run_loop`` calls the C library's exp,
  * log, tanh and sqrt, which CPython's ``math`` calls too.
@@ -57,6 +58,9 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+
+#define SUBSTEPS 10  /* RK4 steps per control period of the truth and the reference */
+#define ROW 13  /* values per row of the log */
 
 /* What the kernels read of the seven pendulum constants (mc, mp, lp, ip,
  * grav, cx, cth in ``PendulumParams.as_tuple()`` order), derived once per
@@ -157,23 +161,7 @@ make_params(const double *c, Params *p)
                   .cx = cx, .cth = cth, .rth = 0.5 * cth, .rx = 0.1 * cx};
 }
 
-/* ``substeps`` by the index protocol, as ``range`` takes it: a float is
- * a TypeError.  Zero is the ZeroDivisionError of ``dt / substeps``. */
-static int
-get_substeps(PyObject *arg, long *n)
-{
-    *n = PyLong_AsLong(arg);
-    if (*n == -1 && PyErr_Occurred())
-        return -1;
-    if (*n == 0) {
-        PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
-        return -1;
-    }
-    return 0;
-}
-
-/* A count by the index protocol, as the Python twin's ``operator.index``
- * and ``range`` take it. */
+/* A count by the index protocol, as the Python twin's ``range`` takes it. */
 static int
 get_count(PyObject *arg, Py_ssize_t *n)
 {
@@ -206,21 +194,19 @@ get_double_buffer(PyObject *obj, int flags, const char *name, Py_buffer *view)
 static PyObject *
 reference(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    double s[5], c[7];
-    long substeps;
+    double s[12];  /* the state, dt, then the seven constants */
     Py_buffer out;
-    if (check_nargs("reference", nargs, 14) < 0 || get_doubles(args + 1, 5, s) < 0
-        || get_substeps(args[6], &substeps) < 0 || get_doubles(args + 7, 7, c) < 0
+    if (check_nargs("reference", nargs, 13) < 0 || get_doubles(args + 1, 12, s) < 0
         || get_double_buffer(args[0], PyBUF_WRITABLE, "reference", &out) < 0)
         return NULL;
     Params p;
-    make_params(c, &p);
+    make_params(s + 5, &p);
     double *theta = out.buf, dt = s[4];
     Py_ssize_t count = out.len / (Py_ssize_t)sizeof(double);
     int finite = 1;
     for (Py_ssize_t k = 0; k < count && finite; k++) {
         if (k > 0)
-            advance(s, 0.0, 1, dt, substeps, &p);
+            advance(s, 0.0, 1, dt, SUBSTEPS, &p);
         finite = isfinite(s[0]) && isfinite(s[1]) && isfinite(s[2]) && isfinite(s[3]);
         if (finite)
             theta[k] = s[1];
@@ -230,8 +216,6 @@ reference(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* ---- the SISO closed loop ---------------------------------------------- */
-
-#define ROW 13  /* values per row of the log */
 
 /* A Hölder gain: weight w, margin, a = 1 - 1/exponent. */
 typedef struct {
@@ -472,7 +456,7 @@ run_loop(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     int adaptive, second_order, oracle_f;
     double influence, mu, f_hat_bias, dt, y_hat0;
     Py_ssize_t n;
-    if (check_nargs("run_loop", nargs, 25) < 0 || get_gain(args, &obs) < 0
+    if (check_nargs("run_loop", nargs, 24) < 0 || get_gain(args, &obs) < 0
         || get_gain(args + 3, &ulm) < 0 || get_gain(args + 6, &ctl) < 0
         || get_flag(args[9], &adaptive) < 0 || get_doubles(args + 10, 1, &influence) < 0
         || get_doubles(args + 11, 1, &mu) < 0 || get_flag(args[12], &second_order) < 0
@@ -488,11 +472,10 @@ run_loop(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     int pendulum = args[20] != Py_None;
     Py_ssize_t lag = pendulum ? 1 : 0;
     double state[4];
-    long substeps = 0;
     /* read for the pendulum alone, where it is set; zeroed, since gcc -O3
      * cannot see that and warns */
     Params p = {0};
-    int noisy = args[24] != Py_None;
+    int noisy = args[23] != Py_None;
     Noise noise = {0};
     Py_buffer y_d_view = {0}, f_view = {0};
     double *rows = NULL, *y_true = NULL, *y_hat = NULL;
@@ -500,8 +483,7 @@ run_loop(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     if (pendulum) {
         double c[7];
         if (get_sequence(args[19], 4, "truth", state) < 0
-            || get_sequence(args[20], 7, "params", c) < 0
-            || get_substeps(args[21], &substeps) < 0)
+            || get_sequence(args[20], 7, "params", c) < 0)
             return NULL;
         make_params(c, &p);
     }
@@ -509,9 +491,9 @@ run_loop(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     if (get_buffer(args[17], n + 2 - lag, "y_d", &y_d_view) < 0)
         return NULL;
-    if (!pendulum && get_buffer(args[22], n, "f_signal", &f_view) < 0)
+    if (!pendulum && get_buffer(args[21], n, "f_signal", &f_view) < 0)
         goto done;
-    if (noisy && (get_doubles(args + 23, 1, &noise.width) < 0 || get_noise(args[24], &noise) < 0))
+    if (noisy && (get_doubles(args + 22, 1, &noise.width) < 0 || get_noise(args[23], &noise) < 0))
         goto done;
     rows = PyMem_Malloc((size_t)(n * ROW) * sizeof(double));
     y_true = PyMem_Malloc((size_t)(n + 2) * sizeof(double));
@@ -605,7 +587,7 @@ run_loop(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
         if (k < n - lag) {
             int finite;
             if (pendulum) {
-                advance(state, u_k, 0, dt, substeps, &p);
+                advance(state, u_k, 0, dt, SUBSTEPS, &p);
                 finite = isfinite(state[0]) && isfinite(state[1]) && isfinite(state[2])
                          && isfinite(state[3]);
                 y_true[k + 1] = state[1];
@@ -928,17 +910,14 @@ static PyObject *
 format_rows(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer view;
-    Py_ssize_t ncols;
-    if (check_nargs("format_rows", nargs, 2) < 0
-        || get_count(args[1], &ncols) < 0
+    if (check_nargs("format_rows", nargs, 1) < 0
         || get_double_buffer(args[0], 0, "format_rows", &view) < 0)
         return NULL;
     PyObject *result = NULL;
     char *out = NULL;
     Py_ssize_t n = view.len / (Py_ssize_t)sizeof(double);
-    if (ncols < 1 || n % ncols != 0) {
-        PyErr_Format(PyExc_ValueError, "format_rows() got %zd values, not rows of %zd", n,
-                     ncols);
+    if (n % ROW != 0) {
+        PyErr_Format(PyExc_ValueError, "format_rows() got %zd values, not rows of %d", n, ROW);
         goto done;
     }
     /* "%.17g" takes at most 24 characters ("-1.2345678901234567e-308"),
@@ -968,7 +947,7 @@ format_rows(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
             PyMem_Free(s);
             used += k;
         }
-        if (col < ncols)
+        if (col < ROW)
             out[used++] = ',';
         else {
             out[used++] = '\n';
@@ -989,18 +968,18 @@ number_char(char c)
 }
 
 /* Parse the body ``s``, a NUL-terminated text whose last byte is '\n',
- * into ``rows`` rows of ``ncols`` doubles ``v``.  Strict rows only: every
+ * into ``rows`` rows of ``ROW`` doubles ``v``.  Strict rows only: every
  * token is a run of [0-9.eE+-] that parse_fast or PyOS_string_to_double
  * reads whole into a finite double, ',' follows each value of a row and
  * '\n' the last.  1 when ``s`` is such rows, 0 when it is not, -1 with an
  * exception set.  ``s`` is only read, and not past its NUL. */
 static int
-parse_body(const char *s, Py_ssize_t rows, Py_ssize_t ncols, double *v)
+parse_body(const char *s, Py_ssize_t rows, double *v)
 {
     const char *p = s;
     for (Py_ssize_t r = 0; r < rows; r++)
-        for (Py_ssize_t c = 0; c < ncols; c++, v++) {
-            char sep = c + 1 < ncols ? ',' : '\n';
+        for (int c = 0; c < ROW; c++, v++) {
+            char sep = c + 1 < ROW ? ',' : '\n';
             const char *q = parse_fast(p, v);
             if (q == NULL || *q != sep) {
                 q = p;
@@ -1029,9 +1008,8 @@ parse_body(const char *s, Py_ssize_t rows, Py_ssize_t ncols, double *v)
 static PyObject *
 parse_rows(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_ssize_t ncols, len;
-    if (check_nargs("parse_rows", nargs, 2) < 0
-        || get_count(args[1], &ncols) < 0)
+    Py_ssize_t len;
+    if (check_nargs("parse_rows", nargs, 1) < 0)
         return NULL;
     PyObject *text = PyObject_CallMethod(args[0], "read", NULL);
     if (text == NULL) {
@@ -1049,15 +1027,15 @@ parse_rows(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     Py_ssize_t rows = 0;
     for (const char *p = s; (p = memchr(p, '\n', s + len - p)) != NULL; p++)
         rows++;
-    if (ncols < 1 || (len && s[len - 1] != '\n') || (rows && ncols > len / 2 / rows)) {
+    if ((len && s[len - 1] != '\n') || (rows && ROW > len / 2 / rows)) {
         result = Py_NewRef(Py_None);
         goto done;
     }
-    result = PyBytes_FromStringAndSize(NULL, rows * ncols * (Py_ssize_t)sizeof(double));
+    result = PyBytes_FromStringAndSize(NULL, rows * ROW * (Py_ssize_t)sizeof(double));
     if (result == NULL)
         goto done;
     double *v = (double *)PyBytes_AS_STRING(result);
-    int ok = parse_body(s, rows, ncols, v);
+    int ok = parse_body(s, rows, v);
     if (ok <= 0)
         Py_SETREF(result, ok ? NULL : Py_NewRef(Py_None));
 done:
@@ -1073,9 +1051,9 @@ static PyMethodDef methods[] = {
                      "the C twin of ``_kernels_py.reference``."),
     ENTRY(run_loop, "The ``n`` rows of a closed-loop run as row-major doubles, and whether it "
                     "diverged; the C twin of ``_kernels_py.run_loop``."),
-    ENTRY(format_rows, "The rows of ``ncols`` values of a C-contiguous float64 ``block`` as CSV "
+    ENTRY(format_rows, "The rows of 13 values of a C-contiguous float64 ``block`` as CSV "
                        "bytes: ``%.17g`` values, ',' between them, '\\n' after each row."),
-    ENTRY(parse_rows, "The rest of the text file ``fh`` as ``ncols``-value rows: the finite "
+    ENTRY(parse_rows, "The rest of the text file ``fh`` as 13-value rows: the finite "
                       "row-major doubles as bytes, or None for a body that is not strict "
                       "rows of ``[0-9.eE+-]`` tokens with a '\\n' after each."),
     {NULL, NULL, 0, NULL},

@@ -3,9 +3,10 @@ reference and the codec of the CSV log's body.
 
 Fallback twin of the compiled extension ``_kernels``; both expose the same
 four functions, ``reference``, ``run_loop``, ``format_rows`` and
-``parse_rows``, with identical argument order.  The loop and the reference
-are plain scalar float math, written with the same arithmetic in the same
-order as the C twin, so both return the same bits.
+``parse_rows``, with identical argument order, and the same two constants,
+``_SUBSTEPS`` and ``_ROW``.  The loop and the reference are plain scalar
+float math, written with the same arithmetic in the same order as the C
+twin, so both return the same bits.
 
 The truth advance of ``run_loop`` and the reference run one substep loop,
 ``_advance``, with the four RK4 stages and the cart-pendulum accelerations
@@ -52,6 +53,9 @@ import numpy as np
 BACKEND_NAME = "python"
 
 _ROW = 13  # values per row of the log
+_SUBSTEPS = 10  # RK4 steps per control period of the truth and the reference
+# the CSV text of one row of the log
+_ROW_FORMAT = b",".join([b"%.17g"] * _ROW) + b"\n"
 
 # no entry points, but perfbench/spans.py looks both names up to wrap them;
 # None, as in the C twin, keeps its traced run going (their metrics read 0)
@@ -149,13 +153,6 @@ def _doubles(buffer, name):
     return view.cast("B").cast("d")
 
 
-def _check_substeps(substeps):
-    """Check ``substeps`` before any advance, as the C twin does: an index,
-    as ``range`` takes it, and 0 raises the error of ``dt / substeps``."""
-    if not operator.index(substeps):
-        raise ZeroDivisionError("float division by zero")
-
-
 def _step(state, force, feedback, dt, substeps, params):
     """The raw ``state`` advanced by ``_advance``, or None for a non-finite
     one.  Where C gives inf or NaN, Python raises: ``math``'s trig on an
@@ -167,24 +164,22 @@ def _step(state, force, feedback, dt, substeps, params):
     return state if all(map(isfinite, state)) else None
 
 
-def reference(out, x, theta, x_dot, theta_dot, dt, substeps,
-              mc, mp, lp, ip, grav, cx, cth):
+def reference(out, x, theta, x_dot, theta_dot, dt, mc, mp, lp, ip, grav, cx, cth):
     """Fill the float64 buffer ``out`` with the angle samples of the
     reference-generating loop, ``out[0]`` being ``theta``, and return
     whether every state was finite.
 
-    Between samples the state advances by ``dt`` in ``substeps`` RK4 steps,
+    Between samples the state advances by ``dt`` in ``_SUBSTEPS`` RK4 steps,
     the force re-evaluated from the state at every stage (continuous
     feedback, no hold).  At the first non-finite state the loop returns
     False, with the samples before it written.
     """
     samples = _doubles(out, "reference")
-    _check_substeps(substeps)
     params = (mc, mp, lp, ip, grav, cx, cth)
     state = (x, theta, x_dot, theta_dot)
     for k in range(len(samples)):
         if k:
-            state = _step(state, 0.0, True, dt, substeps, params)
+            state = _step(state, 0.0, True, dt, _SUBSTEPS, params)
         elif not all(map(isfinite, state)):
             state = None
         if state is None:
@@ -195,7 +190,7 @@ def reference(out, x, theta, x_dot, theta_dot, dt, substeps,
 
 def run_loop(ow, omargin, oa, uw, umargin, ua, cw, cmargin, ca,
              adaptive, influence, mu, second_order, oracle_f, f_hat_bias, dt, n,
-             y_d, y_hat0, truth, params, substeps, f_signal, width, seed):
+             y_d, y_hat0, truth, params, f_signal, width, seed):
     """The ``n`` rows of a closed-loop run, row-major, and whether it
     diverged.
 
@@ -205,7 +200,7 @@ def run_loop(ow, omargin, oa, uw, umargin, ua, cw, cmargin, ca,
     ``influence``.  ``y_d`` is the reference, ``n + 2 - lag`` doubles, and
     ``y_hat0`` the initial estimate.  The plant is the cart-pendulum when
     ``params`` holds its seven constants: ``truth`` is its raw state,
-    advanced by ``substeps`` RK4 steps per period, and its lag is 1.
+    advanced by ``_SUBSTEPS`` RK4 steps per period, and its lag is 1.
     Otherwise (``params`` None) it is the synthetic plant: ``truth`` is
     ``(y0, y1)``, ``f_signal`` the ``n`` values of its forcing, and its lag
     is 0.  ``seed`` seeds the noise stream, numpy's
@@ -242,7 +237,6 @@ def run_loop(ow, omargin, oa, uw, umargin, ua, cw, cmargin, ca,
     pendulum = params is not None
     lag = 1 if pendulum else 0
     if pendulum:
-        _check_substeps(substeps)
         state = tuple(truth)
         y_true = [state[1]]
     else:
@@ -309,7 +303,7 @@ def run_loop(ow, omargin, oa, uw, umargin, ua, cw, cmargin, ca,
         ))
         if k < n - lag:
             if pendulum:
-                state = _step(state, u_k, False, dt, substeps, params)
+                state = _step(state, u_k, False, dt, _SUBSTEPS, params)
                 y_next = nan if state is None else state[1]
             else:
                 y_next = plant_step(y_true[k], y_true[k + 1], f_true_k, g_k, u_k)
@@ -320,19 +314,17 @@ def run_loop(ow, omargin, oa, uw, umargin, ua, cw, cmargin, ca,
     return rows, False
 
 
-def format_rows(block, ncols):
-    """The rows of ``ncols`` values of a C-contiguous float64 ``block`` as CSV
+def format_rows(block):
+    """The rows of ``_ROW`` values of a C-contiguous float64 ``block`` as CSV
     bytes: ``%.17g`` values, ',' between them, '\\n' after each row."""
-    ncols = operator.index(ncols)
     values = _doubles(block, "format_rows")
-    if ncols < 1 or len(values) % ncols:
-        raise ValueError(f"format_rows() got {len(values)} values, not rows of {ncols}")
-    row = b",".join([b"%.17g"] * ncols) + b"\n"
-    return (row * (len(values) // ncols)) % tuple(values)
+    if len(values) % _ROW:
+        raise ValueError(f"format_rows() got {len(values)} values, not rows of {_ROW}")
+    return (_ROW_FORMAT * (len(values) // _ROW)) % tuple(values)
 
 
-def parse_rows(fh, ncols):
-    """The rest of the text file ``fh`` as ``ncols``-value rows: the finite
+def parse_rows(fh):
+    """The rest of the text file ``fh`` as ``_ROW``-value rows: the finite
     row-major doubles as an array, or None for a body that ``loadtxt`` does
     not parse into such rows, an empty one included."""
     # an empty body warns "input contained no data"
@@ -342,6 +334,6 @@ def parse_rows(fh, ncols):
             data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
         except ValueError:
             return None
-    if data.shape[1] != ncols or not np.isfinite(data).all():
+    if data.shape[1] != _ROW or not np.isfinite(data).all():
         return None
     return data

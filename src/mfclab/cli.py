@@ -139,7 +139,3 @@ def main(argv=None) -> int:
         # a MemoryError: a valid config whose arrays cannot be allocated
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -46,7 +46,6 @@ from .plants import (
     NoiseModel,
     PendulumParams,
     SyntheticUlmParams,
-    _SUBSTEPS,
     _desired_theta_samples,
 )
 from .ulm import SECOND_ORDER, UlmConfig
@@ -69,10 +68,7 @@ __all__ = [
 
 CSV_HEADER = "t,y_d,y_true,y_meas,y_hat,e,e_o,F_true,F_hat,e_F,s,u,G"
 
-_COLUMNS = (
-    "t", "y_d", "y_true", "y_meas", "y_hat", "e", "e_o",
-    "f_true", "f_hat", "e_f", "s", "u", "g",
-)
+_COLUMNS = tuple(CSV_HEADER.lower().split(","))
 # rows per ``format_rows`` call in ``write_log_csv``: ~64 KB of text, where
 # the whole log at once would hold megabytes
 _BLOCK_ROWS = 256
@@ -254,7 +250,7 @@ def _run_loop(config: ExperimentConfig, oracle_f: bool, f_hat_bias: float):
     return plants.kernels.run_loop(
         *gain_args(config.observer), *gain_args(config.ulm.gain), *gain_args(ctl.gain),
         *influence, ctl.mu, config.ulm.observer_order == SECOND_ORDER, oracle_f, f_hat_bias,
-        dt, n, y_d, y_hat0, truth, params, _SUBSTEPS, f_signal, width, seed,
+        dt, n, y_d, y_hat0, truth, params, f_signal, width, seed,
     )
 
 
@@ -327,7 +323,7 @@ def write_log_csv(log: RunLog, path) -> None:
     with open(path, "wb") as fh:
         fh.write(CSV_HEADER.encode() + b"\n")
         for start in range(0, log.n, _BLOCK_ROWS):
-            fh.write(plants.kernels.format_rows(rows[start : start + _BLOCK_ROWS], len(_COLUMNS)))
+            fh.write(plants.kernels.format_rows(rows[start : start + _BLOCK_ROWS]))
 
 
 def read_log_csv(path) -> RunLog:
@@ -341,7 +337,7 @@ def read_log_csv(path) -> RunLog:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
-        rows = plants.kernels.parse_rows(fh, len(_COLUMNS))
+        rows = plants.kernels.parse_rows(fh)
         if rows is None:
             # back to the start of the body, which the parser consumed
             fh.seek(0)

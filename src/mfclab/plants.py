@@ -45,10 +45,6 @@ __all__ = [
 ]
 
 
-# RK4 substeps per control period of the cart-pendulum truth and reference
-_SUBSTEPS = 10
-
-
 class DivergenceError(RuntimeError):
     """A simulated trajectory produced a non-finite state."""
 
@@ -116,7 +112,7 @@ class PendulumParams:
 
 def _desired_theta_samples(plant: PendulumParams, count: int, dt: float) -> np.ndarray:
     """First ``count`` angle samples of the reference-generating loop from
-    ``plant.initial``, ``_SUBSTEPS`` RK4 steps per ``dt``, as a read-only
+    ``plant.initial``, the kernels' 10 RK4 steps per ``dt``, as a read-only
     array.
 
     The truth model is driven by a weak state feedback force (re-evaluated
@@ -142,7 +138,7 @@ _KEY = struct.Struct("12d")
 def _theta_samples(raw: bytes, count: int) -> np.ndarray:
     *params, x, theta, x_dot, theta_dot, dt = _KEY.unpack(raw)
     thetas = np.empty(count)
-    if not kernels.reference(thetas, x, theta, x_dot, theta_dot, dt, _SUBSTEPS, *params):
+    if not kernels.reference(thetas, x, theta, x_dot, theta_dot, dt, *params):
         raise DivergenceError("the reference produced a non-finite state")
     thetas.flags.writeable = False
     return thetas

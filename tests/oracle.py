@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from mfclab import FIRST_ORDER, SECOND_ORDER, FixedInfluence, PendulumState, _kernels_py, plants
+from mfclab import FIRST_ORDER, SECOND_ORDER, FixedInfluence, PendulumState, _kernels_py
 from mfclab.core import check_int
 
 
@@ -241,7 +241,7 @@ def pendulum_accel(x, theta, x_dot, theta_dot, force, mc, mp, lp, ip, grav, cx, 
     return xdd, thdd
 
 
-def rk4_advance(state, force, dt, params, substeps=plants._SUBSTEPS):
+def rk4_advance(state, force, dt, params, substeps=_kernels_py._SUBSTEPS):
     """The ``PendulumState`` ``state`` advanced by ``dt`` in ``substeps``
     RK4 steps of the Python twin with ``force`` held, or None for a
     non-finite state."""

@@ -151,37 +151,41 @@ def test_library_calls_every_entry_point():
         assert re.search(rf"\bkernels\.{name}\(", code), name
 
 
-def reference_outcome(twin, state, dt, substeps, params, count):
+def reference_outcome(twin, state, dt, params, count):
     """The hex bits that ``twin.reference`` leaves in a buffer of ``count``
     copies of 1234.5 (the samples it wrote, then 1234.5), and what it
     returned."""
     out = np.full(count, 1234.5)
-    finite = twin.reference(out, *state, dt, substeps, *params)
+    finite = twin.reference(out, *state, dt, *params)
     return [v.hex() for v in out.tolist()], finite
 
 
-@pytest.mark.parametrize("substeps, n", [(1, 400), (2, 400), (10, 400), (250, 20)])
-def test_reference_agrees_across_twins(compiled_kernels, substeps, n):
+# the seeds and sizes of the edge-case draws in the twin parity tests
+EDGE_DRAWS = [(1, 400), (2, 400), (10, 400), (250, 20)]
+
+
+@pytest.mark.parametrize("seed, n", EDGE_DRAWS)
+def test_reference_agrees_across_twins(compiled_kernels, seed, n):
     """From edge-value initial states, dt and constants: the same samples,
     or both twins stop at the same sample."""
     stopped = 0
-    for state, _, dt, params in edge_cases(n=n, seed=substeps):
-        want = reference_outcome(_kernels_py, state, dt, substeps, params, 6)
-        assert reference_outcome(compiled_kernels, state, dt, substeps, params, 6) == want
+    for state, _, dt, params in edge_cases(n=n, seed=seed):
+        want = reference_outcome(_kernels_py, state, dt, params, 6)
+        assert reference_outcome(compiled_kernels, state, dt, params, 6) == want
         stopped += not want[1]
     assert 0 < stopped < n
 
 
 def test_reference_agrees_across_twins_on_the_demo_constants(compiled_kernels):
-    # (0.02, 10) is the closed loop's reference advance at 50 Hz
-    for dt, substeps in ((0.5, 250), (0.02, 10)):
+    # 0.02 is the closed loop's reference advance at 50 Hz
+    for dt in (0.5, 0.02):
         for state, _ in random_states(n=10, seed=3):
-            want = reference_outcome(_kernels_py, state, dt, substeps, PARAMS, 4)
+            want = reference_outcome(_kernels_py, state, dt, PARAMS, 4)
             assert want[1]
-            assert reference_outcome(compiled_kernels, state, dt, substeps, PARAMS, 4) == want
+            assert reference_outcome(compiled_kernels, state, dt, PARAMS, 4) == want
 
 
-def pendulum_rows(twin, state, force, dt, params, substeps, n=4):
+def pendulum_rows(twin, state, force, dt, params, n=4):
     """The rows and divergence flag of ``twin.run_loop`` on a noiseless
     pendulum run of ``n`` rows from the raw ``state``, with the demo gains,
     a zero reference and ``f_hat_bias = -force``.  The first advance holds
@@ -193,21 +197,21 @@ def pendulum_rows(twin, state, force, dt, params, substeps, n=4):
     )
     rows, diverged = twin.run_loop(
         *gains, False, 1.0, 0.35, False, False, -force, dt, n, np.zeros(n + 1), 0.0,
-        state, params, substeps, None, 0.0, None,
+        state, params, None, 0.0, None,
     )
     return np.frombuffer(bytes(rows)), diverged
 
 
-@pytest.mark.parametrize("substeps, n", [(1, 400), (2, 400), (10, 400), (250, 20)])
-def test_held_force_advance_agrees_across_twins(compiled_kernels, substeps, n):
+@pytest.mark.parametrize("seed, n", EDGE_DRAWS)
+def test_held_force_advance_agrees_across_twins(compiled_kernels, seed, n):
     """The C twin's held-force advance, reached through ``run_loop`` from
     edge-value initial truth, dt and constants: the same rows and flag as
     the Python twin's.  A non-finite input stops the loop before it
     advances, so an infinite or NaN force never reaches either advance."""
     advanced = 0
-    for state, force, dt, params in edge_cases(n=n, seed=100 + substeps):
-        rows, diverged = pendulum_rows(_kernels_py, state, force, dt, params, substeps)
-        got, got_diverged = pendulum_rows(compiled_kernels, state, force, dt, params, substeps)
+    for state, force, dt, params in edge_cases(n=n, seed=100 + seed):
+        rows, diverged = pendulum_rows(_kernels_py, state, force, dt, params)
+        got, got_diverged = pendulum_rows(compiled_kernels, state, force, dt, params)
         assert_same_bits(got, rows)
         assert got_diverged == diverged
         advanced += not diverged
@@ -359,15 +363,8 @@ def test_cli_round_trips_alike_beyond_the_fast_range(
 
 
 @pytest.mark.parametrize("count", [0, 1, 2])
-def test_substeps_checked_alike(kernels, count):
+def test_reference_takes_a_c_contiguous_buffer_of_doubles(kernels, count):
     args = (*PendulumState(theta=0.1).as_tuple(), 0.02)
-    # checked before any advance, so for a reference of 0 or 1 samples too
-    with pytest.raises(ZeroDivisionError):
-        kernels.reference(np.empty(count), *args, 0, *PARAMS)
-    # substeps is an index, as ``range`` takes it: a float is a TypeError
-    with pytest.raises(TypeError):
-        kernels.reference(np.empty(count), *args, 10.0, *PARAMS)
-    # the samples go to a C-contiguous buffer of doubles
     for out in (np.empty(count, dtype=np.float32), np.empty((2, 2))[:, 0]):
         with pytest.raises(TypeError, match="C-contiguous buffer of doubles"):
-            kernels.reference(out, *args, 10, *PARAMS)
+            kernels.reference(out, *args, *PARAMS)

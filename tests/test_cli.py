@@ -2,9 +2,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mfclab
 from mfclab import (
     CSV_HEADER,
     ControllerConfig,
@@ -245,6 +250,26 @@ class TestUsage:
         ) == 1
         assert main(["run", str(short_config), "--out", str(after)]) == 0
         assert after.read_bytes() == before.read_bytes()
+
+
+def _python_m(*argv):
+    """``python -m mfclab *argv`` in a fresh interpreter that imports this
+    package: its exit code, stdout bytes and stderr text."""
+    path = [str(Path(mfclab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-m", "mfclab", *argv], capture_output=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+class TestPythonDashM:
+    def test_demo_paper_prints_what_main_prints(self, capsys):
+        assert main(["demo-paper"]) == 0
+        assert _python_m("demo-paper") == (0, capsys.readouterr().out.encode(), "")
+
+    def test_unknown_command_is_one_error_line(self):
+        code, out, err = _python_m("frobnicate")
+        assert (code, out, len(err.splitlines())) == (1, b"", 1)
+        assert err.startswith("error: ")
 
 
 class TestDemoPaper:

@@ -38,6 +38,9 @@ from mfclab import (
 
 COLUMNS = CSV_HEADER.lower().split(",")  # the names of RunLog's column views
 WIDTH = len(COLUMNS)
+# ten values before a row's last three, and after a row's first three
+TEN = "0," * 10
+TEN_TAIL = "".join(f",{i}" for i in range(10)) + "\n"
 
 
 def reference_write_log_csv(log, path):
@@ -352,45 +355,54 @@ class TestBackendsAgree:
             assert _outcome(read_log_csv, path) == want, module.BACKEND_NAME
 
     def test_strict_rows_parse_in_c(self, compiled_kernels):
-        rows = np.array([[0.1, -0.0, 5e-324], [1e308, -2.5, 3.0]])
-        text = "0.10000000000000001,-0,4.9406564584124654e-324\n1e+308,-2.5,3\n"
-        parsed = compiled_kernels.parse_rows(io.StringIO(text), 3)
+        rows = np.array([[0.1, -0.0, 5e-324, *range(10)], [1e308, -2.5, 3.0, *range(10)]])
+        text = ("0.10000000000000001,-0,4.9406564584124654e-324" + TEN_TAIL
+                + "1e+308,-2.5,3" + TEN_TAIL)
+        parsed = compiled_kernels.parse_rows(io.StringIO(text))
         assert parsed == rows.tobytes()
-        assert compiled_kernels.parse_rows(io.StringIO(""), 3) == b""
+        assert compiled_kernels.parse_rows(io.StringIO("")) == b""
 
     @pytest.mark.parametrize(
         "text",
-        ["1,2,3", "1,2,3\n\n", " 1,2,3\n", "1,2,3 \n", "1,2\n", "1,2,3,4\n", "1,2,,3\n",
-         "1,2,nan\n", "1,2,1e999\n", "1,2,1e\n", "1,2,-\n", "1,2,3\x00\n", "1;2;3\n",
-         "1,2,\u0661\n"],
+        [TEN + "1,2,3", TEN + "1,2,3\n\n", " " + TEN + "1,2,3\n", TEN + "1,2,3 \n",
+         TEN + "1,2\n", TEN + "1,2,3,4\n", TEN + "1,2,,3\n", TEN + "1,2,nan\n",
+         TEN + "1,2,1e999\n", TEN + "1,2,1e\n", TEN + "1,2,-\n", TEN + "1,2,3\x00\n",
+         TEN.replace(",", ";") + "1;2;3\n", TEN + "1,2,\u0661\n"],
     )
     def test_anything_else_is_left_to_the_line_loop_in_c(self, compiled_kernels, text):
-        assert compiled_kernels.parse_rows(io.StringIO(text), 3) is None
+        assert compiled_kernels.parse_rows(io.StringIO(text)) is None
 
     def test_format_rows_reads_its_input_only(self, kernels):
-        block = np.array([[0.1, -0.0], [np.nan, 1e300]])
+        block = np.array([[0.1, -0.0, *range(11)], [np.nan, 1e300, *range(11)]])
         block.flags.writeable = False
         before = block.tobytes()
-        text = kernels.format_rows(block, 2)
-        assert text == b"0.10000000000000001,-0\nnan,1.0000000000000001e+300\n"
+        text = kernels.format_rows(block)
+        tail = b"".join(b",%d" % i for i in range(11)) + b"\n"
+        assert text == b"0.10000000000000001,-0" + tail + b"nan,1.0000000000000001e+300" + tail
         assert block.tobytes() == before
 
+    def test_one_row_is_the_header_width(self, kernels):
+        values = np.array([[0.1 * i for i in range(WIDTH - 2)] + [-0.0, 5e-324]])
+        text = kernels.format_rows(values)
+        assert text.count(b"\n") == 1 and len(text.split(b",")) == WIDTH
+        parsed = kernels.parse_rows(io.StringIO(text.decode()))
+        assert np.frombuffer(parsed).tobytes() == values.tobytes()
+        assert len(CSV_HEADER.split(",")) == _kernels_py._ROW
+
     @pytest.mark.parametrize(
-        "block, ncols, error",
+        "block, error",
         [
-            (np.zeros((2, 3))[:, :2], 2, TypeError),  # not C-contiguous
-            (np.zeros((2, 2), dtype=np.float32), 2, TypeError),
-            (np.zeros((2, 2), dtype=">f8"), 2, TypeError),
-            (np.zeros((2, 3)), 4, ValueError),
-            (np.zeros((2, 3)), 0, ValueError),
-            (np.zeros((2, 3)), 3.0, TypeError),
+            (np.zeros((2, 14))[:, :13], TypeError),  # not C-contiguous
+            (np.zeros((2, 13), dtype=np.float32), TypeError),
+            (np.zeros((2, 13), dtype=">f8"), TypeError),
+            (np.zeros((2, 3)), ValueError),  # 6 values are not whole rows
         ],
-        ids=["strided", "float32", "big-endian", "ragged", "no-columns", "float-ncols"],
+        ids=["strided", "float32", "big-endian", "ragged"],
     )
-    def test_format_rows_rejects_alike(self, compiled_kernels, block, ncols, error):
+    def test_format_rows_rejects_alike(self, compiled_kernels, block, error):
         for module in (_kernels_py, compiled_kernels):
             with pytest.raises(error) as info:
-                module.format_rows(block, ncols)
+                module.format_rows(block)
             if module is _kernels_py:
                 want = str(info.value)
             assert str(info.value) == want
@@ -510,12 +522,22 @@ class TestCFastPaths:
 
     @staticmethod
     def assert_formats_like_percent(kernels, values):
-        text = kernels.format_rows(np.array(values, dtype=float), 1)
-        assert text.split(b"\n")[:-1] == [b"%.17g" % x for x in values]
+        """``values`` laid out ``WIDTH`` to a row, the last row padded with 0."""
+        block = np.zeros(-(-len(values) // WIDTH) * WIDTH)
+        block[: len(values)] = values
+        lines = kernels.format_rows(block).split(b"\n")
+        assert lines.pop() == b""
+        assert {len(line.split(b",")) for line in lines} == {WIDTH}
+        fields = b",".join(lines).split(b",")
+        assert fields[: len(values)] == [b"%.17g" % x for x in values]
 
     @staticmethod
     def assert_parses_like_float(kernels, tokens):
-        parsed = kernels.parse_rows(io.StringIO("".join(t + "\n" for t in tokens)), 1)
+        """``tokens`` laid out ``WIDTH`` to a row, the last row padded with 0."""
+        padded = [*tokens, *["0"] * (-len(tokens) % WIDTH)]
+        text = "".join(",".join(padded[i : i + WIDTH]) + "\n"
+                       for i in range(0, len(padded), WIDTH))
+        parsed = kernels.parse_rows(io.StringIO(text))
         got = [x.hex() for x in np.frombuffer(parsed, dtype=float).tolist()]
         assert dict(zip(tokens, got)) == {t: float(t).hex() for t in tokens}
 
