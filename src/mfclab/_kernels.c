@@ -13,8 +13,10 @@
  * backends return the same bits.  ``run_loop`` calls the C library's exp,
  * log, tanh and sqrt, which CPython's ``math`` calls too.
  * That holds when the compiler does not contract a*b + c into a fused
- * multiply-add: setup.py always passes -ffp-contract=off, which matters on
- * targets with FMA (gcc does not contract on plain x86-64).
+ * multiply-add, which it may on targets with FMA (aarch64, or x86-64 with
+ * -march=native): the pragmas after the includes forbid it for this file,
+ * whatever flags the build passes (gcc rejects the standard pragma, so it
+ * gets its own).
  *
  * ``run_loop`` takes the run's seed and computes the noise stream itself:
  * the doubles of numpy's ``Generator(PCG64(seed)).random``, from numpy's
@@ -58,6 +60,12 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
 
 #define SUBSTEPS 10  /* RK4 steps per control period of the truth and the reference */
 #define ROW 13  /* values per row of the log */
@@ -128,28 +136,7 @@ advance(double *s, double force, int feedback, double dt, long n, const Params *
     }
 }
 
-/* ---- argument conversion and results ---------------------------------- */
-
-static int
-check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want)
-{
-    if (nargs == want)
-        return 0;
-    PyErr_Format(PyExc_TypeError, "%s() takes exactly %zd arguments (%zd given)",
-                 name, want, nargs);
-    return -1;
-}
-
-static int
-get_doubles(PyObject *const *args, Py_ssize_t n, double *out)
-{
-    for (Py_ssize_t i = 0; i < n; i++) {
-        out[i] = PyFloat_AsDouble(args[i]);
-        if (out[i] == -1.0 && PyErr_Occurred())
-            return -1;
-    }
-    return 0;
-}
+/* ---- arguments ---------------------------------------------------------- */
 
 /* The Params of the seven constants ``c``. */
 static void
@@ -159,14 +146,6 @@ make_params(const double *c, Params *p)
     double ml = mp * lp;
     *p = (Params){.a11 = mc + mp, .ml = ml, .a22 = ip + ml * lp, .mgl = mp * grav * lp,
                   .cx = cx, .cth = cth, .rth = 0.5 * cth, .rx = 0.1 * cx};
-}
-
-/* A count by the index protocol, as the Python twin's ``range`` takes it. */
-static int
-get_count(PyObject *arg, Py_ssize_t *n)
-{
-    *n = PyNumber_AsSsize_t(arg, PyExc_OverflowError);
-    return *n == -1 && PyErr_Occurred() ? -1 : 0;
 }
 
 /* A C-contiguous buffer of doubles, writable when ``flags`` holds
@@ -192,12 +171,14 @@ get_double_buffer(PyObject *obj, int flags, const char *name, Py_buffer *view)
  * ``out``, the state advanced between samples under the reference
  * feedback; False at the first non-finite state. */
 static PyObject *
-reference(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+reference(PyObject *Py_UNUSED(self), PyObject *args)
 {
     double s[12];  /* the state, dt, then the seven constants */
+    PyObject *buffer;
     Py_buffer out;
-    if (check_nargs("reference", nargs, 13) < 0 || get_doubles(args + 1, 12, s) < 0
-        || get_double_buffer(args[0], PyBUF_WRITABLE, "reference", &out) < 0)
+    if (!PyArg_ParseTuple(args, "Odddddddddddd:reference", &buffer, s, s + 1, s + 2, s + 3,
+                          s + 4, s + 5, s + 6, s + 7, s + 8, s + 9, s + 10, s + 11)
+        || get_double_buffer(buffer, PyBUF_WRITABLE, "reference", &out) < 0)
         return NULL;
     Params p;
     make_params(s + 5, &p);
@@ -395,105 +376,85 @@ sample(Noise *z)
     }
 }
 
-static int
-get_flag(PyObject *arg, int *flag)
-{
-    *flag = PyObject_IsTrue(arg);
-    return *flag < 0 ? -1 : 0;
-}
-
-/* A gain's (w, margin, a). */
-static int
-get_gain(PyObject *const *args, Gain *g)
-{
-    if (get_doubles(args, 1, &g->w) < 0 || get_doubles(args + 1, 1, &g->margin) < 0
-        || get_doubles(args + 2, 1, &g->a) < 0)
-        return -1;
-    return 0;
-}
-
-/* The ``n`` doubles of the sequence ``seq``, named ``what``. */
+/* The ``n`` floats of the sequence ``seq``, named ``what``: a list or a
+ * tuple, or any other sequence, as the Python twin unpacks it. */
 static int
 get_sequence(PyObject *seq, Py_ssize_t n, const char *what, double *out)
 {
     PyObject *fast = PySequence_Fast(seq, "run_loop() takes a sequence of floats");
     if (fast == NULL)
         return -1;
-    int rc = -1;
-    if (PySequence_Fast_GET_SIZE(fast) != n)
+    int rc = 0;
+    if (PySequence_Fast_GET_SIZE(fast) != n) {
         PyErr_Format(PyExc_ValueError, "run_loop() takes %s as %zd floats", what, n);
-    else
-        rc = get_doubles(PySequence_Fast_ITEMS(fast), n, out);
+        rc = -1;
+    }
+    for (Py_ssize_t i = 0; i < n && rc == 0; i++) {
+        out[i] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(fast, i));
+        if (out[i] == -1.0 && PyErr_Occurred())
+            rc = -1;
+    }
     Py_DECREF(fast);
     return rc;
 }
 
-/* A C-contiguous buffer of ``min`` doubles at least, named ``what``. */
-static int
-get_buffer(PyObject *obj, Py_ssize_t min, const char *what, Py_buffer *view)
-{
-    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
-        return -1;
-    if (view->format == NULL || strcmp(view->format, "d") != 0
-        || view->len / (Py_ssize_t)sizeof(double) < min) {
-        PyErr_Format(PyExc_ValueError, "run_loop() takes %s as %zd doubles at least", what,
-                     min);
-        PyBuffer_Release(view);
-        return -1;
-    }
-    return 0;
-}
-
 /* The loop of ``_kernels_py.run_loop``, statement for statement, with the
  * library steps it calls written inline; see its docstring for the
- * arguments.  Where the Python twin's advance raises (trig of an infinite
- * angle, a zero determinant), ``advance`` gives inf or NaN, and the state
- * is checked instead. */
+ * arguments.  ``width`` is read as a float even when ``seed`` is None.
+ * Where the Python twin's advance raises (trig of an infinite angle, a zero
+ * determinant), ``advance`` gives inf or NaN, and the state is checked
+ * instead. */
 static PyObject *
-run_loop(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+run_loop(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Gain obs, ulm, ctl;
     int adaptive, second_order, oracle_f;
     double influence, mu, f_hat_bias, dt, y_hat0;
     Py_ssize_t n;
-    if (check_nargs("run_loop", nargs, 24) < 0 || get_gain(args, &obs) < 0
-        || get_gain(args + 3, &ulm) < 0 || get_gain(args + 6, &ctl) < 0
-        || get_flag(args[9], &adaptive) < 0 || get_doubles(args + 10, 1, &influence) < 0
-        || get_doubles(args + 11, 1, &mu) < 0 || get_flag(args[12], &second_order) < 0
-        || get_flag(args[13], &oracle_f) < 0 || get_doubles(args + 14, 1, &f_hat_bias) < 0
-        || get_doubles(args + 15, 1, &dt) < 0 || get_count(args[16], &n) < 0
-        || get_doubles(args + 18, 1, &y_hat0) < 0)
+    PyObject *y_d_arg, *truth, *params, *f_arg, *seed;
+    Noise noise = {0};
+    if (!PyArg_ParseTuple(args, "dddddddddpddppddnOdOOOdO:run_loop", &obs.w, &obs.margin,
+                          &obs.a, &ulm.w, &ulm.margin, &ulm.a, &ctl.w, &ctl.margin, &ctl.a,
+                          &adaptive, &influence, &mu, &second_order, &oracle_f, &f_hat_bias,
+                          &dt, &n, &y_d_arg, &y_hat0, &truth, &params, &f_arg, &noise.width,
+                          &seed))
         return NULL;
     if (n < 0)
         n = 0;
     if (n > PY_SSIZE_T_MAX / (ROW * (Py_ssize_t)sizeof(double)) - 2)
         return PyErr_NoMemory();
 
-    int pendulum = args[20] != Py_None;
+    int pendulum = params != Py_None;
     Py_ssize_t lag = pendulum ? 1 : 0;
     double state[4];
     /* read for the pendulum alone, where it is set; zeroed, since gcc -O3
      * cannot see that and warns */
     Params p = {0};
-    int noisy = args[23] != Py_None;
-    Noise noise = {0};
+    int noisy = seed != Py_None;
     Py_buffer y_d_view = {0}, f_view = {0};
     double *rows = NULL, *y_true = NULL, *y_hat = NULL;
     PyObject *result = NULL;
     if (pendulum) {
         double c[7];
-        if (get_sequence(args[19], 4, "truth", state) < 0
-            || get_sequence(args[20], 7, "params", c) < 0)
+        if (get_sequence(truth, 4, "truth", state) < 0
+            || get_sequence(params, 7, "params", c) < 0)
             return NULL;
         make_params(c, &p);
     }
-    else if (get_sequence(args[19], 2, "truth", state) < 0)
+    else if (get_sequence(truth, 2, "truth", state) < 0)
         return NULL;
-    if (get_buffer(args[17], n + 2 - lag, "y_d", &y_d_view) < 0)
+    if (get_double_buffer(y_d_arg, 0, "run_loop", &y_d_view) < 0)
         return NULL;
-    if (!pendulum && get_buffer(args[21], n, "f_signal", &f_view) < 0)
+    if (!pendulum && get_double_buffer(f_arg, 0, "run_loop", &f_view) < 0)
         goto done;
-    if (noisy && (get_doubles(args + 22, 1, &noise.width) < 0 || get_noise(args[23], &noise) < 0))
+    if (y_d_view.len / (Py_ssize_t)sizeof(double) < n + 2 - lag
+        || (!pendulum && f_view.len / (Py_ssize_t)sizeof(double) < n)) {
+        PyErr_Format(PyExc_ValueError,
+                     "run_loop() takes y_d as %zd doubles and f_signal as %zd at least",
+                     n + 2 - lag, pendulum ? (Py_ssize_t)0 : n);
+        goto done;
+    }
+    if (noisy && get_noise(seed, &noise) < 0)
         goto done;
     rows = PyMem_Malloc((size_t)(n * ROW) * sizeof(double));
     y_true = PyMem_Malloc((size_t)(n + 2) * sizeof(double));
@@ -907,11 +868,10 @@ parse_fast(const char *Py_UNUSED(s), double *Py_UNUSED(out))
 #endif
 
 static PyObject *
-format_rows(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+format_rows(PyObject *Py_UNUSED(self), PyObject *block)
 {
     Py_buffer view;
-    if (check_nargs("format_rows", nargs, 1) < 0
-        || get_double_buffer(args[0], 0, "format_rows", &view) < 0)
+    if (get_double_buffer(block, 0, "format_rows", &view) < 0)
         return NULL;
     PyObject *result = NULL;
     char *out = NULL;
@@ -1006,12 +966,10 @@ parse_body(const char *s, Py_ssize_t rows, double *v)
 }
 
 static PyObject *
-parse_rows(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+parse_rows(PyObject *Py_UNUSED(self), PyObject *fh)
 {
     Py_ssize_t len;
-    if (check_nargs("parse_rows", nargs, 1) < 0)
-        return NULL;
-    PyObject *text = PyObject_CallMethod(args[0], "read", NULL);
+    PyObject *text = PyObject_CallMethod(fh, "read", NULL);
     if (text == NULL) {
         /* an undecodable body, as the Python twin's parser treats it */
         if (!PyErr_ExceptionMatches(PyExc_ValueError))
@@ -1043,19 +1001,21 @@ done:
     return result;
 }
 
-#define ENTRY(name, doc) {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, doc}
-
 static PyMethodDef methods[] = {
-    ENTRY(reference, "Fill the float64 buffer ``out`` with the angle samples of the "
-                     "reference-generating loop and return whether every state was finite; "
-                     "the C twin of ``_kernels_py.reference``."),
-    ENTRY(run_loop, "The ``n`` rows of a closed-loop run as row-major doubles, and whether it "
-                    "diverged; the C twin of ``_kernels_py.run_loop``."),
-    ENTRY(format_rows, "The rows of 13 values of a C-contiguous float64 ``block`` as CSV "
-                       "bytes: ``%.17g`` values, ',' between them, '\\n' after each row."),
-    ENTRY(parse_rows, "The rest of the text file ``fh`` as 13-value rows: the finite "
-                      "row-major doubles as bytes, or None for a body that is not strict "
-                      "rows of ``[0-9.eE+-]`` tokens with a '\\n' after each."),
+    {"reference", reference, METH_VARARGS,
+     "Fill the float64 buffer ``out`` with the angle samples of the reference-generating "
+     "loop and return whether every state was finite; the C twin of "
+     "``_kernels_py.reference``."},
+    {"run_loop", run_loop, METH_VARARGS,
+     "The ``n`` rows of a closed-loop run as row-major doubles, and whether it diverged; "
+     "the C twin of ``_kernels_py.run_loop``."},
+    {"format_rows", format_rows, METH_O,
+     "The rows of 13 values of a C-contiguous float64 ``block`` as CSV bytes: ``%.17g`` "
+     "values, ',' between them, '\\n' after each row."},
+    {"parse_rows", parse_rows, METH_O,
+     "The rest of the text file ``fh`` as 13-value rows: the finite row-major doubles as "
+     "bytes, or None for a body that is not strict rows of ``[0-9.eE+-]`` tokens with a "
+     "'\\n' after each."},
     {NULL, NULL, 0, NULL},
 };
 

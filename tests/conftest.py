@@ -15,10 +15,9 @@ KERNELS_C = Path(__file__).resolve().parents[1] / "src" / "mfclab" / "_kernels.c
 def _build_kernels(tmp_path_factory, *flags):
     """The tracked ``_kernels.c`` built by gcc into a temporary directory and
     loaded as ``mfclab._kernels``, with the flags that ``setup.py`` compiles
-    it with (Python's own ``CFLAGS``, such as ``-O3 -fwrapv``, and the
-    no-FMA flag), then ``-Wextra`` and ``flags``.  Any compiler warning
-    fails the build; the tests that use it skip only when gcc is not
-    found."""
+    it with (Python's own ``CFLAGS``, such as ``-O3 -fwrapv``), then
+    ``-Wextra`` and ``flags``.  Any compiler warning fails the build; the
+    tests that use it skip only when gcc is not found."""
     gcc = shutil.which("gcc")
     if gcc is None:
         pytest.skip("gcc not found")
@@ -26,7 +25,7 @@ def _build_kernels(tmp_path_factory, *flags):
     target = tmp_path_factory.mktemp("kernels") / f"_kernels{suffix}"
     proc = subprocess.run(
         [gcc, *shlex.split(sysconfig.get_config_var("CFLAGS") or ""), "-shared", "-fPIC",
-         "-Wall", "-Wextra", "-Werror", "-ffp-contract=off", *flags,
+         "-Wall", "-Wextra", "-Werror", *flags,
          f"-I{sysconfig.get_paths()['include']}", str(KERNELS_C), "-lm", "-o", str(target)],
         capture_output=True,
         text=True,
@@ -43,6 +42,14 @@ def _build_kernels(tmp_path_factory, *flags):
 def compiled_kernels(tmp_path_factory):
     """The compiled twin as ``setup.py`` builds it."""
     return _build_kernels(tmp_path_factory)
+
+
+@pytest.fixture(scope="session")
+def contracting_kernels(tmp_path_factory):
+    """The compiled twin built for this CPU with contraction asked for: on a
+    CPU with FMA, gcc fuses a*b + c into one multiply-add wherever the
+    source lets it."""
+    return _build_kernels(tmp_path_factory, "-march=native", "-ffp-contract=fast")
 
 
 @pytest.fixture(scope="session")

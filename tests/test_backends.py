@@ -1,4 +1,6 @@
 import dataclasses
+import inspect
+import io
 import math
 import os
 import re
@@ -283,6 +285,20 @@ def test_every_seed_width_agrees_on_the_build_without_int128(kernels_without_int
     assert_twins_agree(kernels_without_int128, run)
 
 
+SYNTHETIC = dataclasses.replace(demo_config(), plant=SyntheticUlmParams(), horizon=0.1)
+# the names of run_loop's arguments, in order
+RUN_LOOP_PARAMETERS = list(inspect.signature(_kernels_py.run_loop).parameters)
+
+
+def run_loop_args(config):
+    """The arguments ``harness._run_loop`` passes to the kernels'
+    ``run_loop`` for ``config``."""
+    recorder = mock.Mock(return_value=(b"", False))
+    with mock.patch.object(plants.kernels, "run_loop", recorder):
+        harness._run_loop(config, False, 0.0)
+    return list(recorder.call_args.args)
+
+
 @pytest.mark.parametrize(
     "seed, error",
     [(-1, ValueError), (-(2**70), ValueError), (1.0, TypeError), ("1", TypeError),
@@ -291,14 +307,55 @@ def test_every_seed_width_agrees_on_the_build_without_int128(kernels_without_int
 def test_seed_checked_alike(kernels, seed, error):
     """``run_loop`` takes an int seed, by the index protocol, that is not
     negative; numpy's Generator would also take a str or a sequence."""
-    config = dataclasses.replace(demo_config(), plant=SyntheticUlmParams(), horizon=0.1)
-    recorder = mock.Mock(return_value=(b"", False))
-    with mock.patch.object(plants, "kernels", mock.Mock(run_loop=recorder)):
-        harness._run_loop(config, False, 0.0)
-    *args, last = recorder.call_args.args
-    assert last == config.seed
+    *args, last = run_loop_args(SYNTHETIC)
+    assert last == SYNTHETIC.seed
     with pytest.raises(error):
         kernels.run_loop(*args, seed)
+
+
+def entry_point_args(name):
+    """The arguments of a call of the entry point ``name`` that returns."""
+    if name == "reference":
+        return [np.empty(3), *PendulumState(theta=0.1).as_tuple(), 0.02, *PARAMS]
+    if name == "run_loop":
+        return run_loop_args(SYNTHETIC)
+    if name == "format_rows":
+        return [np.zeros((1, _kernels_py._ROW))]
+    return [io.StringIO(",".join(["0"] * _kernels_py._ROW) + "\n")]
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_points_take_their_count_of_arguments_alike(kernels, name):
+    entry_point = getattr(kernels, name)
+    args = entry_point_args(name)
+    for wrong in (args[:-1], [*args, args[-1]]):
+        with pytest.raises(TypeError):
+            entry_point(*wrong)
+    entry_point(*args)
+
+
+@pytest.mark.parametrize("name, value", [("dt", "0.02"), ("n", 2.0)])
+def test_run_loop_rejects_an_argument_of_another_type_alike(kernels, name, value):
+    args = run_loop_args(SYNTHETIC)
+    args[RUN_LOOP_PARAMETERS.index(name)] = value
+    with pytest.raises(TypeError):
+        kernels.run_loop(*args)
+
+
+@pytest.mark.parametrize(
+    "config, name",
+    [(dataclasses.replace(demo_config(), horizon=0.1), "y_d"), (SYNTHETIC, "y_d"),
+     (SYNTHETIC, "f_signal")],
+    ids=["pendulum-y_d", "synthetic-y_d", "synthetic-f_signal"],
+)
+def test_c_run_loop_rejects_a_signal_one_double_short(compiled_kernels, config, name):
+    # the Python twin runs until it reads past the end, an IndexError
+    args = run_loop_args(config)
+    i = RUN_LOOP_PARAMETERS.index(name)
+    compiled_kernels.run_loop(*args)
+    args[i] = args[i][:-1]
+    with pytest.raises(ValueError, match="run_loop\\(\\) takes y_d as"):
+        compiled_kernels.run_loop(*args)
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -111,6 +111,14 @@ def test_log_bytes_pinned_on_compiled_kernels(name, compiled_kernels, monkeypatc
     test_log_bytes_pinned(name, tmp_path)
 
 
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_log_bytes_pinned_on_a_contracting_build(name, contracting_kernels, monkeypatch, tmp_path):
+    # the same bytes whatever the build flags: _kernels.c forbids the
+    # contraction of a*b + c into a fused multiply-add itself
+    monkeypatch.setattr(plants, "kernels", contracting_kernels)
+    test_log_bytes_pinned(name, tmp_path)
+
+
 def _leaf_paths(d, prefix=()):
     for key, value in d.items():
         if isinstance(value, dict):
