@@ -23,14 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from mfclab.core import (
-    check_finite,
-    is_number,
-    is_positive,
-    require_finite,
-    require_int,
-    shown,
-)
+from mfclab.core import check_finite, check_int, is_number, is_positive, shown
 
 
 def as_tuple(name: str, value) -> tuple:
@@ -61,9 +54,12 @@ class LyapunovRecursionSpec:
     max_steps: int = 10_000
 
     def __post_init__(self):
-        require_finite(self, "alpha", ok=lambda a: 0.0 < a < 1.0, rule="lie in (0, 1)")
-        require_finite(self, "c0", ok=lambda c: c >= 0.0, rule="be non-negative")
-        require_int(self, "max_steps", ok=lambda n: n >= 1, rule="be positive")
+        for name, check, ok, rule in (
+            ("alpha", check_finite, lambda a: 0.0 < a < 1.0, "lie in (0, 1)"),
+            ("c0", check_finite, lambda c: c >= 0.0, "be non-negative"),
+            ("max_steps", check_int, lambda n: n >= 1, "be positive"),
+        ):
+            object.__setattr__(self, name, check(name, getattr(self, name), ok, rule))
         ratios = self.ratio_sequence
         if not is_number(ratios):
             ratios = as_tuple("ratio_sequence", ratios)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from .core import HolderGainParams, is_positive, require_finite, require_instance
+from .core import HOLDER_EXPONENT, POSITIVE, HolderGainParams, check_fields, is_positive
 
 __all__ = [
     "FixedInfluence",
@@ -33,7 +33,7 @@ class FixedInfluence:
     value: float
 
     def __post_init__(self):
-        require_finite(self, "value", ok=lambda g: g != 0.0, rule="be nonzero")
+        check_fields(self, value=(lambda g: g != 0.0, "be nonzero"))
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class AdaptiveInfluence:
     base: float
 
     def __post_init__(self):
-        require_finite(self, "base", ok=is_positive, rule="be positive and finite")
+        check_fields(self, base=(is_positive, "be positive and finite"))
 
 
 InfluencePolicy = Union[FixedInfluence, AdaptiveInfluence]
@@ -62,10 +62,8 @@ class ControllerConfig:
     influence_policy: InfluencePolicy
 
     def __post_init__(self):
-        require_instance(self, "influence_policy", FixedInfluence, AdaptiveInfluence)
-        self.gain  # validates margin/exponent
-        require_finite(self, "margin", "exponent")
-        require_finite(self, "mu", ok=lambda mu: 0.0 < mu < 1.0, rule="lie in (0, 1)")
+        mu = (lambda m: 0.0 < m < 1.0, "lie in (0, 1)")
+        check_fields(self, margin=POSITIVE, exponent=HOLDER_EXPONENT, mu=mu)
 
     @cached_property
     def gain(self) -> HolderGainParams:

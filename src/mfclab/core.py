@@ -7,16 +7,20 @@ The central object is the Hölder-continuous gain
 which every observer and the tracking controller reuse with their own
 weight/margin/exponent triple; ``float_gain`` is it as a function on
 floats, the one the loop and the library's steps call.  The module also
-holds the checks that every config constructor stores its numbers with.
+holds ``check_fields``, the one check of every config constructor,
+which reads each field's rule off its annotation.
 The scalar recursion ``c_{k+1} = c_k - a_k * c_k**alpha`` of the
 finite-time convergence argument is in ``claims/analysis.py``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Union
 
 import numpy as np
 
@@ -68,14 +72,6 @@ def shown(value) -> str:
     return " ".join(text.split()) if "\n" in text else text
 
 
-def require_finite(obj, *names: str, ok=None, rule: str = "be finite") -> None:
-    """Store ``float`` of each of the fields ``names`` of the frozen
-    dataclass ``obj``, or raise a ``ValueError`` naming the first that is
-    no finite number; see ``check_finite``."""
-    for name in names:
-        object.__setattr__(obj, name, check_finite(name, getattr(obj, name), ok, rule))
-
-
 def check_finite(name: str, value, ok=None, rule: str = "be finite") -> float:
     """``value`` as a float, or a ``ValueError`` naming ``name`` when it is
     no finite number.
@@ -91,14 +87,6 @@ def check_finite(name: str, value, ok=None, rule: str = "be finite") -> float:
     return float(value)
 
 
-def require_int(obj, *names: str, ok, rule: str) -> None:
-    """Store ``int`` of each of the fields ``names`` of the frozen
-    dataclass ``obj``, or raise a ``ValueError`` naming the first that is
-    no integer or fails ``ok``; see ``check_int``."""
-    for name in names:
-        object.__setattr__(obj, name, check_int(name, getattr(obj, name), ok, rule))
-
-
 def check_int(name: str, value, ok, rule: str) -> int:
     """``value`` as an int, or a ``ValueError`` naming ``name`` when it is
     no integer, which reads "<name> must be an integer, got <value>", or
@@ -112,16 +100,62 @@ def check_int(name: str, value, ok, rule: str) -> int:
     return int(value)
 
 
-def require_instance(obj, name: str, *classes) -> None:
-    """Raise a ``ValueError`` naming the field ``name`` of ``obj`` unless it
-    holds an instance of one of ``classes``, where None admits None.  It
-    reads "<name> must be a <class> or <class>, got <value>", with
-    "boolean" for ``bool``."""
-    value = getattr(obj, name)
-    if not isinstance(value, tuple(type(None) if c is None else c for c in classes)):
-        names = {bool: "boolean", None: "None"}
-        expected = " or ".join(names.get(c) or c.__name__ for c in classes)
-        raise ValueError(f"{name} must be a {expected}, got {shown(value)}")
+@functools.lru_cache(maxsize=None)
+def _field_types(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: (f, hints[f.name]) for f in fields(cls)}
+
+
+@functools.cache
+def _kind(tp) -> tuple:
+    """What the annotation ``tp`` is, as ``harness._decode`` reads it: its
+    kind and the annotation or members it decodes through."""
+    if tp in (float, int, str, bool):
+        return "scalar", tp
+    if is_dataclass(tp):
+        return "dataclass", tp
+    args = typing.get_args(tp)
+    # a Union: an Optional, or one of the tagged dataclasses of harness._KINDS
+    members = tuple(a for a in args if a is not type(None))
+    if len(members) < len(args):
+        return "optional", Union[members]
+    return "tagged", members
+
+
+@functools.cache
+def _admitted(tp) -> tuple:
+    """The classes the annotation ``tp`` admits, and the words "<class> or
+    <class>" that name them, with "boolean" for ``bool``."""
+    classes = typing.get_args(tp) or (tp,)
+    names = {bool: "boolean", type(None): "None"}
+    return classes, " or ".join(names.get(c) or c.__name__ for c in classes)
+
+
+def check_fields(obj, **rules) -> None:
+    """Check each field of the frozen dataclass ``obj`` by its annotation.
+
+    A float field is stored as ``check_finite`` returns it and an int field
+    as ``check_int`` does, each with the ``(ok, rule)`` pair that ``rules``
+    gives its name (a float field without one need only be finite).  A
+    bool, dataclass, Optional or Union field must hold an instance of the
+    annotation's classes, or a ``ValueError`` reads "<name> must be a
+    <class> or <class>, got <value>".  A str field is left to its class.
+    """
+    for name, (_, tp) in _field_types(type(obj)).items():
+        value = getattr(obj, name)
+        if tp is float:
+            object.__setattr__(obj, name, check_finite(name, value, *rules.get(name, ())))
+        elif tp is int:
+            object.__setattr__(obj, name, check_int(name, value, *rules[name]))
+        elif tp is not str:
+            classes, expected = _admitted(tp)
+            if not isinstance(value, classes):
+                raise ValueError(f"{name} must be a {expected}, got {shown(value)}")
+
+
+# the rules of the Hölder gain's weight or margin and of its exponent
+POSITIVE = (is_positive, "be positive")
+HOLDER_EXPONENT = (lambda p: 1.0 < p < 2.0, "lie in (1, 2)")
 
 
 @dataclass(frozen=True)
@@ -137,10 +171,7 @@ class HolderGainParams:
     exponent: float
 
     def __post_init__(self):
-        require_finite(self, "weight", "margin", ok=is_positive, rule="be positive")
-        require_finite(
-            self, "exponent", ok=lambda p: 1.0 < p < 2.0, rule="lie in (1, 2)"
-        )
+        check_fields(self, weight=POSITIVE, margin=POSITIVE, exponent=HOLDER_EXPONENT)
 
 
 def gain_args(params: HolderGainParams) -> tuple:

@@ -18,14 +18,12 @@ differ in where the law anchors:
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import time
-import typing
 import warnings
 from array import array
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -33,12 +31,8 @@ import numpy as np
 from . import plants
 from .controller import AdaptiveInfluence, ControllerConfig, FixedInfluence
 from .core import (
-    HolderGainParams,
-    check_finite,
-    gain_args,
-    require_finite,
-    require_instance,
-    require_int,
+    HolderGainParams, _field_types, _kind, check_fields, check_finite, gain_args, is_finite,
+    is_number, shown,
 )
 from .plants import (
     BACKEND,
@@ -91,18 +85,15 @@ class ExperimentConfig:
     allow_unseparated_gains: bool = False
 
     def __post_init__(self):
-        require_instance(self, "plant", PendulumParams, SyntheticUlmParams)
-        require_instance(self, "observer", HolderGainParams)
-        require_instance(self, "ulm", UlmConfig)
-        require_instance(self, "controller", ControllerConfig)
-        require_instance(self, "noise", NoiseModel, None)
-        require_instance(self, "allow_unseparated_gains", bool)
-        require_finite(self, "sample_rate", ok=lambda r: r > 0.0, rule="be positive")
-        # NaN passes the sign rule, to be reported as not finite
-        require_finite(self, "horizon", ok=lambda h: not h < 0, rule="be non-negative")
+        check_fields(
+            self,
+            # NaN passes the sign rule, to be reported as not finite
+            horizon=(lambda h: not h < 0, "be non-negative"),
+            sample_rate=(lambda r: r > 0.0, "be positive"),
+            seed=(lambda s: s >= 0, "be non-negative"),
+        )
         if not math.isfinite(self.horizon * self.sample_rate):
             raise ValueError("horizon * sample_rate (the record count) overflows")
-        require_int(self, "seed", ok=lambda s: s >= 0, rule="be non-negative")
         separated = (
             self.controller.margin < self.observer.margin
             and self.controller.exponent < self.observer.exponent
@@ -296,13 +287,13 @@ def compute_metrics(log: RunLog, transient_cutoff: float) -> RunMetrics:
     """
     if log.n == 0:
         raise ValueError("log is empty")
-    if math.isnan(transient_cutoff):
-        raise ValueError(f"cutoff must be a number of seconds, got {transient_cutoff}")
-    if transient_cutoff > log.t[-1]:
-        raise ValueError(
-            f"cutoff {transient_cutoff} s lies beyond the horizon {log.t[-1]} s"
-        )
-    mask = log.t >= transient_cutoff
+    cutoff = transient_cutoff
+    # an infinite cutoff is a number of seconds; an int too large for a float is none
+    if not (is_finite(cutoff) or is_number(cutoff) and abs(cutoff) == math.inf):
+        raise ValueError(f"cutoff must be a number of seconds, got {shown(cutoff)}")
+    if cutoff > log.t[-1]:
+        raise ValueError(f"cutoff {cutoff} s lies beyond the horizon {log.t[-1]} s")
+    mask = log.t >= cutoff
     return RunMetrics(
         max_abs_e=float(np.max(np.abs(log.e[mask]))),
         rms_e=_rms(log.e[mask]),
@@ -347,30 +338,32 @@ def read_log_csv(path) -> RunLog:
 
 
 def _read_lines(fh, path) -> array:
-    """The rest of ``fh`` as row-major values, line by line."""
+    """The rest of ``fh`` as row-major values, line by line.  A line that
+    does not parse is reported before a value that is not finite, wherever
+    the two lie."""
     width = len(_COLUMNS)
+    names = CSV_HEADER.split(",")
     rows = array("d")
-    blank = []  # per skipped blank line, the count of values read before it
+    not_finite = None  # the message for the first value that is not finite
     for lineno, line in enumerate(fh, start=2):
         values = line.split(",")
         if len(values) != width:
             if line.isspace():
-                blank.append(len(rows))
                 continue
             raise ValueError(
                 f"{path}, line {lineno}: expected {width} columns, "
                 f"got {len(values)}"
             )
         try:
-            rows.extend(map(float, values))
+            row = list(map(float, values))
         except ValueError as exc:
             raise ValueError(f"{path}, line {lineno}: {exc}") from None
-    finite = np.isfinite(np.frombuffer(rows, dtype=float))
-    if not finite.all():
-        i = int(np.argmin(finite))
-        lineno = i // width + 2 + sum(n <= i for n in blank)
-        name = CSV_HEADER.split(",")[i % width]
-        raise ValueError(f"{path}, line {lineno}: {name} must be finite, got {rows[i]}")
+        rows.extend(row)
+        if not_finite is None and not all(map(math.isfinite, row)):
+            name, value = next((n, v) for n, v in zip(names, row) if not math.isfinite(v))
+            not_finite = f"{path}, line {lineno}: {name} must be finite, got {value}"
+    if not_finite is not None:
+        raise ValueError(not_finite)
     return rows
 
 
@@ -413,31 +406,9 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return _encode(config)
 
 
-@functools.lru_cache(maxsize=None)
-def _field_types(cls) -> dict:
-    hints = typing.get_type_hints(cls)
-    return {f.name: (f, hints[f.name]) for f in fields(cls)}
-
-
 def _type_error(path: str, expected: str, raw) -> ValueError:
     got = _JSON_TYPES.get(type(raw), type(raw).__name__)
     return ValueError(f"{path or 'config'} must be {expected}, got {got}")
-
-
-@functools.cache
-def _kind(tp) -> tuple:
-    """What the annotation ``tp`` is, as ``_decode`` reads it: its kind and
-    the annotation or members it decodes through."""
-    if tp in (float, int, str, bool):
-        return "scalar", tp
-    if is_dataclass(tp):
-        return "dataclass", tp
-    args = typing.get_args(tp)
-    # a Union: an Optional, or one of the tagged dataclasses of _KINDS
-    members = tuple(a for a in args if a is not type(None))
-    if len(members) < len(args):
-        return "optional", Union[members]
-    return "tagged", members
 
 
 def _decode(tp, raw, path: str):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import is_positive, require_finite, require_instance, shown
+from .core import check_fields, is_finite, is_positive, shown
 
 if os.environ.get("MFCLAB_PURE_PYTHON") == "1":
     from . import _kernels_py as kernels
@@ -62,7 +62,7 @@ class PendulumState:
     theta_dot: float = 0.0
 
     def __post_init__(self):
-        require_finite(self, "x", "theta", "x_dot", "theta_dot")
+        check_fields(self)
 
     def as_tuple(self):
         return (self.x, self.theta, self.x_dot, self.theta_dot)
@@ -85,12 +85,13 @@ class PendulumParams:
     theta_estimate: float = 0.102
 
     def __post_init__(self):
-        positive = ("cart_mass", "pend_mass", "half_length", "inertia", "gravity")
-        friction = ("cart_friction", "pend_friction")
-        require_instance(self, "initial", PendulumState)
-        require_finite(self, *positive, *friction, "theta_estimate")
-        require_finite(self, *positive, ok=lambda v: v > 0.0, rule="be positive")
-        require_finite(self, *friction, ok=lambda v: v >= 0.0, rule="be non-negative")
+        # a value that is no finite number passes the sign rules, to be reported as not finite
+        positive = (lambda v: not is_finite(v) or v > 0.0, "be positive")
+        friction = (lambda v: not is_finite(v) or v >= 0.0, "be non-negative")
+        check_fields(
+            self, cart_mass=positive, pend_mass=positive, half_length=positive,
+            inertia=positive, gravity=positive, cart_friction=friction, pend_friction=friction,
+        )
         # worst-case determinant of the mass matrix (cos(theta) = +-1)
         m_l = self.pend_mass * self.half_length
         det_min = (self.cart_mass + self.pend_mass) * (
@@ -154,7 +155,7 @@ class NoiseModel:
     width: float = 0.018
 
     def __post_init__(self):
-        require_finite(self, "width", ok=is_positive, rule="be positive and finite")
+        check_fields(self, width=(is_positive, "be positive and finite"))
 
 
 class BumpNoiseStream:
@@ -219,9 +220,7 @@ class SyntheticUlmParams:
     desired_period: float = 1.0
 
     def __post_init__(self):
-        require_finite(
-            self, "f_value", "f_period", "y0", "y1", "desired_amplitude", "desired_period"
-        )
+        check_fields(self)
         if self.f_mode not in ("zero", "constant", "sine"):
             raise ValueError(f"unknown f_mode {self.f_mode!r}")
         if self.desired_mode not in ("zero", "sine"):

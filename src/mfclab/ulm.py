@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import HolderGainParams, require_finite
+from .core import HOLDER_EXPONENT, POSITIVE, HolderGainParams, check_fields
 
 __all__ = [
     "FIRST_ORDER",
@@ -50,8 +50,7 @@ class UlmConfig:
                 f"observer_order must be '{FIRST_ORDER}' or '{SECOND_ORDER}', "
                 f"got {self.observer_order!r}"
             )
-        self.gain  # validates margin/exponent
-        require_finite(self, "margin", "exponent")
+        check_fields(self, margin=POSITIVE, exponent=HOLDER_EXPONENT)
 
     @cached_property
     def gain(self) -> HolderGainParams:

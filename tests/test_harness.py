@@ -377,6 +377,31 @@ class TestExperimentConfig:
 
 
 class TestConfigRoundTrip:
+    @pytest.mark.parametrize(
+        "config",
+        [demo_config(seed=3), synthetic_config(seed=5, noise=NoiseModel(width=0.01))],
+        ids=["demo", "synthetic"],
+    )
+    def test_each_float_field_is_checked_once(self, config, monkeypatch):
+        """Decoding a config checks each float field of its tree once: no
+        constructor checks a value that another has checked."""
+        checked = []
+        check_finite = mfclab.core.check_finite
+
+        def counting(name, *args):
+            checked.append(name)
+            return check_finite(name, *args)
+
+        monkeypatch.setattr(mfclab.core, "check_finite", counting)
+        assert config_from_dict(config_to_dict(config)) == config
+        floats = [
+            name
+            for obj in _instances(config, {}).values()
+            for name, hint in typing.get_type_hints(type(obj)).items()
+            if hint is float
+        ]
+        assert sorted(checked) == sorted(floats)
+
     def test_demo_round_trip(self, tmp_path):
         cfg = demo_config(seed=3)
         path = tmp_path / "config.json"
@@ -799,6 +824,25 @@ class TestMetrics:
         log = run_closed_loop(dataclasses.replace(demo_config(), horizon=0.0))
         with pytest.raises(ValueError, match="empty"):
             compute_metrics(log, 0.0)
+
+    @pytest.mark.parametrize(
+        "cutoff, shown",
+        [
+            ("1", "'1'"),
+            (None, "None"),
+            (True, "True"),
+            (math.nan, "nan"),
+            (10**400, "an int too large for a float"),
+            (-(10**400), "an int too large for a float"),
+            (np.array([0.1, 0.2]), r"\[0.1 0.2\]"),
+        ],
+        ids=["str", "none", "bool", "nan", "int-1e400", "int--1e400", "array"],
+    )
+    def test_cutoff_that_is_no_number_rejected(self, cutoff, shown):
+        rows = np.zeros((11, 13))
+        rows[:, 0] = np.arange(11) * 0.1
+        with pytest.raises(ValueError, match=f"^cutoff must be a number of seconds, got {shown}$"):
+            compute_metrics(RunLog(rows), cutoff)
 
     def test_cutoff_masks_transient(self):
         log = run_closed_loop(dataclasses.replace(demo_config(seed=2), horizon=3.0))

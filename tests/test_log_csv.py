@@ -296,6 +296,17 @@ class TestReader:
         path.write_bytes(CSV_HEADER.encode() + b"\n" + body)
         assert _outcome(read_log_csv, path) == _outcome(reference_read_log_csv, path)
 
+    def test_a_malformed_line_is_reported_before_an_earlier_non_finite_value(
+        self, backend, workdir
+    ):
+        path = workdir / "two-faults.csv"
+        path.write_text(f"{CSV_HEADER}\n{TEN}0,0,inf\n\n{TEN}0,0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 4: expected 13 columns, got 12$"):
+            read_log_csv(path)
+        path.write_text(f"{CSV_HEADER}\n{TEN}0,0,0\n\n{TEN}0,-inf,nan\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 4: u must be finite, got -inf$"):
+            read_log_csv(path)
+
     def test_a_run_log_is_parsed_in_bulk(self, backend, workdir, monkeypatch):
         log = run_closed_loop(dataclasses.replace(demo_config(), horizon=3.0))
         path = workdir / "run.csv"
