@@ -7,7 +7,8 @@ was built, otherwise the pure-Python twin.  Setting the environment
 variable ``MFCLAB_PURE_PYTHON=1`` before import forces the fallback (useful
 for benchmarking and debugging).  ``BACKEND`` names the one in use.  The
 closed loop and the reference run on it, each in one kernel call, so a
-process on the compiled backend never imports the pure-Python twin or
+process on the compiled backend never imports the pure-Python twin.  Both
+twins compute the noise stream themselves, so no process imports
 ``numpy.random``.
 """
 
@@ -158,6 +159,106 @@ class NoiseModel:
         check_fields(self, width=(is_positive, "be positive and finite"))
 
 
+# the stream of numpy's ``Generator(PCG64(seed)).random``, as the C twin
+# computes it: SeedSequence's hash of the seed into PCG64's state and
+# increment, then the 128-bit LCG (O'Neill 2014) 1,024 steps at a time; a
+# Python int operand takes the uint64 type of its array (NumPy 2's casting)
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+_BLOCK = 1024
+
+
+def _pcg64_seeded(seed: int) -> tuple[int, int]:
+    """The state and increment of ``np.random.PCG64(seed)``: SeedSequence
+    hashes the seed's 32-bit words (0 is one word) into a pool of four and
+    the pool into four 64-bit words; w2:w3 gives the increment, and w0:w1
+    is added to the state between two steps from 0."""
+    words = [seed >> 32 * i & _M32 for i in range(max(1, -(-seed.bit_length() // 32)))]
+    h = 0x43B0D7E5
+
+    def hashmix(v, mult=0x931E8875):
+        nonlocal h
+        v ^= h
+        h = h * mult & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h = 0x8B51F9DD
+    halves = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+    w0, w1, w2, w3 = (halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2))
+    inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+    return ((inc + (w0 << 64 | w1)) * _MULTIPLIER + inc) & _M128, inc
+
+
+def _halves(values: list) -> tuple:
+    """128-bit ints as read-only uint64 arrays: high halves, low halves, and
+    the low and high 32 bits of the low halves."""
+    hi = np.array([v >> 64 for v in values], dtype=np.uint64)
+    lo = np.array([v & _M64 for v in values], dtype=np.uint64)
+    arrays = hi, lo, lo & _M32, lo >> 32
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+@functools.cache
+def _jump_tables() -> tuple:
+    """The halves of M^k and of 1 + M + ... + M^(k-1), for k = 1 ... 1,024
+    and PCG64's multiplier M: k steps from state s give
+    ``M^k s + inc (1 + M + ... + M^(k-1))``.  Built on first use, so a
+    process that never draws noise in Python pays nothing."""
+    power, total, powers, totals = 1, 0, [], []
+    for _ in range(_BLOCK):
+        total = (total + power) & _M128
+        power = power * _MULTIPLIER & _M128
+        powers.append(power)
+        totals.append(total)
+    return _halves(powers), _halves(totals)
+
+
+def _times(table: tuple, s: int) -> tuple:
+    """The halves of ``table * s`` mod 2^128, elementwise; the high half of
+    each 64x64-bit low product is summed from 32-bit partial products."""
+    hi, lo, lo0, lo1 = table
+    s_lo = s & _M64
+    b0, b1 = s_lo & _M32, s_lo >> 32
+    t = lo1 * b0 + (lo0 * b0 >> 32)
+    w = (t & _M32) + lo0 * b1
+    mul_hi = lo1 * b1 + (t >> 32) + (w >> 32)
+    return mul_hi + lo * (s >> 64) + hi * s_lo, lo * s_lo
+
+
+def _pcg64_blocks(seed: int):
+    """The doubles of ``Generator(PCG64(seed)).random``, 1,024 to a list:
+    each block jumps from the state its last draw left, and a draw is the
+    top 53 bits of the XSL-RR output of its state, times 2^-53."""
+    state, inc = _pcg64_seeded(seed)
+    powers, totals = _jump_tables()
+    inc_hi, inc_lo = _times(totals, inc)
+    while True:
+        hi, lo = _times(powers, state)
+        lo += inc_lo
+        hi += inc_hi
+        hi += (lo < inc_lo).astype(np.uint64)
+        x = hi ^ lo
+        r = hi >> 58
+        x = x >> r | x << (64 - r & 63)
+        yield ((x >> 11).astype(np.float64) * 2.0**-53).tolist()
+        state = int(hi[-1]) << 64 | int(lo[-1])
+
+
 class BumpNoiseStream:
     """Seeded stream of bump-distributed samples.
 
@@ -169,23 +270,24 @@ class BumpNoiseStream:
     The seed is an int by the index protocol (a float is a TypeError) and
     not negative (a ValueError), as the kernels' ``run_loop`` takes it.
     The doubles are those of numpy's ``Generator(PCG64(seed)).random``,
-    drawn 1,024 at a time; each attempt takes ``u = -1 + 2 d`` and
-    ``h = d`` from the next two: the bits of ``uniform(-1, 1)`` and
-    ``uniform(0, 1)``.  The Python twin's ``run_loop`` draws its noise from
-    this stream; the C twin computes the same doubles itself and reads them
-    in the same order.  The stream holds the generator's draws, not itself,
-    so it is freed without the cyclic collector.
+    computed here without ``numpy.random``, 1,024 at a time; each attempt
+    takes ``u = -1 + 2 d`` and ``h = d`` from the next two: the bits of
+    ``uniform(-1, 1)`` and ``uniform(0, 1)``.  The Python twin's
+    ``run_loop`` draws its noise from this stream; the C twin computes the
+    same doubles itself and reads them in the same order.  The stream holds
+    a generator of the blocks, not itself, so it is freed without the
+    cyclic collector.
     """
 
     def __init__(self, width: float, seed: int):
         if not is_positive(width):
             raise ValueError(f"width must be positive and finite, got {shown(width)}")
-        self.width = width
         # numpy would also take a str or a sequence; the C twin takes an int
-        random = np.random.Generator(np.random.PCG64(operator.index(seed))).random
-        self._draw = itertools.chain.from_iterable(
-            iter(lambda: random(1024).tolist(), None)
-        ).__next__
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {shown(seed)}")
+        self.width = width
+        self._draw = itertools.chain.from_iterable(_pcg64_blocks(seed)).__next__
 
     def sample(self) -> float:
         """The next sample of the stream."""

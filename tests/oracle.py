@@ -250,7 +250,8 @@ def rk4_advance(state, force, dt, params, substeps=_kernels_py._SUBSTEPS):
 
 
 # numpy's noise stream, ``Generator(PCG64(seed)).random``, stage by stage
-# in Python ints, as the C twin computes it in 32- and 64-bit words
+# in Python ints, as both twins compute it: the C twin in 32- and 64-bit
+# words, the Python twin 1,024 draws at a time in numpy uint64 halves
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
 

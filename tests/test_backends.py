@@ -98,17 +98,18 @@ def test_env_override_forces_python_backend():
     assert out.stdout.strip() == "python"
 
 
-# run in a fresh interpreter: the compiled twin registered as
-# ``mfclab._kernels`` before the package is imported, then every command
-COMPILED_PROCESS = """
+# run in a fresh interpreter: on the compiled backend the twin registered
+# as ``mfclab._kernels`` before the package is imported, then every command
+BACKEND_PROCESS = """
 import dataclasses, importlib.util, sys
-kernels_path, config, log = sys.argv[1:]
-spec = importlib.util.spec_from_file_location("mfclab._kernels", kernels_path)
-sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(sys.modules[spec.name])
+backend, kernels_path, config, log = sys.argv[1:]
+if kernels_path:
+    spec = importlib.util.spec_from_file_location("mfclab._kernels", kernels_path)
+    sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[spec.name])
 import mfclab
 from mfclab import cli
-assert mfclab.BACKEND == "compiled"
+assert mfclab.BACKEND == backend
 assert cli.main(["demo-paper", "--out", config]) == 0
 short = dataclasses.replace(mfclab.read_config(config), horizon=2.0)
 mfclab.write_config(short, config)
@@ -118,20 +119,28 @@ print(sorted(name for name in sys.modules if name.startswith(("mfclab", "numpy.r
 """
 
 
-def test_compiled_process_never_imports_the_python_twin(compiled_kernels, tmp_path):
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_process_never_imports_the_other_twin_or_numpy_random(request, backend, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(mfclab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     ))
     env.pop("MFCLAB_PURE_PYTHON", None)
+    kernels_path = ""
+    if backend == "python":
+        env["MFCLAB_PURE_PYTHON"] = "1"
+    else:
+        kernels_path = request.getfixturevalue("compiled_kernels").__file__
     out = subprocess.run(
-        [sys.executable, "-c", COMPILED_PROCESS, compiled_kernels.__file__,
+        [sys.executable, "-c", BACKEND_PROCESS, backend, kernels_path,
          str(tmp_path / "demo.json"), str(tmp_path / "log.csv")],
         capture_output=True, text=True, env=env, check=True,
     )
     loaded = out.stdout.splitlines()[-1]
-    assert "'mfclab._kernels'" in loaded
-    assert "mfclab._kernels_py" not in loaded
-    # the demo run is noisy, and the C twin draws its noise itself
+    twins = ["'mfclab._kernels_py'", "'mfclab._kernels'"]
+    own, other = twins if backend == "python" else twins[::-1]
+    assert own in loaded
+    assert other not in loaded
+    # the demo run is noisy, and each twin computes its noise stream itself
     assert "numpy.random" not in loaded
 
 

@@ -9,9 +9,9 @@ twin calls equals, compared with ``==``, its numpy counterpart in
 ``oracle`` on drawn inputs, so a change to one law's arithmetic fails
 here by name, not only as a differing run in ``test_loop``.
 
-The noise stream's spec, which the C twin restates, matches numpy's
+The noise stream's spec, which both twins compute, matches numpy's
 ``SeedSequence`` pool, ``PCG64`` state and ``Generator.random`` for seeds
-of every width."""
+of every width, and so do the library's doubles."""
 
 import math
 
@@ -45,6 +45,7 @@ from mfclab import (
     fts_observer_step,
     gain_args,
     influence_gain,
+    plants,
     second_order_step,
     synthetic_ulm_plant_step,
 )
@@ -335,3 +336,5 @@ def test_noise_stream_spec_matches_numpy_stage_by_stage(seed):
     assert oracle.pcg64_state(seed) == (state["state"], state["inc"])
     expected = np.random.Generator(np.random.PCG64(seed)).random(1000).tolist()
     assert oracle.pcg64_doubles(seed, 1000) == expected
+    # the library's stream, which the Python twin draws its noise from
+    assert next(plants._pcg64_blocks(seed))[:1000] == expected

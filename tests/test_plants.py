@@ -16,6 +16,7 @@ from mfclab import (
     PendulumParams,
     PendulumState,
     SyntheticUlmParams,
+    _kernels_py,
     plants,
     synthetic_ulm_plant_step,
 )
@@ -273,7 +274,8 @@ class TestBumpNoise:
                 out.append(0.5 * width * u)
         return out
 
-    @pytest.mark.parametrize("seed", [0, 7, 123])
+    # seeds of one to five 32-bit words
+    @pytest.mark.parametrize("seed", [0, 7, 123, 2**32, 2**64 + 5, 2**128 - 1, 3**90])
     def test_scalar_samples_match_uniform_draws(self, seed):
         # 3,000 samples take ~13,000 doubles, across a dozen 1,024 blocks
         stream = BumpNoiseStream(width=0.018, seed=seed)
@@ -308,6 +310,10 @@ class TestBumpNoise:
         with pytest.raises((TypeError, ValueError)) as from_stream:
             BumpNoiseStream(width=0.018, seed=seed)
         assert from_stream.type is from_run_loop.type
+        if seed == -1:
+            assert str(from_stream.value) == "seed must be non-negative, got -1"
+        if kernels is _kernels_py:
+            assert str(from_run_loop.value) == str(from_stream.value)
 
 
 class TestSyntheticPlant:
