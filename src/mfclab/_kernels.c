@@ -21,10 +21,10 @@
  * ``run_loop`` takes the run's seed and computes the noise stream itself:
  * the doubles of numpy's ``Generator(PCG64(seed)).random``, from numpy's
  * SeedSequence hashing of the seed and the PCG64 generator (O'Neill 2014),
- * in 32- and 64-bit words on every compiler.  The Python twin draws the
- * same doubles through ``plants.BumpNoiseStream``, and ``sample`` reads
+ * whose 128-bit LCG steps in ``unsigned __int128``.  The Python twin draws
+ * the same doubles through ``plants.BumpNoiseStream``, and ``sample`` reads
  * them in its order.  So the loop makes no Python call once its arguments
- * are read.  ``tests/oracle.py`` restates the stream stage by stage.
+ * are read.
  *
  * As in the Python twin, the products that do not depend on the state are
  * formed once per call: ``make_params`` derives a11 = mc + mp, mp * lp,
@@ -50,11 +50,16 @@
  * division when they leave the rounding undecided.  Any other token goes to
  * PyOS_string_to_double, which ``float`` and numpy's ``loadtxt`` run; for a
  * body that is not strict rows it returns None, and the caller reads the
- * file line by line.  A compiler without ``unsigned __int128`` builds the
- * PyOS calls alone.
+ * file line by line.
  *
- * Build in place with ``python setup.py build_ext --inplace``.
+ * Build in place with ``python setup.py build_ext --inplace``.  A compiler
+ * without ``unsigned __int128`` (MSVC, 32-bit targets) stops at the #error
+ * below, and mfclab runs its pure-Python twin, as it does with no compiler.
  */
+
+#ifndef __SIZEOF_INT128__
+#error "_kernels.c needs unsigned __int128; without it mfclab runs its pure-Python twin"
+#endif
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -65,6 +70,8 @@
 #elif defined(__GNUC__)
 #pragma GCC optimize("fp-contract=off")
 #endif
+
+typedef unsigned __int128 u128;
 
 #define SUBSTEPS 10  /* RK4 steps per control period of the truth and the reference */
 #define ROW 13  /* values per row of the log */
@@ -223,45 +230,24 @@ influence_of(double total, int adaptive, double value)
 }
 
 /* The measurement noise: numpy's PCG64 stream, as ``np.random.PCG64(seed)``
- * seeds it, and the doubles of its ``Generator.random``.  The 128-bit
- * state and increment are held as 64-bit halves. */
+ * seeds it, and the doubles of its ``Generator.random``. */
 typedef struct {
-    uint64_t hi, lo, inc_hi, inc_lo;
+    u128 state, inc;
     double width;
 } Noise;
 
-/* The high 64 bits of a * b, from 32-bit halves. */
-static inline uint64_t
-mul_hi(uint64_t a, uint64_t b)
-{
-    uint64_t a0 = a & 0xFFFFFFFFu, a1 = a >> 32, b0 = b & 0xFFFFFFFFu, b1 = b >> 32;
-    uint64_t p01 = a0 * b1, p10 = a1 * b0;
-    uint64_t mid = ((a0 * b0) >> 32) + (p01 & 0xFFFFFFFFu) + (p10 & 0xFFFFFFFFu);
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
-}
+/* PCG64's multiplier */
+#define MULT ((u128)UINT64_C(2549297995355413924) << 64 | UINT64_C(4865540595714422341))
 
-/* PCG64's 128-bit multiplier, as 64-bit halves */
-#define MULT_HI UINT64_C(2549297995355413924)
-#define MULT_LO UINT64_C(4865540595714422341)
-
-/* state = state * multiplier + inc, mod 2^128. */
-static inline void
-pcg_step(Noise *z)
-{
-    uint64_t lo = z->lo * MULT_LO + z->inc_lo;
-    z->hi = mul_hi(z->lo, MULT_LO) + z->lo * MULT_HI + z->hi * MULT_LO + z->inc_hi
-            + (lo < z->inc_lo);
-    z->lo = lo;
-}
-
-/* The next double of ``Generator.random``: the top 53 bits of the XSL-RR
- * output of the stepped state, times 2^-53. */
+/* The next double of ``Generator.random``: the state stepped as
+ * state * MULT + inc, mod 2^128, then the top 53 bits of its XSL-RR output,
+ * times 2^-53. */
 static inline double
 draw(Noise *z)
 {
-    pcg_step(z);
-    uint64_t x = z->hi ^ z->lo;
-    unsigned r = (unsigned)(z->hi >> 58);
+    z->state = z->state * MULT + z->inc;
+    uint64_t hi = (uint64_t)(z->state >> 64), x = hi ^ (uint64_t)z->state;
+    unsigned r = (unsigned)(hi >> 58);
     x = (x >> r) | (x << (-r & 63));
     return (double)(x >> 11) * 0x1.0p-53;
 }
@@ -294,7 +280,8 @@ word_at(const unsigned char *b)
  * of an int seed, little-endian at ``seed``: SeedSequence mixes them into a
  * pool of four words and hashes the pool into four 64-bit words w0..w3
  * (generate_state); w2:w3 gives the increment, and w0:w1 is added to the
- * state between two steps from 0 (pcg64_srandom_r). */
+ * state between two steps from 0 (pcg64_srandom_r), the first of which
+ * gives inc. */
 static void
 seed_noise(const unsigned char *seed, Py_ssize_t n, Noise *z)
 {
@@ -316,13 +303,8 @@ seed_noise(const unsigned char *seed, Py_ssize_t n, Noise *z)
         uint32_t low = hashmix(pool[2 * i % 4], &h, mult_b);
         w[i] = low | (uint64_t)hashmix(pool[(2 * i + 1) % 4], &h, mult_b) << 32;
     }
-    z->inc_hi = w[2] << 1 | w[3] >> 63;
-    z->inc_lo = w[3] << 1 | 1;
-    z->hi = z->lo = 0;
-    pcg_step(z);
-    z->lo += w[1];
-    z->hi += w[0] + (z->lo < w[1]);
-    pcg_step(z);
+    z->inc = ((u128)w[2] << 64 | w[3]) << 1 | 1;
+    z->state = (z->inc + ((u128)w[0] << 64 | w[1])) * MULT + z->inc;
 }
 
 /* ``z`` seeded from ``arg``, an int by the index protocol (a float is a
@@ -339,7 +321,7 @@ get_noise(PyObject *arg, Noise *z)
     if (small == -1 && PyErr_Occurred())
         goto done;
     if (overflow < 0 || (overflow == 0 && small < 0)) {
-        PyErr_SetString(PyExc_ValueError, "run_loop() takes a non-negative seed");
+        PyErr_Format(PyExc_ValueError, "seed must be non-negative, got %S", seed);
         goto done;
     }
     bits = PyObject_CallMethod(seed, "bit_length", NULL);
@@ -581,9 +563,6 @@ done:
 }
 
 /* ---- the CSV log's body codec ------------------------------------------ */
-
-#ifdef __SIZEOF_INT128__
-typedef unsigned __int128 u128;
 
 /* 5^n (n <= 32) and 10^n (n <= 22); for n = 1..26 the bit length b of 5^n
  * and the 128-bit reciprocal floor(2^(127+b) / 5^n), whose top bit is set.
@@ -858,19 +837,6 @@ parse_fast(const char *s, double *out)
     *out = neg ? -x : x;
     return p;
 }
-#else
-static inline int
-format_fast(double Py_UNUSED(x), char *Py_UNUSED(out))
-{
-    return 0;
-}
-
-static inline const char *
-parse_fast(const char *Py_UNUSED(s), double *Py_UNUSED(out))
-{
-    return NULL;
-}
-#endif
 
 static PyObject *
 format_rows(PyObject *Py_UNUSED(self), PyObject *block)
@@ -1035,7 +1001,6 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__kernels(void)
 {
-#ifdef __SIZEOF_INT128__
     pow5[0] = pow10[0] = 1;
     for (int n = 1; n < 33; n++)
         pow5[n] = 5 * pow5[n - 1];
@@ -1049,7 +1014,6 @@ PyInit__kernels(void)
         inv5[n] = quo << 64 | ((num - quo * pow5[n]) << 64) / pow5[n];
         pow5_bits[n] = b;
     }
-#endif
     PyObject *m = PyModule_Create(&module);
     /* no entry points, but perfbench/spans.py looks both names up to wrap
      * them; None, as in the Python twin, keeps its traced run going */

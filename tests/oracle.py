@@ -247,76 +247,3 @@ def rk4_advance(state, force, dt, params, substeps=_kernels_py._SUBSTEPS):
     non-finite state."""
     raw = _kernels_py._step(state.as_tuple(), force, False, dt, substeps, params.as_tuple())
     return None if raw is None else PendulumState(*raw)
-
-
-# numpy's noise stream, ``Generator(PCG64(seed)).random``, stage by stage
-# in Python ints, as both twins compute it: the C twin in 32- and 64-bit
-# words, the Python twin 1,024 draws at a time in numpy uint64 halves
-_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def seed_words(seed):
-    """The 32-bit words of an int seed, least significant first; 0 is one
-    word."""
-    words = [seed & _M32]
-    while seed > _M32:
-        seed >>= 32
-        words.append(seed & _M32)
-    return words
-
-
-def _hasher(h, mult):
-    """SeedSequence's word hash, whose constant ``h`` advances per call."""
-    def hashmix(v):
-        nonlocal h
-        v ^= h
-        h = h * mult & _M32
-        v = v * h & _M32
-        return v ^ v >> 16
-    return hashmix
-
-
-def _mix(x, y):
-    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-    return r ^ r >> 16
-
-
-def seed_sequence_pool(seed):
-    """``np.random.SeedSequence(seed).pool``, as a list."""
-    words = seed_words(seed)
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    return pool
-
-
-def pcg64_state(seed):
-    """``np.random.PCG64(seed).state["state"]``: its ``state`` and ``inc``."""
-    pool = seed_sequence_pool(seed)
-    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
-    halves = [hashmix(pool[i % 4]) for i in range(8)]
-    w0, w1, w2, w3 = (halves[2 * i] | halves[2 * i + 1] << 32 for i in range(4))
-    inc = ((w2 << 64 | w3) << 1 | 1) & _M128
-    state = inc  # one step from 0
-    state = (state + (w0 << 64 | w1)) & _M128
-    return (state * PCG64_MULTIPLIER + inc) & _M128, inc
-
-
-def pcg64_doubles(seed, count):
-    """The first ``count`` doubles of ``Generator(PCG64(seed)).random``."""
-    state, inc = pcg64_state(seed)
-    out = []
-    for _ in range(count):
-        state = (state * PCG64_MULTIPLIER + inc) & _M128
-        hi = state >> 64
-        x, r = hi ^ (state & _M64), hi >> 58
-        x = (x >> r | x << (64 - r)) & _M64
-        out.append((x >> 11) * 2.0**-53)
-    return out

@@ -156,6 +156,14 @@ def test_twins_define_the_same_entry_points(compiled_kernels):
         assert public == ENTRY_POINTS
 
 
+def test_a_compiler_without_int128_is_refused(build_without_int128):
+    """``setup.py``'s optional build then fails, and mfclab runs its
+    pure-Python twin."""
+    assert build_without_int128.returncode != 0
+    assert ("_kernels.c needs unsigned __int128; without it mfclab runs its pure-Python twin"
+            in build_without_int128.stderr)
+
+
 def test_library_calls_every_entry_point():
     """Each entry point has a caller in ``src/mfclab`` outside the twins, so
     a twin holds no function that the library does not run."""
@@ -297,22 +305,13 @@ def test_run_loop_agrees_across_twins(compiled_kernels, run):
 
 
 @pytest.mark.parametrize("run", SEED_WIDTH_RUNS, ids=lambda run: f"{run[0].seed.bit_length()}bits")
-def test_every_seed_width_agrees_on_the_build_without_int128(kernels_without_int128, run):
-    assert_twins_agree(kernels_without_int128, run)
-
-
-@pytest.mark.parametrize(
-    "seed, error",
-    [(-1, ValueError), (-(2**70), ValueError), (1.0, TypeError), ("1", TypeError),
-     ([1], TypeError)],
-)
-def test_seed_checked_alike(kernels, seed, error):
-    """``run_loop`` takes an int seed, by the index protocol, that is not
-    negative; numpy's Generator would also take a str or a sequence."""
-    *args, last = run_loop_args(SYNTHETIC)
-    assert last == SYNTHETIC.seed
-    with pytest.raises(error):
-        kernels.run_loop(*args, seed)
+@pytest.mark.parametrize("build", ["compiled_kernels", "contracting_kernels"])
+def test_every_seed_width_agrees_on_each_build(request, build, run):
+    """The C twin's noise stream, one 128-bit LCG seeded from the seed's
+    32-bit words, draws the Python twin's noise at every width of seed,
+    as ``setup.py`` builds it and as a build for this CPU with contraction
+    asked for compiles its 128-bit multiplies."""
+    assert_twins_agree(request.getfixturevalue(build), run)
 
 
 @pytest.mark.parametrize("width", [0.0, -0.018, -math.inf, math.inf, math.nan, True])

@@ -581,22 +581,34 @@ class TestCFastPaths:
         self.assert_parses_like_float(compiled_kernels, tokens)
 
 
-class TestCWithoutInt128:
-    """The C twin built without ``unsigned __int128`` writes and reads every
-    value through PyOS_double_to_string and PyOS_string_to_double."""
+
+class TestCContractingBuild:
+    """The C writer and reader built for this CPU with contraction asked
+    for give the bytes of ``%.17g`` and the bits of ``float`` too, through
+    their 128-bit integer paths and their PyOS calls alike."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(any_double, min_size=1, max_size=50))
+    def test_any_double_formats_like_percent(self, contracting_kernels, values):
+        TestCFastPaths.assert_formats_like_percent(contracting_kernels, values)
 
     @pytest.mark.parametrize("case", FORMAT_CASES)
-    def test_limits_format_like_percent(self, kernels_without_int128, case):
-        TestCFastPaths.assert_formats_like_percent(kernels_without_int128, FORMAT_CASES[case])
+    def test_limits_format_like_percent(self, contracting_kernels, case):
+        TestCFastPaths.assert_formats_like_percent(contracting_kernels, FORMAT_CASES[case])
 
-    def test_limits_parse_like_float(self, kernels_without_int128):
-        TestCFastPaths.assert_parses_like_float(kernels_without_int128, _token_cases())
+    def test_limits_parse_like_float(self, contracting_kernels):
+        TestCFastPaths.assert_parses_like_float(contracting_kernels, _token_cases())
 
-    def test_run_log_round_trips(self, kernels_without_int128, monkeypatch, tmp_path):
+    @settings(max_examples=300, deadline=None)
+    @given(tokens=st.lists(number_tokens(), min_size=1, max_size=30))
+    def test_any_token_parses_like_float(self, contracting_kernels, tokens):
+        TestCFastPaths.assert_parses_like_float(contracting_kernels, tokens)
+
+    def test_run_log_round_trips(self, contracting_kernels, monkeypatch, tmp_path):
         log = run_closed_loop(dataclasses.replace(demo_config(), horizon=4.0))
         want = tmp_path / "reference.csv"
         reference_write_log_csv(log, want)
-        monkeypatch.setattr(plants, "kernels", kernels_without_int128)
+        monkeypatch.setattr(plants, "kernels", contracting_kernels)
         path = tmp_path / "log.csv"
         write_log_csv(log, path)
         assert path.read_bytes() == want.read_bytes()

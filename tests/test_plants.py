@@ -16,7 +16,6 @@ from mfclab import (
     PendulumParams,
     PendulumState,
     SyntheticUlmParams,
-    _kernels_py,
     plants,
     synthetic_ulm_plant_step,
 )
@@ -301,19 +300,22 @@ class TestBumpNoise:
         with pytest.raises(ValueError):
             BumpNoiseStream(width=-1.0, seed=0)
 
-    @pytest.mark.parametrize("seed", [-1, 1.0, "1", [1]], ids=["-1", "1.0", "str", "list"])
+    @pytest.mark.parametrize(
+        "seed", [-1, -(2**70), 1.0, "1", [1]], ids=["-1", "-2**70", "1.0", "str", "list"]
+    )
     def test_seed_taken_as_run_loop_takes_it(self, kernels, seed):
-        # numpy would take the str and the list as seeds
+        """Both twins' ``run_loop`` take an int seed, by the index protocol,
+        that is not negative, and word a bad one as ``BumpNoiseStream``
+        does; numpy would also take the str and the list as seeds."""
         *args, _ = run_loop_args(SYNTHETIC)
         with pytest.raises((TypeError, ValueError)) as from_run_loop:
             kernels.run_loop(*args, seed)
         with pytest.raises((TypeError, ValueError)) as from_stream:
             BumpNoiseStream(width=0.018, seed=seed)
         assert from_stream.type is from_run_loop.type
+        assert str(from_run_loop.value) == str(from_stream.value)
         if seed == -1:
             assert str(from_stream.value) == "seed must be non-negative, got -1"
-        if kernels is _kernels_py:
-            assert str(from_run_loop.value) == str(from_stream.value)
 
 
 class TestSyntheticPlant:

@@ -11,9 +11,13 @@ Every run is printed, then, for each end-to-end metric of that file: both
 medians, the parent's interquartile range, the pairs the change wins and
 loses (by the metric's ``better``; a tie counts for neither), whether a
 claimed gain would hold (at least ten pairs, 9 in 10 of them won, and a
-median gap wider than the parent's IQR) and whether the change stays
-within the metric's bound (its median worse than the parent's by at most
-``bound`` times the parent's).
+median gap wider than the parent's IQR) and a verdict on the metric's
+bound: ``within`` when the change's median is worse than the parent's by
+at most ``bound`` times the parent's, ``OUTSIDE`` when it is worse by more,
+and ``unresolved`` in place of ``within`` when the parent's IQR is wider
+than that bound, unless every run of the change beats every run of the
+parent: so wide a spread cannot tell a loss the size of the bound from
+noise.
 
 Exit codes: 0 every run was ``correct``; 1 a run was not, or printed no
 result.  Nothing is written beyond the ignored ``perfbench/_build`` and
@@ -62,6 +66,9 @@ def summarize(parent: list, change: list, metrics: list) -> list:
         old_median, new_median = statistics.median(old), statistics.median(new)
         wins = sum(sign * (b - a) > 0.0 for a, b in zip(old, new))
         losses = sum(sign * (b - a) < 0.0 for a, b in zip(old, new))
+        bound = spec["bound"] * abs(old_median)
+        within = sign * (new_median - old_median) >= -bound
+        beats_all = min(sign * b for b in new) > max(sign * a for a in old)
         rows.append({
             "metric": name,
             "parent_median": old_median,
@@ -72,7 +79,8 @@ def summarize(parent: list, change: list, metrics: list) -> list:
             "pairs": len(old),
             "claim_holds": len(old) >= 10 and wins >= math.ceil(0.9 * len(old))
             and sign * (new_median - old_median) > q3 - q1,
-            "within_bound": sign * (new_median - old_median) >= -spec["bound"] * abs(old_median),
+            "verdict": "OUTSIDE" if not within
+            else "unresolved" if q3 - q1 > bound and not beats_all else "within",
         })
     return rows
 
@@ -106,7 +114,7 @@ def main(argv=None) -> int:
             f"{row['metric']}: parent {row['parent_median']:.6g} (IQR {q1:.6g}-{q3:.6g}), "
             f"change {row['change_median']:.6g}; change won {row['wins']}, lost {row['losses']} "
             f"of {row['pairs']}; claim {'holds' if row['claim_holds'] else 'does not hold'}; "
-            f"{'within' if row['within_bound'] else 'OUTSIDE'} its bound"
+            f"bound: {row['verdict']}"
         )
     return 0
 
