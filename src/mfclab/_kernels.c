@@ -18,13 +18,13 @@
  * whatever flags the build passes (gcc rejects the standard pragma, so it
  * gets its own).
  *
- * ``run_loop`` takes the run's seed and computes the noise stream itself:
- * the doubles of numpy's ``Generator(PCG64(seed)).random``, from numpy's
- * SeedSequence hashing of the seed and the PCG64 generator (O'Neill 2014),
- * whose 128-bit LCG steps in ``unsigned __int128``.  The Python twin draws
- * the same doubles through ``plants.BumpNoiseStream``, and ``sample`` reads
- * them in its order.  So the loop makes no Python call once its arguments
- * are read.
+ * ``run_loop`` draws the run's noise itself, the doubles of numpy's
+ * ``Generator(PCG64(seed)).random``: ``plants._noise_state(width, seed)``
+ * checks both and gives PCG64's state and increment, once per run, and the
+ * generator (O'Neill 2014) steps as one 128-bit LCG in ``unsigned __int128``.
+ * The Python twin draws the same doubles through ``plants.BumpNoiseStream``,
+ * and ``sample`` reads them in its order.  So the loop makes no Python call
+ * once its noise is seeded.
  *
  * As in the Python twin, the products that do not depend on the state are
  * formed once per call: ``make_params`` derives a11 = mc + mp, mp * lp,
@@ -229,8 +229,7 @@ influence_of(double total, int adaptive, double value)
     return adaptive ? value * (1.0 + tanh(sqrt(total * total))) : value;
 }
 
-/* The measurement noise: numpy's PCG64 stream, as ``np.random.PCG64(seed)``
- * seeds it, and the doubles of its ``Generator.random``. */
+/* The measurement noise: PCG64's state and increment, and the width. */
 typedef struct {
     u128 state, inc;
     double width;
@@ -252,92 +251,39 @@ draw(Noise *z)
     return (double)(x >> 11) * 0x1.0p-53;
 }
 
-/* SeedSequence's hash of a 32-bit word; each call advances ``h``. */
-static inline uint32_t
-hashmix(uint32_t v, uint32_t *h, uint32_t mult)
-{
-    v ^= *h;
-    *h *= mult;
-    v *= *h;
-    return v ^ (v >> 16);
-}
-
-static inline uint32_t
-mix(uint32_t x, uint32_t y)
-{
-    uint32_t r = 0xca01f9ddu * x - 0x4973f715u * y;
-    return r ^ (r >> 16);
-}
-
-/* The 32-bit little-endian word at ``b``. */
-static inline uint32_t
-word_at(const unsigned char *b)
-{
-    return b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16 | (uint32_t)b[3] << 24;
-}
-
-/* ``z`` seeded as ``np.random.PCG64`` seeds it from the ``n`` 32-bit words
- * of an int seed, little-endian at ``seed``: SeedSequence mixes them into a
- * pool of four words and hashes the pool into four 64-bit words w0..w3
- * (generate_state); w2:w3 gives the increment, and w0:w1 is added to the
- * state between two steps from 0 (pcg64_srandom_r), the first of which
- * gives inc. */
-static void
-seed_noise(const unsigned char *seed, Py_ssize_t n, Noise *z)
-{
-    const uint32_t mult_a = 0x931e8875u, mult_b = 0x58f38dedu;
-    uint32_t pool[4], h = 0x43b0d7e5u;
-    int src, dst;
-    for (dst = 0; dst < 4; dst++)
-        pool[dst] = hashmix(dst < n ? word_at(seed + 4 * dst) : 0, &h, mult_a);
-    for (src = 0; src < 4; src++)
-        for (dst = 0; dst < 4; dst++)
-            if (src != dst)
-                pool[dst] = mix(pool[dst], hashmix(pool[src], &h, mult_a));
-    for (Py_ssize_t i = 4; i < n; i++)
-        for (dst = 0; dst < 4; dst++)
-            pool[dst] = mix(pool[dst], hashmix(word_at(seed + 4 * i), &h, mult_a));
-    uint64_t w[4];
-    h = 0x8b51f9ddu;
-    for (int i = 0; i < 4; i++) {
-        uint32_t low = hashmix(pool[2 * i % 4], &h, mult_b);
-        w[i] = low | (uint64_t)hashmix(pool[(2 * i + 1) % 4], &h, mult_b) << 32;
-    }
-    z->inc = ((u128)w[2] << 64 | w[3]) << 1 | 1;
-    z->state = (z->inc + ((u128)w[0] << 64 | w[1])) * MULT + z->inc;
-}
-
-/* ``z`` seeded from ``arg``, an int by the index protocol (a float is a
- * TypeError) that is not negative (a ValueError), in as many 32-bit words
- * as SeedSequence splits it into: 0 is one word. */
+/* The int ``v``, 0 <= v < 2^128, as a u128. */
 static int
-get_noise(PyObject *arg, Noise *z)
+get_u128(PyObject *v, u128 *out)
 {
-    PyObject *seed = PyNumber_Index(arg), *bits = NULL, *bytes = NULL;
-    if (seed == NULL)
+    PyObject *high = PyObject_CallMethod(v, "__rshift__", "i", 64);
+    if (high == NULL)
         return -1;
-    int overflow, rc = -1;
-    long long small = PyLong_AsLongLongAndOverflow(seed, &overflow);
-    if (small == -1 && PyErr_Occurred())
-        goto done;
-    if (overflow < 0 || (overflow == 0 && small < 0)) {
-        PyErr_Format(PyExc_ValueError, "seed must be non-negative, got %S", seed);
-        goto done;
+    *out = (u128)PyLong_AsUnsignedLongLongMask(high) << 64 | PyLong_AsUnsignedLongLongMask(v);
+    Py_DECREF(high);
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+/* ``z`` seeded from the state and increment of
+ * ``mfclab.plants._noise_state(width, seed)``, which checks both and
+ * raises as ``BumpNoiseStream`` does. */
+static int
+get_noise(PyObject *width, PyObject *seed, Noise *z)
+{
+    PyObject *plants = PyImport_ImportModule("mfclab.plants");
+    if (plants == NULL)
+        return -1;
+    PyObject *pair = PyObject_CallMethod(plants, "_noise_state", "OO", width, seed);
+    Py_DECREF(plants);
+    if (pair == NULL)
+        return -1;
+    PyObject *state, *inc;
+    int rc = -1;
+    if (PyArg_ParseTuple(pair, "OO", &state, &inc) && get_u128(state, &z->state) == 0
+        && get_u128(inc, &z->inc) == 0) {
+        z->width = PyFloat_AsDouble(width);
+        rc = z->width == -1.0 && PyErr_Occurred() ? -1 : 0;
     }
-    bits = PyObject_CallMethod(seed, "bit_length", NULL);
-    Py_ssize_t n = bits == NULL ? -1 : PyLong_AsSsize_t(bits);
-    if (n < 0)
-        goto done;
-    n = n ? n / 32 + (n % 32 != 0) : 1;
-    bytes = PyObject_CallMethod(seed, "to_bytes", "ns", 4 * n, "little");
-    if (bytes == NULL)
-        goto done;
-    seed_noise((const unsigned char *)PyBytes_AS_STRING(bytes), n, z);
-    rc = 0;
-done:
-    Py_XDECREF(bytes);
-    Py_XDECREF(bits);
-    Py_DECREF(seed);
+    Py_DECREF(pair);
     return rc;
 }
 
@@ -381,7 +327,7 @@ get_sequence(PyObject *seq, Py_ssize_t n, const char *what, double *out)
 
 /* The loop of ``_kernels_py.run_loop``, statement for statement, with the
  * library steps it calls written inline; see its docstring for the
- * arguments.  ``width`` is read as a float even when ``seed`` is None.
+ * arguments; as there, ``width`` is not read when ``seed`` is None.
  * Where the Python twin's advance raises (trig of an infinite angle, a zero
  * determinant), ``advance`` gives inf or NaN, and the state is checked
  * instead. */
@@ -392,12 +338,12 @@ run_loop(PyObject *Py_UNUSED(self), PyObject *args)
     int adaptive, second_order, oracle_f;
     double influence, mu, f_hat_bias, dt, y_hat0;
     Py_ssize_t n;
-    PyObject *y_d_arg, *truth, *params, *f_arg, *seed;
+    PyObject *y_d_arg, *truth, *params, *f_arg, *width, *seed;
     Noise noise = {0};
-    if (!PyArg_ParseTuple(args, "dddddddddpddppddnOdOOOdO:run_loop", &obs.w, &obs.margin,
+    if (!PyArg_ParseTuple(args, "dddddddddpddppddnOdOOOOO:run_loop", &obs.w, &obs.margin,
                           &obs.a, &ulm.w, &ulm.margin, &ulm.a, &ctl.w, &ctl.margin, &ctl.a,
                           &adaptive, &influence, &mu, &second_order, &oracle_f, &f_hat_bias,
-                          &dt, &n, &y_d_arg, &y_hat0, &truth, &params, &f_arg, &noise.width,
+                          &dt, &n, &y_d_arg, &y_hat0, &truth, &params, &f_arg, &width,
                           &seed))
         return NULL;
     if (n < 0)
@@ -435,13 +381,7 @@ run_loop(PyObject *Py_UNUSED(self), PyObject *args)
                      n + 2 - lag, pendulum ? (Py_ssize_t)0 : n);
         goto done;
     }
-    /* the check of ``BumpNoiseStream``, to which a bool is no number */
-    PyObject *width = PyTuple_GET_ITEM(args, 22);
-    if (noisy && (PyBool_Check(width) || !(noise.width > 0.0 && isfinite(noise.width)))) {
-        PyErr_Format(PyExc_ValueError, "width must be positive and finite, got %S", width);
-        goto done;
-    }
-    if (noisy && get_noise(seed, &noise) < 0)
+    if (noisy && get_noise(width, seed, &noise) < 0)
         goto done;
     rows = PyMem_Malloc((size_t)(n * ROW) * sizeof(double));
     y_true = PyMem_Malloc((size_t)(n + 2) * sizeof(double));

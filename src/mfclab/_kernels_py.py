@@ -31,7 +31,8 @@ float functions, ``core.float_gain``, ``observers.fts_observer_step``,
 ``controller.control_rhs_second_order`` and ``influence_gain``, and
 ``plants.synthetic_ulm_plant_step`` or ``_advance`` for the truth, and it
 draws the noise from ``plants.BumpNoiseStream``; the C twin writes the
-same arithmetic inline and computes the same stream itself.  The gains
+same arithmetic inline and steps the same stream from the state that
+``plants._noise_state`` seeds.  The gains
 call ``math``'s ``exp``, ``log``, ``tanh`` and ``sqrt``, which are the C
 library's, as the C twin calls them.
 
@@ -203,8 +204,9 @@ def run_loop(ow, omargin, oa, uw, umargin, ua, cw, cmargin, ca,
     ``(y0, y1)``, ``f_signal`` the ``n`` values of its forcing, and its lag
     is 0.  ``y_d`` and ``f_signal`` are C-contiguous float64 buffers.
     With a ``seed``, the samples of ``plants.BumpNoiseStream(width, seed)``
-    are added to the measurements, and the stream checks both; None is no
-    noise, and ``width`` is then not read.
+    are added to the measurements, and ``plants._noise_state`` checks both
+    arguments, on either twin; None is no noise, and ``width`` is then not
+    read.
 
     At step k the law anchors at j = k - lag: it uses the errors at
     (j, j+1) and y_d[j..j+2], and shapes y[j+2].  F is reconstructed from

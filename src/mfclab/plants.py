@@ -159,10 +159,10 @@ class NoiseModel:
         check_fields(self, width=(is_positive, "be positive and finite"))
 
 
-# the stream of numpy's ``Generator(PCG64(seed)).random``, as the C twin
-# computes it: SeedSequence's hash of the seed into PCG64's state and
-# increment, then the 128-bit LCG (O'Neill 2014) 1,024 steps at a time; a
-# Python int operand takes the uint64 type of its array (NumPy 2's casting)
+# the stream of numpy's ``Generator(PCG64(seed)).random``: SeedSequence's
+# hash of the seed into PCG64's state and increment, for both twins, then
+# the 128-bit LCG (O'Neill 2014) 1,024 steps at a time; a Python int
+# operand takes the uint64 type of its array (NumPy 2's casting)
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
 _BLOCK = 1024
@@ -200,6 +200,20 @@ def _pcg64_seeded(seed: int) -> tuple[int, int]:
     w0, w1, w2, w3 = (halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2))
     inc = ((w2 << 64 | w3) << 1 | 1) & _M128
     return ((inc + (w0 << 64 | w1)) * _MULTIPLIER + inc) & _M128, inc
+
+
+def _noise_state(width, seed) -> tuple[int, int]:
+    """The state and increment of a run's noise stream, once ``width`` is
+    a positive finite number and ``seed`` an int by the index protocol (a
+    float is a TypeError) that is not negative.  Both twins' ``run_loop``
+    seed their noise here, so they check and word alike."""
+    if not is_positive(width):
+        raise ValueError(f"width must be positive and finite, got {shown(width)}")
+    # numpy would also take a str or a sequence
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {shown(seed)}")
+    return _pcg64_seeded(seed)
 
 
 def _halves(values: list) -> tuple:
@@ -240,11 +254,10 @@ def _times(table: tuple, s: int) -> tuple:
     return mul_hi + lo * (s >> 64) + hi * s_lo, lo * s_lo
 
 
-def _pcg64_blocks(seed: int):
-    """The doubles of ``Generator(PCG64(seed)).random``, 1,024 to a list:
+def _pcg64_blocks(state: int, inc: int):
+    """The doubles of PCG64 from ``state`` and ``inc``, 1,024 to a list:
     each block jumps from the state its last draw left, and a draw is the
     top 53 bits of the XSL-RR output of its state, times 2^-53."""
-    state, inc = _pcg64_seeded(seed)
     powers, totals = _jump_tables()
     inc_hi, inc_lo = _times(totals, inc)
     while True:
@@ -267,27 +280,21 @@ class BumpNoiseStream:
     rejection against a uniform envelope; every sample is strictly inside
     the support.
 
-    The seed is an int by the index protocol (a float is a TypeError) and
-    not negative (a ValueError), as the kernels' ``run_loop`` takes it.
-    The doubles are those of numpy's ``Generator(PCG64(seed)).random``,
-    computed here without ``numpy.random``, 1,024 at a time; each attempt
-    takes ``u = -1 + 2 d`` and ``h = d`` from the next two: the bits of
+    ``_noise_state`` checks both arguments, at construction.  The doubles
+    are those of numpy's ``Generator(PCG64(seed)).random``, computed here
+    without ``numpy.random``, 1,024 at a time; each attempt takes
+    ``u = -1 + 2 d`` and ``h = d`` from the next two: the bits of
     ``uniform(-1, 1)`` and ``uniform(0, 1)``.  The Python twin's
-    ``run_loop`` draws its noise from this stream; the C twin computes the
-    same doubles itself and reads them in the same order.  The stream holds
-    a generator of the blocks, not itself, so it is freed without the
-    cyclic collector.
+    ``run_loop`` draws its noise from this stream; the C twin steps the
+    same state one draw at a time and reads the doubles in the same order.
+    The stream holds a generator of the blocks, not itself, so it is freed
+    without the cyclic collector.
     """
 
     def __init__(self, width: float, seed: int):
-        if not is_positive(width):
-            raise ValueError(f"width must be positive and finite, got {shown(width)}")
-        # numpy would also take a str or a sequence; the C twin takes an int
-        seed = operator.index(seed)
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {shown(seed)}")
+        blocks = _pcg64_blocks(*_noise_state(width, seed))
         self.width = width
-        self._draw = itertools.chain.from_iterable(_pcg64_blocks(seed)).__next__
+        self._draw = itertools.chain.from_iterable(blocks).__next__
 
     def sample(self) -> float:
         """The next sample of the stream."""

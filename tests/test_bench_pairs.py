@@ -75,3 +75,11 @@ def test_a_parent_spread_wider_than_the_bound_leaves_the_bound_unresolved():
     # unless every run of the change beats every run of the parent
     (row,) = bench_pairs.summarize(old, runs("experiment_s", [0.20] * 10), [spec])
     assert row["verdict"] == "within"
+
+
+def test_fewer_than_two_pairs_are_refused_before_any_run(monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["parent", "change", "--workload", "sweep_compiled", "--pairs", "1"])
+    assert exit_info.value.code == 2
+    assert "--pairs must be at least 2, got 1" in capsys.readouterr().err

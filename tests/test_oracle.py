@@ -9,10 +9,10 @@ twin calls equals, compared with ``==``, its numpy counterpart in
 ``oracle`` on drawn inputs, so a change to one law's arithmetic fails
 here by name, not only as a differing run in ``test_loop``.
 
-The noise stream, which both twins compute, matches numpy's for seeds of
-every width: ``plants._pcg64_seeded`` gives ``PCG64``'s state and
-increment, and ``plants._pcg64_blocks`` the doubles of
-``Generator.random``."""
+The noise stream matches numpy's for seeds of every width:
+``plants._pcg64_seeded``, which seeds both twins, gives ``PCG64``'s state
+and increment, and ``plants._pcg64_blocks`` from them the doubles of
+``Generator.random``, which the C twin steps one draw at a time."""
 
 import math
 
@@ -335,4 +335,4 @@ def test_noise_stream_spec_matches_numpy_stage_by_stage(seed):
     state = np.random.PCG64(seed).state["state"]
     assert plants._pcg64_seeded(seed) == (state["state"], state["inc"])
     expected = np.random.Generator(np.random.PCG64(seed)).random(1000).tolist()
-    assert next(plants._pcg64_blocks(seed))[:1000] == expected
+    assert next(plants._pcg64_blocks(*plants._pcg64_seeded(seed)))[:1000] == expected

@@ -301,7 +301,9 @@ class TestBumpNoise:
             BumpNoiseStream(width=-1.0, seed=0)
 
     @pytest.mark.parametrize(
-        "seed", [-1, -(2**70), 1.0, "1", [1]], ids=["-1", "-2**70", "1.0", "str", "list"]
+        "seed",
+        [-1, -(2**70), -(2**1100), -(10**5000), 1.0, "1", [1]],
+        ids=["-1", "-2**70", "-2**1100", "-10**5000", "1.0", "str", "list"],
     )
     def test_seed_taken_as_run_loop_takes_it(self, kernels, seed):
         """Both twins' ``run_loop`` take an int seed, by the index protocol,

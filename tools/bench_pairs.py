@@ -20,7 +20,7 @@ parent: so wide a spread cannot tell a loss the size of the bound from
 noise.
 
 Exit codes: 0 every run was ``correct``; 1 a run was not, or printed no
-result.  Nothing is written beyond the ignored ``perfbench/_build`` and
+result; 2 a bad argument, such as fewer than 2 pairs, before any run.  Nothing is written beyond the ignored ``perfbench/_build`` and
 ``perfbench/_work`` files of each checkout's own runs.
 """
 
@@ -92,6 +92,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        # the quartiles of the summary need two runs of each side
+        parser.error(f"--pairs must be at least 2, got {args.pairs}")
     benchmark = json.loads(BENCHMARK.read_text(encoding="utf-8"))
     seconds, metrics = benchmark["run_seconds"], benchmark["end_to_end"]
     results = {"parent": [], "change": []}
