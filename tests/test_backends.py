@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from loop_runs import (
     RUN_LOOP_PARAMETERS,
+    SEED_WIDTH_RUNS,
     SYNTHETIC,
     explicit_examples,
     loop_runs,
@@ -303,6 +304,17 @@ def assert_twins_agree(compiled, run):
 @seed_width_examples
 def test_run_loop_agrees_across_twins(compiled_kernels, run):
     assert_twins_agree(compiled_kernels, run)
+
+
+@pytest.mark.parametrize("run", SEED_WIDTH_RUNS, ids=lambda run: f"{run[0].seed.bit_length()}bits")
+@pytest.mark.parametrize("build", ["compiled_kernels", "contracting_kernels"])
+def test_every_seed_width_agrees_on_each_build(request, build, run):
+    """The C twin's noise stream, one 128-bit LCG stepped from the state
+    and increment that ``plants._noise_state`` hashes from the seed, draws
+    the Python twin's noise at every width of seed, as ``setup.py`` builds
+    it and as a build for this CPU with contraction asked for compiles its
+    128-bit reads and multiplies."""
+    assert_twins_agree(request.getfixturevalue(build), run)
 
 
 @pytest.mark.parametrize(
